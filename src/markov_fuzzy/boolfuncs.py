@@ -252,6 +252,38 @@ def formula_variables(ast: Formula) -> list[str]:
     return seen
 
 
+def _eval_node(node, columns: dict) -> np.ndarray:
+    """Truth column of a quantifier-free node over the variable columns.
+
+    `columns` is passed down rather than closed over: a recursive closure
+    would form a reference cycle that keeps every column alive after
+    `compile_formula` returns, until the cyclic collector runs.
+    """
+    if isinstance(node, Var):
+        try:
+            return columns[node.name]
+        except KeyError:
+            raise UnboundVariable(
+                f"variable {node.name!r} not bound by the ordering"
+            ) from None
+    if isinstance(node, Not):
+        return np.logical_not(_eval_node(node.child, columns))
+    if isinstance(node, Implies):
+        return np.logical_or(
+            np.logical_not(_eval_node(node.left, columns)),
+            _eval_node(node.right, columns),
+        )
+    if isinstance(node, (And, Or)):
+        return _BINARY[type(node)](
+            _eval_node(node.left, columns), _eval_node(node.right, columns)
+        )
+    if isinstance(node, _QUANTIFIERS):
+        raise ValueError(
+            "quantifiers must be expanded over their universes before compilation"
+        )
+    raise TypeError(f"not a formula node: {node!r}")
+
+
 def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     """Compile a quantifier-free formula into its truth table.
 
@@ -269,27 +301,4 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         name: ((idx >> bit) & 1).astype(bool) for bit, name in enumerate(names)
     }
 
-    def eval_node(node) -> np.ndarray:
-        if isinstance(node, Var):
-            try:
-                return columns[node.name]
-            except KeyError:
-                raise UnboundVariable(
-                    f"variable {node.name!r} not bound by the ordering"
-                ) from None
-        if isinstance(node, Not):
-            return np.logical_not(eval_node(node.child))
-        if isinstance(node, Implies):
-            return np.logical_or(
-                np.logical_not(eval_node(node.left)), eval_node(node.right)
-            )
-        if isinstance(node, (And, Or)):
-            return _BINARY[type(node)](eval_node(node.left), eval_node(node.right))
-        if isinstance(node, _QUANTIFIERS):
-            raise ValueError(
-                "quantifiers must be expanded over their universes before "
-                "compilation"
-            )
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return BooleanFunction(n, 1, eval_node(ast).astype(np.int64))
+    return BooleanFunction(n, 1, _eval_node(ast, columns).astype(np.int64))

@@ -6,7 +6,8 @@ with a spec is a compact polytope, so the confidence of any single-output
 formula attains an exact minimum and maximum over it:
 
 * `exact_bounds` solves the two linear programs over the 2**n table
-  entries (scipy's HiGHS backend does the pivoting);
+  entries (scipy's HiGHS backend does the pivoting; scipy is imported on
+  the first solve, so importing this module costs only numpy);
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._common import EPS_FEAS, N_MAX, check_belief, clip01
 from .boolfuncs import BooleanFunction
@@ -197,6 +197,8 @@ def exact_bounds(
     a_eq = np.vstack(rows)
     b_eq = np.asarray(rhs)
     cost = f.table.astype(np.float64)
+
+    from scipy.optimize import linprog
 
     results = []
     for sign in (1.0, -1.0):

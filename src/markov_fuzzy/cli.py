@@ -12,6 +12,9 @@ first variable mentioned is coordinate 1 (and matches marginal 1 of a
 spec document).  Exit codes: 0 success, 2 input/parse error, 3 semantic
 mismatch, 4 arity over the active cap.  MARKOV_FUZZY_MAX_ARITY lowers the
 cap (it can never raise it above the built-in N_MAX).
+
+scipy is imported on the first `exact_bounds` LP solve, so `bounds` is the
+only subcommand that loads it; the others need numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._common import N_MAX
+from ._common import EPS_FEAS, EPS_SIMPLEX, N_MAX
 from .boolfuncs import (
     and_function,
     compile_formula,
@@ -32,19 +35,21 @@ from .boolfuncs import (
     or_function,
 )
 from .bounds import PartialJointSpec, exact_bounds
-from .connectives import and_q, implies_q, or_q, q_bounds
+from .connectives import q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     DuplicateVariable,
+    InfeasibleQ,
     MarginalMismatch,
     MultiOutput,
+    NotNormalized,
     SchemaError,
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
-from .joints import pair_from_pq, pushforward
+from .joints import pushforward
 from .quantifiers import BeliefTable, SamplingStrategy, exists_bounds, sample_exists
 
 EXIT_OK = 0
@@ -98,9 +103,11 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
-    print(",".join(header))
+    lines = [",".join(header)]
     for row in rows:
-        print(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        cells = (cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+        lines.append(",".join(cells))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _compile(formula_text: str, expected_arity: int):
@@ -157,6 +164,57 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """Elementwise `clip01`, with the same comparisons (signed zeros kept)."""
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def _check_normalized(table: np.ndarray) -> None:
+    """Column-wise `JointBooleanDist` normalisation check of a table."""
+    sums = table.sum(axis=0)
+    bad = np.abs(sums - 1.0) > 4 * EPS_SIMPLEX
+    if bad.any():
+        raise NotNormalized(f"probabilities sum to {float(sums[np.argmax(bad)])}")
+
+
+def _sweep_columns(p1: float, p2: float, qs: np.ndarray, f) -> list:
+    """The sweep's columns over the whole q grid at once.
+
+    Each column repeats, elementwise and in the same operation order, the
+    float expressions of `and_q`, `or_q`, `implies_q` and, for the formula,
+    `pushforward(pair_from_pq(p1, p2, q), f)`, so every value equals the
+    scalar one bit for bit.
+    """
+    b = q_bounds(p1, p2)
+    feasible = (b.q_min - EPS_FEAS <= qs) & (qs <= b.q_max + EPS_FEAS)
+    if not feasible.all():
+        q = float(qs[np.argmax(~feasible)])
+        raise InfeasibleQ(
+            f"q={q} outside feasible range [{b.q_min}, {b.q_max}] "
+            f"for marginals ({p1}, {p2})"
+        )
+    q = np.where(b.q_min > qs, b.q_min, qs)
+    q = np.where(b.q_max < q, b.q_max, q)
+    columns = [
+        qs,
+        _clip01(p1 + p2 + q - 1.0),
+        _clip01(1.0 - q),
+        _clip01(p2 + q),
+    ]
+    if f is not None:
+        # Rows in table-index order: p_FF, p_TF, p_FT, p_TT.
+        pair = np.maximum(
+            np.stack([q, (1.0 - p2) - q, (1.0 - p1) - q, p1 + p2 - 1.0 + q]), 0.0
+        )
+        _check_normalized(pair)
+        pushed = np.zeros((2, qs.size))
+        for index, value in enumerate(f.table.tolist()):
+            pushed[value] += pair[index]
+        _check_normalized(pushed)
+        columns.append(pushed[1])
+    return [column.tolist() for column in columns]
+
+
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
@@ -171,24 +229,19 @@ def _cmd_sweep(args) -> int:
     p1, p2 = model.marginals
     b = q_bounds(p1, p2)
     if b.q_min == b.q_max:
-        qs = [b.q_min]
+        qs = np.array([b.q_min])
     else:
-        qs = [float(q) for q in np.linspace(b.q_min, b.q_max, args.steps)]
+        qs = np.linspace(b.q_min, b.q_max, args.steps)
 
     f = _compile(args.formula, 2) if args.formula else None
     header = ["q", "and_q", "or_q", "implies_q"]
     if f is not None:
         header.append("formula")
-    rows = []
-    for q in qs:
-        row = [q, and_q(p1, p2, q), or_q(p1, p2, q), implies_q(p1, p2, q)]
-        if f is not None:
-            row.append(float(pushforward(pair_from_pq(p1, p2, q), f).probs[1]))
-        rows.append(row)
+    columns = _sweep_columns(p1, p2, qs, f)
     if (args.format or "csv") == "csv":
-        _emit_csv(header, rows)
+        _emit_csv(header, zip(*columns))
     else:
-        _emit_json([dict(zip(header, row)) for row in rows])
+        _emit_json([dict(zip(header, row)) for row in zip(*columns)])
     return EXIT_OK
 
 

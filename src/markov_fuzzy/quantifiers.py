@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
-from ._common import EPS_SIMPLEX, check_belief, clip01
+from ._common import EPS_FEAS, EPS_SIMPLEX, check_belief, clip01
 from .boolfuncs import (
     And,
     Exists,
@@ -96,7 +96,7 @@ class BeliefTable:
                 raise SchemaError(f"bad q_pair key {key!r}")
             pair = (a, b) if position[a] < position[b] else (b, a)
             q = float(value)
-            if pair in normalized and abs(normalized[pair] - q) > 1e-12:
+            if pair in normalized and abs(normalized[pair] - q) > EPS_FEAS:
                 raise InfeasibleQ(
                     f"conflicting q values for pair {pair}: "
                     f"{normalized[pair]} vs {q}"

@@ -1,5 +1,6 @@
 """Truth tables, gates, composition and formula compilation."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestCompile:
                     name: bool((index >> bit) & 1) for bit, name in enumerate(names)
                 }
                 assert bool(f.table[index]) == eval_ast(ast, env)
+
+    def test_leaves_no_reference_cycle(self):
+        """The variable columns are freed on return, not by the cyclic GC."""
+        ast = mf.parse_formula("(a & !b) | (c -> a)")
+        gc.collect()
+        gc.disable()
+        try:
+            mf.compile_formula(ast, ["a", "b", "c"])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMinterms:

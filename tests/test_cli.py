@@ -1,12 +1,18 @@
 """Command-line behavior: golden outputs, exit codes, determinism."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import markov_fuzzy as mf
+from markov_fuzzy import cli
 from markov_fuzzy.cli import main
+from markov_fuzzy.errors import InfeasibleQ
 
 DYADIC_JOINT = '{"arity": 2, "probs": [0.125, 0.25, 0.25, 0.375]}'
 DYADIC_SPEC = '{"marginals": [0.75, 0.5]}'
@@ -178,6 +184,117 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)
         assert [row["q"] for row in rows] == [0.0, 0.25]
+
+
+def scalar_sweep(p1, p2, steps, formula, fmt):
+    """Expected `sweep` stdout, row by row from the public scalar API."""
+    b = mf.q_bounds(p1, p2)
+    if b.q_min == b.q_max:
+        qs = [b.q_min]
+    else:
+        qs = [float(q) for q in np.linspace(b.q_min, b.q_max, steps)]
+    header = ["q", "and_q", "or_q", "implies_q"]
+    if formula is not None:
+        ast = mf.parse_formula(formula)
+        f = mf.compile_formula(ast, mf.formula_variables(ast))
+        header.append("formula")
+    rows = []
+    for q in qs:
+        row = [q, mf.and_q(p1, p2, q), mf.or_q(p1, p2, q), mf.implies_q(p1, p2, q)]
+        if formula is not None:
+            row.append(float(mf.pushforward(mf.pair_from_pq(p1, p2, q), f).probs[1]))
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(format(x, ".17g") for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_rng = random.Random(20230306)
+SWEEP_PAIRS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.35), (1.0, 0.6)]
+SWEEP_PAIRS += [(_rng.random(), _rng.random()) for _ in range(6)]
+
+
+class TestSweepMatchesScalarPath:
+    """The vectorised sweep prints the bytes of the per-row scalar API."""
+
+    @pytest.mark.parametrize("p1, p2", SWEEP_PAIRS)
+    def test_bytes(self, tmp_path, capsys, p1, p2):
+        path = write(tmp_path, "spec.json", json.dumps({"marginals": [p1, p2]}))
+        for formula in (None, "P1 & !P2", "(P1 | P2) & !(P1 & P2)", "P2 -> P1"):
+            for steps in (1, 2, 257):
+                for fmt in ("csv", "json"):
+                    argv = ["sweep", "--input", path, "--steps", str(steps)]
+                    argv += ["--format", fmt]
+                    if formula is not None:
+                        argv += ["--formula", formula]
+                    code, out, _ = run(capsys, argv)
+                    assert code == 0
+                    assert out == scalar_sweep(p1, p2, steps, formula, fmt), argv
+
+    def test_q_outside_feasible_range(self):
+        with pytest.raises(InfeasibleQ):
+            cli._sweep_columns(0.3, 0.4, np.array([0.3, 0.6 + 1e-9]), None)
+
+    def test_q_within_eps_feas_is_clamped(self):
+        q = 0.6 + 0.5 * mf.EPS_FEAS
+        f = mf.and_function()
+        columns = cli._sweep_columns(0.3, 0.4, np.array([q]), f)
+        assert [column[0] for column in columns] == [
+            q,
+            mf.and_q(0.3, 0.4, q),
+            mf.or_q(0.3, 0.4, q),
+            mf.implies_q(0.3, 0.4, q),
+            float(mf.pushforward(mf.pair_from_pq(0.3, 0.4, q), f).probs[1]),
+        ]
+
+
+COLD_PATH = """
+import contextlib, io, json, sys
+import markov_fuzzy as mf
+from markov_fuzzy import cli
+
+joint, spec, table = sys.argv[1:]
+calls = [
+    ["eval", "--formula", "P1 & P2", "--input", joint],
+    ["sweep", "--input", spec, "--steps", "5"],
+    ["sweep", "--input", spec, "--steps", "5", "--formula", "P1 -> P2"],
+    ["quantify", "bounds", "--input", table],
+    ["quantify", "sample", "--input", table, "--samples", "100"],
+]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+scipy_modules = sorted(name for name in sys.modules if name.startswith("scipy"))
+ci = mf.exact_bounds(mf.PartialJointSpec((0.75, 0.5)), mf.and_function())
+print(json.dumps({"codes": codes, "scipy": scipy_modules, "and": [ci.lo, ci.hi]}))
+"""
+
+
+def test_cold_path_never_imports_scipy(tmp_path):
+    """Only an LP solve loads scipy; every other subcommand needs numpy alone."""
+    paths = [
+        write(tmp_path, "joint.json", DYADIC_JOINT),
+        write(tmp_path, "spec.json", DYADIC_SPEC),
+        write(tmp_path, "table.json", TABLE),
+    ]
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, *paths],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 5
+    assert result["scipy"] == []
+    classic = mf.classic_binary_bounds(0.75, 0.5, "and")
+    assert result["and"] == pytest.approx([classic.lo, classic.hi], abs=1e-9)
 
 
 class TestQuantify:

@@ -55,6 +55,25 @@ class TestBeliefTable:
         assert table.q("a", "b") == pytest.approx(0.42)
         assert table.q("b", "a") == pytest.approx(0.42)
 
+    @pytest.mark.parametrize("gap, conflicts", [(0.5, False), (2.0, True)])
+    def test_conflicting_q_tolerance_is_eps_feas(self, gap, conflicts):
+        """Both orders of a pair may repeat a q value up to EPS_FEAS apart,
+        the same tolerance PartialJointSpec applies to its pairwise keys."""
+        q_pair = {("a", "b"): 0.42, ("b", "a"): 0.42 + gap * mf.EPS_FEAS}
+        pairwise = {(1, 2): 0.42, (2, 1): 0.42 + gap * mf.EPS_FEAS}
+        builders = (
+            lambda: mf.BeliefTable(
+                universe=("a", "b"), p={"a": 0.3, "b": 0.4}, q_pair=q_pair
+            ),
+            lambda: mf.PartialJointSpec((0.3, 0.4), pairwise=pairwise),
+        )
+        for build in builders:
+            if conflicts:
+                with pytest.raises(InfeasibleQ, match="conflicting"):
+                    build()
+            else:
+                build()
+
 
 class TestExistsExact:
     def test_independent_pair(self):
