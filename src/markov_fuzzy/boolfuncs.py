@@ -13,7 +13,7 @@ function as the or-of-minterms expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -226,62 +226,77 @@ class Forall:
 
 Formula = Union[Var, Not, And, Or, Implies, Exists, Forall]
 
+#: The shape of the tree: the child fields of each node type.
+_CHILD_FIELDS = {
+    Var: (),
+    Not: ("child",),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Implies: ("left", "right"),
+    Exists: ("body",),
+    Forall: ("body",),
+}
+
 _QUANTIFIERS = (Exists, Forall)
-_BINARY = {And: np.logical_and, Or: np.logical_or}
+
+#: Truth-column op of each connective; on booleans a -> b is a <= b.
+_OPS = {
+    Not: np.logical_not,
+    And: np.logical_and,
+    Or: np.logical_or,
+    Implies: np.less_equal,
+}
+
+
+def _child_fields(node) -> tuple:
+    """Names of the node's subformula fields, left to right."""
+    try:
+        return _CHILD_FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"not a formula node: {node!r}") from None
+
+
+def _with_children(node, children):
+    """The node with its subformulas replaced, in `_child_fields` order."""
+    fields = _child_fields(node)
+    return replace(node, **dict(zip(fields, children))) if fields else node
+
+
+def _walk(node):
+    """Every node of the tree in pre-order, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in reversed(_child_fields(node)):
+            stack.append(getattr(node, name))
+
+
+def _fold(node, combine):
+    """combine(node, [folded children]) over the tree, bottom-up and left
+    to right.  An explicit stack stands in for recursion, so tree depth
+    (a quantifier over a large universe expands to a chain as long as the
+    universe) is not bounded by the interpreter's recursion limit."""
+    stack = [(node, None)]
+    done: list = []
+    while stack:
+        node, fields = stack.pop()
+        if fields is None:
+            fields = _child_fields(node)
+            stack.append((node, fields))
+            for name in reversed(fields):
+                stack.append((getattr(node, name), None))
+        else:
+            start = len(done) - len(fields)
+            value = combine(node, done[start:])
+            del done[start:]
+            done.append(value)
+    return done[0]
 
 
 def formula_variables(ast: Formula) -> list[str]:
     """Variable names in first-appearance order (quantifier-free trees)."""
-    seen: list[str] = []
-
-    def walk(node):
-        if isinstance(node, Var):
-            if node.name not in seen:
-                seen.append(node.name)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, _QUANTIFIERS):
-            walk(node.body)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-
-    walk(ast)
-    return seen
-
-
-def _eval_node(node, columns: dict) -> np.ndarray:
-    """Truth column of a quantifier-free node over the variable columns.
-
-    `columns` is passed down rather than closed over: a recursive closure
-    would form a reference cycle that keeps every column alive after
-    `compile_formula` returns, until the cyclic collector runs.
-    """
-    if isinstance(node, Var):
-        try:
-            return columns[node.name]
-        except KeyError:
-            raise UnboundVariable(
-                f"variable {node.name!r} not bound by the ordering"
-            ) from None
-    if isinstance(node, Not):
-        return np.logical_not(_eval_node(node.child, columns))
-    if isinstance(node, Implies):
-        return np.logical_or(
-            np.logical_not(_eval_node(node.left, columns)),
-            _eval_node(node.right, columns),
-        )
-    if isinstance(node, (And, Or)):
-        return _BINARY[type(node)](
-            _eval_node(node.left, columns), _eval_node(node.right, columns)
-        )
-    if isinstance(node, _QUANTIFIERS):
-        raise ValueError(
-            "quantifiers must be expanded over their universes before compilation"
-        )
-    raise TypeError(f"not a formula node: {node!r}")
+    return list(dict.fromkeys(n.name for n in _walk(ast) if isinstance(n, Var)))
 
 
 def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
@@ -296,9 +311,23 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
+    if any(isinstance(node, _QUANTIFIERS) for node in _walk(ast)):
+        raise ValueError(
+            "quantifiers must be expanded over their universes before compilation"
+        )
     idx = np.arange(1 << n, dtype=np.int64)
     columns = {
         name: ((idx >> bit) & 1).astype(bool) for bit, name in enumerate(names)
     }
 
-    return BooleanFunction(n, 1, _eval_node(ast, columns).astype(np.int64))
+    def column(node, args):
+        if isinstance(node, Var):
+            try:
+                return columns[node.name]
+            except KeyError:
+                raise UnboundVariable(
+                    f"variable {node.name!r} not bound by the ordering"
+                ) from None
+        return _OPS[type(node)](*args)
+
+    return BooleanFunction(n, 1, _fold(ast, column).astype(np.int64))

@@ -24,19 +24,19 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ._common import EPS_FEAS, N_MAX, check_belief, clip01
+from ._common import N_MAX, check_belief, clip01
 from .boolfuncs import BooleanFunction
-from .connectives import classic, q_bounds
+from .connectives import _add_pair_q, classic
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     BadCoordinate,
     Cancelled,
-    InfeasibleQ,
     InfeasibleSpec,
     MultiOutput,
     SchemaError,
 )
+from .joints import independent_product, pushforward
 
 __all__ = [
     "ConfidenceInterval",
@@ -60,7 +60,11 @@ _CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Pair of exact lower/upper bounds on a truth confidence."""
+    """Lower/upper bounds on a truth confidence.
+
+    Exact when returned by `exact_bounds`; `exists_bounds` and
+    `forall_bounds` return an outer bound when pairwise q values are given.
+    """
 
     lo: float
     hi: float
@@ -115,19 +119,7 @@ class PartialJointSpec:
             if i == j or not (1 <= i <= len(ps)) or not (1 <= j <= len(ps)):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             pair = (min(i, j), max(i, j))
-            q = float(value)
-            if pair in normalized and abs(normalized[pair] - q) > EPS_FEAS:
-                raise InfeasibleQ(
-                    f"conflicting q values for pair {pair}: "
-                    f"{normalized[pair]} vs {q}"
-                )
-            b = q_bounds(ps[pair[0] - 1], ps[pair[1] - 1])
-            if not b.contains(q):
-                raise InfeasibleQ(
-                    f"q={q} for pair {pair} outside feasible range "
-                    f"[{b.q_min}, {b.q_max}]"
-                )
-            normalized[pair] = min(max(q, b.q_min), b.q_max)
+            _add_pair_q(normalized, pair, ps[pair[0] - 1], ps[pair[1] - 1], value)
         object.__setattr__(self, "pairwise", normalized)
 
     @property
@@ -150,15 +142,8 @@ def _check_cancel(cancel: Optional[Callable[[], bool]]) -> None:
 
 
 def _independent_point(spec: PartialJointSpec, f: BooleanFunction) -> float:
-    """Confidence under full independence, by direct enumeration."""
-    total = 0.0
-    for a in np.flatnonzero(f.table):
-        a = int(a)
-        w = 1.0
-        for bit, p in enumerate(spec.marginals):
-            w *= p if (a >> bit) & 1 else 1.0 - p
-        total += w
-    return clip01(total)
+    """Confidence under full independence: the product table pushed through f."""
+    return clip01(pushforward(independent_product(spec.marginals), f).probs[1])
 
 
 def exact_bounds(

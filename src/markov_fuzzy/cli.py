@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._common import EPS_FEAS, EPS_SIMPLEX, N_MAX
+from ._common import EPS_SIMPLEX, N_MAX
 from .boolfuncs import (
     and_function,
     compile_formula,
@@ -35,13 +35,12 @@ from .boolfuncs import (
     or_function,
 )
 from .bounds import PartialJointSpec, exact_bounds
-from .connectives import q_bounds
+from .connectives import _feasible_q, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     DuplicateVariable,
-    InfeasibleQ,
     MarginalMismatch,
     MultiOutput,
     NotNormalized,
@@ -185,14 +184,10 @@ def _sweep_columns(p1: float, p2: float, qs: np.ndarray, f) -> list:
     `pushforward(pair_from_pq(p1, p2, q), f)`, so every value equals the
     scalar one bit for bit.
     """
+    # An interval holds the whole grid iff it holds the grid's two ends.
+    for end in (qs.min(), qs.max()):
+        _feasible_q(p1, p2, end)
     b = q_bounds(p1, p2)
-    feasible = (b.q_min - EPS_FEAS <= qs) & (qs <= b.q_max + EPS_FEAS)
-    if not feasible.all():
-        q = float(qs[np.argmax(~feasible)])
-        raise InfeasibleQ(
-            f"q={q} outside feasible range [{b.q_min}, {b.q_max}] "
-            f"for marginals ({p1}, {p2})"
-        )
     q = np.where(b.q_min > qs, b.q_min, qs)
     q = np.where(b.q_max < q, b.q_max, q)
     columns = [

@@ -86,6 +86,23 @@ def _feasible_q(p1: float, p2: float, q) -> tuple[float, float, float]:
     return p1, p2, min(max(q, b.q_min), b.q_max)
 
 
+def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
+    """Record the both-false confidence of `pair` (marginals p1, p2) in
+    `pairs`, clamped as by `_feasible_q`.
+
+    A pair given twice must repeat its value within EPS_FEAS.
+    """
+    q = float(q)
+    if pair in pairs and abs(pairs[pair] - q) > EPS_FEAS:
+        raise InfeasibleQ(
+            f"conflicting q values for pair {pair}: {pairs[pair]} vs {q}"
+        )
+    try:
+        pairs[pair] = _feasible_q(p1, p2, q)[2]
+    except InfeasibleQ as exc:
+        raise InfeasibleQ(f"pair {pair}: {exc}") from None
+
+
 def and_q(p1: float, p2: float, q: float) -> float:
     """Confidence of the conjunction under both-false confidence q."""
     p1, p2, q = _feasible_q(p1, p2, q)
@@ -149,9 +166,8 @@ def de_morgan_dual(p1: float, p2: float, q: float) -> tuple[float, float, float]
 
     and q' is feasible for the negated marginals.
     """
-    p1, p2, q = _feasible_q(p1, p2, q)
-    q_dual = clip01(p1 + p2 + q - 1.0)
-    n1, n2 = 1.0 - p1, 1.0 - p2
+    q_dual = and_q(p1, p2, q)
+    n1, n2 = fuzzy_not(p1), fuzzy_not(p2)
     # q' = p_TT of the original pair; feasible for (1-p1, 1-p2) by
     # construction, but rounding may leave it a hair outside.
     return n1, n2, clamp_q(n1, n2, q_dual)

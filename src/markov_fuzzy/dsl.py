@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
+from .boolfuncs import _child_fields, _walk
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, ParseError, SchemaError
 from .joints import JointBooleanDist, make_joint
@@ -187,44 +188,31 @@ class _Parser:
 _APPLICATION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
 
 
-def _check_quantified(node: Formula, bound: tuple = ()) -> None:
+def _check_quantified(node: Formula) -> None:
     """Reject duplicate nested quantifier variables and more than one
     belief family applied to the same quantified variable."""
-    if isinstance(node, Var):
-        return
-    if isinstance(node, Not):
-        _check_quantified(node.child, bound)
-    elif isinstance(node, (And, Or, Implies)):
-        _check_quantified(node.left, bound)
-        _check_quantified(node.right, bound)
-    elif isinstance(node, (Exists, Forall)):
-        if node.var in bound:
-            raise DuplicateVariable(
-                f"quantified variable {node.var!r} shadows an enclosing binding"
-            )
-        families = set()
-
-        def collect(inner):
-            if isinstance(inner, Var):
-                match = _APPLICATION_RE.match(inner.name)
+    stack = [(node, ())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Exists, Forall)):
+            if node.var in bound:
+                raise DuplicateVariable(
+                    f"quantified variable {node.var!r} shadows an enclosing binding"
+                )
+            families = set()
+            for inner in _walk(node.body):
+                match = isinstance(inner, Var) and _APPLICATION_RE.match(inner.name)
                 if match and match.group(2) == node.var:
                     families.add(match.group(1))
-            elif isinstance(inner, Not):
-                collect(inner.child)
-            elif isinstance(inner, (And, Or, Implies)):
-                collect(inner.left)
-                collect(inner.right)
-            elif isinstance(inner, (Exists, Forall)):
-                collect(inner.body)
-
-        collect(node.body)
-        if len(families) > 1:
-            raise ParseError(
-                f"variable {node.var!r} is applied to multiple belief "
-                f"families {sorted(families)}; one family per quantified "
-                f"variable is supported"
-            )
-        _check_quantified(node.body, bound + (node.var,))
+            if len(families) > 1:
+                raise ParseError(
+                    f"variable {node.var!r} is applied to multiple belief "
+                    f"families {sorted(families)}; one family per quantified "
+                    f"variable is supported"
+                )
+            bound = bound + (node.var,)
+        for name in reversed(_child_fields(node)):
+            stack.append((getattr(node, name), bound))
 
 
 def parse_formula(text: str) -> Formula:
@@ -305,6 +293,20 @@ def _check_keys(obj: dict, allowed: tuple, label: str) -> None:
         raise SchemaError(f"unknown {label} keys: {sorted(extra)}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number_map(obj: dict, key: str) -> dict:
+    """obj[key] as a JSON object of numbers; absent or null reads as {}."""
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict) or not all(map(_is_number, value.values())):
+        raise SchemaError(f"{key!r} must be an object mapping keys to numbers")
+    return value
+
+
 def _split_pair_key(key: str):
     parts = key.split(",")
     if len(parts) != 2:
@@ -325,12 +327,10 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
     if "marginals" in obj:
         _check_keys(obj, ("marginals", "pairwise", "independent"), "spec")
         marginals = obj["marginals"]
-        if not isinstance(marginals, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in marginals
-        ):
+        if not isinstance(marginals, list) or not all(map(_is_number, marginals)):
             raise SchemaError("'marginals' must be a list of numbers")
         pairwise = {}
-        for key, value in (obj.get("pairwise") or {}).items():
+        for key, value in _number_map(obj, "pairwise").items():
             a, b = _split_pair_key(key)
             try:
                 pair = (int(a), int(b))
@@ -355,10 +355,10 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
         if any("," in x for x in universe):
             raise SchemaError("universe labels must not contain ','")
         p = obj.get("p")
-        if not isinstance(p, dict):
+        if not isinstance(p, dict) or not all(map(_is_number, p.values())):
             raise SchemaError("'p' must map labels to beliefs")
         q_pair = {}
-        for key, value in (obj.get("q_pair") or {}).items():
+        for key, value in _number_map(obj, "q_pair").items():
             q_pair[_split_pair_key(key)] = value
         return BeliefTable(universe=tuple(universe), p=p, q_pair=q_pair)
     raise SchemaError(

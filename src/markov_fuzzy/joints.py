@@ -26,12 +26,11 @@ import numpy as np
 
 from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief
 from .boolfuncs import BooleanFunction, index_assignment
-from .connectives import q_bounds
+from .connectives import _feasible_q
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     BadCoordinate,
-    InfeasibleQ,
     NegativeMass,
     NotNormalized,
 )
@@ -49,9 +48,15 @@ __all__ = [
 
 
 def _freeze(values, size: int) -> np.ndarray:
+    """Read-only copy of a probability vector, checked for shape, sign and
+    sum.  Structural sanity only; make_joint performs full input validation."""
     arr = np.asarray(values, dtype=np.float64).copy()
     if arr.shape != (size,):
         raise ArityMismatch(f"expected {size} probabilities, got shape {arr.shape}")
+    if arr.size and arr.min() < -4 * EPS_SIMPLEX:
+        raise NegativeMass(f"negative probability {arr.min()}")
+    if abs(float(arr.sum()) - 1.0) > 4 * EPS_SIMPLEX:
+        raise NotNormalized(f"probabilities sum to {float(arr.sum())}")
     arr.flags.writeable = False
     return arr
 
@@ -65,13 +70,7 @@ class JointBooleanDist:
 
     def __post_init__(self):
         check_arity(self.arity)
-        probs = _freeze(self.probs, 1 << self.arity)
-        # Structural sanity only; make_joint performs full input validation.
-        if probs.min() < -4 * EPS_SIMPLEX:
-            raise NegativeMass(f"negative probability {probs.min()}")
-        if abs(float(probs.sum()) - 1.0) > 4 * EPS_SIMPLEX:
-            raise NotNormalized(f"probabilities sum to {float(probs.sum())}")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _freeze(self.probs, 1 << self.arity))
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
@@ -102,13 +101,8 @@ class FiniteDist:
         labels = tuple(self.alphabet)
         if len(set(labels)) != len(labels):
             raise ValueError("alphabet labels must be distinct")
-        probs = _freeze(self.probs, len(labels))
-        if probs.size and probs.min() < -4 * EPS_SIMPLEX:
-            raise NegativeMass(f"negative probability {probs.min()}")
-        if abs(float(probs.sum()) - 1.0) > 4 * EPS_SIMPLEX:
-            raise NotNormalized(f"probabilities sum to {float(probs.sum())}")
         object.__setattr__(self, "alphabet", labels)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _freeze(self.probs, len(labels)))
 
     def prob(self, label) -> float:
         return float(self.probs[self.alphabet.index(label)])
@@ -193,16 +187,7 @@ def pair_from_pq(p1: float, p2: float, q: float) -> JointBooleanDist:
     the marginals of the result equal (p1, p2).  q outside the feasible
     interval (beyond EPS_FEAS) raises InfeasibleQ.
     """
-    p1 = check_belief(p1, "p1")
-    p2 = check_belief(p2, "p2")
-    q = float(q)
-    b = q_bounds(p1, p2)
-    if not b.contains(q):
-        raise InfeasibleQ(
-            f"q={q} outside feasible range [{b.q_min}, {b.q_max}] "
-            f"for marginals ({p1}, {p2})"
-        )
-    q = min(max(q, b.q_min), b.q_max)
+    p1, p2, q = _feasible_q(p1, p2, q)
     p_ff = q
     p_ft = (1.0 - p1) - q
     p_tf = (1.0 - p2) - q

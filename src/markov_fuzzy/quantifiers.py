@@ -9,6 +9,10 @@ bracketed by `exists_bounds`:
     upper:  sum of beliefs capped at 1, improved by greedily partitioning
             the universe into pairs with known q.
 
+From marginals alone this is the exact Frechet pair.  With pairwise q it
+is an outer bound: it contains the exact interval (`exact_bounds` of the
+n-ary "or") but can be wider.
+
 `forall_bounds` reduces to the existential case through negation.
 `exists_truncated` follows a growing chain of explicit joints (the finite
 truncations of a countable universe) and `sample_exists` estimates the
@@ -20,27 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ._common import EPS_FEAS, EPS_SIMPLEX, check_belief, clip01
-from .boolfuncs import (
-    And,
-    Exists,
-    Forall,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Var,
-)
+from ._common import EPS_SIMPLEX, check_belief, clip01
+from .boolfuncs import And, Exists, Forall, Formula, Or, Var, _fold, _with_children
 from .bounds import ConfidenceInterval
-from .connectives import and_q, q_bounds
+from .connectives import _add_pair_q, and_q
 from .errors import (
+    BadCoordinate,
     EmptyUniverse,
-    InfeasibleQ,
     MarginalMismatch,
     SchemaError,
     UnboundVariable,
@@ -95,19 +91,7 @@ class BeliefTable:
             if a not in position or b not in position or a == b:
                 raise SchemaError(f"bad q_pair key {key!r}")
             pair = (a, b) if position[a] < position[b] else (b, a)
-            q = float(value)
-            if pair in normalized and abs(normalized[pair] - q) > EPS_FEAS:
-                raise InfeasibleQ(
-                    f"conflicting q values for pair {pair}: "
-                    f"{normalized[pair]} vs {q}"
-                )
-            bnds = q_bounds(beliefs[pair[0]], beliefs[pair[1]])
-            if not bnds.contains(q):
-                raise InfeasibleQ(
-                    f"q={q} for pair {pair} outside feasible range "
-                    f"[{bnds.q_min}, {bnds.q_max}]"
-                )
-            normalized[pair] = min(max(q, bnds.q_min), bnds.q_max)
+            _add_pair_q(normalized, pair, beliefs[pair[0]], beliefs[pair[1]], value)
         object.__setattr__(self, "universe", labels)
         object.__setattr__(self, "p", beliefs)
         object.__setattr__(self, "q_pair", normalized)
@@ -157,7 +141,13 @@ def _greedy_pair_partition(table: BeliefTable) -> float:
 
 
 def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
-    """Exact bounds on the existential confidence from partial information."""
+    """Bounds on the existential confidence from partial information.
+
+    From the beliefs alone the result is exact: [max p, min(1, sum p)].
+    With q_pair it is an outer bound, valid but possibly wider than the
+    exact interval; e.g. three points at p = 0.4 with pairwise q = 0.3 give
+    lo = 0.7 where the exact lower bound is 0.9.
+    """
     if not table.universe:
         raise EmptyUniverse("cannot quantify over an empty universe")
     lo = max(table.p[x] for x in table.universe)
@@ -315,9 +305,14 @@ def sample_exists(
         for t in drawn:
             if len(t) != strategy.tuple_length:
                 raise ValueError(f"tuple {t!r} does not have length {strategy.tuple_length}")
-        index_tuples = np.array(
-            [[position[x] for x in t] for t in drawn], dtype=np.int64
-        )
+        try:
+            index_tuples = np.array(
+                [[position[x] for x in t] for t in drawn], dtype=np.int64
+            )
+        except KeyError as exc:
+            raise BadCoordinate(
+                f"tuple stream names {exc.args[0]!r}, which is not in the universe"
+            ) from None
     else:
         index_tuples = _draw_index_tuples(table, strategy, n_samples)
 
@@ -359,23 +354,14 @@ def sample_exists(
 
 def _instantiate(node: Formula, var: str, member: str) -> Formula:
     suffix = f"({var})"
-    if isinstance(node, Var):
-        if node.name.endswith(suffix):
+
+    def rename(node, children):
+        if isinstance(node, Var) and node.name.endswith(suffix):
             family = node.name[: -len(suffix)]
             return Var(f"{family}({member})")
-        return node
-    if isinstance(node, Not):
-        return Not(_instantiate(node.child, var, member))
-    if isinstance(node, (And, Or, Implies)):
-        kind = type(node)
-        return kind(
-            _instantiate(node.left, var, member),
-            _instantiate(node.right, var, member),
-        )
-    if isinstance(node, (Exists, Forall)):
-        kind = type(node)
-        return kind(node.var, node.universe, _instantiate(node.body, var, member))
-    raise TypeError(f"not a formula node: {node!r}")
+        return _with_children(node, children)
+
+    return _fold(node, rename)
 
 
 def expand_quantifiers(
@@ -383,27 +369,17 @@ def expand_quantifiers(
 ) -> Formula:
     """Replace quantifiers by finite disjunctions/conjunctions over their
     declared universes, instantiating applications of belief families."""
-    if isinstance(ast, Var):
-        return ast
-    if isinstance(ast, Not):
-        return Not(expand_quantifiers(ast.child, universes))
-    if isinstance(ast, (And, Or, Implies)):
-        kind = type(ast)
-        return kind(
-            expand_quantifiers(ast.left, universes),
-            expand_quantifiers(ast.right, universes),
-        )
-    if isinstance(ast, (Exists, Forall)):
-        if ast.universe not in universes:
-            raise UnboundVariable(f"universe {ast.universe!r} is not declared")
-        members = list(universes[ast.universe])
+
+    def expand(node, children):
+        node = _with_children(node, children)
+        if not isinstance(node, (Exists, Forall)):
+            return node
+        if node.universe not in universes:
+            raise UnboundVariable(f"universe {node.universe!r} is not declared")
+        members = list(universes[node.universe])
         if not members:
-            raise EmptyUniverse(f"universe {ast.universe!r} is empty")
-        body = expand_quantifiers(ast.body, universes)
-        instances = [_instantiate(body, ast.var, member) for member in members]
-        fold = Or if isinstance(ast, Exists) else And
-        result = instances[0]
-        for inst in instances[1:]:
-            result = fold(result, inst)
-        return result
-    raise TypeError(f"not a formula node: {ast!r}")
+            raise EmptyUniverse(f"universe {node.universe!r} is empty")
+        instances = [_instantiate(node.body, node.var, member) for member in members]
+        return reduce(Or if isinstance(node, Exists) else And, instances)
+
+    return _fold(ast, expand)

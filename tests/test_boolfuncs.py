@@ -46,6 +46,11 @@ def random_formula(rng, names, depth):
 
 
 class TestCompile:
+    def test_deep_chain_is_not_bounded_by_recursion(self):
+        ast = mf.parse_formula(" & ".join(["a", "!b"] * 2000))
+        assert mf.formula_variables(ast) == ["a", "b"]
+        assert mf.compile_formula(ast, ["a", "b"]).table.tolist() == [0, 1, 0, 0]
+
     def test_and_table(self):
         f = mf.compile_formula(And(Var("p1"), Var("p2")), ["p1", "p2"])
         assert f.table.tolist() == [0, 0, 0, 1]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import markov_fuzzy as mf
+from markov_fuzzy._common import clip01
+from markov_fuzzy.bounds import ORACLE_MAX_ARITY
 from markov_fuzzy.errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -35,6 +37,19 @@ def random_single_output(rng, n):
     if table.sum() == 0:
         table[int(rng.integers(0, 1 << n))] = 1
     return mf.BooleanFunction(n, 1, table)
+
+
+def enumerated_independent_point(marginals, f):
+    """Reference confidence under independence: each true assignment's
+    product weight, summed term by term in ascending index order."""
+    total = 0.0
+    for a in np.flatnonzero(f.table):
+        a = int(a)
+        w = 1.0
+        for bit, p in enumerate(marginals):
+            w *= p if (a >> bit) & 1 else 1.0 - p
+        total += w
+    return clip01(total)
 
 
 class TestConfidenceInterval:
@@ -120,6 +135,21 @@ class TestExactBounds:
         spec = mf.PartialJointSpec(marginals=(0.7, 0.6), independent=True)
         ci = mf.exact_bounds(spec, mf.or_function())
         assert ci.lo == ci.hi == pytest.approx(0.88, abs=1e-12)
+
+    def test_independent_point_is_bit_identical_to_enumeration(self):
+        rng = np.random.default_rng(71)
+        for k in range(240):
+            n = k % 12 + 1
+            certain = rng.integers(0, 2, n).astype(float)
+            ps = np.where(rng.random(n) < 0.2, certain, rng.random(n))
+            spec = mf.PartialJointSpec(marginals=tuple(ps), independent=True)
+            f = random_single_output(rng, n)
+            want = enumerated_independent_point(spec.marginals, f)
+            ci = mf.exact_bounds(spec, f)
+            assert ci.lo == ci.hi == want
+            if n <= ORACLE_MAX_ARITY:
+                ci = mf.brute_force_bounds(spec, f, 0.1)
+                assert ci.lo == ci.hi == want
 
     def test_infeasible_pair_combination(self):
         spec = mf.PartialJointSpec(

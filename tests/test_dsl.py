@@ -171,6 +171,16 @@ class TestParseModel:
             '{"universe": ["a", 1], "p": {"a": 0.5}}',
             '{"universe": ["a,b"], "p": {"a,b": 0.5}}',
             '{"universe": ["a"], "p": [0.5]}',
+            '{"universe": ["a"], "p": {"a": null}}',
+            '{"universe": ["a"], "p": {"a": "0.1"}}',
+            '{"universe": ["a"], "p": {"a": true}}',
+            '{"universe": ["a", "b"], "p": {"a": 0.3, "b": 0.4}, "q_pair": {"a,b": null}}',
+            '{"universe": ["a", "b"], "p": {"a": 0.3, "b": 0.4}, "q_pair": {"a,b": [0.4]}}',
+            '{"universe": ["a", "b"], "p": {"a": 0.3, "b": 0.4}, "q_pair": [1]}',
+            '{"marginals": [0.5, 0.5], "pairwise": {"1,2": null}}',
+            '{"marginals": [0.5, 0.5], "pairwise": {"1,2": [0.1]}}',
+            '{"marginals": [0.5, 0.5], "pairwise": {"1,2": "0.1"}}',
+            '{"marginals": [0.5, 0.5], "pairwise": [1]}',
         ],
     )
     def test_schema_errors(self, text):

@@ -1,0 +1,121 @@
+"""Property-based checks: formula round trips and the one q-feasibility rule."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import markov_fuzzy as mf
+from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var, cli
+from markov_fuzzy.errors import InfeasibleQ
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+#: Each quantified variable is applied to one belief family only.
+FAMILIES = {"x": "P", "y": "Q", "z": "R"}
+BINARY = {"and": And, "or": Or, "implies": Implies}
+
+
+@st.composite
+def formulas(draw, depth=4, bound=()):
+    """Trees that parse_formula accepts: nested quantifiers never rebind
+    an enclosing variable."""
+    free = [v for v in FAMILIES if v not in bound]
+    kinds = ["var"]
+    if depth > 0:
+        kinds += ["not", *BINARY] + (["exists", "forall"] if free else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        names = ["A", "B", "C", "S(w)"] + [f"{FAMILIES[v]}({v})" for v in bound]
+        return Var(draw(st.sampled_from(names)))
+    if kind == "not":
+        return Not(draw(formulas(depth - 1, bound)))
+    if kind in BINARY:
+        left = draw(formulas(depth - 1, bound))
+        return BINARY[kind](left, draw(formulas(depth - 1, bound)))
+    var = draw(st.sampled_from(free))
+    universe = draw(st.sampled_from(["U", "V"]))
+    body = draw(formulas(depth - 1, bound + (var,)))
+    return (Exists if kind == "exists" else Forall)(var, universe, body)
+
+
+def reference_variables(node, seen):
+    """First-appearance order by an explicit recursive walk."""
+    if isinstance(node, Var):
+        if node.name not in seen:
+            seen.append(node.name)
+    elif isinstance(node, Not):
+        reference_variables(node.child, seen)
+    elif isinstance(node, (And, Or, Implies)):
+        reference_variables(node.left, seen)
+        reference_variables(node.right, seen)
+    else:
+        reference_variables(node.body, seen)
+    return seen
+
+
+@PROPERTY
+@given(formulas())
+def test_format_parse_round_trip(ast):
+    assert mf.parse_formula(mf.format_formula(ast)) == ast
+
+
+@PROPERTY
+@given(formulas())
+def test_formula_variables_first_appearance_order(ast):
+    assert mf.formula_variables(ast) == reference_variables(ast, [])
+
+
+BOTH_FALSE = mf.compile_formula(mf.parse_formula("!P1 & !P2"), ["P1", "P2"])
+beliefs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def accepted_q(build):
+    """The clamped q a builder stores, or None when it rejects q."""
+    try:
+        return build()
+    except InfeasibleQ:
+        return None
+
+
+@PROPERTY
+@given(
+    beliefs,
+    beliefs,
+    st.sampled_from(["q_min", "q_max"]),
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.01, 2.0, 4.0, 1e3]),
+)
+def test_every_q_check_agrees_at_the_boundary(p1, p2, end, sign, k):
+    """pair_from_pq, PartialJointSpec, BeliefTable and the vectorised sweep
+    accept the same q near an end of [q_min, q_max] and clamp it to the
+    same value; and_q accepts it with them and evaluates at that value."""
+    b = mf.q_bounds(p1, p2)
+    q = getattr(b, end) + sign * k * mf.EPS_FEAS
+    outside = max(b.q_min - q, q - b.q_max)
+
+    def sweep():
+        columns = cli._sweep_columns(p1, p2, np.array([q]), BOTH_FALSE)
+        assert columns[1][0] == mf.and_q(p1, p2, q)
+        return columns[4][0]
+
+    clamped = {
+        accepted_q(lambda: float(mf.pair_from_pq(p1, p2, q).probs[0])),
+        accepted_q(
+            lambda: mf.PartialJointSpec((p1, p2), {(1, 2): q}).pairwise[(1, 2)]
+        ),
+        accepted_q(
+            lambda: mf.BeliefTable(("a", "b"), {"a": p1, "b": p2}, {("a", "b"): q})
+            .q("a", "b")
+        ),
+        accepted_q(sweep),
+    }
+    assert len(clamped) == 1
+    (q_clamped,) = clamped
+    and_value = accepted_q(lambda: mf.and_q(p1, p2, q))
+    assert (and_value is None) == (q_clamped is None)
+    if q_clamped is not None:
+        assert and_value == mf.and_q(p1, p2, q_clamped)
+    if outside <= 0.5 * mf.EPS_FEAS:
+        assert q_clamped is not None
+    elif outside >= 1.5 * mf.EPS_FEAS:
+        assert q_clamped is None

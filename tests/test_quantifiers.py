@@ -8,7 +8,9 @@ import pytest
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
+from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy.errors import (
+    BadCoordinate,
     EmptyUniverse,
     InfeasibleQ,
     MarginalMismatch,
@@ -149,6 +151,53 @@ class TestExistsBounds:
             value = mf.exists_exact(joint)
             assert ci.lo - 1e-12 <= value <= ci.hi + 1e-12
 
+    def test_outer_bound_of_exact_bounds(self):
+        """The interval contains the LP bounds of the n-ary "or"; without
+        q_pair it is exact (the Frechet pair), with q_pair only outer."""
+        rng = np.random.default_rng(53)
+        for k in range(45):
+            n = int(rng.integers(2, 7))
+            labels = tuple(f"x{i}" for i in range(n))
+            joint = mf.make_joint(n, rng.dirichlet(np.ones(1 << n)))
+            full = table_from_joint(joint, labels, with_pairs=k % 3 != 0)
+            kept = {
+                pair: q
+                for pair, q in full.q_pair.items()
+                if k % 3 == 1 or rng.random() < 0.5
+            }
+            table = mf.BeliefTable(labels, full.p, kept)
+            spec = mf.PartialJointSpec(
+                tuple(table.p[x] for x in labels),
+                pairwise={
+                    (labels.index(a) + 1, labels.index(b) + 1): q
+                    for (a, b), q in kept.items()
+                },
+            )
+            exact = mf.exact_bounds(spec, mf.or_function(n))
+            ci = mf.exists_bounds(table)
+            assert ci.lo - FEASIBILITY_TOL <= exact.lo
+            assert exact.hi <= ci.hi + FEASIBILITY_TOL
+            if not kept:
+                assert ci.lo == pytest.approx(exact.lo, abs=FEASIBILITY_TOL)
+                assert ci.hi == pytest.approx(exact.hi, abs=FEASIBILITY_TOL)
+
+    def test_pairwise_lower_bound_is_loose(self):
+        """Three points at p = 0.4 with pairwise q = 0.3: the LP (and
+        Bonferroni S1 - S2) gives 0.9, exists_bounds only 0.7."""
+        labels = ("a", "b", "c")
+        pairs = list(itertools.combinations(labels, 2))
+        table = mf.BeliefTable(
+            labels, {x: 0.4 for x in labels}, {pair: 0.3 for pair in pairs}
+        )
+        spec = mf.PartialJointSpec(
+            (0.4, 0.4, 0.4), pairwise={(1, 2): 0.3, (1, 3): 0.3, (2, 3): 0.3}
+        )
+        ci = mf.exists_bounds(table)
+        exact = mf.exact_bounds(spec, mf.or_function(3))
+        assert ci.lo == pytest.approx(0.7, abs=1e-12)
+        assert exact.lo == pytest.approx(0.9, abs=FEASIBILITY_TOL)
+        assert ci.hi == exact.hi == pytest.approx(1.0, abs=FEASIBILITY_TOL)
+
 
 class TestForallBounds:
     def test_marginals_only(self):
@@ -284,6 +333,11 @@ class TestSampleExists:
         expected = ((1 - 0.8 * 0.5) + (1 - 0.2 * 0.2)) / 2.0
         assert estimate.mean == pytest.approx(expected, abs=1e-12)
 
+    def test_tuple_stream_label_outside_universe(self):
+        strategy = mf.SamplingStrategy(tuple_length=2, tuples=[("a", "b"), ("a", "z")])
+        with pytest.raises(BadCoordinate, match="'z'"):
+            mf.sample_exists(self.table(), strategy, 2)
+
     def test_pairwise_lift(self):
         table = mf.BeliefTable(
             universe=("a", "b"),
@@ -372,3 +426,12 @@ class TestExpandQuantifiers:
         ast = mf.Exists("x", "U", Var("P(x)"))
         with pytest.raises(EmptyUniverse):
             mf.expand_quantifiers(ast, {"U": []})
+
+    def test_large_universe_is_not_bounded_by_recursion(self):
+        """Each expansion is a chain as deep as its universe."""
+        members = [f"m{i}" for i in range(3000)]
+        ast = mf.parse_formula("exists x in U : forall y in V : P(x) | Q(y)")
+        expanded = mf.expand_quantifiers(ast, {"U": ["a", "b"], "V": members})
+        names = mf.formula_variables(expanded)
+        assert names[:3] == ["P(a)", "Q(m0)", "Q(m1)"]
+        assert len(names) == 3002
