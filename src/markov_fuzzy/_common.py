@@ -16,15 +16,26 @@ EPS_SIMPLEX = 1e-9
 EPS_FEAS = 1e-12
 
 
+def to_float(value) -> float:
+    """float(value), except that an integer too large for a float reads as
+    +-inf, as the JSON literal 1e400 does, instead of raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_belief(value, name: str = "belief") -> float:
     """Validate a confidence value in [0, 1].
 
     Excursions within EPS_SIMPLEX (rounding noise in user data) are clamped
-    to the boundary; anything larger raises InvalidBelief.
+    to the boundary; anything larger raises InvalidBelief.  An integer too
+    large for a float is not finite: it reads as the infinity it rounds to.
     """
-    x = float(value)
+    x = to_float(value)
     if not math.isfinite(x):
-        raise InvalidBelief(f"{name} must be finite, got {value!r}")
+        shown = x if isinstance(value, int) else value
+        raise InvalidBelief(f"{name} must be finite, got {shown!r}")
     if x < -EPS_SIMPLEX or x > 1.0 + EPS_SIMPLEX:
         raise InvalidBelief(f"{name} must be in [0, 1], got {x}")
     if x < 0.0:

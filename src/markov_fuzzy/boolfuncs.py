@@ -6,9 +6,9 @@ input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
 Formulas are immutable dataclass trees; `compile_formula` evaluates a
-quantifier-free tree on every assignment at once (vectorized over the
-table index), which by uniqueness of the minterm normal form is the same
-function as the or-of-minterms expansion.
+quantifier-free tree on every assignment at once (broadcast over the
+(2,)*n grid of assignments), which by uniqueness of the minterm normal
+form is the same function as the or-of-minterms expansion.
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ _CHILD_FIELDS = {
 
 _QUANTIFIERS = (Exists, Forall)
 
+_FALSE_TRUE = np.array([False, True])
+_FALSE_TRUE.flags.writeable = False
+
 #: Truth-column op of each connective; on booleans a -> b is a <= b.
 _OPS = {
     Not: np.logical_not,
@@ -315,10 +318,13 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         raise ValueError(
             "quantifiers must be expanded over their universes before compilation"
         )
-    idx = np.arange(1 << n, dtype=np.int64)
-    columns = {
-        name: ((idx >> bit) & 1).astype(bool) for bit, name in enumerate(names)
-    }
+    # Variable `bit` is a [False, True] column along axis n-1-bit of the
+    # (2,)*n index grid, so the ops broadcast up to the full table.
+    columns = {}
+    for bit, name in enumerate(names):
+        shape = [1] * n
+        shape[n - 1 - bit] = 2
+        columns[name] = _FALSE_TRUE.reshape(shape)
 
     def column(node, args):
         if isinstance(node, Var):
@@ -330,4 +336,6 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
                 ) from None
         return _OPS[type(node)](*args)
 
-    return BooleanFunction(n, 1, _fold(ast, column).astype(np.int64))
+    table = np.empty((2,) * n, dtype=np.int64)
+    table[...] = _fold(ast, column)
+    return BooleanFunction(n, 1, table.reshape(-1))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._common import EPS_FEAS, check_belief, clip01
+from ._common import EPS_FEAS, check_belief, clip01, to_float
 from .errors import InfeasibleQ
 
 KINDS = ("and", "or", "implies")
@@ -76,7 +76,7 @@ def _feasible_q(p1: float, p2: float, q) -> tuple[float, float, float]:
     """
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
-    q = float(q)
+    q = to_float(q)
     b = q_bounds(p1, p2)
     if not b.contains(q):
         raise InfeasibleQ(
@@ -92,7 +92,7 @@ def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
 
     A pair given twice must repeat its value within EPS_FEAS.
     """
-    q = float(q)
+    q = to_float(q)
     if pair in pairs and abs(pairs[pair] - q) > EPS_FEAS:
         raise InfeasibleQ(
             f"conflicting q values for pair {pair}: {pairs[pair]} vs {q}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
-from .boolfuncs import _child_fields, _walk
+from .boolfuncs import _child_fields, _fold, _walk
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, ParseError, SchemaError
 from .joints import JointBooleanDist, make_joint
@@ -103,14 +103,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+        self.current = self.tokens[0]
 
     def advance(self) -> _Token:
         token = self.current
         self.pos += 1
+        self.current = self.tokens[self.pos]
         return token
 
     def fail(self, expected) -> ParseError:
@@ -129,60 +127,84 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> Formula:
-        if self.current.kind in ("exists", "forall"):
-            return self.quantified()
-        return self.implies()
+        """One formula, read up to the first token that cannot extend it.
 
-    def quantified(self) -> Formula:
-        keyword = self.advance()
-        var = self.expect("ident", "variable name").text
-        self.expect("in", "'in'")
-        universe = self.expect("ident", "universe name").text
-        self.expect(":", "':'")
-        body = self.formula()
-        node = Exists if keyword.kind == "exists" else Forall
-        return node(var, universe, body)
-
-    def implies(self) -> Formula:
-        left = self.or_level()
-        if self.current.kind == "->":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def or_level(self) -> Formula:
-        node = self.and_level()
-        while self.current.kind == "|":
-            self.advance()
-            node = Or(node, self.and_level())
-        return node
-
-    def and_level(self) -> Formula:
-        node = self.unary()
-        while self.current.kind == "&":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        token = self.current
-        if token.kind == "!":
-            self.advance()
-            return Not(self.unary())
-        if token.kind == "(":
-            self.advance()
-            inner = self.formula()
-            self.expect(")", "')'")
-            return inner
-        if token.kind == "ident":
-            self.advance()
-            if self.current.kind == "(":
-                self.advance()
-                arg = self.expect("ident", "variable name").text
+        An explicit stack of pending prefix operators, open parentheses and
+        binary operators with their left operands stands in for recursive
+        descent, so nesting depth is not bounded by the recursion limit.
+        """
+        stack: list = []
+        while True:
+            node = self.operand(stack)
+            kind = self.current.kind
+            while kind not in _BINARY:
+                node = _close(stack, node, _CLOSES_ALL)
+                if not stack:
+                    return node
                 self.expect(")", "')'")
-                return Var(f"{token.text}({arg})")
-            return Var(token.text)
-        raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
+                stack.pop()
+                kind = self.current.kind
+            cls, closes = _BINARY[kind]
+            node = _close(stack, node, closes)
+            self.advance()
+            stack.append((cls, (node,)))
+
+    def operand(self, stack: list) -> Formula:
+        """Push the prefix operators and open parentheses before the next
+        atom, then read and return the atom.  Quantifiers may open a
+        formula (at the start, after '(' or ':') but not an operand."""
+        opens_formula = not stack or stack[-1][0] in _OPENERS
+        while True:
+            token = self.current
+            if opens_formula and token.kind in ("exists", "forall"):
+                self.advance()
+                var = self.expect("ident", "variable name").text
+                self.expect("in", "'in'")
+                universe = self.expect("ident", "universe name").text
+                self.expect(":", "':'")
+                node = Exists if token.kind == "exists" else Forall
+                stack.append((node, (var, universe)))
+            elif token.kind == "!":
+                self.advance()
+                stack.append((Not, ()))
+                opens_formula = False
+            elif token.kind == "(":
+                self.advance()
+                stack.append((None, ()))
+                opens_formula = True
+            elif token.kind == "ident":
+                self.advance()
+                if self.current.kind == "(":
+                    self.advance()
+                    arg = self.expect("ident", "variable name").text
+                    self.expect(")", "')'")
+                    return Var(f"{token.text}({arg})")
+                return Var(token.text)
+            else:
+                raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
+
+
+#: Binary connective of each operator token, and the pending operators it
+#: closes first: those binding tighter, and its own kind when it associates
+#: to the left (& and |; -> associates to the right).
+_BINARY = {
+    "&": (And, frozenset((Not, And))),
+    "|": (Or, frozenset((Not, And, Or))),
+    "->": (Implies, frozenset((Not, And, Or))),
+}
+#: Everything but an open parenthesis (None) closes at the end of a formula.
+_CLOSES_ALL = frozenset((Not, And, Or, Implies, Exists, Forall))
+#: Stack tops after which a full formula, quantifier included, may start.
+_OPENERS = frozenset((None, Exists, Forall))
+
+
+def _close(stack: list, node: Formula, kinds: frozenset) -> Formula:
+    """Apply the pending operators of the given kinds on top of the stack,
+    innermost first; each frame is (node type, fields before the last)."""
+    while stack and stack[-1][0] in kinds:
+        cls, fields = stack.pop()
+        node = cls(*fields, node)
+    return node
 
 
 _APPLICATION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
@@ -237,39 +259,40 @@ _PREC_NOT = 4
 _PREC_ATOM = 5
 
 
-def _format(node: Formula, context: int) -> str:
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Not):
-        text, prec = "!" + _format(node.child, _PREC_NOT), _PREC_NOT
-    elif isinstance(node, And):
-        text = f"{_format(node.left, _PREC_AND)} & {_format(node.right, _PREC_NOT)}"
-        prec = _PREC_AND
-    elif isinstance(node, Or):
-        text = f"{_format(node.left, _PREC_OR)} | {_format(node.right, _PREC_AND)}"
-        prec = _PREC_OR
-    elif isinstance(node, Implies):
-        text = (
-            f"{_format(node.left, _PREC_OR)} -> {_format(node.right, _PREC_IMPLIES)}"
-        )
-        prec = _PREC_IMPLIES
-    elif isinstance(node, (Exists, Forall)):
-        keyword = "exists" if isinstance(node, Exists) else "forall"
-        text = (
-            f"{keyword} {node.var} in {node.universe} : "
-            f"{_format(node.body, _PREC_QUANT)}"
-        )
-        prec = _PREC_QUANT
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-    if prec < context:
-        return f"({text})"
-    return text
+#: Precedence of each connective and the least precedence each of its
+#: children may have without parentheses.
+_LAYOUT = {
+    Not: (_PREC_NOT, (_PREC_NOT,)),
+    And: (_PREC_AND, (_PREC_AND, _PREC_NOT)),
+    Or: (_PREC_OR, (_PREC_OR, _PREC_AND)),
+    Implies: (_PREC_IMPLIES, (_PREC_OR, _PREC_IMPLIES)),
+    Exists: (_PREC_QUANT, (_PREC_QUANT,)),
+    Forall: (_PREC_QUANT, (_PREC_QUANT,)),
+}
+_SYMBOL = {And: "&", Or: "|", Implies: "->"}
+
+
+def _format_node(node: Formula, children: list) -> tuple:
+    """(text, precedence) of a node from those of its children."""
+    kind = type(node)
+    if kind is Var:
+        return node.name, _PREC_ATOM
+    prec, contexts = _LAYOUT[kind]
+    parts = [
+        text if child_prec >= context else f"({text})"
+        for (text, child_prec), context in zip(children, contexts)
+    ]
+    if kind is Not:
+        return "!" + parts[0], prec
+    if kind in _SYMBOL:
+        return f" {_SYMBOL[kind]} ".join(parts), prec
+    keyword = "exists" if kind is Exists else "forall"
+    return f"{keyword} {node.var} in {node.universe} : {parts[0]}", prec
 
 
 def format_formula(ast: Formula) -> str:
     """Minimal-parentheses text form; parse_formula(format_formula(a)) == a."""
-    return _format(ast, _PREC_QUANT)
+    return _fold(ast, _format_node)[0]
 
 
 # ---------------------------------------------------------------------------

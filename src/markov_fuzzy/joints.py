@@ -12,8 +12,9 @@ with the first letter naming predicate 1.
 
 Distributions are immutable after construction; every operation is pure
 and returns a new value, so instances are safe to share between threads.
-Pushforward sums are accumulated in ascending index order, which makes
-results reproducible bit for bit on a given build.
+Pushforward and marginal sums are accumulated from 0.0 in ascending index
+order, and `make_joint` normalises by the exactly rounded sum of its
+entries, which makes results reproducible bit for bit on a given build.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief
+from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, to_float
 from .boolfuncs import BooleanFunction, index_assignment
 from .connectives import _feasible_q
 from .errors import (
@@ -111,15 +112,65 @@ class FiniteDist:
         return f"FiniteDist({dict(zip(self.alphabet, self.probs.tolist()))})"
 
 
+#: Entries per block of `_exact_sum`: bounds its extra memory, and keeps
+#: each per-exponent sum of 27-bit mantissa halves below 2**53, exact.
+_SUM_BLOCK = 1 << 16
+#: frexp exponents of finite doubles run from -1073 (subnormals) to 1024.
+_EXP_MIN = -1073
+_EXP_SLOTS = 1024 - _EXP_MIN + 1
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The exactly rounded sum of finite float64 values: math.fsum, bit for
+    bit, without building a Python list.
+
+    Each x = m * 2**e (frexp) has the integer mantissa m * 2**53 =
+    hi * 2**26 + lo with hi < 2**27 and lo < 2**26.  Per exponent, the
+    halves of all entries are summed by bincount block by block; every
+    partial sum stays below 2**51 for tables up to 2**N_MAX entries, so the
+    float sums are exact integers.  They are added as Python ints and
+    rounded once, by int true division.  A sum beyond the float range is
+    inf, where math.fsum raises OverflowError.
+    """
+    hi_sums = np.zeros(_EXP_SLOTS)
+    lo_sums = np.zeros(_EXP_SLOTS)
+    for start in range(0, values.size, _SUM_BLOCK):
+        mantissa, exponent = np.frexp(values[start : start + _SUM_BLOCK])
+        slot = exponent.astype(np.intp) - _EXP_MIN
+        top = np.ldexp(mantissa, 27)
+        hi = np.floor(top)
+        lo = np.ldexp(top - hi, 26)
+        hi_sums += np.bincount(slot, hi, _EXP_SLOTS)
+        lo_sums += np.bincount(slot, lo, _EXP_SLOTS)
+    total = 0
+    for s in np.flatnonzero((hi_sums != 0) | (lo_sums != 0)).tolist():
+        total += ((int(hi_sums[s]) << 26) + int(lo_sums[s])) << s
+    try:
+        return total / (1 << (53 - _EXP_MIN))
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _float_array(values) -> np.ndarray:
+    """values as float64; an integer too large for a float reads as +-inf,
+    as the literal 1e400 does."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.frompyfunc(to_float, 1, 1)(
+            np.asarray(values, dtype=object)
+        ).astype(np.float64)
+
+
 def make_joint(arity: int, probs) -> JointBooleanDist:
     """Validate and construct a joint table.
 
-    Entries must be nonnegative (excursions below zero within EPS_SIMPLEX
-    are clamped) and sum to 1 within EPS_SIMPLEX, in which case the table
-    is renormalized exactly by dividing by its sum.
+    Entries must be finite and nonnegative (excursions below zero within
+    EPS_SIMPLEX are clamped) and sum to 1 within EPS_SIMPLEX, in which case
+    the table is renormalized by dividing by its exactly rounded sum.
     """
     arity = check_arity(arity)
-    arr = np.asarray(probs, dtype=np.float64)
+    arr = _float_array(probs)
     if arr.shape != (1 << arity,):
         raise ArityMismatch(
             f"need {1 << arity} probabilities for arity {arity}, "
@@ -131,7 +182,7 @@ def make_joint(arity: int, probs) -> JointBooleanDist:
     if lowest < -EPS_SIMPLEX:
         raise NegativeMass(f"probability entry {lowest} is negative")
     arr = np.maximum(arr, 0.0)
-    total = math.fsum(arr.tolist())
+    total = _exact_sum(arr)
     if abs(total - 1.0) > EPS_SIMPLEX:
         raise NotNormalized(f"probabilities sum to {total}, not 1")
     if total != 1.0:
@@ -150,10 +201,15 @@ def independent_product(factors: Sequence[float]) -> JointBooleanDist:
         raise BadCoordinate("independent_product needs at least one factor")
     if len(ps) > N_MAX:
         raise ArityTooLarge(f"{len(ps)} factors exceed N_MAX={N_MAX}")
-    table = np.ones(1, dtype=np.float64)
+    table = np.empty(1 << len(ps), dtype=np.float64)
+    table[0] = 1.0
+    half = 1
     for p in ps:
-        # Stacks the new predicate as the next-higher bit.
-        table = np.concatenate([table * (1.0 - p), table * p])
+        # Stacks the new predicate as the next-higher bit: the upper half
+        # before the lower half is scaled in place.
+        np.multiply(table[:half], p, out=table[half : 2 * half])
+        table[:half] *= 1.0 - p
+        half *= 2
     return JointBooleanDist(len(ps), table)
 
 
@@ -170,13 +226,23 @@ def _coords_to_bits(coords: Sequence[int], arity: int) -> list[int]:
 
 
 def marginal(dist: JointBooleanDist, coords: Sequence[int]) -> JointBooleanDist:
-    """Marginal onto the given 1-based coordinates, order preserved."""
+    """Marginal onto the given 1-based coordinates, order preserved.
+
+    Each output entry is summed from 0.0 in ascending index order, as in
+    `pushforward`.
+    """
     bits = _coords_to_bits(coords, dist.arity)
-    idx = np.arange(1 << dist.arity, dtype=np.int64)
-    packed = np.zeros_like(idx)
-    for new_bit, old_bit in enumerate(bits):
-        packed |= ((idx >> old_bit) & 1) << new_bit
-    summed = np.bincount(packed, weights=dist.probs, minlength=1 << len(bits))
+    n = dist.arity
+    # In the (2,)*n view, axis n-1-b holds bit b.  Dropped axes go first in
+    # their own order, kept axes last with output bit 0 innermost; the
+    # contiguous copy makes each column's reduction run down the rows in
+    # ascending index order (a strided view may be summed pairwise).
+    kept = [n - 1 - b for b in reversed(bits)]
+    dropped = sorted(set(range(n)) - set(kept))
+    rows = np.ascontiguousarray(
+        dist.probs.reshape((2,) * n).transpose(dropped + kept)
+    ).reshape(-1, 1 << len(bits))
+    summed = np.add.reduce(rows, axis=0, initial=0.0)
     return JointBooleanDist(len(bits), summed)
 
 

@@ -358,6 +358,41 @@ class TestQuantify:
         assert "SchemaError" in err
 
 
+class TestIntegerBeyondFloatRange:
+    """A JSON integer too large for a float reads as the literal 1e400 does:
+    the same error, message and exit code, for each kind of document."""
+
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["bounds", "--formula", "P1 & P2"], '{"marginals": [%s, 0.5]}'),
+            (
+                ["bounds", "--formula", "P1 & P2"],
+                '{"marginals": [0.5, 0.5], "pairwise": {"1,2": -%s}}',
+            ),
+            (
+                ["quantify", "bounds"],
+                '{"universe": ["a", "b"], "p": {"a": 0.5, "b": %s}}',
+            ),
+            (
+                ["eval", "--formula", "P1"],
+                '{"arity": 1, "probs": [%s, 0.5]}',
+            ),
+        ],
+        ids=["spec", "spec-pairwise", "belief-table", "joint"],
+    )
+    def test_same_as_1e400(self, tmp_path, capsys, argv, template):
+        results = []
+        for literal in ("1e400", self.BIG):
+            path = write(tmp_path, "doc.json", template % literal)
+            results.append(run(capsys, argv + ["--input", path]))
+        (code, out, err), big = results
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert big == results[0]
+
+
 class TestArityCap:
     def test_env_lowers_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MARKOV_FUZZY_MAX_ARITY", "1")

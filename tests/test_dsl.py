@@ -110,6 +110,60 @@ class TestParseErrors:
             mf.parse_formula("")
 
 
+class TestDeepNesting:
+    """Nesting depth is not bounded by the interpreter's recursion limit;
+    trees this deep are compared through their text form, because the
+    dataclass equality of nodes recurses."""
+
+    DEPTH = 1200
+
+    def test_nested_not(self):
+        ast = mf.parse_formula("!" * self.DEPTH + "P")
+        for _ in range(self.DEPTH):
+            assert isinstance(ast, Not)
+            ast = ast.child
+        assert ast == Var("P")
+
+    def test_nested_parentheses(self):
+        text = "(" * self.DEPTH + "P & Q" + ")" * self.DEPTH
+        assert mf.parse_formula(text) == And(Var("P"), Var("Q"))
+
+    def test_unclosed_nested_parentheses(self):
+        text = "(" * self.DEPTH + "P"
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(text)
+        assert info.value.span.start == len(text)
+
+    def test_implies_chain_is_right_associative(self):
+        names = [f"P{i}" for i in range(self.DEPTH)]
+        ast = mf.parse_formula(" -> ".join(names))
+        for name in names[:-1]:
+            assert isinstance(ast, Implies) and ast.left == Var(name)
+            ast = ast.right
+        assert ast == Var(names[-1])
+
+    def test_format_and_chain(self):
+        names = [f"P{i}" for i in range(self.DEPTH)]
+        ast = Var(names[0])
+        for name in names[1:]:
+            ast = And(ast, Var(name))
+        text = mf.format_formula(ast)
+        assert text == " & ".join(names)
+        assert mf.format_formula(mf.parse_formula(text)) == text
+        right = Var(names[-1])
+        for name in reversed(names[:-1]):
+            right = And(Var(name), right)
+        text = mf.format_formula(right)
+        assert text == (
+            " & (".join(names[:-1]) + f" & {names[-1]}" + ")" * (self.DEPTH - 2)
+        )
+        assert mf.format_formula(mf.parse_formula(text)) == text
+
+    def test_nested_quantifiers(self):
+        text = "".join(f"exists x{i} in U : " for i in range(self.DEPTH)) + "P(x0)"
+        assert mf.format_formula(mf.parse_formula(text)) == text
+
+
 class TestRoundTrip:
     def test_corpus(self):
         rng = np.random.default_rng(101)

@@ -1,4 +1,5 @@
-"""Property-based checks: formula round trips and the one q-feasibility rule."""
+"""Property-based checks: formula round trips, the one q-feasibility rule,
+functoriality of pushforward and marginal consistency of products."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -119,3 +120,48 @@ def test_every_q_check_agrees_at_the_boundary(p1, p2, end, sign, k):
         assert q_clamped is not None
     elif outside >= 1.5 * mf.EPS_FEAS:
         assert q_clamped is None
+
+
+#: Sums of at most 2**5 probabilities agree to this under any association.
+SUM_TOL = 1e-12
+
+
+@st.composite
+def joints(draw, max_arity=5):
+    n = draw(st.integers(1, max_arity))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1 << n, max_size=1 << n))
+    probs = np.array(weights)
+    probs = probs / probs.sum() if probs.sum() > 0 else np.full(1 << n, 0.5**n)
+    return mf.make_joint(n, probs)
+
+
+@st.composite
+def functions(draw, arity_in, max_arity_out=3):
+    m = draw(st.integers(1, max_arity_out))
+    table = draw(
+        st.lists(
+            st.integers(0, (1 << m) - 1), min_size=1 << arity_in, max_size=1 << arity_in
+        )
+    )
+    return mf.BooleanFunction(arity_in, m, np.array(table))
+
+
+@PROPERTY
+@given(st.data())
+def test_pushforward_is_functorial(data):
+    d = data.draw(joints())
+    f = data.draw(functions(d.arity))
+    g = data.draw(functions(f.arity_out))
+    direct = mf.pushforward(d, mf.compose(g, f))
+    stepwise = mf.pushforward(mf.pushforward(d, f), g)
+    assert direct.arity == stepwise.arity == g.arity_out
+    np.testing.assert_allclose(direct.probs, stepwise.probs, rtol=0, atol=SUM_TOL)
+
+
+@PROPERTY
+@given(st.lists(beliefs, min_size=1, max_size=10))
+def test_independent_product_marginals_are_its_factors(ps):
+    joint = mf.independent_product(ps)
+    for coord, p in enumerate(ps, start=1):
+        single = mf.marginal(joint, [coord]).probs
+        np.testing.assert_allclose(single, [1.0 - p, p], rtol=0, atol=SUM_TOL)
