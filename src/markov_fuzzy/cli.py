@@ -10,8 +10,9 @@ Subcommands:
 Formula variables bind to coordinates in first-appearance order: the
 first variable mentioned is coordinate 1 (and matches marginal 1 of a
 spec document).  Exit codes: 0 success, 2 input/parse error, 3 semantic
-mismatch, 4 arity over the active cap.  MARKOV_FUZZY_MAX_ARITY lowers the
-cap (it can never raise it above the built-in N_MAX).
+mismatch, 4 arity over the active cap, 5 LP solver failure.
+MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
+built-in N_MAX).
 
 scipy is imported on the first `exact_bounds` LP solve, so `bounds` is the
 only subcommand that loads it; the others need numpy alone.
@@ -45,6 +46,7 @@ from .errors import (
     MultiOutput,
     NotNormalized,
     SchemaError,
+    SolverError,
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 EXIT_LIMIT = 4
+EXIT_SOLVER = 5
 
 _SEMANTIC_ERRORS = (
     ArityMismatch,
@@ -343,6 +346,9 @@ def main(argv=None) -> int:
     except _SEMANTIC_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except SolverError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

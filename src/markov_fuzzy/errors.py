@@ -72,6 +72,10 @@ class SchemaError(MarkovFuzzyError, ValueError):
     """A model document does not match its JSON schema."""
 
 
+class SolverError(MarkovFuzzyError, RuntimeError):
+    """The LP solver stopped without an optimum or a proof of infeasibility."""
+
+
 class Cancelled(MarkovFuzzyError):
     """A long-running solve was interrupted by the caller's cancel check."""
 

@@ -51,12 +51,13 @@ __all__ = [
 def _freeze(values, size: int) -> np.ndarray:
     """Read-only copy of a probability vector, checked for shape, sign and
     sum.  Structural sanity only; make_joint performs full input validation."""
-    arr = np.asarray(values, dtype=np.float64).copy()
+    arr = _float_array(values).copy()
     if arr.shape != (size,):
         raise ArityMismatch(f"expected {size} probabilities, got shape {arr.shape}")
-    if arr.size and arr.min() < -4 * EPS_SIMPLEX:
+    # Written as "not (ok)" so that NaN and +-inf fail the checks too.
+    if arr.size and not arr.min() >= -4 * EPS_SIMPLEX:
         raise NegativeMass(f"negative probability {arr.min()}")
-    if abs(float(arr.sum()) - 1.0) > 4 * EPS_SIMPLEX:
+    if not abs(float(arr.sum()) - 1.0) <= 4 * EPS_SIMPLEX:
         raise NotNormalized(f"probabilities sum to {float(arr.sum())}")
     arr.flags.writeable = False
     return arr

@@ -1,5 +1,8 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,10 @@ from markov_fuzzy.errors import (
     Cancelled,
     InfeasibleQ,
     InfeasibleSpec,
+    MarkovFuzzyError,
     MultiOutput,
     SchemaError,
+    SolverError,
 )
 
 
@@ -275,3 +280,93 @@ class TestCancellation:
         with pytest.raises(Cancelled):
             mf.brute_force_bounds(spec, mf.and_function(3), 0.01, cancel=cancel)
         assert len(calls) >= 2
+
+
+class TestSolverFailure:
+    def test_maps_to_solver_error(self, monkeypatch):
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return types.SimpleNamespace(
+                status=4, message="Numerical difficulties encountered.", fun=None
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        spec = mf.PartialJointSpec(marginals=(0.7, 0.6))
+        with pytest.raises(SolverError, match="LP solve failed: Numerical") as info:
+            mf.exact_bounds(spec, mf.and_function())
+        assert isinstance(info.value, MarkovFuzzyError)
+        assert isinstance(info.value, RuntimeError)
+
+
+def edge_spec(rng, n):
+    """Marginals at 0, 1 or random; each pair's q (if given) at q_min, q_max
+    or inside its range.  Several end-point q's together are often jointly
+    infeasible."""
+    marginals = []
+    for _ in range(n):
+        kind = rng.integers(0, 4)
+        marginals.append(float(kind) if kind < 2 else float(rng.random()))
+    pairwise = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                b = mf.q_bounds(marginals[i], marginals[j])
+                where = rng.integers(0, 3)
+                q = (b.q_min, b.q_max, b.q_min + rng.random() * (b.q_max - b.q_min))
+                pairwise[(i + 1, j + 1)] = q[where]
+    return mf.PartialJointSpec(marginals=tuple(marginals), pairwise=pairwise)
+
+
+def reference_bounds(spec, f):
+    """Both LPs under scipy's default HiGHS settings (presolve on) with
+    0 <= x <= 1; None when HiGHS proves the spec infeasible."""
+    from scipy.optimize import linprog
+
+    n = spec.arity
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    rows = [np.ones(1 << n), *bits.T]
+    rows += [(bits[:, i - 1] == 0) & (bits[:, j - 1] == 0) for i, j in spec.pairwise]
+    a_eq = np.array(rows, dtype=np.float64)
+    b_eq = [1.0, *spec.marginals, *spec.pairwise.values()]
+    values = []
+    for sign in (1.0, -1.0):
+        res = linprog(
+            sign * f.table, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0), method="highs"
+        )
+        if res.status == 2:
+            return None
+        assert res.status == 0, res.message
+        values.append(sign * res.fun)
+    return values
+
+
+class TestSolverEquivalence:
+    def test_matches_default_highs_settings(self):
+        """exact_bounds (presolve off, x >= 0 only) agrees with the default
+        HiGHS solve on feasibility and on both ends, and scipy accepts its
+        options without an OptimizeWarning."""
+        from scipy.optimize import OptimizeWarning
+
+        rng = np.random.default_rng(97)
+        outcomes = {"feasible": 0, "infeasible": 0}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k in range(300):
+                n = k % 8 + 1
+                spec = edge_spec(rng, n)
+                f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+                want = reference_bounds(spec, f)
+                if want is None:
+                    with pytest.raises(InfeasibleSpec):
+                        mf.exact_bounds(spec, f)
+                    outcomes["infeasible"] += 1
+                    continue
+                ci = mf.exact_bounds(spec, f)
+                assert ci.lo == pytest.approx(want[0], abs=1e-9)
+                assert ci.hi == pytest.approx(want[1], abs=1e-9)
+                outcomes["feasible"] += 1
+        assert not [
+            str(w.message) for w in caught if issubclass(w.category, OptimizeWarning)
+        ]
+        assert outcomes["infeasible"] >= 20 and outcomes["feasible"] >= 200

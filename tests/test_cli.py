@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ class TestBounds:
         code, _, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
         assert code == 2
         assert "InfeasibleQ" in err
+
+    def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+
+        def failing_linprog(*args, **kwargs):
+            return types.SimpleNamespace(
+                status=4, message="Numerical difficulties encountered.", fun=None
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        path = write(tmp_path, "spec.json", DYADIC_SPEC)
+        code, out, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
+        assert code == 5
+        assert out == ""
+        assert err == (
+            "error: SolverError: LP solve failed: Numerical difficulties encountered.\n"
+        )
 
     def test_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "spec.json", DYADIC_SPEC)

@@ -79,6 +79,42 @@ class TestMakeJoint:
             dist.probs[0] = 1.0
 
 
+NAN, INF = math.nan, math.inf
+
+
+class TestConstructorsRejectNonFinite:
+    """The constructors' sign and sum checks fail on NaN and +-inf, not
+    only on finite violations; an integer too large for a float reads as
+    the infinity it rounds to, as in make_joint."""
+
+    CONSTRUCTORS = {
+        "joint": lambda entries: mf.JointBooleanDist(1, entries),
+        "finite": lambda entries: mf.FiniteDist(("a", "b"), entries),
+    }
+
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            ([NAN, NAN], NegativeMass),
+            ([NAN, 1.0], NegativeMass),
+            ([1.0, NAN], NegativeMass),
+            ([INF, -INF], NegativeMass),
+            ([INF, 0.0], NotNormalized),
+            ([0.0, INF], NotNormalized),
+            ([10**400, 0], NotNormalized),
+            ([-(10**400), 1], NegativeMass),
+        ],
+    )
+    def test_rejected(self, construct, entries, error):
+        with pytest.raises(error):
+            self.CONSTRUCTORS[construct](entries)
+
+    def test_valid_tables_still_accepted(self):
+        for construct in self.CONSTRUCTORS.values():
+            assert construct([0.25, 0.75]).probs.tolist() == [0.25, 0.75]
+
+
 class TestIndependentProduct:
     def test_symmetric(self):
         dist = mf.independent_product([0.5, 0.5])

@@ -1,5 +1,7 @@
 """Property-based checks: formula round trips, the one q-feasibility rule,
-functoriality of pushforward and marginal consistency of products."""
+functoriality of pushforward, marginal consistency of products and of
+pair tables, de Morgan duality of the q connectives and monotone
+tightening of exact bounds."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var, cli
+from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy.errors import InfeasibleQ
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -165,3 +168,64 @@ def test_independent_product_marginals_are_its_factors(ps):
     for coord, p in enumerate(ps, start=1):
         single = mf.marginal(joint, [coord]).probs
         np.testing.assert_allclose(single, [1.0 - p, p], rtol=0, atol=SUM_TOL)
+
+
+@st.composite
+def feasible_triples(draw):
+    """(p1, p2, q) with q at an end of [q_min, q_max] or anywhere inside."""
+    p1, p2 = draw(beliefs), draw(beliefs)
+    b = mf.q_bounds(p1, p2)
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return p1, p2, min(b.q_min + t * (b.q_max - b.q_min), b.q_max)
+
+
+@PROPERTY
+@given(feasible_triples())
+def test_de_morgan_for_or_q_and_and_q(triple):
+    """not(A or B) = not A and not B: with the negated marginals and the
+    both-false confidence of the negations (= both-true of the original),
+    or_q and and_q are each other's complements."""
+    p1, p2, q = triple
+    n1, n2, q_dual = mf.de_morgan_dual(p1, p2, q)
+    assert abs(mf.or_q(p1, p2, q) - (1.0 - mf.and_q(n1, n2, q_dual))) <= SUM_TOL
+    assert abs(mf.and_q(p1, p2, q) - (1.0 - mf.or_q(n1, n2, q_dual))) <= SUM_TOL
+
+
+@PROPERTY
+@given(feasible_triples())
+def test_pair_from_pq_is_marginally_consistent(triple):
+    p1, p2, q = triple
+    pair = mf.pair_from_pq(p1, p2, q)
+    assert abs(pair.probs[0] - q) <= SUM_TOL
+    for coord, p in ((1, p1), (2, p2)):
+        single = mf.marginal(pair, [coord]).probs
+        np.testing.assert_allclose(single, [1.0 - p, p], rtol=0, atol=SUM_TOL)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
+def test_exact_bounds_tighten_as_pairwise_entries_are_added(n, seed, data):
+    """Pairwise entries read off one table, added one at a time: each
+    interval lies inside the one before and contains the table's value."""
+    rng = np.random.default_rng(seed)
+    table = rng.dirichlet(np.ones(1 << n)) * (rng.random(1 << n) < 0.7)
+    if table.sum() == 0:
+        table[0] = 1.0
+    table /= table.sum()
+    f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+    value = float(table[f.table == 1].sum())
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    marginals = tuple(float(table[bits[:, i] == 1].sum()) for i in range(n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    order = data.draw(st.permutations(pairs))
+    pairwise = {}
+    previous = mf.exact_bounds(mf.PartialJointSpec(marginals), f)
+    assert previous.contains(value, tol=FEASIBILITY_TOL)
+    for i, j in order:
+        both_false = (bits[:, i - 1] == 0) & (bits[:, j - 1] == 0)
+        pairwise[(i, j)] = float(table[both_false].sum())
+        ci = mf.exact_bounds(mf.PartialJointSpec(marginals, pairwise), f)
+        assert ci.lo >= previous.lo - FEASIBILITY_TOL
+        assert ci.hi <= previous.hi + FEASIBILITY_TOL
+        assert ci.contains(value, tol=FEASIBILITY_TOL)
+        previous = ci
