@@ -13,7 +13,7 @@ form is the same function as the or-of-minterms expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -182,43 +182,71 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Equality and hashing of formula trees, by explicit stacks instead of
+    the dataclass methods, which recurse once per tree level.  Both mean
+    what the dataclass ones do: the same node type with equal fields, and
+    the hash of the tuple of fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ not in _CHILD_FIELDS:
+                if a != b:
+                    return False
+                continue
+            for name in _FIELDS[a.__class__]:
+                stack.append((getattr(a, name), getattr(b, name)))
+        return True
+
+    def __hash__(self):
+        return _fold(self, _hash_node)
+
+
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Node):
     var: str
     universe: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, eq=False)
+class Forall(_Node):
     var: str
     universe: str
     body: "Formula"
@@ -236,6 +264,32 @@ _CHILD_FIELDS = {
     Exists: ("body",),
     Forall: ("body",),
 }
+
+#: Every field of each node type, in declaration order.
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILD_FIELDS}
+
+
+class _Hash:
+    """Stands in a tuple for a subtree whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _hash_node(node, child_hashes) -> int:
+    children = dict(zip(_CHILD_FIELDS[node.__class__], child_hashes))
+    return hash(
+        tuple(
+            _Hash(children[name]) if name in children else getattr(node, name)
+            for name in _FIELDS[node.__class__]
+        )
+    )
+
 
 _QUANTIFIERS = (Exists, Forall)
 

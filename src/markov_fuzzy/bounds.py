@@ -6,12 +6,11 @@ with a spec is a compact polytope, so the confidence of any single-output
 formula attains an exact minimum and maximum over it:
 
 * `exact_bounds` solves the two linear programs over the 2**n table
-  entries (scipy's HiGHS backend does the pivoting; scipy is imported on
-  the first solve, so importing this module costs only numpy).  HiGHS
-  presolve is switched off: every row is a distinct equality (total mass,
-  one per marginal, one per pairwise q) and every column a distinct 0/1
-  pattern, so presolve finds nothing to remove, yet it cost about half of
-  each solve at n >= 10;
+  entries with the package's own dense revised simplex (`_simplex`, numpy
+  only): phase I once, the min, then the max from the min's optimal
+  basis, each optimum checked afresh on its final basis.  Entries inside
+  an empty cell of a marginal or a pair (a 0/1 marginal, a q at an end of
+  its range) must be zero and are left out of the LPs;
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
@@ -28,7 +27,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ._common import N_MAX, check_belief, clip01
+from ._common import EPS_FEAS, N_MAX, check_belief, clip01
+from ._simplex import Simplex
 from .boolfuncs import BooleanFunction
 from .connectives import _add_pair_q, classic
 from .errors import (
@@ -39,7 +39,6 @@ from .errors import (
     InfeasibleSpec,
     MultiOutput,
     SchemaError,
-    SolverError,
 )
 from .joints import independent_product, pushforward
 
@@ -53,8 +52,7 @@ __all__ = [
 
 #: Slack allowed between `lo` and `hi` of an interval: a `lo` above `hi` by
 #: at most this much (solver round-off) is set to `hi`, by more is an error.
-#: It is not passed to the solver; HiGHS keeps its own default primal and
-#: dual feasibility tolerances (1e-7).
+#: The solver checks its own primal and optimality tolerance, `_simplex.TOL`.
 FEASIBILITY_TOL = 1e-9
 
 #: Arity cap for the LP route (a 4096-dimensional program at the cap).
@@ -164,7 +162,8 @@ def exact_bounds(
     Solved as two linear programs over the 2**n table with equality
     constraints from the marginals and any pairwise q values.  `cancel` is
     polled before each solve; a True return aborts with Cancelled.  A
-    solver failure other than infeasibility raises SolverError.
+    solver failure other than infeasibility (the pivot limit, or a final
+    basis that fails its check) raises SolverError.
     """
     _check_formula(spec, f)
     n = spec.arity
@@ -179,39 +178,45 @@ def exact_bounds(
 
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
+    bits = [((idx >> i) & 1).astype(bool) for i in range(n)]
     rows = [np.ones(size)]
     rhs = [1.0]
+    # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
+    # of its range) forces its entries to zero.  Leaving them out removes
+    # the degenerate vertices where the simplex would otherwise stall.
+    keep = np.ones(size, dtype=bool)
     for i, p in enumerate(spec.marginals):
-        rows.append(((idx >> i) & 1).astype(np.float64))
+        rows.append(bits[i].astype(np.float64))
         rhs.append(p)
+        for value, mass in ((True, p), (False, 1.0 - p)):
+            if mass <= EPS_FEAS:
+                keep &= bits[i] != value
     for (i, j), q in sorted(spec.pairwise.items()):
-        both_false = (((idx >> (i - 1)) & 1) == 0) & (((idx >> (j - 1)) & 1) == 0)
-        rows.append(both_false.astype(np.float64))
+        bi, bj = bits[i - 1], bits[j - 1]
+        pi, pj = spec.marginals[i - 1], spec.marginals[j - 1]
+        rows.append((~bi & ~bj).astype(np.float64))
         rhs.append(q)
-    a_eq = np.vstack(rows)
+        cells = {
+            (False, False): q,
+            (True, False): 1.0 - pj - q,
+            (False, True): 1.0 - pi - q,
+            (True, True): pi + pj - 1.0 + q,
+        }
+        for (vi, vj), mass in cells.items():
+            if mass <= EPS_FEAS:
+                keep &= (bi != vi) | (bj != vj)
+    a_eq = np.vstack(rows)[:, keep]
     b_eq = np.asarray(rhs)
-    cost = f.table.astype(np.float64)
+    cost = f.table[keep].astype(np.float64)
 
-    from scipy.optimize import linprog
-
-    results = []
-    for sign in (1.0, -1.0):
-        _check_cancel(cancel)
-        # x <= 1 follows from sum(x) = 1 and x >= 0, so only x >= 0 is given.
-        res = linprog(
-            sign * cost,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0.0, None),
-            method="highs",
-            options={"presolve": False},
-        )
-        if res.status == 2:
-            raise InfeasibleSpec("no joint distribution satisfies the spec")
-        if res.status != 0:
-            raise SolverError(f"LP solve failed: {res.message}")
-        results.append(sign * res.fun)
-    lo, hi = clip01(results[0]), clip01(results[1])
+    _check_cancel(cancel)
+    lp = Simplex(a_eq, b_eq) if keep.any() else None
+    if lp is None or not lp.feasible:
+        raise InfeasibleSpec("no joint distribution satisfies the spec")
+    lo = lp.minimize(cost)
+    _check_cancel(cancel)
+    hi = -lp.minimize(-cost)
+    lo, hi = clip01(lo), clip01(hi)
     return ConfidenceInterval(min(lo, hi), hi)
 
 

@@ -14,8 +14,8 @@ mismatch, 4 arity over the active cap, 5 LP solver failure.
 MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
 built-in N_MAX).
 
-scipy is imported on the first `exact_bounds` LP solve, so `bounds` is the
-only subcommand that loads it; the others need numpy alone.
+Every subcommand needs numpy alone; `bounds` solves its LPs with the
+package's own simplex.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import markov_fuzzy as mf
-from markov_fuzzy import And, Implies, Not, Or, Var
+from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var
 from markov_fuzzy.errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -217,3 +217,35 @@ class TestBooleanFunction:
     def test_formula_variables_order(self):
         ast = Or(And(Var("q"), Var("p")), Var("q"))
         assert mf.formula_variables(ast) == ["q", "p"]
+
+
+class TestFormulaEquality:
+    def test_shallow_trees_keep_dataclass_semantics(self):
+        """A node equals a node of its type with equal fields, and hashes
+        as the tuple of its fields, as the dataclass methods did."""
+        def build():
+            body = Implies(And(Var("a"), Not(Var("b"))), Or(Var("c"), Var("a")))
+            return Exists("x", "U", body)
+
+        tree, same = build(), build()
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != Forall("x", "U", tree.body)
+        assert tree != Exists("y", "U", tree.body)
+        assert And(Var("a"), Var("b")) != Or(Var("a"), Var("b"))
+        assert And(Var("a"), Var("b")) != And(Var("b"), Var("a"))
+        assert Var("a") != "a" and Not(Var("a")) != Var("a")
+        assert hash(Var("a")) == hash(("a",))
+        assert hash(Not(Var("a"))) == hash((Var("a"),))
+        assert hash(tree.body) == hash((tree.body.left, tree.body.right))
+        assert hash(tree) == hash(("x", "U", tree.body))
+        assert len({tree, same, tree.body}) == 2
+
+    @pytest.mark.parametrize("depth", [1200, 4000])
+    def test_deep_parsed_formulas(self, depth):
+        text = "!" * depth + "(P & Q)"
+        a, b = mf.parse_formula(text), mf.parse_formula(text)
+        assert a == b and hash(a) == hash(b)
+        assert a != mf.parse_formula("!" * depth + "(P & R)")
+        assert a != mf.parse_formula("!" * (depth - 1) + "(P & Q)")
+        chain = " & ".join(["a", "!b"] * depth)
+        assert {mf.parse_formula(chain): 1}[mf.parse_formula(chain)] == 1

@@ -1,12 +1,12 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
-import types
 import warnings
 
 import numpy as np
 import pytest
 
 import markov_fuzzy as mf
+from markov_fuzzy import _simplex
 from markov_fuzzy._common import clip01
 from markov_fuzzy.bounds import ORACLE_MAX_ARITY
 from markov_fuzzy.errors import (
@@ -284,16 +284,9 @@ class TestCancellation:
 
 class TestSolverFailure:
     def test_maps_to_solver_error(self, monkeypatch):
-        import scipy.optimize
-
-        def failing_linprog(*args, **kwargs):
-            return types.SimpleNamespace(
-                status=4, message="Numerical difficulties encountered.", fun=None
-            )
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 1)
         spec = mf.PartialJointSpec(marginals=(0.7, 0.6))
-        with pytest.raises(SolverError, match="LP solve failed: Numerical") as info:
+        with pytest.raises(SolverError, match="LP solve failed: pivot limit") as info:
             mf.exact_bounds(spec, mf.and_function())
         assert isinstance(info.value, MarkovFuzzyError)
         assert isinstance(info.value, RuntimeError)
@@ -370,3 +363,119 @@ class TestSolverEquivalence:
             str(w.message) for w in caught if issubclass(w.category, OptimizeWarning)
         ]
         assert outcomes["infeasible"] >= 20 and outcomes["feasible"] >= 200
+
+    def test_matches_highs_at_high_arity(self):
+        """n = 9..12 edge specs (marginals at 0/1, q at q_min/q_max) agree
+        with HiGHS on feasibility and on both ends."""
+        rng = np.random.default_rng(9)
+        outcomes = {"feasible": 0, "infeasible": 0}
+        for k in range(32):
+            n = k % 4 + 9
+            spec = edge_spec(rng, n)
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            want = reference_bounds(spec, f)
+            if want is None:
+                with pytest.raises(InfeasibleSpec):
+                    mf.exact_bounds(spec, f)
+                outcomes["infeasible"] += 1
+                continue
+            ci = mf.exact_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+            outcomes["feasible"] += 1
+        assert outcomes["infeasible"] >= 4 and outcomes["feasible"] >= 16
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_frechet_bounds_from_marginals(self, n):
+        """The n-ary and/or from marginals alone: [max(0, S - (n-1)), min p]
+        and [max p, min(1, S)] with S the marginal sum."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            ps = np.where(rng.random(n) < 0.2, rng.integers(0, 2, n), rng.random(n))
+            spec = mf.PartialJointSpec(marginals=tuple(float(p) for p in ps))
+            total = float(np.sum(ps))
+            ci = mf.exact_bounds(spec, mf.and_function(n))
+            assert ci.lo == pytest.approx(max(0.0, total - (n - 1)), abs=1e-9)
+            assert ci.hi == pytest.approx(float(ps.min()), abs=1e-9)
+            ci = mf.exact_bounds(spec, mf.or_function(n))
+            assert ci.lo == pytest.approx(float(ps.max()), abs=1e-9)
+            assert ci.hi == pytest.approx(min(1.0, total), abs=1e-9)
+
+    @pytest.mark.parametrize("colors", ["000000000000", "011010011101"])
+    def test_fully_degenerate_spec(self, colors):
+        """All marginals 1/2 and every pair at q_max = 1/2 (same color) or
+        q_min = 0 (different colors): the only compatible table puts 1/2 on
+        the coloring and 1/2 on its complement."""
+        n = len(colors)
+        pairwise = {
+            (i + 1, j + 1): 0.5 if colors[i] == colors[j] else 0.0
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        spec = mf.PartialJointSpec(marginals=(0.5,) * n, pairwise=pairwise)
+        f = mf.BooleanFunction(
+            n, 1, np.random.default_rng(int(colors, 2)).integers(0, 2, size=1 << n)
+        )
+        coloring = int(colors[::-1], 2)
+        want = 0.5 * (f.table[coloring] + f.table[(1 << n) - 1 - coloring])
+        ci = mf.exact_bounds(spec, f)
+        assert ci.lo == pytest.approx(want, abs=1e-9)
+        assert ci.hi == pytest.approx(want, abs=1e-9)
+
+    def test_fully_degenerate_infeasible_spec(self):
+        """Marginals 1/2 with every pair at q_min = 0: no two predicates are
+        ever false together, so at most one is false at a time, yet the
+        marginals need 6 false on average."""
+        n = 12
+        pairwise = {(i + 1, j + 1): 0.0 for i in range(n) for j in range(i + 1, n)}
+        spec = mf.PartialJointSpec(marginals=(0.5,) * n, pairwise=pairwise)
+        with pytest.raises(InfeasibleSpec):
+            mf.exact_bounds(spec, mf.or_function(n))
+
+    def test_blands_rule_alone_reaches_the_same_optimum(self, monkeypatch):
+        """The anti-cycling rule, forced on every pivot, agrees with HiGHS."""
+        entering = _simplex.Simplex._entering
+        leaving = _simplex.Simplex._leaving_row
+        monkeypatch.setattr(
+            _simplex.Simplex,
+            "_entering",
+            staticmethod(lambda reduced, bland: entering(reduced, True)),
+        )
+        monkeypatch.setattr(
+            _simplex.Simplex,
+            "_leaving_row",
+            lambda self, u, bland: leaving(self, u, True),
+        )
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            n = k % 5 + 1
+            spec = edge_spec(rng, n)
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            want = reference_bounds(spec, f)
+            if want is None:
+                with pytest.raises(InfeasibleSpec):
+                    mf.exact_bounds(spec, f)
+                continue
+            ci = mf.exact_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+    def test_simplex_on_a_fully_degenerate_vertex(self):
+        """The solver itself, given every column of the coloring spec above
+        (a vertex with 2 of 37 basic entries nonzero), stays under its
+        pivot cap and finds the one compatible table."""
+        n, coloring = 8, 0b01101001
+        idx = np.arange(1 << n)
+        bits = (idx[None, :] >> np.arange(n)[:, None]) & 1
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows = [np.ones(1 << n), *bits]
+        rows += [(bits[i] == 0) & (bits[j] == 0) for i, j in pairs]
+        color = (coloring >> np.arange(n)) & 1
+        rhs = [1.0] + [0.5] * n + [0.5 * (color[i] == color[j]) for i, j in pairs]
+        lp = _simplex.Simplex(np.array(rows, dtype=np.float64), np.array(rhs))
+        assert lp.feasible
+        for a in (coloring, (1 << n) - 1 - coloring):
+            cost = np.zeros(1 << n)
+            cost[a] = 1.0
+            assert lp.minimize(cost) == pytest.approx(0.5, abs=1e-12)
+            assert -lp.minimize(-cost) == pytest.approx(0.5, abs=1e-12)

@@ -5,13 +5,12 @@ import os
 import random
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
 
 import markov_fuzzy as mf
-from markov_fuzzy import cli
+from markov_fuzzy import _simplex, cli
 from markov_fuzzy.cli import main
 from markov_fuzzy.errors import InfeasibleQ
 
@@ -129,21 +128,12 @@ class TestBounds:
         assert "InfeasibleQ" in err
 
     def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
-        import scipy.optimize
-
-        def failing_linprog(*args, **kwargs):
-            return types.SimpleNamespace(
-                status=4, message="Numerical difficulties encountered.", fun=None
-            )
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 1)
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
         code, out, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
         assert code == 5
         assert out == ""
-        assert err == (
-            "error: SolverError: LP solve failed: Numerical difficulties encountered.\n"
-        )
+        assert err == "error: SolverError: LP solve failed: pivot limit (1) reached\n"
 
     def test_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
@@ -313,6 +303,45 @@ def test_cold_path_never_imports_scipy(tmp_path):
     assert result["scipy"] == []
     classic = mf.classic_binary_bounds(0.75, 0.5, "and")
     assert result["and"] == pytest.approx([classic.lo, classic.hi], abs=1e-9)
+
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import contextlib, io, json
+import markov_fuzzy as mf
+from markov_fuzzy import cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["bounds", "--formula", "P1 & P2", "--input", sys.argv[1]])
+ci = mf.exact_bounds(
+    mf.PartialJointSpec((0.5, 0.5, 0.5), pairwise={(1, 2): 0.25}), mf.or_function(3)
+)
+bounds = json.loads(out.getvalue())
+print(json.dumps({"code": code, "bounds": bounds, "or": [ci.lo, ci.hi]}))
+"""
+
+
+def test_bounds_run_without_scipy(tmp_path):
+    """The `bounds` subcommand and exact_bounds need no scipy at all."""
+    path = write(tmp_path, "spec.json", DYADIC_SPEC)
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    classic = mf.classic_binary_bounds(0.75, 0.5, "and")
+    got = result["bounds"]
+    assert [got["lo"], got["hi"]] == pytest.approx([classic.lo, classic.hi], abs=1e-9)
+    assert result["or"] == pytest.approx([0.75, 1.0], abs=1e-9)
 
 
 class TestQuantify:

@@ -1,7 +1,15 @@
 """Property-based checks: formula round trips, the one q-feasibility rule,
 functoriality of pushforward, marginal consistency of products and of
 pair tables, de Morgan duality of the q connectives and monotone
-tightening of exact bounds."""
+tightening of exact bounds, and seeded `quantify sample` output."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -229,3 +237,68 @@ def test_exact_bounds_tighten_as_pairwise_entries_are_added(n, seed, data):
         assert ci.hi <= previous.hi + FEASIBILITY_TOL
         assert ci.contains(value, tol=FEASIBILITY_TOL)
         previous = ci
+
+
+@st.composite
+def sample_runs(draw):
+    """A belief table and the `quantify sample` options to run on it."""
+    label = st.text("abcxyz", min_size=1, max_size=3)
+    labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
+    table = {"universe": labels, "p": {label: draw(beliefs) for label in labels}}
+    options = [
+        "--seed", str(draw(st.integers(0, 2**32 - 1))),
+        "--samples", str(draw(st.integers(1, 3000))),
+        "--format", draw(st.sampled_from(["json", "csv"])),
+    ]
+    if draw(st.booleans()):
+        options += ["--tuple-length", str(draw(st.integers(1, 8)))]
+    return table, options
+
+
+FRESH_SAMPLE_RUNS = """
+import contextlib, io, json, sys
+from markov_fuzzy import cli
+
+outputs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.lists(sample_runs(), min_size=1, max_size=6))
+def test_quantify_sample_is_byte_identical_for_a_seed(runs):
+    """For a fixed --seed, stdout is the same bytes on a second run in the
+    same process and in a fresh interpreter with another hash seed."""
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = []
+        for k, (table, options) in enumerate(runs):
+            path = os.path.join(directory, f"table{k}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(table, handle)
+            argvs.append(["quantify", "sample", "--input", path, *options])
+        outputs = []
+        for argv in argvs:
+            first, second = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(first):
+                code = cli.main(argv)
+            with contextlib.redirect_stdout(second):
+                assert cli.main(argv) == code == 0
+            assert first.getvalue() == second.getvalue()
+            outputs.append([code, first.getvalue()])
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_SAMPLE_RUNS],
+            input=json.dumps(argvs),
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == outputs
