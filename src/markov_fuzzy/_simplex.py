@@ -1,19 +1,22 @@
 """Dense revised simplex for the small equality-form LPs of `exact_bounds`.
 
 Solves  min c.x  subject to  A x = b, x >= 0,  for a dense A (m rows, N >= 1
-columns) and b >= 0.  The bounds LPs have m = 1 + n + |pairs| <= 79 rows
-and N <= 2**n <= 4096 columns, so the whole method fits in a few numpy
-calls per pivot:
+columns).  The bounds LPs have m = 1 + n + |pairs| <= 79 rows and
+N <= 2**n <= 4096 columns, so the whole method fits in a few numpy calls
+per pivot:
 
-* phase I starts from one artificial column per row (x_B = b) and
-  minimizes their sum; a sum above `TOL` proves infeasibility.  Any
-  artificial left in the basis at level zero is then pivoted out, unless
-  its row depends on the others;
+* phase I starts from the caller's basis: m column indices, where index
+  N + r names the artificial column e_r of row r.  It is inverted once
+  and its levels B^-1 b must be >= -TOL.  Without one, phase I starts
+  from one artificial per row (x_B = b, so b >= 0 is needed).  Phase I
+  minimizes the sum of the artificials; a sum above `TOL` proves
+  infeasibility.  Any artificial left in the basis at level zero is then
+  pivoted out, unless its row depends on the others;
 * phase II minimizes each cost from the previous optimal basis, so the
   max of `exact_bounds` starts where the min stopped;
 * the m x m basis inverse is kept explicitly, updated by a rank-one
   correction per pivot and recomputed every `REFACTOR_EVERY` pivots and
-  before optimality is accepted;
+  before phase I decides feasibility;
 * pricing takes every reduced cost in one `y @ A` pass and enters the
   most negative one (Dantzig's rule).  When a run of pivots that do not
   move the point comes back to a basis it has met, pricing switches to
@@ -21,15 +24,19 @@ calls per pivot:
   variable (Bland's rule, which cannot cycle) until a pivot moves the
   point again;
 * more than `MAX_PIVOTS` pivots in one phase raise SolverError;
-* each optimum is checked afresh on its final basis: B x_B = b (with one
+* each optimum is checked afresh on its final basis as soon as pricing
+  on the current inverse finds no improving column: B x_B = b (with one
   refinement step against a residual summed by `math.fsum`) and
   B^T y = c_B are solved by LU, x_B >= -TOL and every reduced cost
   c - y A >= -TOL are required, and the value is `math.fsum(c_B * x_B)`.
+  A check that fails on an updated inverse refactors it and pivots on;
+  one that fails on a fresh inverse raises SolverError.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,29 +64,55 @@ _HARRIS_SLACK = 1e-12
 class Simplex:
     """Phase I on construction; `minimize(cost)` then runs phase II.
 
-    `feasible` is False when no x >= 0 satisfies A x = b within `TOL`.
+    `basis` is the start basis (see the module docstring); None starts
+    from the artificials.  `feasible` is False when no x >= 0 satisfies
+    A x = b within `TOL`.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(
+        self, a: np.ndarray, b: np.ndarray, basis: Optional[np.ndarray] = None
+    ):
         m, n = a.shape
         self._a = a
         self._b = b
         self._n = n
-        # Artificial column n + r is the unit vector e_r.
-        self._basis = np.arange(n, n + m)
-        self._binv = np.eye(m)
-        self._x = b.astype(np.float64)
         self._since_refactor = 0
+        if basis is None:
+            # Artificial column n + r is the unit vector e_r.
+            self._basis = np.arange(n, n + m)
+            self._binv = np.eye(m)
+            self._x = b.astype(np.float64)
+        else:
+            self._basis = np.array(basis)
+            self._refactor()
+            if self._x.min() < -TOL:
+                raise SolverError(
+                    "LP solve failed: start basis infeasible by "
+                    f"{-self._x.min():.3g}"
+                )
 
-        self._iterate(np.concatenate((np.zeros(n), np.ones(m))))
-        self.feasible = math.fsum(self._x[self._basis >= n]) <= TOL
+        artificial = np.concatenate((np.zeros(n), np.ones(m)))
+        self.feasible = self._iterate(artificial, self._infeasibility) <= TOL
         if self.feasible:
             self._drive_out_artificials()
 
     def minimize(self, cost: np.ndarray) -> float:
         """min cost.x over the feasible set, checked on the final basis."""
         cost = np.concatenate((cost, np.zeros(len(self._basis))))
-        self._iterate(cost)
+        return self._iterate(cost, lambda: self._checked_value(cost))
+
+    def _infeasibility(self) -> Optional[float]:
+        """The sum of the artificial levels, or None on an inverse updated
+        since its last refactor: feasibility is decided on a fresh one."""
+        if self._since_refactor:
+            return None
+        return math.fsum(self._x[self._basis >= self._n])
+
+    def _checked_value(self, cost: np.ndarray) -> Optional[float]:
+        """The value of the current basis, solved afresh by LU, once it is
+        shown primal feasible and optimal.  None when the check fails on an
+        inverse updated since its last refactor, so that pivoting goes on
+        from a fresh one; on a fresh inverse the failure is a SolverError."""
         matrix = self._basis_matrix()
         cost_b = cost[self._basis]
         try:
@@ -92,20 +125,23 @@ class Simplex:
         except np.linalg.LinAlgError:
             raise SolverError("LP solve failed: singular final basis") from None
         if x.min() < -TOL:
-            raise SolverError(
-                f"LP solve failed: final basis infeasible by {-x.min():.3g}"
-            )
-        reduced = cost[: self._n] - y @ self._a
-        if reduced.min() < -TOL:
-            raise SolverError(
-                f"LP solve failed: final basis not optimal, reduced cost "
-                f"{reduced.min():.3g}"
-            )
-        return math.fsum(cost_b * x)
+            failure = f"final basis infeasible by {-x.min():.3g}"
+        else:
+            reduced = cost[: self._n] - y @ self._a
+            if reduced.min() >= -TOL:
+                return math.fsum(cost_b * x)
+            failure = f"final basis not optimal, reduced cost {reduced.min():.3g}"
+        if self._since_refactor:
+            return None
+        raise SolverError(f"LP solve failed: {failure}")
 
-    def _iterate(self, cost: np.ndarray) -> None:
-        """Pivot until no column prices out; `cost` covers every column
-        that can be basic (the artificials too, in phase I)."""
+    def _iterate(
+        self, cost: np.ndarray, accept: Callable[[], Optional[float]]
+    ) -> float:
+        """Pivot until no column prices out and `accept()` returns a value,
+        which is returned; while it returns None, refactor and go on.
+        `cost` covers every column that can be basic (the artificials too,
+        in phase I)."""
         a, n = self._a, self._n
         pivots = 0
         seen: set = set()  # bases met since the point last moved
@@ -116,8 +152,9 @@ class Simplex:
             y = cost[self._basis] @ self._binv
             j = self._entering(cost[:n] - y @ a, bland)
             if j < 0:
-                if self._since_refactor == 0:
-                    return
+                value = accept()
+                if value is not None:
+                    return value
                 self._refactor()
                 continue
             if pivots == MAX_PIVOTS:

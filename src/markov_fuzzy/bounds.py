@@ -8,9 +8,12 @@ formula attains an exact minimum and maximum over it:
 * `exact_bounds` solves the two linear programs over the 2**n table
   entries with the package's own dense revised simplex (`_simplex`, numpy
   only): phase I once, the min, then the max from the min's optimal
-  basis, each optimum checked afresh on its final basis.  Entries inside
-  an empty cell of a marginal or a pair (a 0/1 marginal, a q at an end of
-  its range) must be zero and are left out of the LPs;
+  basis, each optimum checked afresh on its final basis.  Phase I starts
+  from the comonotone chain table (`_chain_basis`), which puts every pair
+  at its q_max and is a vertex of every marginals-only LP, so phase I
+  makes no pivot on a marginals-only spec.  Entries inside an empty cell
+  of a marginal or a pair (a 0/1 marginal, a q at an end of its range)
+  must be zero and are left out of the LPs;
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
@@ -177,25 +180,21 @@ def exact_bounds(
         return ConfidenceInterval(value, value)
 
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    bits = [((idx >> i) & 1).astype(bool) for i in range(n)]
-    rows = [np.ones(size)]
-    rhs = [1.0]
+    pairs = sorted(spec.pairwise.items())
+    bits = (np.arange(size) & (1 << np.arange(n))[:, None]) != 0
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
     # of its range) forces its entries to zero.  Leaving them out removes
-    # the degenerate vertices where the simplex would otherwise stall.
+    # the degenerate vertices where the simplex would otherwise stall; a
+    # chain column left out hands its row to an artificial in the start
+    # basis (`_chain_basis`).
     keep = np.ones(size, dtype=bool)
     for i, p in enumerate(spec.marginals):
-        rows.append(bits[i].astype(np.float64))
-        rhs.append(p)
         for value, mass in ((True, p), (False, 1.0 - p)):
             if mass <= EPS_FEAS:
                 keep &= bits[i] != value
-    for (i, j), q in sorted(spec.pairwise.items()):
+    for (i, j), q in pairs:
         bi, bj = bits[i - 1], bits[j - 1]
         pi, pj = spec.marginals[i - 1], spec.marginals[j - 1]
-        rows.append((~bi & ~bj).astype(np.float64))
-        rhs.append(q)
         cells = {
             (False, False): q,
             (True, False): 1.0 - pj - q,
@@ -205,19 +204,67 @@ def exact_bounds(
         for (vi, vj), mass in cells.items():
             if mass <= EPS_FEAS:
                 keep &= (bi != vi) | (bj != vj)
-    a_eq = np.vstack(rows)[:, keep]
-    b_eq = np.asarray(rhs)
-    cost = f.table[keep].astype(np.float64)
+
+    if not keep.all():
+        bits = bits[:, keep]
+    a_eq = np.empty((1 + n + len(pairs), bits.shape[1]))
+    a_eq[0] = 1.0
+    a_eq[1 : n + 1] = bits
+    first = [i - 1 for (i, _), _ in pairs]
+    second = [j - 1 for (_, j), _ in pairs]
+    a_eq[n + 1 :] = ~(bits[first] | bits[second])
+    b_eq = np.array([1.0, *spec.marginals, *(q for _, q in pairs)])
 
     _check_cancel(cancel)
-    lp = Simplex(a_eq, b_eq) if keep.any() else None
-    if lp is None or not lp.feasible:
+    if not keep.any():
         raise InfeasibleSpec("no joint distribution satisfies the spec")
+    lp = Simplex(a_eq, b_eq, _chain_basis(spec.marginals, keep, a_eq, b_eq))
+    if not lp.feasible:
+        raise InfeasibleSpec("no joint distribution satisfies the spec")
+    cost = f.table[keep].astype(np.float64)
     lo = lp.minimize(cost)
     _check_cancel(cancel)
     hi = -lp.minimize(-cost)
     lo, hi = clip01(lo), clip01(hi)
     return ConfidenceInterval(min(lo, hi), hi)
+
+
+def _chain_basis(
+    marginals: tuple, keep: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
+) -> np.ndarray:
+    """Start basis of the comonotone chain table, which puts every pair at
+    its q_max at once; it is a vertex of every marginals-only bounds LP.
+
+    With the coordinates sorted by marginal, descending (ties by index),
+    chain assignment S_k makes the first k of them true and carries mass
+    p_(k) - p_(k+1), where p_(0) = 1 and p_(n+1) = 0.  On the marginal rows
+    the chain columns are triangular: S_0 is basic in the row of ones and
+    S_k in the row of the k-th sorted coordinate.  A chain column outside
+    `keep` leaves the artificial of its row basic instead; then slot k,
+    column or artificial, is at level p_(k) - p_(next kept column), which
+    the sort makes >= 0.  Each pair row keeps its artificial, at level q
+    minus the chain mass on the pair's both-false cell; a row where that
+    is negative is negated in place, in `a_eq` and `b_eq`, so that every
+    level is >= 0.
+    """
+    n = len(marginals)
+    ps = np.asarray(marginals)
+    order = np.argsort(-ps, kind="stable")
+    chain = np.concatenate(([0], np.cumsum(1 << order)))
+    rows = np.concatenate(([0], 1 + order))
+    levels = np.concatenate(([1.0], ps[order], [0.0]))
+    kept = np.flatnonzero(keep[chain])
+    mass = levels[kept] - levels[np.append(kept[1:], n + 1)]
+    columns = np.searchsorted(np.flatnonzero(keep), chain[kept])
+
+    m, size = a_eq.shape
+    basis = np.arange(size, size + m)
+    basis[rows[kept]] = columns
+    residual = b_eq[n + 1 :] - a_eq[n + 1 :, columns] @ mass
+    negative = n + 1 + np.flatnonzero(residual < 0.0)
+    a_eq[negative] *= -1.0
+    b_eq[negative] *= -1.0
+    return basis
 
 
 # ---------------------------------------------------------------------------

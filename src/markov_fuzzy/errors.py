@@ -72,6 +72,10 @@ class SchemaError(MarkovFuzzyError, ValueError):
     """A model document does not match its JSON schema."""
 
 
+class InvalidParameter(MarkovFuzzyError, ValueError):
+    """A count, length, confidence level or sampling option is out of range."""
+
+
 class SolverError(MarkovFuzzyError, RuntimeError):
     """The LP solver stopped without an optimum or a proof of infeasibility."""
 

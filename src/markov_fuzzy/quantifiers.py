@@ -37,7 +37,10 @@ from .connectives import _add_pair_q, and_q
 from .errors import (
     BadCoordinate,
     EmptyUniverse,
+    InvalidParameter,
     MarginalMismatch,
+    NegativeMass,
+    NotNormalized,
     SchemaError,
     UnboundVariable,
     UnsupportedLiftPolicy,
@@ -114,7 +117,7 @@ class BeliefTable:
 def exists_exact(joint: JointBooleanDist) -> float:
     """Confidence that at least one predicate holds: 1 - P(all false)."""
     if joint.arity < 1:
-        raise ValueError("existential quantification needs arity >= 1")
+        raise EmptyUniverse("existential quantification needs arity >= 1")
     return clip01(1.0 - float(joint.probs[0]))
 
 
@@ -222,16 +225,18 @@ class SamplingStrategy:
 
     def __post_init__(self):
         if int(self.tuple_length) < 1:
-            raise ValueError("tuple_length must be >= 1")
+            raise InvalidParameter("tuple_length must be >= 1")
         object.__setattr__(self, "tuple_length", int(self.tuple_length))
         if self.weights is not None:
             if self.tuples is not None:
-                raise ValueError("supply either weights or a tuple stream, not both")
+                raise InvalidParameter(
+                    "supply either weights or a tuple stream, not both"
+                )
             w = {k: float(v) for k, v in dict(self.weights).items()}
             if any(v < 0.0 for v in w.values()):
-                raise ValueError("weights must be nonnegative")
+                raise NegativeMass("weights must be nonnegative")
             if abs(math.fsum(w.values()) - 1.0) > EPS_SIMPLEX:
-                raise ValueError("weights must sum to 1")
+                raise NotNormalized("weights must sum to 1")
             object.__setattr__(self, "weights", w)
 
 
@@ -247,7 +252,7 @@ class SampleEstimate:
         """Distribution-free confidence half-width sqrt(ln(2/d) / (2N))."""
         delta = float(delta)
         if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
+            raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
         return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_samples))
 
 
@@ -263,7 +268,9 @@ def _draw_index_tuples(
     else:
         unknown = set(strategy.weights) - set(labels)
         if unknown:
-            raise ValueError(f"weights mention labels outside the universe: {unknown}")
+            raise BadCoordinate(
+                f"weights mention labels outside the universe: {unknown}"
+            )
         weights = np.array([strategy.weights.get(x, 0.0) for x in labels])
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
@@ -289,7 +296,7 @@ def sample_exists(
     """
     n_samples = int(n_samples)
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise InvalidParameter("n_samples must be >= 1")
     if not table.universe:
         raise EmptyUniverse("cannot sample from an empty universe")
     labels = table.universe
@@ -298,13 +305,15 @@ def sample_exists(
     if strategy.tuples is not None:
         drawn = list(islice(iter(strategy.tuples), n_samples))
         if len(drawn) < n_samples:
-            raise ValueError(
+            raise InvalidParameter(
                 f"tuple stream yielded {len(drawn)} tuples, need {n_samples}"
             )
         position = {x: i for i, x in enumerate(labels)}
         for t in drawn:
             if len(t) != strategy.tuple_length:
-                raise ValueError(f"tuple {t!r} does not have length {strategy.tuple_length}")
+                raise InvalidParameter(
+                    f"tuple {t!r} does not have length {strategy.tuple_length}"
+                )
         try:
             index_tuples = np.array(
                 [[position[x] for x in t] for t in drawn], dtype=np.int64

@@ -1,12 +1,15 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markov_fuzzy as mf
-from markov_fuzzy import _simplex
+from markov_fuzzy import _simplex, bounds
 from markov_fuzzy._common import clip01
 from markov_fuzzy.bounds import ORACLE_MAX_ARITY
 from markov_fuzzy.errors import (
@@ -21,6 +24,11 @@ from markov_fuzzy.errors import (
     SchemaError,
     SolverError,
 )
+
+# scipy ignores an option that linprog does not know, with only this warning.
+# Set here rather than in the pytest configuration, so that only this
+# module, the one that calls linprog, loads scipy.
+pytestmark = pytest.mark.filterwarnings("error::scipy.optimize.OptimizeWarning")
 
 
 def random_consistent_spec(rng, n, pair_prob=0.5):
@@ -284,9 +292,11 @@ class TestCancellation:
 
 class TestSolverFailure:
     def test_maps_to_solver_error(self, monkeypatch):
-        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 1)
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 0)
         spec = mf.PartialJointSpec(marginals=(0.7, 0.6))
-        with pytest.raises(SolverError, match="LP solve failed: pivot limit") as info:
+        with pytest.raises(
+            SolverError, match=r"LP solve failed: pivot limit \(0\) reached"
+        ) as info:
             mf.exact_bounds(spec, mf.and_function())
         assert isinstance(info.value, MarkovFuzzyError)
         assert isinstance(info.value, RuntimeError)
@@ -479,3 +489,158 @@ class TestSolverEquivalence:
             cost[a] = 1.0
             assert lp.minimize(cost) == pytest.approx(0.5, abs=1e-12)
             assert -lp.minimize(-cost) == pytest.approx(0.5, abs=1e-12)
+
+
+def count_pivots(monkeypatch):
+    """Counts the pivots of `Simplex`: "all" of them, and "phase_one", the
+    ones made before the first `minimize` (phase I and the drive-out of
+    artificials).  Reset both before each solve."""
+    counts = {"all": 0, "phase_one": None}
+    pivot, minimize = _simplex.Simplex._pivot, _simplex.Simplex.minimize
+
+    def counting_pivot(self, *args):
+        counts["all"] += 1
+        return pivot(self, *args)
+
+    def first_minimize(self, cost):
+        if counts["phase_one"] is None:
+            counts["phase_one"] = counts["all"]
+        return minimize(self, cost)
+
+    monkeypatch.setattr(_simplex.Simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(_simplex.Simplex, "minimize", first_minimize)
+    return counts
+
+
+def sparse_table_spec(rng, n):
+    """Marginals and about 80% of the pairwise q read off a table with 5-24
+    nonzero entries: zeros that only several constraints together imply."""
+    table = np.zeros(1 << n)
+    support = int(rng.integers(5, 25))
+    table[rng.choice(1 << n, size=support, replace=False)] = rng.dirichlet(
+        np.ones(support)
+    )
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    marginals = tuple(float(table[bits[:, i] == 1].sum()) for i in range(n))
+    pairwise = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.8:
+                both_false = (bits[:, i] == 0) & (bits[:, j] == 0)
+                pairwise[(i + 1, j + 1)] = float(table[both_false].sum())
+    return mf.PartialJointSpec(marginals=marginals, pairwise=pairwise)
+
+
+class TestChainStart:
+    """exact_bounds starts phase I from the comonotone chain table."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_marginals_only_needs_no_phase_one_pivot(self, n, monkeypatch):
+        """Distinct, tied and 0/1 marginals alike: the chain table is
+        already a vertex, so phase I has nothing to do."""
+        rng = np.random.default_rng(300 + n)
+        cases = [
+            rng.random(n),
+            np.full(n, 0.5),
+            rng.choice([0.0, 0.25, 0.25, 1.0], size=n),
+            np.where(rng.random(n) < 0.4, rng.integers(0, 2, n), rng.random(n)),
+            np.ones(n),
+            np.zeros(n),
+        ]
+        counts = count_pivots(monkeypatch)
+        for ps in cases:
+            spec = mf.PartialJointSpec(marginals=tuple(float(p) for p in ps))
+            f = random_single_output(rng, n)
+            counts.update(all=0, phase_one=None)
+            ci = mf.exact_bounds(spec, f)
+            assert counts["phase_one"] == 0
+            want = reference_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_chain_basis_on_edge_specs(self, n, seed):
+        """On edge specs, infeasible ones included, the start basis is
+        nonsingular with every level >= -TOL, and the bounds still agree
+        with HiGHS."""
+        rng = np.random.default_rng(seed)
+        spec = edge_spec(rng, n)
+        f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+        starts = []
+
+        class Recording(_simplex.Simplex):
+            def __init__(self, a, b, basis=None):
+                starts.append((a, b.copy(), np.array(basis)))
+                super().__init__(a, b, basis)
+
+        with mock.patch.object(bounds, "Simplex", Recording):
+            try:
+                ci = mf.exact_bounds(spec, f)
+            except InfeasibleSpec:
+                ci = None
+        for a, b, basis in starts:
+            m = len(b)
+            matrix = np.hstack((a, np.eye(m)))[:, basis]
+            assert np.linalg.matrix_rank(matrix) == m
+            assert np.linalg.solve(matrix, b).min() >= -_simplex.TOL
+        want = reference_bounds(spec, f)
+        if want is None:
+            assert ci is None
+        else:
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+    def test_sparse_table_specs(self):
+        """Specs whose zeros no single constraint explains stall Dantzig
+        pricing on degenerate vertices; they still solve, and agree with
+        HiGHS."""
+        rng = np.random.default_rng(2)
+        for k in range(9):
+            n = 10 + k % 3
+            spec = sparse_table_spec(rng, n)
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            ci = mf.exact_bounds(spec, f)
+            want = reference_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+
+class TestFinalCheck:
+    def test_false_optimum_on_an_updated_inverse_pivots_on(self, monkeypatch):
+        """Pricing that finds no improving column right after each pivot,
+        before the inverse is recomputed, is checked rather than trusted:
+        the check refactors and pivots on, to the same optimum."""
+        pivot, refactor = _simplex.Simplex._pivot, _simplex.Simplex._refactor
+        entering = _simplex.Simplex._entering
+        stale = []
+
+        def marking_pivot(self, *args):
+            stale.append(True)
+            return pivot(self, *args)
+
+        def clearing_refactor(self):
+            stale.clear()
+            refactor(self)
+
+        def false_entering(reduced, bland):
+            return -1 if stale else entering(reduced, bland)
+
+        monkeypatch.setattr(_simplex.Simplex, "_pivot", marking_pivot)
+        monkeypatch.setattr(_simplex.Simplex, "_refactor", clearing_refactor)
+        monkeypatch.setattr(
+            _simplex.Simplex, "_entering", staticmethod(false_entering)
+        )
+        rng = np.random.default_rng(11)
+        for k in range(40):
+            n = k % 6 + 2
+            spec = edge_spec(rng, n)
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            want = reference_bounds(spec, f)
+            if want is None:
+                with pytest.raises(InfeasibleSpec):
+                    mf.exact_bounds(spec, f)
+                continue
+            ci = mf.exact_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)

@@ -128,12 +128,12 @@ class TestBounds:
         assert "InfeasibleQ" in err
 
     def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 1)
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 0)
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
         code, out, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
         assert code == 5
         assert out == ""
-        assert err == "error: SolverError: LP solve failed: pivot limit (1) reached\n"
+        assert err == "error: SolverError: LP solve failed: pivot limit (0) reached\n"
 
     def test_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
@@ -282,7 +282,8 @@ print(json.dumps({"codes": codes, "scipy": scipy_modules, "and": [ci.lo, ci.hi]}
 
 
 def test_cold_path_never_imports_scipy(tmp_path):
-    """Only an LP solve loads scipy; every other subcommand needs numpy alone."""
+    """No subcommand loads scipy, and neither does an exact_bounds solve:
+    numpy alone serves them."""
     paths = [
         write(tmp_path, "joint.json", DYADIC_JOINT),
         write(tmp_path, "spec.json", DYADIC_SPEC),

@@ -112,8 +112,9 @@ class TestParseErrors:
 
 class TestDeepNesting:
     """Nesting depth is not bounded by the interpreter's recursion limit;
-    trees this deep are compared through their text form, because the
-    dataclass equality of nodes recurses."""
+    trees this deep are checked level by level or through their text
+    form.  Node equality and hashing do not recurse either; the formula
+    node tests compare such trees directly."""
 
     DEPTH = 1200
 

@@ -9,11 +9,16 @@ import pytest
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
 from markov_fuzzy.bounds import FEASIBILITY_TOL
+from markov_fuzzy import cli
 from markov_fuzzy.errors import (
     BadCoordinate,
     EmptyUniverse,
     InfeasibleQ,
+    InvalidParameter,
     MarginalMismatch,
+    MarkovFuzzyError,
+    NegativeMass,
+    NotNormalized,
     SchemaError,
     UnboundVariable,
     UnsupportedLiftPolicy,
@@ -435,3 +440,74 @@ class TestExpandQuantifiers:
         names = mf.formula_variables(expanded)
         assert names[:3] == ["P(a)", "Q(m0)", "Q(m1)"]
         assert len(names) == 3002
+
+
+PAIR = mf.BeliefTable(universe=("a", "b"), p={"a": 0.2, "b": 0.4})
+
+#: Every argument check of this module: the call and the error it raises.
+RAISE_SITES = {
+    "exists_exact of arity 0": (
+        EmptyUniverse,
+        lambda: mf.exists_exact(mf.JointBooleanDist(0, [1.0])),
+    ),
+    "tuple_length below 1": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=0),
+    ),
+    "weights and a tuple stream": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(
+            tuple_length=1, weights={"a": 1.0}, tuples=[("a",)]
+        ),
+    ),
+    "negative weight": (
+        NegativeMass,
+        lambda: mf.SamplingStrategy(tuple_length=1, weights={"a": -0.2, "b": 1.2}),
+    ),
+    "weights not summing to 1": (
+        NotNormalized,
+        lambda: mf.SamplingStrategy(tuple_length=1, weights={"a": 0.4}),
+    ),
+    "delta outside (0, 1)": (
+        InvalidParameter,
+        lambda: mf.SampleEstimate(mean=0.5, n_samples=10, seed=0).hoeffding_radius(1.5),
+    ),
+    "weights naming a label outside the universe": (
+        BadCoordinate,
+        lambda: mf.sample_exists(
+            PAIR, mf.SamplingStrategy(tuple_length=1, weights={"z": 1.0}), 5
+        ),
+    ),
+    "n_samples below 1": (
+        InvalidParameter,
+        lambda: mf.sample_exists(PAIR, mf.SamplingStrategy(tuple_length=1), 0),
+    ),
+    "tuple stream too short": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            PAIR, mf.SamplingStrategy(tuple_length=1, tuples=[("a",)]), 2
+        ),
+    ),
+    "tuple of the wrong length": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            PAIR, mf.SamplingStrategy(tuple_length=2, tuples=[("a",)]), 1
+        ),
+    ),
+}
+
+
+class TestErrorTypes:
+    @pytest.mark.parametrize("site", sorted(RAISE_SITES))
+    def test_raise_site(self, site):
+        """Each check raises a MarkovFuzzyError that is still a ValueError."""
+        error, call = RAISE_SITES[site]
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, MarkovFuzzyError)
+        assert isinstance(info.value, ValueError)
+
+    def test_cli_maps_them_to_input_errors(self):
+        """None of them is a semantic error, so the CLI exits 2 on each."""
+        for error, _ in RAISE_SITES.values():
+            assert not issubclass(error, cli._SEMANTIC_ERRORS)
