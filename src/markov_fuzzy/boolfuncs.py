@@ -25,6 +25,7 @@ from .errors import (
     DuplicateVariable,
     MultiOutput,
     UnboundVariable,
+    UnexpandedQuantifier,
 )
 
 
@@ -39,15 +40,29 @@ class BooleanFunction:
     def __post_init__(self):
         check_arity(self.arity_in, "arity_in")
         check_arity(self.arity_out, "arity_out")
-        table = np.asarray(self.table, dtype=np.int64).copy()
+        table = np.array(self.table, dtype=np.int64)
         if table.shape != (1 << self.arity_in,):
             raise ArityMismatch(
                 f"table length {table.size} does not match arity_in={self.arity_in}"
             )
         if table.size and (table.min() < 0 or table.max() >= (1 << self.arity_out)):
-            raise ValueError(f"table entries must be {self.arity_out}-bit values")
+            raise ArityMismatch(f"table entries must be {self.arity_out}-bit values")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _adopt(
+        cls, arity_in: int, arity_out: int, table: np.ndarray
+    ) -> "BooleanFunction":
+        """Wrap an int64 table that a builder here has just made, valid by
+        construction: made read-only in place, neither copied nor checked
+        again."""
+        table.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "arity_in", arity_in)
+        object.__setattr__(f, "arity_out", arity_out)
+        object.__setattr__(f, "table", table)
+        return f
 
     def __eq__(self, other):
         if not isinstance(other, BooleanFunction):
@@ -95,7 +110,7 @@ def index_assignment(index: int, arity: int) -> tuple[bool, ...]:
 
 def identity_function(n: int) -> BooleanFunction:
     check_arity(n)
-    return BooleanFunction(n, n, np.arange(1 << n, dtype=np.int64))
+    return BooleanFunction._adopt(n, n, np.arange(1 << n, dtype=np.int64))
 
 
 def not_function() -> BooleanFunction:
@@ -106,14 +121,14 @@ def and_function(n: int = 2) -> BooleanFunction:
     check_arity(n)
     table = np.zeros(1 << n, dtype=np.int64)
     table[-1] = 1
-    return BooleanFunction(n, 1, table)
+    return BooleanFunction._adopt(n, 1, table)
 
 
 def or_function(n: int = 2) -> BooleanFunction:
     check_arity(n)
     table = np.ones(1 << n, dtype=np.int64)
     table[0] = 0
-    return BooleanFunction(n, 1, table)
+    return BooleanFunction._adopt(n, 1, table)
 
 
 def implies_function() -> BooleanFunction:
@@ -136,7 +151,7 @@ def compose(g: BooleanFunction, f: BooleanFunction) -> BooleanFunction:
             f"cannot compose: inner output arity {f.arity_out} != "
             f"outer input arity {g.arity_in}"
         )
-    return BooleanFunction(f.arity_in, g.arity_out, g.table[f.table])
+    return BooleanFunction._adopt(f.arity_in, g.arity_out, g.table[f.table])
 
 
 def product(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
@@ -150,7 +165,7 @@ def product(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     low = idx & ((1 << f.arity_in) - 1)
     high = idx >> f.arity_in
     table = f.table[low] | (g.table[high] << f.arity_out)
-    return BooleanFunction(n, m, table)
+    return BooleanFunction._adopt(n, m, table)
 
 
 def to_minterms(f: BooleanFunction) -> set[tuple[bool, ...]]:
@@ -174,7 +189,7 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
                 f"minterm {assignment!r} does not have {arity} coordinates"
             )
         table[assignment_index(assignment)] = 1
-    return BooleanFunction(arity, 1, table)
+    return BooleanFunction._adopt(arity, 1, table)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +384,7 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
     if any(isinstance(node, _QUANTIFIERS) for node in _walk(ast)):
-        raise ValueError(
+        raise UnexpandedQuantifier(
             "quantifiers must be expanded over their universes before compilation"
         )
     # Variable `bit` is a [False, True] column along axis n-1-bit of the
@@ -388,8 +403,14 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
                 raise UnboundVariable(
                     f"variable {node.name!r} not bound by the ordering"
                 ) from None
-        return _OPS[type(node)](*args)
+        # The root's op writes its 0/1 values straight into the table,
+        # without a full-size boolean column in between.
+        out = np.empty((2,) * n, dtype=np.int64) if node is ast else None
+        return _OPS[type(node)](*args, out=out)
 
-    table = np.empty((2,) * n, dtype=np.int64)
-    table[...] = _fold(ast, column)
-    return BooleanFunction(n, 1, table.reshape(-1))
+    if isinstance(ast, Var):
+        table = np.empty((2,) * n, dtype=np.int64)
+        table[...] = column(ast, [])
+    else:
+        table = _fold(ast, column)
+    return BooleanFunction._adopt(n, 1, table.reshape(-1))

@@ -40,6 +40,7 @@ from .errors import (
     BadCoordinate,
     Cancelled,
     InfeasibleSpec,
+    InvalidParameter,
     MultiOutput,
     SchemaError,
 )
@@ -83,7 +84,7 @@ class ConfidenceInterval:
         hi = check_belief(self.hi, "hi")
         if lo > hi:
             if lo - hi > FEASIBILITY_TOL:
-                raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
+                raise InvalidParameter(f"interval bounds out of order: [{lo}, {hi}]")
             lo = hi
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -372,7 +373,7 @@ def brute_force_bounds(
     _check_formula(spec, f)
     grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.1:
-        raise ValueError(f"grid_step must be in (0, 0.1], got {grid_step}")
+        raise InvalidParameter(f"grid_step must be in (0, 0.1], got {grid_step}")
     n = spec.arity
     if n > ORACLE_MAX_ARITY:
         raise ArityTooLarge(

@@ -261,7 +261,10 @@ def _cmd_quantify(args) -> int:
     if not 0.0 < args.delta < 1.0:
         print("error: --delta must be in (0, 1)", file=sys.stderr)
         return EXIT_INPUT
-    length = args.tuple_length if args.tuple_length else len(model.universe)
+    if args.tuple_length is not None and args.tuple_length < 1:
+        print("error: --tuple-length must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    length = args.tuple_length or len(model.universe)
     if length < 1:
         raise SchemaError("cannot sample from an empty universe")
     strategy = SamplingStrategy(tuple_length=length, seed=args.seed)
@@ -324,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     quant_p.add_argument(
         "--tuple-length",
         type=int,
-        default=0,
         help="sampled tuple length (default: universe size)",
     )
     quant_p.add_argument("--format", choices=("json", "csv"))

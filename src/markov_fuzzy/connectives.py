@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._common import EPS_FEAS, check_belief, clip01, to_float
-from .errors import InfeasibleQ
+from .errors import InfeasibleQ, InvalidParameter
 
 KINDS = ("and", "or", "implies")
 FLAVORS = ("min", "indep", "max")
@@ -134,9 +134,9 @@ def classic(p1: float, p2: float, kind: str, flavor: str) -> float:
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        raise InvalidParameter(f"unknown kind {kind!r}; expected one of {KINDS}")
     if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+        raise InvalidParameter(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     if kind == "and":
         if flavor == "min":
             return max(0.0, p1 + p2 - 1.0)

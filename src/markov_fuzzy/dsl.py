@@ -27,7 +27,7 @@ from typing import Union
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
 from .boolfuncs import _child_fields, _fold, _walk
 from .bounds import PartialJointSpec
-from .errors import DuplicateVariable, ParseError, SchemaError
+from .errors import DuplicateVariable, InvalidParameter, ParseError, SchemaError
 from .joints import JointBooleanDist, make_joint
 from .quantifiers import BeliefTable
 
@@ -49,7 +49,7 @@ class SourceSpan:
 
     def __post_init__(self):
         if not 0 <= self.start <= self.end:
-            raise ValueError(f"bad span ({self.start}, {self.end})")
+            raise InvalidParameter(f"bad span ({self.start}, {self.end})")
 
 
 @dataclass(frozen=True)
@@ -399,6 +399,8 @@ def parse_joint(text: str) -> JointBooleanDist:
     if not isinstance(arity, int) or isinstance(arity, bool):
         raise SchemaError("'arity' must be an integer")
     probs = obj["probs"]
-    if not isinstance(probs, list):
+    # json.loads gives exact int and float objects, never subclasses, so
+    # one pass over the types rejects strings, booleans and nulls.
+    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
         raise SchemaError("'probs' must be a list of numbers")
     return make_joint(arity, probs)

@@ -73,7 +73,14 @@ class SchemaError(MarkovFuzzyError, ValueError):
 
 
 class InvalidParameter(MarkovFuzzyError, ValueError):
-    """A count, length, confidence level or sampling option is out of range."""
+    """An argument is out of range or inconsistent: a count, a length, a
+    confidence level, a grid step, an interval's ends, a span, a choice
+    among named options or a set of labels that must be distinct."""
+
+
+class UnexpandedQuantifier(MarkovFuzzyError, ValueError):
+    """A formula still holds a quantifier where a quantifier-free one is
+    needed."""
 
 
 class SolverError(MarkovFuzzyError, RuntimeError):

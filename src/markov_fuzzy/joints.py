@@ -13,8 +13,13 @@ with the first letter naming predicate 1.
 Distributions are immutable after construction; every operation is pure
 and returns a new value, so instances are safe to share between threads.
 Pushforward and marginal sums are accumulated from 0.0 in ascending index
-order, and `make_joint` normalises by the exactly rounded sum of its
-entries, which makes results reproducible bit for bit on a given build.
+order (pushforward by an in-order `np.add.at`), and `make_joint`
+normalises by the exactly rounded sum of its entries, which makes results
+reproducible bit for bit on a given build.
+
+The public constructors copy and check the caller's array.  The kernels
+here build each output table once and hand it over as it is: they have
+already checked it, and no caller holds a reference to it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .errors import (
     ArityMismatch,
     ArityTooLarge,
     BadCoordinate,
+    InvalidParameter,
     NegativeMass,
     NotNormalized,
 )
@@ -51,7 +57,7 @@ __all__ = [
 def _freeze(values, size: int) -> np.ndarray:
     """Read-only copy of a probability vector, checked for shape, sign and
     sum.  Structural sanity only; make_joint performs full input validation."""
-    arr = _float_array(values).copy()
+    arr = _float_array(values)
     if arr.shape != (size,):
         raise ArityMismatch(f"expected {size} probabilities, got shape {arr.shape}")
     # Written as "not (ok)" so that NaN and +-inf fail the checks too.
@@ -73,6 +79,16 @@ class JointBooleanDist:
     def __post_init__(self):
         check_arity(self.arity)
         object.__setattr__(self, "probs", _freeze(self.probs, 1 << self.arity))
+
+    @classmethod
+    def _adopt(cls, arity: int, probs: np.ndarray) -> "JointBooleanDist":
+        """Wrap a table that a kernel has just built and checked: made
+        read-only in place, neither copied nor checked again."""
+        probs.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "arity", arity)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
@@ -102,7 +118,7 @@ class FiniteDist:
     def __post_init__(self):
         labels = tuple(self.alphabet)
         if len(set(labels)) != len(labels):
-            raise ValueError("alphabet labels must be distinct")
+            raise InvalidParameter("alphabet labels must be distinct")
         object.__setattr__(self, "alphabet", labels)
         object.__setattr__(self, "probs", _freeze(self.probs, len(labels)))
 
@@ -153,10 +169,10 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _float_array(values) -> np.ndarray:
-    """values as float64; an integer too large for a float reads as +-inf,
-    as the literal 1e400 does."""
+    """A new float64 array of values; an integer too large for a float
+    reads as +-inf, as the literal 1e400 does."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     except OverflowError:
         return np.frompyfunc(to_float, 1, 1)(
             np.asarray(values, dtype=object)
@@ -177,18 +193,19 @@ def make_joint(arity: int, probs) -> JointBooleanDist:
             f"need {1 << arity} probabilities for arity {arity}, "
             f"got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN if any entry is.
+    lowest, highest = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise NegativeMass("probabilities must be finite")
-    lowest = float(arr.min())
     if lowest < -EPS_SIMPLEX:
         raise NegativeMass(f"probability entry {lowest} is negative")
-    arr = np.maximum(arr, 0.0)
+    np.maximum(arr, 0.0, out=arr)
     total = _exact_sum(arr)
     if abs(total - 1.0) > EPS_SIMPLEX:
         raise NotNormalized(f"probabilities sum to {total}, not 1")
     if total != 1.0:
-        arr = arr / total
-    return JointBooleanDist(arity, arr)
+        arr /= total
+    return JointBooleanDist._adopt(arity, arr)
 
 
 def independent_product(factors: Sequence[float]) -> JointBooleanDist:
@@ -211,7 +228,7 @@ def independent_product(factors: Sequence[float]) -> JointBooleanDist:
         np.multiply(table[:half], p, out=table[half : 2 * half])
         table[:half] *= 1.0 - p
         half *= 2
-    return JointBooleanDist(len(ps), table)
+    return JointBooleanDist._adopt(len(ps), table)
 
 
 def _coords_to_bits(coords: Sequence[int], arity: int) -> list[int]:
@@ -244,7 +261,7 @@ def marginal(dist: JointBooleanDist, coords: Sequence[int]) -> JointBooleanDist:
         dist.probs.reshape((2,) * n).transpose(dropped + kept)
     ).reshape(-1, 1 << len(bits))
     summed = np.add.reduce(rows, axis=0, initial=0.0)
-    return JointBooleanDist(len(bits), summed)
+    return JointBooleanDist._adopt(len(bits), summed)
 
 
 def pair_from_pq(p1: float, p2: float, q: float) -> JointBooleanDist:
@@ -260,21 +277,22 @@ def pair_from_pq(p1: float, p2: float, q: float) -> JointBooleanDist:
     p_tf = (1.0 - p2) - q
     p_tt = p1 + p2 - 1.0 + q
     table = np.maximum([p_ff, p_tf, p_ft, p_tt], 0.0)
-    return JointBooleanDist(2, table)
+    return JointBooleanDist._adopt(2, table)
 
 
 def pushforward(dist: JointBooleanDist, f: BooleanFunction) -> JointBooleanDist:
     """Transport the table through a Boolean function.
 
     Output entry b collects the probability of every input assignment a
-    with f(a) = b; the sums run in ascending index order.
+    with f(a) = b; each sum runs from 0.0 in ascending index order.
     """
     if f.arity_in != dist.arity:
         raise ArityMismatch(
             f"function input arity {f.arity_in} != distribution arity {dist.arity}"
         )
-    summed = np.bincount(f.table, weights=dist.probs, minlength=1 << f.arity_out)
-    return JointBooleanDist(f.arity_out, summed)
+    summed = np.zeros(1 << f.arity_out)
+    np.add.at(summed, f.table, dist.probs)
+    return JointBooleanDist._adopt(f.arity_out, summed)
 
 
 def pushforward_finite(dist: JointBooleanDist, value_table) -> FiniteDist:
@@ -312,5 +330,6 @@ def pushforward_finite(dist: JointBooleanDist, value_table) -> FiniteDist:
         if label not in label_codes:
             label_codes[label] = len(label_codes)
         codes[idx] = label_codes[label]
-    summed = np.bincount(codes, weights=dist.probs, minlength=len(label_codes))
+    summed = np.zeros(len(label_codes))
+    np.add.at(summed, codes, dist.probs)
     return FiniteDist(tuple(label_codes), summed)

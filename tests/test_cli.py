@@ -77,6 +77,21 @@ class TestEval:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("probs", ['["0.5", "0.5"]', "[true, false]", "[null, 1]"])
+    def test_non_number_probs_exit_2(self, tmp_path, capsys, probs):
+        path = write(tmp_path, "joint.json", f'{{"arity": 1, "probs": {probs}}}')
+        code, out, err = run(capsys, ["eval", "--formula", "A", "--input", path])
+        assert (code, out) == (2, "")
+        assert err == "error: SchemaError: 'probs' must be a list of numbers\n"
+
+    def test_quantified_formula_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "joint.json", '{"arity": 1, "probs": [0.5, 0.5]}')
+        code, _, err = run(
+            capsys, ["eval", "--formula", "forall x in U: P(x)", "--input", path]
+        )
+        assert code == 2
+        assert err.startswith("error: UnexpandedQuantifier: ")
+
     def test_bad_joint_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "joint.json", '{"arity": 1, "probs": [0.5, 0.4]}')
         code, _, err = run(capsys, ["eval", "--formula", "P1", "--input", path])
@@ -393,6 +408,24 @@ class TestQuantify:
         assert json.loads(out)["radius"] == pytest.approx(
             math.sqrt(math.log(4.0) / 200.0)
         )
+
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_tuple_length_below_1_exit_2(self, tmp_path, capsys, length):
+        """An explicit value below 1 is rejected by name, not read as the
+        default or blamed on the universe."""
+        path = write(tmp_path, "table.json", TABLE)
+        argv = ["quantify", "sample", "--input", path, "--tuple-length", length]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --tuple-length must be >= 1\n"
+
+    def test_tuple_length_defaults_to_universe_size(self, tmp_path, capsys):
+        path = write(tmp_path, "table.json", TABLE)
+        argv = ["quantify", "sample", "--input", path, "--samples", "200"]
+        code, default, _ = run(capsys, argv)
+        assert code == 0
+        _, explicit, _ = run(capsys, argv + ["--tuple-length", "2"])
+        assert default == explicit
 
     def test_empty_universe_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "table.json", '{"universe": [], "p": {}}')

@@ -268,3 +268,30 @@ class TestParseJoint:
 
         with pytest.raises(NotNormalized):
             mf.parse_joint('{"arity": 1, "probs": [0.5, 0.4]}')
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            '["0.5", "0.5"]',
+            "[true, false]",
+            "[0, true]",
+            "[null, 1]",
+            "[[0.5], 0.5]",
+            '[{"p": 0.5}, 0.5]',
+        ],
+    )
+    def test_entries_must_be_json_numbers(self, probs):
+        """Strings, booleans and nulls are not read as numbers."""
+        with pytest.raises(SchemaError, match="'probs' must be a list of numbers"):
+            mf.parse_joint(f'{{"arity": 1, "probs": {probs}}}')
+
+    def test_integer_entries_are_numbers(self):
+        dist = mf.parse_joint('{"arity": 1, "probs": [0, 1]}')
+        assert dist.probs.tolist() == [0.0, 1.0]
+
+    def test_huge_integer_reads_as_inf(self):
+        from markov_fuzzy.errors import NegativeMass
+
+        huge = "9" * 400
+        with pytest.raises(NegativeMass, match="must be finite"):
+            mf.parse_joint(f'{{"arity": 1, "probs": [0, {huge}]}}')

@@ -1,0 +1,71 @@
+"""Argument checks of the boolfuncs, bounds, connectives, dsl and joints
+modules raise typed errors: each a MarkovFuzzyError that is still a
+ValueError, so callers catching ValueError keep working."""
+
+import numpy as np
+import pytest
+
+import markov_fuzzy as mf
+from markov_fuzzy import Exists, Var, cli
+from markov_fuzzy.dsl import SourceSpan
+from markov_fuzzy.errors import (
+    ArityMismatch,
+    InvalidParameter,
+    MarkovFuzzyError,
+    UnexpandedQuantifier,
+)
+
+#: Each check: the call and the error it raises.
+RAISE_SITES = {
+    "function table entry beyond arity_out bits": (
+        ArityMismatch,
+        lambda: mf.BooleanFunction(1, 1, np.array([0, 2])),
+    ),
+    "quantifier left in a compiled formula": (
+        UnexpandedQuantifier,
+        lambda: mf.compile_formula(Exists("x", "U", Var("P(x)")), ["P(x)"]),
+    ),
+    "interval ends out of order": (
+        InvalidParameter,
+        lambda: mf.ConfidenceInterval(0.6, 0.4),
+    ),
+    "grid step outside (0, 0.1]": (
+        InvalidParameter,
+        lambda: mf.brute_force_bounds(
+            mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), grid_step=0.5
+        ),
+    ),
+    "unknown connective kind": (
+        InvalidParameter,
+        lambda: mf.classic(0.5, 0.5, "nand", "min"),
+    ),
+    "unknown connective flavor": (
+        InvalidParameter,
+        lambda: mf.classic(0.5, 0.5, "and", "mean"),
+    ),
+    "source span ending before its start": (
+        InvalidParameter,
+        lambda: SourceSpan(3, 1),
+    ),
+    "repeated alphabet label": (
+        InvalidParameter,
+        lambda: mf.FiniteDist(("a", "a"), [0.5, 0.5]),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_raise_site(site):
+    error, call = RAISE_SITES[site]
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, MarkovFuzzyError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_cli_maps_them_to_input_errors():
+    """The CLI exits 2 on each, as on the bare ValueError before; the one
+    ArityMismatch, BooleanFunction's entry check, no CLI input reaches."""
+    for error, _ in RAISE_SITES.values():
+        if error is not ArityMismatch:
+            assert not issubclass(error, cli._SEMANTIC_ERRORS)

@@ -6,12 +6,19 @@ Each reference below is the implementation the kernel replaced: a
 `compile_formula` and `math.fsum` over a list for `make_joint`.  The
 kernels must agree with them bit for bit, so `np.array_equal` (and, for
 signed zeros, the bytes) is the test, not a tolerance.
+
+The last part pins how the kernels hold memory: `pushforward` sums in
+index order without copying its inputs, kernels build each table once
+and return it read-only, and the public constructors copy their input.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Implies, Not, Or, Var
@@ -208,3 +215,179 @@ def test_make_joint_matches_fsum_normalisation(n):
         skewed[0] -= 1e-12  # one tiny negative excursion when probs[0] is 0
         got = mf.make_joint(n, skewed).probs
         assert same_bits(got, make_joint_reference(skewed))
+
+
+# ---------------------------------------------------------------------------
+# Pushforward order, ownership and memory
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+#: Table entries with many exact (and signed) zeros.
+entries = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def tables(draw, max_arity=6):
+    n = draw(st.integers(0, max_arity))
+    weights = draw(st.lists(entries, min_size=1 << n, max_size=1 << n))
+    total = math.fsum(weights)
+    probs = np.array(weights) / total if total > 0 else np.full(1 << n, 0.5**n)
+    return mf.JointBooleanDist(n, probs)
+
+
+def sequential_sums(codes, probs, size):
+    """Each output entry summed from 0.0 in ascending index order, in
+    Python floats."""
+    sums = [0.0] * size
+    for code, p in zip(codes, probs.tolist()):
+        sums[code] += p
+    return np.array(sums)
+
+
+@PROPERTY
+@given(tables(), st.integers(1, 4), st.data())
+def test_pushforward_sums_in_index_order(dist, m, data):
+    codes = data.draw(
+        st.lists(
+            st.integers(0, (1 << m) - 1),
+            min_size=1 << dist.arity,
+            max_size=1 << dist.arity,
+        )
+    )
+    got = mf.pushforward(dist, mf.BooleanFunction(dist.arity, m, codes)).probs
+    assert same_bits(got, sequential_sums(codes, dist.probs, 1 << m))
+
+
+@PROPERTY
+@given(tables(), st.data())
+def test_pushforward_finite_sums_in_index_order(dist, data):
+    labels = data.draw(
+        st.lists(
+            st.sampled_from(["a", "b", "c", 0, None]),
+            min_size=1 << dist.arity,
+            max_size=1 << dist.arity,
+        )
+    )
+    alphabet = tuple(dict.fromkeys(labels))
+    codes = [alphabet.index(label) for label in labels]
+    got = mf.pushforward_finite(dist, labels)
+    assert got.alphabet == alphabet
+    assert same_bits(got.probs, sequential_sums(codes, dist.probs, len(alphabet)))
+
+
+def caller_buffer(kind, values, dtype):
+    array = np.array(values, dtype=dtype)
+    return {"list": values, "ndarray": array, "memoryview": memoryview(array)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["list", "ndarray", "memoryview"])
+def test_joint_constructors_copy_the_callers_buffer(kind):
+    probs = [0.125, 0.25, 0.25, 0.375]
+    source = caller_buffer(kind, list(probs), np.float64)
+    built = [mf.make_joint(2, source), mf.JointBooleanDist(2, source)]
+    source[0], source[3] = 0.375, 0.125
+    for dist in built:
+        assert dist.probs.tolist() == probs
+
+
+@pytest.mark.parametrize("kind", ["list", "ndarray", "memoryview"])
+def test_function_constructor_copies_the_callers_buffer(kind):
+    source = caller_buffer(kind, [0, 1, 1, 0], np.int64)
+    f = mf.BooleanFunction(2, 1, source)
+    source[0] = 1
+    assert f.table.tolist() == [0, 1, 1, 0]
+
+
+def _kernel_results():
+    joint = mf.make_joint(2, [0.125, 0.25, 0.25, 0.375])
+    f = mf.compile_formula(mf.parse_formula("A & !B"), ["A", "B"])
+    return {
+        "make_joint": joint.probs,
+        "JointBooleanDist": mf.JointBooleanDist(1, [0.5, 0.5]).probs,
+        "independent_product": mf.independent_product([0.2, 0.7]).probs,
+        "marginal": mf.marginal(joint, [2]).probs,
+        "pair_from_pq": mf.pair_from_pq(0.7, 0.6, 0.2).probs,
+        "pushforward": mf.pushforward(joint, f).probs,
+        "pushforward_finite": mf.pushforward_finite(joint, "abba").probs,
+        "compile_formula": f.table,
+        "compile_formula of a variable": mf.compile_formula(Var("B"), ["A", "B"]).table,
+        "BooleanFunction": mf.BooleanFunction(1, 1, [1, 0]).table,
+        "identity_function": mf.identity_function(2).table,
+        "and_function": mf.and_function(3).table,
+        "or_function": mf.or_function(3).table,
+        "compose": mf.compose(mf.not_function(), f).table,
+        "product": mf.product(f, mf.xor_function()).table,
+        "from_minterms": mf.from_minterms(2, {(True, False)}).table,
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_kernel_results()))
+def test_kernel_results_are_read_only(kernel):
+    result = _kernel_results()[kernel]
+    assert not result.flags.writeable
+    with pytest.raises(ValueError):
+        result[0] = result[0]
+
+
+#: Arity of the memory guards: a 2 MiB table dwarfs numpy's small buffers.
+GUARD_ARITY = 18
+TABLE_BYTES = 8 << GUARD_ARITY
+GUARD_NAMES = [f"v{i}" for i in range(1, GUARD_ARITY + 1)]
+
+
+def traced_peak(call):
+    """Peak memory traced while call() runs (numpy reports its buffers to
+    tracemalloc), above the memory traced before it, in tables."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return (peak - before) / TABLE_BYTES
+
+
+def balanced_formula(names, depth=0):
+    """A read-once tree over all names, cycling through the connectives."""
+    if len(names) == 1:
+        return Var(names[0]) if depth % 2 else Not(Var(names[0]))
+    half = len(names) // 2
+    node = (And, Or, Implies)[depth % 3]
+    return node(
+        balanced_formula(names[:half], depth + 1),
+        balanced_formula(names[half:], depth + 2),
+    )
+
+
+def chain_formula(names):
+    ast = Var(names[0])
+    for name in names[1:]:
+        ast = And(ast, Var(name))
+    return ast
+
+
+def test_pushforward_copies_no_table():
+    ps = np.linspace(0.05, 0.95, GUARD_ARITY).tolist()
+    joint = mf.independent_product(ps)
+    f = mf.compile_formula(balanced_formula(GUARD_NAMES), GUARD_NAMES)
+    assert traced_peak(lambda: mf.pushforward(joint, f)) < 0.01
+
+
+def test_independent_product_builds_one_table():
+    ps = np.linspace(0.05, 0.95, GUARD_ARITY).tolist()
+    assert traced_peak(lambda: mf.independent_product(ps)) < 1.1
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [balanced_formula(GUARD_NAMES), chain_formula(GUARD_NAMES), Var("v7")],
+    ids=["balanced", "chain", "variable"],
+)
+def test_compile_formula_builds_one_table(ast):
+    assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES)) < 1.1
