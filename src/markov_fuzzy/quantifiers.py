@@ -17,7 +17,10 @@ n-ary "or") but can be wider.
 `exists_truncated` follows a growing chain of explicit joints (the finite
 truncations of a countable universe) and `sample_exists` estimates the
 expected confidence of finding a witness under a sampling strategy, with a
-distribution-free Hoeffding radius.
+distribution-free Hoeffding radius.  Its draws map to labels by an indexed
+("guide table") inverse-CDF search whose indices are bit-identical to
+np.searchsorted's, and it streams in blocks of _SAMPLE_BLOCK tuples,
+holding 8 bytes per sample.
 """
 
 from __future__ import annotations
@@ -214,12 +217,16 @@ class SamplingStrategy:
 
     Either i.i.d. draws over the finite universe (`weights`; None means
     uniform) or an explicit caller-supplied stream of tuples.  Draws are
-    produced by a counter-based generator (Philox), so the tuple at sample
+    produced by a counter-based generator (Philox) keyed by `seed`, an
+    integer in [0, 2**128) (None draws a fresh key), so the tuple at sample
     index k is a pure function of (seed, k) and runs are reproducible.
+    Uniforms map to labels by an indexed inverse-CDF search that returns
+    exactly the indices of np.searchsorted(cdf, u, side="right"), and
+    `sample_exists` draws them in blocks, keeping 8 bytes per sample.
     """
 
     tuple_length: int
-    seed: int = 0
+    seed: Optional[int] = 0
     weights: Optional[Mapping] = None
     tuples: Optional[Iterable] = None
 
@@ -227,6 +234,17 @@ class SamplingStrategy:
         if int(self.tuple_length) < 1:
             raise InvalidParameter("tuple_length must be >= 1")
         object.__setattr__(self, "tuple_length", int(self.tuple_length))
+        seed = self.seed
+        if seed is not None:
+            if (
+                isinstance(seed, bool)
+                or not isinstance(seed, (int, np.integer))
+                or not 0 <= seed < 1 << 128
+            ):
+                raise InvalidParameter(
+                    f"seed must be None or an integer in [0, 2**128), got {seed!r}"
+                )
+            object.__setattr__(self, "seed", int(seed))
         if self.weights is not None:
             if self.tuples is not None:
                 raise InvalidParameter(
@@ -259,9 +277,47 @@ class SampleEstimate:
 LiftPolicy = Union[str, Callable[[tuple], JointBooleanDist]]
 
 
-def _draw_index_tuples(
-    table: BeliefTable, strategy: SamplingStrategy, n_samples: int
-) -> np.ndarray:
+#: Rows per block of `sample_exists`.  A block's uniforms, indices and
+#: lifted values stay in cache; only the per-sample values span all N.
+_SAMPLE_BLOCK = 1 << 13
+
+
+class _IndexedSearch:
+    """Inverse-CDF lookup by indexed search (Chen and Asau 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. III).
+
+    `self(u)` equals np.searchsorted(cdf, u, side="right") index for index,
+    for any u in [0, 1).  `slots` is a power of two >= 2 * len(cdf), so
+    u * slots is exact and its integer part b names the slot
+    [b/slots, (b+1)/slots) that holds u.  Every index searchsorted can
+    return there lies in [lo[b], hi[b]]; starting from lo[b], `passes`
+    rounds of branchless bisection make the same `cdf[j] <= u` comparisons
+    over that window, against +inf past the end of cdf.  That holds too for
+    a cumsum that overshoots 1.0 before its last entry is set to 1.0: every
+    entry from the overshoot on exceeds u.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        self.slots = 1 << (2 * cdf.size - 1).bit_length()
+        edges = np.arange(self.slots + 1) / self.slots
+        self.lo = np.searchsorted(cdf, edges[:-1], side="right")
+        hi = np.searchsorted(cdf, edges[1:], side="left")
+        self.passes = int((hi - self.lo).max()).bit_length()
+        self.padded = np.concatenate([cdf, np.full(1 << self.passes, np.inf)])
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        idx = self.lo[(u * self.slots).astype(np.intp)]
+        for bit in reversed(range(self.passes)):
+            step = 1 << bit
+            # Reading cdf[idx + step - 1] as padded[step - 1:][idx].
+            hit = np.less_equal(self.padded[step - 1 :].take(idx), u)
+            idx += hit * step if bit else hit
+        return idx
+
+
+def _drawn_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int):
+    """Index tuples drawn i.i.d. from the strategy's weights, as a lazy
+    sequence of blocks of _SAMPLE_BLOCK rows; the weights are checked now."""
     labels = table.universe
     if strategy.weights is None:
         weights = np.full(len(labels), 1.0 / len(labels))
@@ -274,9 +330,96 @@ def _draw_index_tuples(
         weights = np.array([strategy.weights.get(x, 0.0) for x in labels])
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
+    search = _IndexedSearch(cdf)
+    # Philox continues its stream across calls: the blocks draw the same
+    # uniforms as one (n_samples, tuple_length) call would.
     rng = np.random.Generator(np.random.Philox(key=strategy.seed))
-    uniforms = rng.random((n_samples, strategy.tuple_length))
-    return np.searchsorted(cdf, uniforms, side="right")
+    length = strategy.tuple_length
+    return (
+        search(rng.random((min(_SAMPLE_BLOCK, n_samples - start), length)))
+        for start in range(0, n_samples, _SAMPLE_BLOCK)
+    )
+
+
+def _stream_index_tuples(
+    labels: tuple, strategy: SamplingStrategy, n_samples: int
+) -> np.ndarray:
+    drawn = list(islice(iter(strategy.tuples), n_samples))
+    if len(drawn) < n_samples:
+        raise InvalidParameter(
+            f"tuple stream yielded {len(drawn)} tuples, need {n_samples}"
+        )
+    position = {x: i for i, x in enumerate(labels)}
+    for t in drawn:
+        if len(t) != strategy.tuple_length:
+            raise InvalidParameter(
+                f"tuple {t!r} does not have length {strategy.tuple_length}"
+            )
+    try:
+        return np.array([[position[x] for x in t] for t in drawn], dtype=np.intp)
+    except KeyError as exc:
+        raise BadCoordinate(
+            f"tuple stream names {exc.args[0]!r}, which is not in the universe"
+        ) from None
+
+
+def _lift_scorer(table: BeliefTable, tuple_length: int, lift: LiftPolicy):
+    """score(block, out): the witness confidence of each index tuple of a
+    block, written to out."""
+    labels = table.universe
+    p_by_index = np.array([table.p[x] for x in labels])
+    if lift == "independent":
+        miss = 1.0 - p_by_index
+
+        def score(block, out):
+            # Column by column, left to right: the order of np.prod(axis=1).
+            gathered = miss[block]
+            np.copyto(out, gathered[:, 0])
+            for column in range(1, tuple_length):
+                out *= gathered[:, column]
+            np.subtract(1.0, out, out=out)
+
+    elif lift == "pairwise":
+        if tuple_length != 2:
+            raise UnsupportedLiftPolicy(
+                "pairwise lifts are defined for tuples of length 2 only"
+            )
+        # Pair (i, j) has key i * k + j, in both orders: the same predicate
+        # twice is the disjunction itself (p); a q_pair entry gives 1 - q.
+        # Sorted keys take memory linear in the entries, where a k-by-k
+        # table would grow with the square of the universe.
+        k = len(labels)
+        position = {x: i for i, x in enumerate(labels)}
+        keys = [i * k + i for i in range(k)]
+        scores = p_by_index.tolist()
+        for (a, b), q in table.q_pair.items():
+            i, j = position[a], position[b]
+            keys += [i * k + j, j * k + i]
+            scores += [1.0 - q] * 2
+        order = np.argsort(keys)
+        keys, scores = np.array(keys)[order], np.array(scores)[order]
+
+        def score(block, out):
+            first, second = block[:, 0], block[:, 1]
+            wanted = first * k + second
+            at = np.searchsorted(keys, wanted)
+            np.minimum(at, keys.size - 1, out=at)
+            known = keys[at] == wanted
+            if not known.all():
+                row = int(np.argmin(known))
+                a, b = labels[first[row]], labels[second[row]]
+                raise UnsupportedLiftPolicy(f"no q_pair entry for pair ({a}, {b})")
+            np.take(scores, at, out=out)
+
+    elif callable(lift):
+
+        def score(block, out):
+            for row, tup in enumerate(block.tolist()):
+                out[row] = exists_exact(lift(tuple(labels[i] for i in tup)))
+
+    else:
+        raise UnsupportedLiftPolicy(f"unknown lift policy {lift!r}")
+    return score
 
 
 def sample_exists(
@@ -293,64 +436,33 @@ def sample_exists(
     table's q_pair; tuples of length 2 only), or a callable returning an
     exact joint per tuple.  Chaining pairwise constraints across longer
     tuples is rejected rather than approximated.
+
+    Tuples are drawn, lifted and scored in blocks of _SAMPLE_BLOCK rows,
+    so drawn samples hold 8 bytes each, their scores (a tuple stream is
+    read whole first); a count whose scores cannot be allocated raises
+    InvalidParameter.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidParameter("n_samples must be >= 1")
     if not table.universe:
         raise EmptyUniverse("cannot sample from an empty universe")
-    labels = table.universe
-    p_by_index = np.array([table.p[x] for x in labels])
-
+    starts = range(0, n_samples, _SAMPLE_BLOCK)
     if strategy.tuples is not None:
-        drawn = list(islice(iter(strategy.tuples), n_samples))
-        if len(drawn) < n_samples:
-            raise InvalidParameter(
-                f"tuple stream yielded {len(drawn)} tuples, need {n_samples}"
-            )
-        position = {x: i for i, x in enumerate(labels)}
-        for t in drawn:
-            if len(t) != strategy.tuple_length:
-                raise InvalidParameter(
-                    f"tuple {t!r} does not have length {strategy.tuple_length}"
-                )
-        try:
-            index_tuples = np.array(
-                [[position[x] for x in t] for t in drawn], dtype=np.int64
-            )
-        except KeyError as exc:
-            raise BadCoordinate(
-                f"tuple stream names {exc.args[0]!r}, which is not in the universe"
-            ) from None
+        index_tuples = _stream_index_tuples(table.universe, strategy, n_samples)
+        blocks = (index_tuples[start : start + _SAMPLE_BLOCK] for start in starts)
     else:
-        index_tuples = _draw_index_tuples(table, strategy, n_samples)
-
-    if lift == "independent":
-        miss = 1.0 - p_by_index[index_tuples]
-        values = 1.0 - np.prod(miss, axis=1)
-    elif lift == "pairwise":
-        if strategy.tuple_length != 2:
-            raise UnsupportedLiftPolicy(
-                "pairwise lifts are defined for tuples of length 2 only"
-            )
+        blocks = _drawn_blocks(table, strategy, n_samples)
+    try:
         values = np.empty(n_samples)
-        for k, (i, j) in enumerate(index_tuples):
-            a, b = labels[i], labels[j]
-            if a == b:
-                # The same predicate twice: the disjunction is itself.
-                values[k] = table.p[a]
-                continue
-            q = table.q(a, b)
-            if q is None:
-                raise UnsupportedLiftPolicy(f"no q_pair entry for pair ({a}, {b})")
-            values[k] = 1.0 - q
-    elif callable(lift):
-        values = np.empty(n_samples)
-        for k, row in enumerate(index_tuples):
-            joint = lift(tuple(labels[i] for i in row))
-            values[k] = exists_exact(joint)
-    else:
-        raise UnsupportedLiftPolicy(f"unknown lift policy {lift!r}")
+    except (MemoryError, ValueError):
+        raise InvalidParameter(
+            f"n_samples = {n_samples} is too large: its {8 * n_samples} bytes "
+            "of per-sample values cannot be allocated"
+        ) from None
+    score = _lift_scorer(table, strategy.tuple_length, lift)
+    for start, block in zip(starts, blocks):
+        score(block, values[start : start + len(block)])
 
     mean = float(np.add.reduce(values) / n_samples)
     return SampleEstimate(mean=clip01(mean), n_samples=n_samples, seed=strategy.seed)

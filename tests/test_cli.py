@@ -438,6 +438,38 @@ class TestQuantify:
         assert code == 2
         assert "SchemaError" in err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 128])
+    def test_seed_outside_key_range_exit_2(self, tmp_path, capsys, seed):
+        path = write(tmp_path, "table.json", TABLE)
+        argv = ["quantify", "sample", "--input", path, "--seed", str(seed)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: InvalidParameter: seed must be None or an integer in "
+            f"[0, 2**128), got {seed}\n"
+        )
+
+    def test_unallocatable_sample_count_exit_2(self, tmp_path):
+        """10**15 samples need 8 PB for their values, which fails up front:
+        a one-line error that names the count, not a traceback."""
+        path = write(tmp_path, "table.json", TABLE)
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["quantify", "sample", "--input", path, "--samples", str(10**15)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "markov_fuzzy", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(
+            "error: InvalidParameter: n_samples = 1000000000000000 is too large"
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
 
 class TestIntegerBeyondFloatRange:
     """A JSON integer too large for a float reads as the literal 1e400 does:

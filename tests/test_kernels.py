@@ -391,3 +391,12 @@ def test_independent_product_builds_one_table():
 )
 def test_compile_formula_builds_one_table(ast):
     assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES)) < 1.1
+
+
+def test_make_joint_holds_little_beyond_its_table():
+    """make_joint's one owned copy plus `_exact_sum`'s reused block buffers:
+    at n = 16 the buffers are under one table."""
+    n = 16
+    probs = random_table(np.random.default_rng(16), n).probs
+    peak = traced_peak(lambda: mf.make_joint(n, probs))
+    assert peak * TABLE_BYTES / probs.nbytes <= 2.5

@@ -3,13 +3,18 @@
 import itertools
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
 from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy import cli
+from markov_fuzzy._common import clip01
 from markov_fuzzy.errors import (
     BadCoordinate,
     EmptyUniverse,
@@ -23,6 +28,7 @@ from markov_fuzzy.errors import (
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
+from markov_fuzzy.quantifiers import _SAMPLE_BLOCK, _IndexedSearch
 
 
 def table_from_joint(joint, labels, with_pairs):
@@ -494,6 +500,22 @@ RAISE_SITES = {
             PAIR, mf.SamplingStrategy(tuple_length=2, tuples=[("a",)]), 1
         ),
     ),
+    "seed below 0": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=1, seed=-1),
+    ),
+    "seed of 2**128 or more": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=1, seed=1 << 128),
+    ),
+    "seed that is not an integer": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=1, seed=1.5),
+    ),
+    "n_samples too large to allocate": (
+        InvalidParameter,
+        lambda: mf.sample_exists(PAIR, mf.SamplingStrategy(tuple_length=1), 10**15),
+    ),
 }
 
 
@@ -511,3 +533,365 @@ class TestErrorTypes:
         """None of them is a semantic error, so the CLI exits 2 on each."""
         for error, _ in RAISE_SITES.values():
             assert not issubclass(error, cli._SEMANTIC_ERRORS)
+
+
+# ---------------------------------------------------------------------------
+# The block sampler against the whole-array one it replaced
+# ---------------------------------------------------------------------------
+
+
+def sampler_table(k):
+    labels = tuple(f"x{i}" for i in range(k))
+    return mf.BeliefTable(labels, {x: (i * 7 % 11) / 11 for i, x in enumerate(labels)})
+
+
+def full_pair_table(k):
+    """Every pair at its independent q = (1 - p_a)(1 - p_b)."""
+    labels = tuple(f"x{i}" for i in range(k))
+    p = {x: 0.1 + 0.8 * i / k for i, x in enumerate(labels)}
+    q = {
+        (a, b): (1.0 - p[a]) * (1.0 - p[b])
+        for i, a in enumerate(labels)
+        for b in labels[i + 1 :]
+    }
+    return mf.BeliefTable(labels, p, q)
+
+
+#: Weights whose cumsum overshoots 1.0 (1.0000000000000002) before the
+#: trailing zeros, and the last entry of the cdf is set to 1.0.
+OVERSHOOT = (9 / 28, 18 / 28, 1 / 28, 0.0, 0.0)
+
+
+def clustered_weights(k):
+    """Five heavy labels, k - 10 of weight 1e-6, five heavy: the tiny ones
+    share a few slots, so the search runs several bisection passes."""
+    heavy = (1.0 - 1e-6 * (k - 10)) / 10
+    return [heavy] * 5 + [1e-6] * (k - 10) + [heavy] * 5
+
+
+def sampler_cases():
+    """name -> (table, strategy, n_samples, lift)."""
+    cases = {}
+    for n in (_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1):
+        cases[f"uniform k=5 L=3 N={n}"] = (
+            sampler_table(5), mf.SamplingStrategy(3, seed=17), n, "independent"
+        )
+    for length in range(1, 7):
+        cases[f"uniform k=4 L={length}"] = (
+            sampler_table(4),
+            mf.SamplingStrategy(length, seed=100 + length),
+            3000,
+            "independent",
+        )
+    t7 = sampler_table(7)
+    w7 = {x: (i + 1) / 28 for i, x in enumerate(t7.universe)}
+    cases["weighted k=7 L=2"] = (
+        t7, mf.SamplingStrategy(2, seed=5, weights=w7), 10000, "independent"
+    )
+    t5 = sampler_table(5)
+    cases["overshooting cumsum, trailing zeros"] = (
+        t5,
+        mf.SamplingStrategy(3, seed=9, weights=dict(zip(t5.universe, OVERSHOOT))),
+        _SAMPLE_BLOCK + 1,
+        "independent",
+    )
+    t1 = mf.BeliefTable(("only",), {"only": 0.375})
+    for length in (1, 3):
+        cases[f"k=1 L={length}"] = (
+            t1, mf.SamplingStrategy(length, seed=4), _SAMPLE_BLOCK + 1, "independent"
+        )
+    labels = tuple(f"x{i}" for i in range(1000))
+    t1000 = mf.BeliefTable(labels, {x: (i % 97) / 97 for i, x in enumerate(labels)})
+    cw = dict(zip(labels, clustered_weights(1000)))
+    cases["k=1000 clustered tiny weights"] = (
+        t1000, mf.SamplingStrategy(2, seed=21, weights=cw), 20000, "independent"
+    )
+    cases["large seed"] = (
+        sampler_table(6),
+        mf.SamplingStrategy(4, seed=(1 << 128) - 1),
+        _SAMPLE_BLOCK,
+        "independent",
+    )
+    pairs = full_pair_table(6)
+    for n in (_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 1):
+        cases[f"pairwise k=6 N={n}"] = (
+            pairs, mf.SamplingStrategy(2, seed=31), n, "pairwise"
+        )
+    w6 = {x: (i + 1) / 21 for i, x in enumerate(pairs.universe)}
+    cases["pairwise weighted"] = (
+        pairs, mf.SamplingStrategy(2, seed=32, weights=w6), 9000, "pairwise"
+    )
+
+    def lift(points):
+        return mf.independent_product([t7.p[x] for x in points])
+
+    cases["callable k=7 L=3"] = (
+        t7, mf.SamplingStrategy(3, seed=41), _SAMPLE_BLOCK + 1, lift
+    )
+    letters = tuple("abcde")
+    stream = [
+        (letters[i % 5], letters[(i * i) % 5]) for i in range(_SAMPLE_BLOCK + 1)
+    ]
+    t5l = mf.BeliefTable(letters, {x: (i + 1) / 7 for i, x in enumerate(letters)})
+    cases["tuple stream independent"] = (
+        t5l,
+        mf.SamplingStrategy(2, tuples=stream),
+        _SAMPLE_BLOCK + 1,
+        "independent",
+    )
+    # Beliefs below 0.1 keep each product of up to six misses above 0.5,
+    # so 1 - product is exact and a mean of one to three samples shows
+    # every last bit of the product: these cases pin its order.
+    ragged_labels = tuple(f"r{i}" for i in range(9))
+    ragged = mf.BeliefTable(
+        ragged_labels,
+        {x: (i * 0.6180339887498949) % 1 * 0.1 for i, x in enumerate(ragged_labels)},
+    )
+    for length in range(2, 7):
+        for n in (1, 3):
+            cases[f"ragged k=9 L={length} N={n}"] = (
+                ragged, mf.SamplingStrategy(length, seed=50 + length), n, "independent"
+            )
+    return cases
+
+
+#: `mean.hex()` of each case, recorded from the whole-array sampler
+#: (one `rng.random((N, L))`, `np.searchsorted`, `np.prod(axis=1)` and a
+#: Python loop for the pairwise lift) before the block sampler replaced it.
+SAMPLER_GOLDEN = {
+    "uniform k=5 L=3 N=8191": "0x1.b4f972b5d9c52p-1",
+    "uniform k=5 L=3 N=8192": "0x1.b4fbbb87366e6p-1",
+    "uniform k=5 L=3 N=8193": "0x1.b4faffdfaf758p-1",
+    "uniform k=4 L=1": "0x1.cf3869c05368dp-2",
+    "uniform k=4 L=2": "0x1.6554b391cd8cep-1",
+    "uniform k=4 L=3": "0x1.a9d0d646bb4d9p-1",
+    "uniform k=4 L=4": "0x1.d52b3f8567269p-1",
+    "uniform k=4 L=5": "0x1.e5ab3d22ab666p-1",
+    "uniform k=4 L=6": "0x1.f1649f3a7a36fp-1",
+    "weighted k=7 L=2": "0x1.9428031d43af8p-1",
+    "overshooting cumsum, trailing zeros": "0x1.9987283c73de9p-1",
+    "k=1 L=1": "0x1.8000000000000p-2",
+    "k=1 L=3": "0x1.8300000000000p-1",
+    "k=1000 clustered tiny weights": "0x1.1af1c1c9d6365p-2",
+    "large seed": "0x1.c7b2788ae6e8ap-1",
+    "pairwise k=6 N=8191": "0x1.48e7f79ac2867p-1",
+    "pairwise k=6 N=8193": "0x1.48e43606224c1p-1",
+    "pairwise weighted": "0x1.8047e115b5f88p-1",
+    "callable k=7 L=3": "0x1.b9ed8fc8663bcp-1",
+    "tuple stream independent": "0x1.4e5829fac50fcp-1",
+    "ragged k=9 L=2 N=1": "0x1.b646669792ae8p-4",
+    "ragged k=9 L=2 N=3": "0x1.651daa1f77ad5p-4",
+    "ragged k=9 L=3 N=1": "0x1.c55d45144ee00p-4",
+    "ragged k=9 L=3 N=3": "0x1.a856fe0d17e08p-4",
+    "ragged k=9 L=4 N=1": "0x1.09e0c5711e458p-2",
+    "ragged k=9 L=4 N=3": "0x1.65f80bd2f2113p-3",
+    "ragged k=9 L=5 N=1": "0x1.e4410c0e4b5e4p-3",
+    "ragged k=9 L=5 N=3": "0x1.d76920b525cc8p-3",
+    "ragged k=9 L=6 N=1": "0x1.34cb0c30b10bcp-2",
+    "ragged k=9 L=6 N=3": "0x1.0100e2f63406ep-2",
+}
+
+
+def whole_array_mean(table, strategy, n, lift="independent"):
+    """The sampler before blocks: every uniform at once, `searchsorted`,
+    then `np.prod` over the tuple axis or a Python loop over the pairs."""
+    labels = table.universe
+    weights = strategy.weights or dict.fromkeys(labels, 1.0 / len(labels))
+    cdf = sampler_cdf([weights.get(x, 0.0) for x in labels])
+    rng = np.random.Generator(np.random.Philox(key=strategy.seed))
+    index = np.searchsorted(cdf, rng.random((n, strategy.tuple_length)), side="right")
+    if lift == "independent":
+        miss = 1.0 - np.array([table.p[x] for x in labels])
+        values = 1.0 - np.prod(miss[index], axis=1)
+    else:
+        values = np.empty(n)
+        for k, (i, j) in enumerate(index):
+            a, b = labels[i], labels[j]
+            if a == b:
+                values[k] = table.p[a]
+                continue
+            q = table.q(a, b)
+            if q is None:
+                raise UnsupportedLiftPolicy(f"no q_pair entry for pair ({a}, {b})")
+            values[k] = 1.0 - q
+    return float(np.add.reduce(values) / n)
+
+
+def outcome(call):
+    """A mean's bits, or the error it raised."""
+    try:
+        return call().hex()
+    except UnsupportedLiftPolicy as exc:
+        return str(exc)
+
+
+def sampler_cdf(weights):
+    """The cdf `sample_exists` searches: a cumsum with its last entry 1.0."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf[-1] = 1.0
+    return cdf
+
+
+def hard_keys(search, cdf):
+    """Every slot edge and every cdf entry below 1, with their neighbours."""
+    points = np.concatenate([np.arange(search.slots) / search.slots, cdf])
+    keys = np.concatenate(
+        [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
+    )
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+class TestBlockSampler:
+    def test_block_size_matches_the_recorded_cases(self):
+        # The golden cases straddle a block boundary at this size.
+        assert _SAMPLE_BLOCK == 8192
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_GOLDEN))
+    def test_bit_identical_to_the_whole_array_sampler(self, name):
+        table, strategy, n, lift = sampler_cases()[name]
+        mean = mf.sample_exists(table, strategy, n, lift=lift).mean
+        assert mean.hex() == SAMPLER_GOLDEN[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        length=st.integers(1, 7),
+        n=st.one_of(
+            st.integers(1, 4), st.integers(_SAMPLE_BLOCK - 2, 2 * _SAMPLE_BLOCK + 2)
+        ),
+        seed=st.integers(0, (1 << 128) - 1),
+        weighted=st.booleans(),
+    )
+    def test_matches_the_whole_array_reference(self, k, length, n, seed, weighted):
+        labels = tuple(f"y{i}" for i in range(k))
+        rng = np.random.default_rng(seed % 1000)
+        # Small beliefs on odd seeds: 1 - product is then exact (see above).
+        beliefs = rng.random(k) * (0.1 if seed % 2 else 1.0)
+        table = mf.BeliefTable(labels, dict(zip(labels, beliefs.tolist())))
+        weights = None
+        if weighted:
+            w = rng.random(k) ** 4
+            weights = dict(zip(labels, (w / w.sum()).tolist()))
+        strategy = mf.SamplingStrategy(length, seed=seed, weights=weights)
+        got = mf.sample_exists(table, strategy, n).mean
+        assert got.hex() == clip01(whole_array_mean(table, strategy, n)).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        n=st.integers(1, 2 * _SAMPLE_BLOCK + 2),
+        seed=st.integers(0, 2**64),
+        missing=st.sampled_from([0.0, 0.01, 0.3]),
+    )
+    def test_pairwise_matches_the_loop_reference(self, k, n, seed, missing):
+        labels = tuple(f"y{i}" for i in range(k))
+        rng = np.random.default_rng(seed % 1000)
+        p = dict(zip(labels, rng.random(k).tolist()))
+        q = {
+            (a, b): (1.0 - p[a]) * (1.0 - p[b])
+            for i, a in enumerate(labels)
+            for b in labels[i + 1 :]
+            if rng.random() >= missing
+        }
+        table = mf.BeliefTable(labels, p, q)
+        strategy = mf.SamplingStrategy(2, seed=seed)
+        got = outcome(lambda: mf.sample_exists(table, strategy, n, lift="pairwise").mean)
+        want = outcome(lambda: whole_array_mean(table, strategy, n, lift="pairwise"))
+        assert got == want
+
+    def test_clustered_weights_take_several_passes(self):
+        search = _IndexedSearch(sampler_cdf(clustered_weights(1000)))
+        assert search.passes >= 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(1e-12, 1e-4),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+    )
+    @example(raw=list(OVERSHOOT), uniforms=[0.9999999999999999])
+    @example(raw=[0.0, 0.0, 1.0, 0.0], uniforms=[0.0])
+    def test_search_equals_searchsorted(self, raw, uniforms):
+        total = math.fsum(raw)
+        weights = [x / total for x in raw] if total > 0.0 else [1.0] * len(raw)
+        cdf = sampler_cdf(weights)
+        search = _IndexedSearch(cdf)
+        u = np.concatenate([np.array(uniforms, dtype=np.float64), hard_keys(search, cdf)])
+        for shape in ((u.size,), (u.size // 2, 2)):
+            keys = u[: math.prod(shape)].reshape(shape)
+            want = np.searchsorted(cdf, keys, side="right")
+            assert np.array_equal(search(keys), want)
+
+    def test_values_are_the_only_array_of_n(self):
+        """N = 10**6 tuples of length 3 peak at 8 bytes per sample plus a
+        block's worth of buffers, where whole-array sampling held 9x that."""
+        n = 10**6
+        strategy = mf.SamplingStrategy(3, seed=2)
+        table = sampler_table(22)
+        tracemalloc.start()
+        try:
+            mf.sample_exists(table, strategy, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n
+
+    def test_pairwise_lookup_is_not_quadratic_in_the_universe(self):
+        """A sparse q_pair over 4000 labels: a k-by-k lookup table would
+        take 128 MB."""
+        labels = tuple(f"x{i}" for i in range(4000))
+        table = mf.BeliefTable(
+            labels, dict.fromkeys(labels, 0.5), {("x1", "x2"): 0.25}
+        )
+        stream = [("x1", "x2"), ("x2", "x1"), ("x3", "x3")] * 1000
+        strategy = mf.SamplingStrategy(2, tuples=stream)
+        tracemalloc.start()
+        try:
+            estimate = mf.sample_exists(table, strategy, 3000, lift="pairwise")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.mean == pytest.approx((0.75 + 0.75 + 0.5) / 3.0, abs=1e-12)
+        assert peak < 8 << 20
+
+    def test_pairwise_reports_the_first_missing_pair_in_sample_order(self):
+        table = mf.BeliefTable(
+            ("a", "b", "c"), {"a": 0.2, "b": 0.4, "c": 0.6}, {("a", "b"): 0.48}
+        )
+        # Two missing pairs, both past the first block; (c, a) comes first.
+        stream = [("a", "b")] * (_SAMPLE_BLOCK + 3) + [("c", "a"), ("b", "c")]
+        strategy = mf.SamplingStrategy(2, tuples=stream)
+        with pytest.raises(UnsupportedLiftPolicy) as info:
+            mf.sample_exists(table, strategy, len(stream), lift="pairwise")
+        assert str(info.value) == "no q_pair entry for pair (c, a)"
+
+    def test_pairwise_length_is_checked_before_pairs(self):
+        table = mf.BeliefTable(("a", "b"), {"a": 0.2, "b": 0.4})
+        strategy = mf.SamplingStrategy(3, tuples=[("a", "b", "a")])
+        with pytest.raises(UnsupportedLiftPolicy, match="length 2 only"):
+            mf.sample_exists(table, strategy, 1, lift="pairwise")
+
+    def test_huge_sample_count_is_named(self):
+        strategy = mf.SamplingStrategy(2, seed=0)
+        with pytest.raises(InvalidParameter, match=r"n_samples = 1000000000000000 "):
+            mf.sample_exists(PAIR, strategy, 10**15)
+
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 128) - 1, np.uint64(7), None])
+    def test_accepted_seeds(self, seed):
+        strategy = mf.SamplingStrategy(1, seed=seed)
+        assert strategy.seed == (None if seed is None else int(seed))
+        assert type(strategy.seed) in (int, type(None))
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1 << 128, 1.5, 2.0, True, False, "3", np.float64(2.0)]
+    )
+    def test_rejected_seeds(self, seed):
+        with pytest.raises(InvalidParameter, match="seed must be None or an integer"):
+            mf.SamplingStrategy(1, seed=seed)
