@@ -6,14 +6,15 @@ N <= 2**n <= 4096 columns, so the whole method fits in a few numpy calls
 per pivot:
 
 * phase I starts from the caller's basis: m column indices, where index
-  N + r names the artificial column e_r of row r.  It is inverted once
-  and its levels B^-1 b must be >= -TOL.  Without one, phase I starts
-  from one artificial per row (x_B = b, so b >= 0 is needed).  Phase I
+  N + r names the artificial column e_r of row r (without one, from one
+  artificial per row).  It is inverted once and its levels B^-1 b must
+  be >= -TOL.  A start basis without an artificial is feasible as it
+  stands, and phase I makes no pass over it.  Otherwise phase I
   minimizes the sum of the artificials; a sum above `TOL` proves
   infeasibility.  Any artificial left in the basis at level zero is then
   pivoted out, unless its row depends on the others;
-* phase II minimizes each cost from the previous optimal basis, so the
-  max of `exact_bounds` starts where the min stopped;
+* phase II minimizes each cost from the basis phase I ended on, so both
+  ends of `exact_bounds` start there;
 * the m x m basis inverse is kept explicitly, updated by a rank-one
   correction per pivot and recomputed every `REFACTOR_EVERY` pivots and
   before phase I decides feasibility;
@@ -24,13 +25,14 @@ per pivot:
   variable (Bland's rule, which cannot cycle) until a pivot moves the
   point again;
 * more than `MAX_PIVOTS` pivots in one phase raise SolverError;
-* each optimum is checked afresh on its final basis as soon as pricing
-  on the current inverse finds no improving column: B x_B = b (with one
-  refinement step against a residual summed by `math.fsum`) and
-  B^T y = c_B are solved by LU, x_B >= -TOL and every reduced cost
-  c - y A >= -TOL are required, and the value is `math.fsum(c_B * x_B)`.
-  A check that fails on an updated inverse refactors it and pivots on;
-  one that fails on a fresh inverse raises SolverError.
+* each optimum is checked on its final basis as soon as pricing finds no
+  improving column, from one fresh inverse (an updated inverse is
+  recomputed first): x_B = B^-1 b with one refinement step against a
+  residual summed by `math.fsum`, and y = c_B B^-1.  x_B >= -TOL and
+  every reduced cost c - y A >= -TOL are required, and the value is
+  `math.fsum(c_B * x_B)`.  A check that fails on an inverse that was
+  updated pivots on from the fresh one; one that fails on an inverse
+  that was already fresh raises SolverError.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ TOL = 1e-9
 
 #: Pivots allowed in one phase before the solve fails with SolverError.
 #: Bland's rule already rules out cycling; this bounds the time a stalled
-#: solve can take (about 0.19 ms a pivot at 79 rows and 4096 columns on a
-#: 2-core x86 machine, so about 9 s).
+#: solve can take (about 0.15 ms a pivot at 79 rows and 4096 columns on a
+#: 2-core x86 machine, solve overhead included, so about 8 s).
 MAX_PIVOTS = 50_000
 
 #: Pivots between recomputations of the basis inverse.
@@ -76,72 +78,77 @@ class Simplex:
         self._a = a
         self._b = b
         self._n = n
-        self._since_refactor = 0
-        if basis is None:
-            # Artificial column n + r is the unit vector e_r.
-            self._basis = np.arange(n, n + m)
-            self._binv = np.eye(m)
-            self._x = b.astype(np.float64)
-        else:
-            self._basis = np.array(basis)
-            self._refactor()
-            if self._x.min() < -TOL:
-                raise SolverError(
-                    "LP solve failed: start basis infeasible by "
-                    f"{-self._x.min():.3g}"
-                )
+        # Artificial column n + r is the unit vector e_r.
+        self._basis = np.arange(n, n + m) if basis is None else np.array(basis)
+        self._refactor()
+        if self._x.min() < -TOL:
+            raise SolverError(
+                f"LP solve failed: start basis infeasible by {-self._x.min():.3g}"
+            )
 
-        artificial = np.concatenate((np.zeros(n), np.ones(m)))
-        self.feasible = self._iterate(artificial, self._infeasibility) <= TOL
-        if self.feasible:
-            self._drive_out_artificials()
+        # A start basis without artificials is feasible as it stands.
+        self.feasible = True
+        if self._basis.max() >= n:
+            artificial = np.concatenate((np.zeros(n), np.ones(m)))
+            self.feasible = self._iterate(artificial, self._infeasibility) <= TOL
+            if self.feasible:
+                self._drive_out_artificials()
+        self._start = (self._basis, self._matrix, self._binv, self._x)
 
     def minimize(self, cost: np.ndarray) -> float:
-        """min cost.x over the feasible set, checked on the final basis."""
-        cost = np.concatenate((cost, np.zeros(len(self._basis))))
-        return self._iterate(cost, lambda: self._checked_value(cost))
+        """min cost.x over the feasible set, from the basis phase I ended
+        on, checked on the final basis."""
+        # Phase I ends on a fresh inverse, which each end starts from.
+        basis, self._matrix, binv, x = self._start
+        self._basis, self._binv, self._x = basis.copy(), binv.copy(), x.copy()
+        self._since_refactor = 0
+        cost = np.concatenate((cost, np.zeros(len(basis))))
+        return self._iterate(cost, lambda reduced: self._checked_value(cost, reduced))
 
-    def _infeasibility(self) -> Optional[float]:
-        """The sum of the artificial levels, or None on an inverse updated
-        since its last refactor: feasibility is decided on a fresh one."""
+    def _infeasibility(self, reduced: np.ndarray) -> Optional[float]:
+        """The sum of the artificial levels.  Feasibility is decided on a
+        fresh inverse: an updated one is refactored first, and None is
+        returned so that pricing runs again on it."""
         if self._since_refactor:
+            self._refactor()
             return None
         return math.fsum(self._x[self._basis >= self._n])
 
-    def _checked_value(self, cost: np.ndarray) -> Optional[float]:
-        """The value of the current basis, solved afresh by LU, once it is
-        shown primal feasible and optimal.  None when the check fails on an
-        inverse updated since its last refactor, so that pivoting goes on
-        from a fresh one; on a fresh inverse the failure is a SolverError."""
-        matrix = self._basis_matrix()
-        cost_b = cost[self._basis]
-        try:
-            x = np.linalg.solve(matrix, self._b)
-            # One step of refinement against a residual summed exactly.
-            terms = np.column_stack((self._b, -matrix * x)).tolist()
-            residual = [math.fsum(row) for row in terms]
-            x += np.linalg.solve(matrix, residual)
-            y = np.linalg.solve(matrix.T, cost_b)
-        except np.linalg.LinAlgError:
-            raise SolverError("LP solve failed: singular final basis") from None
+    def _checked_value(self, cost: np.ndarray, reduced: np.ndarray) -> Optional[float]:
+        """The value of the current basis, checked on a fresh inverse once
+        pricing finds no improving column: x_B = B^-1 b with one refinement
+        step, x_B >= -TOL, y = c_B B^-1 and every reduced cost c - y A
+        >= -TOL.  `reduced` holds the reduced costs pricing took; an
+        updated inverse is refactored and they are taken afresh.  None when
+        the check fails on an inverse that was updated, so that pivoting
+        goes on from the fresh one; on an inverse that was already fresh the
+        failure is a SolverError."""
+        updated = self._since_refactor > 0
+        if updated:
+            self._refactor()
+            y = cost[self._basis] @ self._binv
+            reduced = cost[: self._n] - y @ self._a
+        matrix, x = self._matrix, self._x
+        # One step of refinement against a residual summed exactly.
+        terms = np.concatenate((self._b[:, None], -matrix * x), axis=1).tolist()
+        x = x + self._binv @ [math.fsum(row) for row in terms]
         if x.min() < -TOL:
             failure = f"final basis infeasible by {-x.min():.3g}"
-        else:
-            reduced = cost[: self._n] - y @ self._a
-            if reduced.min() >= -TOL:
-                return math.fsum(cost_b * x)
+        elif reduced.min() < -TOL:
             failure = f"final basis not optimal, reduced cost {reduced.min():.3g}"
-        if self._since_refactor:
+        else:
+            return math.fsum(cost[self._basis] * x)
+        if updated:
             return None
         raise SolverError(f"LP solve failed: {failure}")
 
     def _iterate(
-        self, cost: np.ndarray, accept: Callable[[], Optional[float]]
+        self, cost: np.ndarray, accept: Callable[[np.ndarray], Optional[float]]
     ) -> float:
-        """Pivot until no column prices out and `accept()` returns a value,
-        which is returned; while it returns None, refactor and go on.
-        `cost` covers every column that can be basic (the artificials too,
-        in phase I)."""
+        """Pivot until no column prices out and `accept(reduced)` returns a
+        value, which is returned; while it returns None (having refactored),
+        go on.  `cost` covers every column that can be basic (the
+        artificials too, in phase I)."""
         a, n = self._a, self._n
         pivots = 0
         seen: set = set()  # bases met since the point last moved
@@ -149,13 +156,12 @@ class Simplex:
         while True:
             if self._since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            y = cost[self._basis] @ self._binv
-            j = self._entering(cost[:n] - y @ a, bland)
+            reduced = cost[:n] - (cost[self._basis] @ self._binv) @ a
+            j = self._entering(reduced, bland)
             if j < 0:
-                value = accept()
+                value = accept(reduced)
                 if value is not None:
                     return value
-                self._refactor()
                 continue
             if pivots == MAX_PIVOTS:
                 raise SolverError(
@@ -176,13 +182,15 @@ class Simplex:
     def _entering(reduced: np.ndarray, bland: bool) -> int:
         """The column to enter, or -1 when none improves."""
         if bland:
-            improving = np.flatnonzero(reduced < -TOL)
+            improving = (reduced < -TOL).nonzero()[0]
             return int(improving[0]) if improving.size else -1
-        j = int(np.argmin(reduced))
+        j = int(reduced.argmin())
         return j if reduced[j] < -TOL else -1
 
     def _leaving_row(self, u: np.ndarray, bland: bool) -> int:
-        rows = np.flatnonzero(u > TOL)
+        rows = (u > TOL).nonzero()[0]
+        if rows.size == 1:
+            return int(rows[0])
         if not rows.size:
             # Not in the bounds LPs: their row of ones keeps x in a simplex.
             raise SolverError("LP solve failed: unbounded direction")
@@ -191,8 +199,8 @@ class Simplex:
         limit = ((x + _HARRIS_SLACK) / col).min()
         ties = rows[x / col <= limit]
         if bland:
-            return int(ties[np.argmin(self._basis[ties])])
-        return int(ties[np.argmax(u[ties])])
+            return int(ties[self._basis[ties].argmin()])
+        return int(ties[u[ties].argmax()])
 
     def _pivot(self, r: int, j: int, u: np.ndarray) -> float:
         """Column j enters in row r; returns the step length."""
@@ -200,24 +208,30 @@ class Simplex:
         self._x -= step * u
         self._x[r] = step
         row = self._binv[r] / u[r]
-        self._binv -= np.outer(u, row)
+        self._binv -= u[:, None] * row
         self._binv[r] = row
         self._basis[r] = j
         self._since_refactor += 1
         return step
 
     def _basis_matrix(self) -> np.ndarray:
-        m = len(self._basis)
-        structural = self._basis < self._n
+        basis, n = self._basis, self._n
+        structural = basis < n
+        if structural.all():
+            return self._a[:, basis]
+        m = len(basis)
         matrix = np.zeros((m, m))
-        matrix[:, structural] = self._a[:, self._basis[structural]]
-        artificial = np.flatnonzero(~structural)
-        matrix[self._basis[artificial] - self._n, artificial] = 1.0
+        matrix[:, structural] = self._a[:, basis[structural]]
+        artificial = (~structural).nonzero()[0]
+        matrix[basis[artificial] - n, artificial] = 1.0
         return matrix
 
     def _refactor(self) -> None:
+        """Recompute the inverse of the basis matrix, kept as `_matrix` for
+        the check, and the basic levels from it."""
+        self._matrix = self._basis_matrix()
         try:
-            self._binv = np.linalg.inv(self._basis_matrix())
+            self._binv = np.linalg.inv(self._matrix)
         except np.linalg.LinAlgError:
             raise SolverError("LP solve failed: singular basis") from None
         self._x = self._binv @ self._b
@@ -229,10 +243,10 @@ class Simplex:
         such entry depends on the others; its artificial stays basic, and
         since no column has an entry in its row it never moves."""
         a, n = self._a, self._n
-        for r in np.flatnonzero(self._basis >= n):
+        for r in (self._basis >= n).nonzero()[0]:
             row = self._binv[r] @ a
             row[self._basis[self._basis < n]] = 0.0
-            j = int(np.argmax(np.abs(row)))
+            j = int(np.abs(row).argmax())
             if abs(row[j]) > TOL:
                 self._pivot(r, j, self._binv @ a[:, j])
         if self._since_refactor:

@@ -7,13 +7,16 @@ formula attains an exact minimum and maximum over it:
 
 * `exact_bounds` solves the two linear programs over the 2**n table
   entries with the package's own dense revised simplex (`_simplex`, numpy
-  only): phase I once, the min, then the max from the min's optimal
-  basis, each optimum checked afresh on its final basis.  Phase I starts
-  from the comonotone chain table (`_chain_basis`), which puts every pair
-  at its q_max and is a vertex of every marginals-only LP, so phase I
-  makes no pivot on a marginals-only spec.  Entries inside an empty cell
-  of a marginal or a pair (a 0/1 marginal, a q at an end of its range)
-  must be zero and are left out of the LPs;
+  only): phase I once, then the min and the max, each from the basis
+  phase I ended on, each optimum checked on its final basis from one
+  fresh inverse.  Phase I starts from the comonotone chain table
+  (`_chain_basis`), which puts every pair at its q_max and is a vertex of
+  every marginals-only LP: on a marginals-only spec without a 0/1
+  marginal the start basis holds no artificial and phase I is skipped,
+  and the end the chain table attains (the max of an and chain, the min
+  of an or chain) makes no pivot.  Entries inside an empty cell of a
+  marginal or a pair (a 0/1 marginal, a q at an end of its range) must
+  be zero and are left out of the LPs;
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -180,15 +184,14 @@ def exact_bounds(
         value = _independent_point(spec, f)
         return ConfidenceInterval(value, value)
 
-    size = 1 << n
     pairs = sorted(spec.pairwise.items())
-    bits = (np.arange(size) & (1 << np.arange(n))[:, None]) != 0
+    bits = _bit_table(n)
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
     # of its range) forces its entries to zero.  Leaving them out removes
     # the degenerate vertices where the simplex would otherwise stall; a
     # chain column left out hands its row to an artificial in the start
     # basis (`_chain_basis`).
-    keep = np.ones(size, dtype=bool)
+    keep = np.ones(1 << n, dtype=bool)
     for i, p in enumerate(spec.marginals):
         for value, mass in ((True, p), (False, 1.0 - p)):
             if mass <= EPS_FEAS:
@@ -206,14 +209,17 @@ def exact_bounds(
             if mass <= EPS_FEAS:
                 keep &= (bi != vi) | (bj != vj)
 
+    cost = f.table
     if not keep.all():
         bits = bits[:, keep]
+        cost = cost[keep]
     a_eq = np.empty((1 + n + len(pairs), bits.shape[1]))
     a_eq[0] = 1.0
     a_eq[1 : n + 1] = bits
-    first = [i - 1 for (i, _), _ in pairs]
-    second = [j - 1 for (_, j), _ in pairs]
-    a_eq[n + 1 :] = ~(bits[first] | bits[second])
+    if pairs:
+        first = [i - 1 for (i, _), _ in pairs]
+        second = [j - 1 for (_, j), _ in pairs]
+        a_eq[n + 1 :] = ~(bits[first] | bits[second])
     b_eq = np.array([1.0, *spec.marginals, *(q for _, q in pairs)])
 
     _check_cancel(cancel)
@@ -222,12 +228,21 @@ def exact_bounds(
     lp = Simplex(a_eq, b_eq, _chain_basis(spec.marginals, keep, a_eq, b_eq))
     if not lp.feasible:
         raise InfeasibleSpec("no joint distribution satisfies the spec")
-    cost = f.table[keep].astype(np.float64)
+    cost = cost.astype(np.float64)
     lo = lp.minimize(cost)
     _check_cancel(cancel)
     hi = -lp.minimize(-cost)
     lo, hi = clip01(lo), clip01(hi)
     return ConfidenceInterval(min(lo, hi), hi)
+
+
+@lru_cache(maxsize=None)
+def _bit_table(n: int) -> np.ndarray:
+    """The read-only (n, 2**n) table of bit i of each assignment a; built
+    once per arity, on first use."""
+    bits = (np.arange(1 << n) & (1 << np.arange(n))[:, None]) != 0
+    bits.flags.writeable = False
+    return bits
 
 
 def _chain_basis(
@@ -249,22 +264,26 @@ def _chain_basis(
     level is >= 0.
     """
     n = len(marginals)
-    ps = np.asarray(marginals)
-    order = np.argsort(-ps, kind="stable")
-    chain = np.concatenate(([0], np.cumsum(1 << order)))
-    rows = np.concatenate(([0], 1 + order))
-    levels = np.concatenate(([1.0], ps[order], [0.0]))
-    kept = np.flatnonzero(keep[chain])
-    mass = levels[kept] - levels[np.append(kept[1:], n + 1)]
-    columns = np.searchsorted(np.flatnonzero(keep), chain[kept])
+    # Plain Python on these n + 1 <= 13 slots: numpy calls on arrays this
+    # small cost more than the work.
+    order = sorted(range(n), key=lambda i: -marginals[i])
+    chain = [0]
+    for i in order:
+        chain.append(chain[-1] | 1 << i)
+    rows = [0] + [1 + i for i in order]
+    levels = [1.0] + [marginals[i] for i in order] + [0.0]
+    kept = [k for k in range(n + 1) if keep[chain[k]]]
+    mass = [levels[k] - levels[k_next] for k, k_next in zip(kept, kept[1:] + [n + 1])]
+    columns = keep.nonzero()[0].searchsorted([chain[k] for k in kept])
 
     m, size = a_eq.shape
     basis = np.arange(size, size + m)
-    basis[rows[kept]] = columns
-    residual = b_eq[n + 1 :] - a_eq[n + 1 :, columns] @ mass
-    negative = n + 1 + np.flatnonzero(residual < 0.0)
-    a_eq[negative] *= -1.0
-    b_eq[negative] *= -1.0
+    basis[[rows[k] for k in kept]] = columns
+    if m > n + 1:
+        residual = b_eq[n + 1 :] - a_eq[n + 1 :, columns] @ mass
+        negative = n + 1 + (residual < 0.0).nonzero()[0]
+        a_eq[negative] *= -1.0
+        b_eq[negative] *= -1.0
     return basis
 
 

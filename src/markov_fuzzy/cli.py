@@ -146,7 +146,9 @@ def _cmd_bounds(args) -> int:
     f = _compile(args.formula, model.arity)
     interval = exact_bounds(model, f)
     result = {"lo": interval.lo, "hi": interval.hi}
-    if model.arity == 2:
+    # The classic closed forms bound a two-variable connective given its
+    # marginals alone; a pairwise q or independence pins it tighter.
+    if model.arity == 2 and not model.pairwise and not model.independent:
         for kind, gate in (
             ("and", and_function()),
             ("or", or_function()),

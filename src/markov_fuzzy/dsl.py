@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
 from .boolfuncs import _child_fields, _fold, _walk
@@ -52,8 +52,7 @@ class SourceSpan:
             raise InvalidParameter(f"bad span ({self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     start: int

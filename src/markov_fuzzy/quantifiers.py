@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -341,26 +341,73 @@ def _drawn_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int
     )
 
 
-def _stream_index_tuples(
-    labels: tuple, strategy: SamplingStrategy, n_samples: int
-) -> np.ndarray:
-    drawn = list(islice(iter(strategy.tuples), n_samples))
-    if len(drawn) < n_samples:
-        raise InvalidParameter(
-            f"tuple stream yielded {len(drawn)} tuples, need {n_samples}"
-        )
+def _score_stream(
+    table: BeliefTable,
+    strategy: SamplingStrategy,
+    n_samples: int,
+    lift: LiftPolicy,
+    values: np.ndarray,
+) -> None:
+    """Read the caller's tuple stream and score it into `values`, block by
+    block.  The first tuple of the wrong length and the first label outside
+    the universe are noted as they come, but nothing is raised until the
+    stream has run out or yielded n_samples tuples; then a short stream is
+    reported first, a bad length next, an unknown label after that, and an
+    error of the lift (an unusable policy, or one raised while scoring)
+    last.  Scoring stops at the first problem; reading and checking do
+    not."""
+    labels = table.universe
+    length = strategy.tuple_length
     position = {x: i for i, x in enumerate(labels)}
-    for t in drawn:
-        if len(t) != strategy.tuple_length:
-            raise InvalidParameter(
-                f"tuple {t!r} does not have length {strategy.tuple_length}"
-            )
+    bad_tuple = bad_label = lift_error = None
     try:
-        return np.array([[position[x] for x in t] for t in drawn], dtype=np.intp)
-    except KeyError as exc:
+        score = _lift_scorer(table, length, lift)
+    except UnsupportedLiftPolicy as exc:
+        score, lift_error = None, exc
+    stream = iter(strategy.tuples)
+    read = 0
+    while read < n_samples:
+        block = list(islice(stream, min(_SAMPLE_BLOCK, n_samples - read)))
+        if not block:
+            break
+        start, read = read, read + len(block)
+        if bad_tuple is None:
+            bad_tuple = next((t for t in block if len(t) != length), None)
+        if bad_tuple is None and bad_label is None:
+            bad_label, error = _score_block(
+                block, position, length, score, values[start:read]
+            )
+            if error is not None:
+                score, lift_error = None, error
+
+    if read < n_samples:
+        raise InvalidParameter(f"tuple stream yielded {read} tuples, need {n_samples}")
+    if bad_tuple is not None:
+        raise InvalidParameter(f"tuple {bad_tuple!r} does not have length {length}")
+    if bad_label is not None:
         raise BadCoordinate(
-            f"tuple stream names {exc.args[0]!r}, which is not in the universe"
-        ) from None
+            f"tuple stream names {bad_label.args[0]!r}, which is not in the universe"
+        )
+    if lift_error is not None:
+        raise lift_error
+
+
+def _score_block(block: list, position: dict, length: int, score, out: np.ndarray):
+    """Index one block of the stream and, unless `score` is None, score it
+    into `out`.  Returns (the KeyError of its first unknown label, the
+    error scoring raised), each None when there is none; the block's index
+    array is freed on return."""
+    flat = map(position.__getitem__, chain.from_iterable(block))
+    try:
+        indices = np.fromiter(flat, dtype=np.intp, count=len(block) * length)
+    except KeyError as exc:
+        return exc, None
+    if score is not None:
+        try:
+            score(indices.reshape(-1, length), out)
+        except Exception as exc:  # held until the stream is known good
+            return None, exc
+    return None, None
 
 
 def _lift_scorer(table: BeliefTable, tuple_length: int, lift: LiftPolicy):
@@ -373,10 +420,9 @@ def _lift_scorer(table: BeliefTable, tuple_length: int, lift: LiftPolicy):
 
         def score(block, out):
             # Column by column, left to right: the order of np.prod(axis=1).
-            gathered = miss[block]
-            np.copyto(out, gathered[:, 0])
+            np.copyto(out, miss[block[:, 0]])
             for column in range(1, tuple_length):
-                out *= gathered[:, column]
+                out *= miss[block[:, column]]
             np.subtract(1.0, out, out=out)
 
     elif lift == "pairwise":
@@ -437,21 +483,19 @@ def sample_exists(
     exact joint per tuple.  Chaining pairwise constraints across longer
     tuples is rejected rather than approximated.
 
-    Tuples are drawn, lifted and scored in blocks of _SAMPLE_BLOCK rows,
-    so drawn samples hold 8 bytes each, their scores (a tuple stream is
-    read whole first); a count whose scores cannot be allocated raises
-    InvalidParameter.
+    Tuples are drawn or read, lifted and scored in blocks of _SAMPLE_BLOCK
+    rows, so each sample holds 8 bytes, its score; a count whose scores
+    cannot be allocated raises InvalidParameter.  A tuple stream is checked
+    as it is read and its errors are raised once it has run out or yielded
+    n_samples tuples: a short stream first, then a tuple of the wrong
+    length, then a label outside the universe, then an error of the lift.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidParameter("n_samples must be >= 1")
     if not table.universe:
         raise EmptyUniverse("cannot sample from an empty universe")
-    starts = range(0, n_samples, _SAMPLE_BLOCK)
-    if strategy.tuples is not None:
-        index_tuples = _stream_index_tuples(table.universe, strategy, n_samples)
-        blocks = (index_tuples[start : start + _SAMPLE_BLOCK] for start in starts)
-    else:
+    if strategy.tuples is None:
         blocks = _drawn_blocks(table, strategy, n_samples)
     try:
         values = np.empty(n_samples)
@@ -460,9 +504,12 @@ def sample_exists(
             f"n_samples = {n_samples} is too large: its {8 * n_samples} bytes "
             "of per-sample values cannot be allocated"
         ) from None
-    score = _lift_scorer(table, strategy.tuple_length, lift)
-    for start, block in zip(starts, blocks):
-        score(block, values[start : start + len(block)])
+    if strategy.tuples is None:
+        score = _lift_scorer(table, strategy.tuple_length, lift)
+        for start, block in zip(range(0, n_samples, _SAMPLE_BLOCK), blocks):
+            score(block, values[start : start + len(block)])
+    else:
+        _score_stream(table, strategy, n_samples, lift, values)
 
     mean = float(np.add.reduce(values) / n_samples)
     return SampleEstimate(mean=clip01(mean), n_samples=n_samples, seed=strategy.seed)

@@ -1,5 +1,8 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -591,6 +594,46 @@ class TestChainStart:
             assert ci.lo == pytest.approx(want[0], abs=1e-9)
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_comonotone_end_makes_no_pivot(self, n, monkeypatch):
+        """Both ends start at the chain table, the comonotone vertex: the
+        max of an and chain and the min of an or chain are already there.
+        A marginals-only spec without a 0/1 marginal has no artificial in
+        its start basis, so phase I does not even price."""
+        per_end, phase_one = [], []
+        pivot, minimize = _simplex.Simplex._pivot, _simplex.Simplex.minimize
+        infeasibility = _simplex.Simplex._infeasibility
+
+        def counting_pivot(self, *args):
+            per_end[-1] += 1
+            return pivot(self, *args)
+
+        def counting_minimize(self, cost):
+            per_end.append(0)
+            return minimize(self, cost)
+
+        monkeypatch.setattr(_simplex.Simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(_simplex.Simplex, "minimize", counting_minimize)
+        def counting_infeasibility(self, reduced):
+            phase_one.append(None)
+            return infeasibility(self, reduced)
+
+        monkeypatch.setattr(_simplex.Simplex, "_infeasibility", counting_infeasibility)
+        rng = np.random.default_rng(400 + n)
+        for _ in range(3):
+            ps = rng.uniform(0.05, 0.95, n)
+            spec = mf.PartialJointSpec(marginals=tuple(float(p) for p in ps))
+            for f, comonotone_end, want in (
+                (mf.and_function(n), 1, float(ps.min())),
+                (mf.or_function(n), 0, float(ps.max())),
+            ):
+                per_end.clear()
+                ci = mf.exact_bounds(spec, f)
+                assert len(per_end) == 2
+                assert per_end[comonotone_end] == 0
+                assert (ci.lo, ci.hi)[comonotone_end] == pytest.approx(want, abs=1e-12)
+        assert not phase_one
+
     def test_sparse_table_specs(self):
         """Specs whose zeros no single constraint explains stall Dantzig
         pricing on degenerate vertices; they still solve, and agree with
@@ -644,3 +687,63 @@ class TestFinalCheck:
             ci = mf.exact_bounds(spec, f)
             assert ci.lo == pytest.approx(want[0], abs=1e-9)
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+    def test_false_optimum_on_a_fresh_inverse_is_an_error(self, monkeypatch):
+        """Pricing that never finds an improving column: the first check
+        runs on the start basis's fresh inverse, where the chain table is
+        not the min of an and, and must not trust pricing."""
+        monkeypatch.setattr(
+            _simplex.Simplex, "_entering", staticmethod(lambda reduced, bland: -1)
+        )
+        spec = mf.PartialJointSpec(marginals=(0.7, 0.6))
+        with pytest.raises(
+            SolverError, match=r"LP solve failed: final basis not optimal, reduced cost"
+        ):
+            mf.exact_bounds(spec, mf.and_function())
+
+
+class TestBitTable:
+    def test_cached_table_is_read_only(self):
+        for n in (1, 5, 12):
+            bits = bounds._bit_table(n)
+            assert bits is bounds._bit_table(n)
+            assert not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[0, 0] = True
+
+    def test_negated_pair_rows_leave_the_next_solve_unchanged(self):
+        """Every pair here is below its q_max, so `_chain_basis` negates its
+        row; the next solve at the same arity matches a fresh process bit
+        for bit."""
+        pairwise = {(1, 2): 0.05, (2, 3): 0.1, (3, 4): 0.15, (1, 4): 0.2}
+        spec = mf.PartialJointSpec(marginals=(0.6, 0.5, 0.55, 0.45), pairwise=pairwise)
+        starts = []
+
+        class Recording(_simplex.Simplex):
+            def __init__(self, a, b, basis=None):
+                starts.append(b.copy())
+                super().__init__(a, b, basis)
+
+        with mock.patch.object(bounds, "Simplex", Recording):
+            mf.exact_bounds(spec, mf.or_function(4))
+        assert (starts[0][5:] < 0).all()
+
+        here = {}
+        exec(NEXT_SOLVE, here)
+        fresh = subprocess.run(
+            [sys.executable, "-c", NEXT_SOLVE + "print(result)"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert here["result"] == fresh.stdout.strip()
+
+
+NEXT_SOLVE = """
+import markov_fuzzy as mf
+spec = mf.PartialJointSpec(marginals=(0.3, 0.8, 0.4, 0.65))
+f = mf.BooleanFunction(4, 1, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1])
+ci = mf.exact_bounds(spec, f)
+result = f"{ci.lo!r} {ci.hi!r}"
+"""

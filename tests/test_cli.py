@@ -131,6 +131,30 @@ class TestBounds:
         assert code == 0
         result = json.loads(out)
         assert result["lo"] == result["hi"] == pytest.approx(0.375, abs=1e-12)
+        assert "classic" not in result
+
+    @pytest.mark.parametrize("formula", ["P1 & P2", "P1 | P2", "P1 -> P2"])
+    def test_pairwise_spec_has_no_classic_field(self, tmp_path, capsys, formula):
+        """A pairwise q pins the connective: at q = 1/4 the and is 1/4, where
+        and_min is 0, so the closed-form names would mislabel it."""
+        path = write(
+            tmp_path,
+            "spec.json",
+            '{"marginals": [0.5, 0.5], "pairwise": {"1,2": 0.25}}',
+        )
+        code, out, _ = run(capsys, ["bounds", "--formula", formula, "--input", path])
+        assert code == 0
+        result = json.loads(out)
+        assert result["lo"] == pytest.approx(result["hi"], abs=1e-12)
+        assert "classic" not in result
+
+    def test_independent_spec_has_no_classic_field(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "spec.json", '{"marginals": [0.5, 0.5], "independent": true}'
+        )
+        code, out, _ = run(capsys, ["bounds", "--formula", "P1 | P2", "--input", path])
+        assert code == 0
+        assert json.loads(out) == {"lo": 0.75, "hi": 0.75}
 
     def test_infeasible_pairwise_exit_2(self, tmp_path, capsys):
         path = write(

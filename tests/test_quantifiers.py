@@ -895,3 +895,93 @@ class TestBlockSampler:
     def test_rejected_seeds(self, seed):
         with pytest.raises(InvalidParameter, match="seed must be None or an integer"):
             mf.SamplingStrategy(1, seed=seed)
+
+
+class TestTupleStream:
+    """A caller's tuple stream is read and scored in blocks, and its errors
+    come out in a fixed order once it has run out or yielded N tuples."""
+
+    TABLE = mf.BeliefTable(("a", "b", "c"), {"a": 0.2, "b": 0.4, "c": 0.6})
+
+    def sample(self, stream, n, length=2, lift="independent"):
+        strategy = mf.SamplingStrategy(length, tuples=stream)
+        return mf.sample_exists(self.TABLE, strategy, n, lift=lift)
+
+    def test_values_are_the_only_array_of_n(self):
+        """N = 10**5 tuples of length 3 peak at 8 bytes per sample plus a
+        block's worth of buffers, where reading the stream whole held about
+        20x that.  The stream is built before tracing: the caller's tuples
+        are the caller's memory."""
+        n = 10**5
+        labels = tuple(f"x{i}" for i in range(50))
+        table = mf.BeliefTable(labels, {x: (i + 1) / 60 for i, x in enumerate(labels)})
+        rows = np.random.default_rng(0).integers(0, 50, (n, 3)).tolist()
+        stream = [tuple(labels[i] for i in row) for row in rows]
+        tracemalloc.start()
+        try:
+            estimate = mf.sample_exists(table, mf.SamplingStrategy(3, tuples=stream), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n
+        miss = np.array([1.0 - table.p[x] for x in labels])[np.array(rows)]
+        want = np.add.reduce(1.0 - miss[:, 0] * miss[:, 1] * miss[:, 2]) / n
+        assert estimate.mean == float(want)
+
+    def test_reads_no_more_than_n(self):
+        taken = []
+
+        def endless():
+            while True:
+                taken.append(None)
+                yield ("a", "b")
+
+        estimate = self.sample(endless(), _SAMPLE_BLOCK + 5)
+        assert len(taken) == _SAMPLE_BLOCK + 5
+        assert estimate.mean == pytest.approx(1.0 - 0.8 * 0.6, abs=1e-12)
+
+    def test_short_stream_is_reported_before_a_bad_length(self):
+        stream = [("a", "b")] * 3 + [("a",)] + [("a", "z")] * _SAMPLE_BLOCK
+        with pytest.raises(InvalidParameter, match=r"yielded 8196 tuples, need 9000"):
+            self.sample(stream, 9000)
+
+    def test_short_stream_is_reported_before_a_lift_error(self):
+        stream = [("a", "b")] * (_SAMPLE_BLOCK + 1)
+        with pytest.raises(InvalidParameter, match="yielded"):
+            self.sample(stream, 2 * _SAMPLE_BLOCK, lift="pairwise")
+        with pytest.raises(InvalidParameter, match="yielded"):
+            self.sample(stream, 2 * _SAMPLE_BLOCK, length=2, lift="bogus")
+
+    def test_bad_length_is_reported_before_an_earlier_unknown_label(self):
+        """The unknown label comes in the first block, the bad length only
+        in the second."""
+        stream = [("a", "z")] + [("a", "b")] * _SAMPLE_BLOCK + [("a", "b", "c")]
+        with pytest.raises(InvalidParameter, match=r"\('a', 'b', 'c'\) does not"):
+            self.sample(stream, len(stream))
+
+    def test_first_unknown_label_is_named(self):
+        stream = [("a", "b")] * (_SAMPLE_BLOCK + 2) + [("c", "y"), ("z", "a")]
+        with pytest.raises(BadCoordinate, match="'y'"):
+            self.sample(stream, len(stream))
+
+    def test_unknown_label_is_reported_before_a_lift_error(self):
+        """A missing q_pair entry in the first block, an unknown label in
+        the second: the stream's own error comes first."""
+        stream = [("a", "b")] * _SAMPLE_BLOCK + [("c", "y")]
+        with pytest.raises(BadCoordinate, match="'y'"):
+            self.sample(stream, len(stream), lift="pairwise")
+
+    def test_callable_lift_errors_come_last(self):
+        calls = []
+
+        def lift(labels):
+            calls.append(labels)
+            raise UnsupportedLiftPolicy("lift failed")
+
+        stream = [("a", "b")] * (_SAMPLE_BLOCK + 1)
+        with pytest.raises(InvalidParameter, match="yielded"):
+            self.sample(stream, len(stream) + 1, lift=lift)
+        with pytest.raises(UnsupportedLiftPolicy, match="lift failed"):
+            self.sample(stream, len(stream), lift=lift)
+        # Scoring stops at the first error; reading goes on.
+        assert len(calls) == 2
