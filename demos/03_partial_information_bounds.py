@@ -41,6 +41,26 @@ print("n=2 conjunction via solver   :", mf.exact_bounds(spec2, mf.and_function()
 print("n=2 conjunction closed form  :", mf.classic_binary_bounds(0.7, 0.6, "and"))
 print()
 
+# Only the parts of a compiled formula that do not split need a linear
+# program.  Here every variable is read once, so the classic rules compose
+# along the whole tree and the interval is exact far above the LP's
+# 12-variable cap.  A known q inside each disjunction ties its two
+# variables together, so each (a | b) is a two-variable LP and the and of
+# the ten parts still composes by the classic rule.
+names = [f"X{i}" for i in range(1, 21)]
+text = " & ".join(f"({a} | {b})" for a, b in zip(names[::2], names[1::2]))
+wide = mf.compile_formula(mf.parse_formula(text), names)
+marginals20 = tuple(round(0.9 + 0.005 * i, 3) for i in range(20))
+spec20 = mf.PartialJointSpec(marginals=marginals20)
+print("20 variables, read once      :", mf.exact_bounds(spec20, wide))
+pins = {
+    (i, i + 1): mf.q_bounds(marginals20[i - 1], marginals20[i]).q_indep
+    for i in range(1, 20, 2)
+}
+spec20_pins = mf.PartialJointSpec(marginals=marginals20, pairwise=pins)
+print("  with q inside each (a | b) :", mf.exact_bounds(spec20_pins, wide))
+print()
+
 # An independent check: enumerate joint tables on a grid instead of
 # solving anything.  The two routes must agree.
 oracle = mf.brute_force_bounds(spec_plain, majority, grid_step=0.01)

@@ -37,6 +37,11 @@ class BooleanFunction:
     arity_out: int
     table: np.ndarray
 
+    #: (formula, ordering) when `compile_formula` built the table, else
+    #: None; `exact_bounds` decomposes along the formula.  Not a field:
+    #: equality, hashing and repr ignore it.
+    _formula = None
+
     def __post_init__(self):
         check_arity(self.arity_in, "arity_in")
         check_arity(self.arity_out, "arity_out")
@@ -376,7 +381,8 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
 
     `ordering` assigns variable i+1 (bit i) to ordering[i]; it may contain
     variables the formula never mentions.  Every variable in the formula
-    must appear in the ordering.
+    must appear in the ordering.  The function keeps the formula and the
+    ordering, so that `exact_bounds` can split it into independent parts.
     """
     names = list(ordering)
     if len(set(names)) != len(names):
@@ -413,4 +419,6 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         table[...] = column(ast, [])
     else:
         table = _fold(ast, column)
-    return BooleanFunction._adopt(n, 1, table.reshape(-1))
+    f = BooleanFunction._adopt(n, 1, table.reshape(-1))
+    object.__setattr__(f, "_formula", (ast, tuple(names)))
+    return f

@@ -5,13 +5,21 @@ pairwise both-false confidences q_ij.  The set of joint tables compatible
 with a spec is a compact polytope, so the confidence of any single-output
 formula attains an exact minimum and maximum over it:
 
-* `exact_bounds` solves the two linear programs over the 2**n table
-  entries with the package's own dense revised simplex (`_simplex`, numpy
-  only): phase I once, then the min and the max, each from the basis
-  phase I ended on, each optimum checked on its final basis from one
-  fresh inverse.  Phase I starts from the comonotone chain table
-  (`_chain_basis`), which puts every pair at its q_max and is a vertex of
-  every marginals-only LP: on a marginals-only spec without a 0/1
+* `exact_bounds` first splits a function from `compile_formula` along its
+  formula (see "Decomposition along the formula" below): operands of an
+  and/or that read variables no given pair connects are bounded apart and
+  combined by the classic Frechet rules, so a read-once formula given
+  marginals only reaches no linear program.  Only a part that does not
+  split (a variable read twice, or pairs that link its operands) is
+  solved, over the 2**k table of its own k variables; `LP_MAX_ARITY`
+  caps k.  A raw table (`and_function(n)`, a `BooleanFunction` built by
+  hand) always takes one LP over all n;
+* each LP is solved with the package's own dense revised simplex
+  (`_simplex`, numpy only): phase I once, then the min and the max, each
+  from the basis phase I ended on, each optimum checked on its final
+  basis from one fresh inverse.  Phase I starts from the comonotone chain
+  table (`_chain_basis`), which puts every pair at its q_max and is a
+  vertex of every marginals-only LP: on a marginals-only spec without a 0/1
   marginal the start basis holds no artificial and phase I is skipped,
   and the end the chain table attains (the max of an and chain, the min
   of an or chain) makes no pivot.  Entries inside an empty cell of a
@@ -22,22 +30,36 @@ formula attains an exact minimum and maximum over it:
   touches the LP machinery.
 
 For n = 2 with marginals only, both reproduce the classic closed-form
-connective bounds (`classic_binary_bounds`).
+connective bounds (`classic_binary_bounds`).  A compiled two-variable
+and/or/implies with no negation above its connective (`P1 & P2`,
+`P2 | P1`, `!P1 | P2`, `P1 -> P2`, ...) gives them bit for bit, since both
+come from the rules of `connectives._frechet_and` / `_frechet_or`; a
+spelling through a negated connective, such as `!(P1 & !P2)`, passes
+through 1 - x twice and may differ in the last digit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from ._common import EPS_FEAS, N_MAX, check_belief, clip01
 from ._simplex import Simplex
-from .boolfuncs import BooleanFunction
-from .connectives import _add_pair_q, classic
+from .boolfuncs import (
+    And,
+    BooleanFunction,
+    Implies,
+    Not,
+    Or,
+    Var,
+    _fold,
+    compile_formula,
+)
+from .connectives import _add_pair_q, _frechet_and, _frechet_or, classic
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -63,7 +85,9 @@ __all__ = [
 #: The solver checks its own primal and optimality tolerance, `_simplex.TOL`.
 FEASIBILITY_TOL = 1e-9
 
-#: Arity cap for the LP route (a 4096-dimensional program at the cap).
+#: Arity cap of each linear program (a 4096-dimensional program at the
+#: cap): of each part of a compiled formula that does not split, and of a
+#: raw table.
 LP_MAX_ARITY = 12
 
 #: Arity cap for the enumeration oracle.
@@ -167,24 +191,51 @@ def exact_bounds(
 ) -> ConfidenceInterval:
     """Exact min/max of the formula confidence over all compatible joints.
 
-    Solved as two linear programs over the 2**n table with equality
-    constraints from the marginals and any pairwise q values.  `cancel` is
-    polled before each solve; a True return aborts with Cancelled.  A
-    solver failure other than infeasibility (the pivot limit, or a final
-    basis that fails its check) raises SolverError.
+    A function from `compile_formula` is split along its formula: and/or
+    operands whose variables no given pair connects are bounded apart and
+    combined by the classic (Frechet) rules, so only the parts that do not
+    split reach a linear program.  Each such part is solved over the 2**k
+    table of its own k variables, which `LP_MAX_ARITY` caps.  Any other
+    table (a gate such as `and_function(n)`, or one built by hand) is
+    solved as one linear program over the 2**n table.  Either way the
+    constraints are the marginals and any pairwise q values, and every
+    part of the spec is checked for feasibility.  `cancel` is polled
+    before each solve; a True return aborts with Cancelled.  A solver
+    failure other than infeasibility (the pivot limit, or a final basis
+    that fails its check) raises SolverError.
     """
     _check_formula(spec, f)
-    n = spec.arity
-    if n > LP_MAX_ARITY:
-        raise ArityTooLarge(
-            f"exact bounds support arity <= {LP_MAX_ARITY}, got {n}"
-        )
     if spec.independent:
         _check_cancel(cancel)
         value = _independent_point(spec, f)
         return ConfidenceInterval(value, value)
+    if f._formula is None:
+        pairs = sorted(spec.pairwise.items())
+        lo, hi = _lp_bounds(spec.marginals, pairs, f.table, cancel)
+    else:
+        lo, hi = _decomposed_bounds(spec, f, cancel)
+    return ConfidenceInterval(min(lo, hi), hi)
 
-    pairs = sorted(spec.pairwise.items())
+
+def _check_lp_arity(n: int) -> None:
+    if n > LP_MAX_ARITY:
+        raise ArityTooLarge(
+            f"exact bounds solve linear programs over at most {LP_MAX_ARITY} "
+            f"variables, got one over {n}"
+        )
+
+
+def _lp_bounds(
+    marginals: tuple,
+    pairs: list,
+    cost: Optional[np.ndarray],
+    cancel: Optional[Callable[[], bool]],
+) -> Optional[tuple]:
+    """(min, max) of cost . x over the tables x on 2**n entries with the
+    given marginals and sorted ((i, j), q) pairs; with `cost` None, only
+    check that such a table exists and return None."""
+    n = len(marginals)
+    _check_lp_arity(n)
     bits = _bit_table(n)
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
     # of its range) forces its entries to zero.  Leaving them out removes
@@ -192,13 +243,13 @@ def exact_bounds(
     # chain column left out hands its row to an artificial in the start
     # basis (`_chain_basis`).
     keep = np.ones(1 << n, dtype=bool)
-    for i, p in enumerate(spec.marginals):
+    for i, p in enumerate(marginals):
         for value, mass in ((True, p), (False, 1.0 - p)):
             if mass <= EPS_FEAS:
                 keep &= bits[i] != value
     for (i, j), q in pairs:
         bi, bj = bits[i - 1], bits[j - 1]
-        pi, pj = spec.marginals[i - 1], spec.marginals[j - 1]
+        pi, pj = marginals[i - 1], marginals[j - 1]
         cells = {
             (False, False): q,
             (True, False): 1.0 - pj - q,
@@ -209,10 +260,10 @@ def exact_bounds(
             if mass <= EPS_FEAS:
                 keep &= (bi != vi) | (bj != vj)
 
-    cost = f.table
     if not keep.all():
         bits = bits[:, keep]
-        cost = cost[keep]
+        if cost is not None:
+            cost = cost[keep]
     a_eq = np.empty((1 + n + len(pairs), bits.shape[1]))
     a_eq[0] = 1.0
     a_eq[1 : n + 1] = bits
@@ -220,20 +271,229 @@ def exact_bounds(
         first = [i - 1 for (i, _), _ in pairs]
         second = [j - 1 for (_, j), _ in pairs]
         a_eq[n + 1 :] = ~(bits[first] | bits[second])
-    b_eq = np.array([1.0, *spec.marginals, *(q for _, q in pairs)])
+    b_eq = np.array([1.0, *marginals, *(q for _, q in pairs)])
 
     _check_cancel(cancel)
     if not keep.any():
         raise InfeasibleSpec("no joint distribution satisfies the spec")
-    lp = Simplex(a_eq, b_eq, _chain_basis(spec.marginals, keep, a_eq, b_eq))
+    lp = Simplex(a_eq, b_eq, _chain_basis(marginals, keep, a_eq, b_eq))
     if not lp.feasible:
         raise InfeasibleSpec("no joint distribution satisfies the spec")
+    if cost is None:
+        return None
     cost = cost.astype(np.float64)
     lo = lp.minimize(cost)
     _check_cancel(cancel)
     hi = -lp.minimize(-cost)
-    lo, hi = clip01(lo), clip01(hi)
-    return ConfidenceInterval(min(lo, hi), hi)
+    return clip01(lo), clip01(hi)
+
+
+# ---------------------------------------------------------------------------
+# Decomposition along the formula
+# ---------------------------------------------------------------------------
+#
+# The pairs split the coordinates into connected components, and the
+# compatible joints are exactly the couplings of one compatible joint per
+# component.  So when the operands of an and/or read disjoint sets of
+# components, each operand's confidence ranges over its own interval
+# whatever the others do, and every coupling of the operands (as events) is
+# reachable: the confidence of the and/or ranges over the Frechet interval
+# of the operands' intervals, the classic connectives of the paper.  A
+# negation maps [lo, hi] to [1 - hi, 1 - lo].  Operands that share a
+# component are solved together, as one linear program over the components
+# they read.
+
+#: Node kinds of `_normal_form`: a variable, a negation, an n-ary and, an
+#: n-ary or.
+_LEAF, _NEG, _ALL, _ANY = range(4)
+
+
+def _normal_form(ast, index: dict) -> list:
+    """The formula as a tree of [kind, mask, formula, part] lists.
+
+    `mask` has bit i set when the subtree reads coordinate i; `formula` is
+    an AST of the subtree's function (None for a negation: see
+    `_formula_of`); `part` is the coordinate of a leaf, the operand of a
+    negation or the operand list of an and/or.  a -> b becomes (not a) or
+    b, double negations cancel and nested chains of one connective become
+    one node.  Operand order carries no meaning: a chain is merged into
+    the longer operand list, so a chain of either association costs time
+    linear in its length.
+    """
+
+    def node(formula, kids):
+        kind = type(formula)
+        if kind is Var:
+            i = index[formula.name]
+            return [_LEAF, 1 << i, formula, i]
+        if kind is Not:
+            return _negated(kids[0])
+        left, right = kids
+        if kind is Implies:
+            left = _negated(left)
+        op = _ALL if kind is And else _ANY
+        a = left[3] if left[0] == op else [left]
+        b = right[3] if right[0] == op else [right]
+        if len(a) < len(b):
+            a, b = b, a
+        a.extend(b)
+        return [op, left[1] | right[1], formula, a]
+
+    return _fold(ast, node)
+
+
+def _negated(node: list) -> list:
+    return node[3] if node[0] == _NEG else [_NEG, node[1], None, node]
+
+
+def _formula_of(node: list):
+    """An AST of the node's function; a negation's is built only here, as
+    few of them are ever compiled."""
+    return Not(node[3][2]) if node[0] == _NEG else node[2]
+
+
+def _components(n: int, pairwise: Mapping) -> list:
+    """component[i]: the mask of the coordinates the pairs connect to i."""
+    component = [1 << i for i in range(n)]
+    for i, j in pairwise:
+        merged = component[i - 1] | component[j - 1]
+        rest = merged
+        while rest:
+            low = rest & -rest
+            component[low.bit_length() - 1] = merged
+            rest ^= low
+    return component
+
+
+def _coordinates(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _groups(kids: list, component: list) -> list:
+    """The operands of an and/or, grouped by union-find so that operands
+    reading a common component share a group: [components' mask, operands]
+    per group, in order of first operand."""
+    parent = list(range(len(kids)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    first: dict = {}
+    closures = []
+    for k, kid in enumerate(kids):
+        closure = 0
+        rest = kid[1]
+        while rest:
+            c = component[(rest & -rest).bit_length() - 1]
+            rest &= ~c
+            closure |= c
+            j = first.setdefault(c, k)
+            if j != k:
+                parent[find(j)] = find(k)
+        closures.append(closure)
+    groups: dict = {}
+    for k, kid in enumerate(kids):
+        group = groups.setdefault(find(k), [0, []])
+        group[0] |= closures[k]
+        group[1].append(kid)
+    return list(groups.values())
+
+
+def _decomposed_bounds(
+    spec: PartialJointSpec, f: BooleanFunction, cancel: Optional[Callable[[], bool]]
+) -> tuple:
+    """(lo, hi) of a compiled formula by the decomposition above.
+
+    A formula that does not split below its root (or below a negation
+    there), as when the pairs connect every coordinate, is one LP on f's
+    own table, solved exactly as the raw table would be.  Otherwise an
+    explicit stack stands in for recursion, so the depth of the tree is
+    not bounded by the recursion limit, and the components that no linear
+    program covers are checked for feasibility afterwards.  One whose
+    pairs form a tree always is (each pair's q is feasible for its
+    marginals, and chaining the pair tables along the tree builds a
+    joint), so only those with a cycle are solved.
+    """
+    ast, names = f._formula
+    n = spec.arity
+    marginals = spec.marginals
+    pairs = sorted(spec.pairwise.items())
+    component = _components(n, spec.pairwise)
+    full = (1 << n) - 1
+    if spec.pairwise and component[0] == full:
+        # One component: every operand reads it, so nothing splits.
+        return _lp_bounds(marginals, pairs, f.table, cancel)
+    covered = 0
+
+    def bound(mask: int, cost: Optional[np.ndarray]) -> Optional[tuple]:
+        """(min, max) of a truth table over the variables of `mask`, a
+        union of components; with `cost` None, only their feasibility."""
+        nonlocal covered
+        covered |= mask
+        coords = _coordinates(mask)
+        local = {i + 1: k + 1 for k, i in enumerate(coords)}
+        part = [((local[i], local[j]), q) for (i, j), q in pairs if i in local]
+        return _lp_bounds(tuple(marginals[i] for i in coords), part, cost, cancel)
+
+    _check_cancel(cancel)
+    root = _normal_form(ast, {name: i for i, name in enumerate(names)})
+    top = root[3] if root[0] == _NEG else root
+    stack: list = [(root, None)]
+    done: list = []
+    while stack:
+        node, groups = stack.pop()
+        kind = node[0]
+        if kind == _LEAF:
+            p = marginals[node[3]]
+            done.append((p, p))
+        elif kind == _NEG:
+            if groups is None:
+                stack.append((node, ()))
+                stack.append((node[3], None))
+            else:
+                lo, hi = done.pop()
+                done.append((1.0 - hi, 1.0 - lo))
+        elif groups is None:
+            groups = _groups(node[3], component)
+            if node is top and len(groups) == 1 and groups[0][0] == full:
+                # Nothing splits: one LP on f's own table.
+                return _lp_bounds(marginals, pairs, f.table, cancel)
+            stack.append((node, groups))
+            # Single operands are bounded first, their results landing on
+            # `done` in group order.
+            stack.extend((g[1][0], None) for g in reversed(groups) if len(g[1]) == 1)
+        else:
+            singles = sum(len(g[1]) == 1 for g in groups)
+            results = iter(done[len(done) - singles :])
+            del done[len(done) - singles :]
+            los, his = [], []
+            for mask, members in groups:
+                if len(members) == 1:
+                    lo, hi = next(results)
+                else:
+                    if len(members) == len(node[3]):
+                        formula = node[2]
+                    else:
+                        operands = [_formula_of(m) for m in members]
+                        formula = reduce(And if kind == _ALL else Or, operands)
+                    coords = _coordinates(mask)
+                    _check_lp_arity(len(coords))
+                    g = compile_formula(formula, [names[i] for i in coords])
+                    lo, hi = bound(mask, g.table)
+                los.append(lo)
+                his.append(hi)
+            done.append((_frechet_and if kind == _ALL else _frechet_or)(los, his))
+
+    edges: dict = {}
+    for i, _ in spec.pairwise:
+        edges[component[i - 1]] = edges.get(component[i - 1], 0) + 1
+    for mask, count in edges.items():
+        if count >= bin(mask).count("1") and not mask & covered:
+            bound(mask, None)
+    return done[0]
 
 
 @lru_cache(maxsize=None)

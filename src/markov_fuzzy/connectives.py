@@ -17,7 +17,9 @@ maps and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from ._common import EPS_FEAS, check_belief, clip01, to_float
 from .errors import InfeasibleQ, InvalidParameter
@@ -121,6 +123,21 @@ def implies_q(p1: float, p2: float, q: float) -> float:
     return clip01(p2 + q)
 
 
+def _frechet_and(los: Sequence[float], his: Sequence[float]) -> tuple[float, float]:
+    """Exact range of P(e_1 and ... and e_k) when each P(e_i) may take any
+    value in [los[i], his[i]] and the events may be coupled in any way:
+    [max(0, sum(los) - (k - 1)), min(his)] (Frechet 1935).  The lower end
+    is one exactly rounded sum, so it never exceeds the upper one and does
+    not depend on the order of the events."""
+    return max(0.0, math.fsum([*los, 1 - len(los)])), min(his)
+
+
+def _frechet_or(los: Sequence[float], his: Sequence[float]) -> tuple[float, float]:
+    """Exact range of P(e_1 or ... or e_k) under the premises of
+    `_frechet_and`: [max(los), min(1, sum(his))]."""
+    return max(los), min(1.0, math.fsum(his))
+
+
 def classic(p1: float, p2: float, kind: str, flavor: str) -> float:
     """Closed-form classic fuzzy connectives.
 
@@ -129,7 +146,9 @@ def classic(p1: float, p2: float, kind: str, flavor: str) -> float:
     q: the "and" family pairs min with q_min and max with q_max, while the
     "or" and "implies" families pair min with q_max and max with q_min
     (their values decrease in q for "or", increase for "implies"; the
-    min/max names follow the value ordering, not the q endpoint).
+    min/max names follow the value ordering, not the q endpoint).  The min
+    and max are the ends of `_frechet_and` / `_frechet_or` of the two
+    predicates, with p1 -> p2 read as (not p1) or p2.
     """
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
@@ -137,24 +156,16 @@ def classic(p1: float, p2: float, kind: str, flavor: str) -> float:
         raise InvalidParameter(f"unknown kind {kind!r}; expected one of {KINDS}")
     if flavor not in FLAVORS:
         raise InvalidParameter(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    if kind == "and":
-        if flavor == "min":
-            return max(0.0, p1 + p2 - 1.0)
-        if flavor == "indep":
-            return p1 * p2
-        return min(p1, p2)
-    if kind == "or":
-        if flavor == "min":
-            return max(p1, p2)
-        if flavor == "indep":
-            return p1 + p2 - p1 * p2
-        return min(1.0, p1 + p2)
-    # implies
-    if flavor == "min":
-        return max(p2, 1.0 - p1)
     if flavor == "indep":
+        if kind == "and":
+            return p1 * p2
+        if kind == "or":
+            return p1 + p2 - p1 * p2
         return 1.0 - p1 + p1 * p2
-    return min(1.0, 1.0 + p2 - p1)
+    if kind == "implies":
+        p1 = 1.0 - p1
+    ends = (_frechet_and if kind == "and" else _frechet_or)((p1, p2), (p1, p2))
+    return ends[0] if flavor == "min" else ends[1]
 
 
 def de_morgan_dual(p1: float, p2: float, q: float) -> tuple[float, float, float]:

@@ -349,8 +349,9 @@ def _score_stream(
     values: np.ndarray,
 ) -> None:
     """Read the caller's tuple stream and score it into `values`, block by
-    block.  The first tuple of the wrong length and the first label outside
-    the universe are noted as they come, but nothing is raised until the
+    block.  The first tuple of the wrong length (an element with no length
+    among them) and the first label outside the universe (an unhashable
+    one among them) are noted as they come, but nothing is raised until the
     stream has run out or yielded n_samples tuples; then a short stream is
     reported first, a bad length next, an unknown label after that, and an
     error of the lift (an unusable policy, or one raised while scoring)
@@ -372,7 +373,7 @@ def _score_stream(
             break
         start, read = read, read + len(block)
         if bad_tuple is None:
-            bad_tuple = next((t for t in block if len(t) != length), None)
+            bad_tuple = next((t for t in block if _length(t) != length), None)
         if bad_tuple is None and bad_label is None:
             bad_label, error = _score_block(
                 block, position, length, score, values[start:read]
@@ -386,22 +387,38 @@ def _score_stream(
         raise InvalidParameter(f"tuple {bad_tuple!r} does not have length {length}")
     if bad_label is not None:
         raise BadCoordinate(
-            f"tuple stream names {bad_label.args[0]!r}, which is not in the universe"
+            f"tuple stream names {bad_label[0]!r}, which is not in the universe"
         )
     if lift_error is not None:
         raise lift_error
 
 
+def _length(item) -> Optional[int]:
+    """len(item), or None for a stream element that has no length."""
+    try:
+        return len(item)
+    except TypeError:
+        return None
+
+
+def _known(label, position: dict) -> bool:
+    try:
+        return label in position
+    except TypeError:  # unhashable
+        return False
+
+
 def _score_block(block: list, position: dict, length: int, score, out: np.ndarray):
     """Index one block of the stream and, unless `score` is None, score it
-    into `out`.  Returns (the KeyError of its first unknown label, the
-    error scoring raised), each None when there is none; the block's index
-    array is freed on return."""
+    into `out`.  Returns (a 1-tuple of its first label outside the universe,
+    unhashable ones included, the error scoring raised), each None when
+    there is none; the block's index array is freed on return."""
     flat = map(position.__getitem__, chain.from_iterable(block))
     try:
         indices = np.fromiter(flat, dtype=np.intp, count=len(block) * length)
-    except KeyError as exc:
-        return exc, None
+    except (KeyError, TypeError):
+        labels = chain.from_iterable(block)
+        return next((x,) for x in labels if not _known(x, position)), None
     if score is not None:
         try:
             score(indices.reshape(-1, length), out)
@@ -488,7 +505,8 @@ def sample_exists(
     cannot be allocated raises InvalidParameter.  A tuple stream is checked
     as it is read and its errors are raised once it has run out or yielded
     n_samples tuples: a short stream first, then a tuple of the wrong
-    length, then a label outside the universe, then an error of the lift.
+    length (or an element with no length), then a label outside the
+    universe (an unhashable one included), then an error of the lift.
     """
     n_samples = int(n_samples)
     if n_samples < 1:

@@ -747,3 +747,285 @@ f = mf.BooleanFunction(4, 1, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1])
 ci = mf.exact_bounds(spec, f)
 result = f"{ci.lo!r} {ci.hi!r}"
 """
+
+
+# ---------------------------------------------------------------------------
+# Decomposition of compiled formulas
+# ---------------------------------------------------------------------------
+
+from markov_fuzzy import And, Implies, Not, Or, Var  # noqa: E402
+
+
+def compiled(text, ordering=None):
+    ast = mf.parse_formula(text)
+    return mf.compile_formula(ast, ordering or mf.formula_variables(ast))
+
+
+@pytest.fixture
+def simplex_log(monkeypatch):
+    """Counts `Simplex` constructions ("made") and `minimize` calls
+    ("ends") in `exact_bounds`."""
+    log = {"made": 0, "ends": 0}
+
+    class Counting(_simplex.Simplex):
+        def __init__(self, *args):
+            log["made"] += 1
+            super().__init__(*args)
+
+        def minimize(self, cost):
+            log["ends"] += 1
+            return super().minimize(cost)
+
+    monkeypatch.setattr(bounds, "Simplex", Counting)
+    return log
+
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+CONNECTIVES = (And, Or, Implies)
+
+
+def formulas_over(names):
+    """Formula trees over `names`; variables are often read twice."""
+    return st.recursive(
+        st.sampled_from(names).map(Var),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            st.builds(lambda op, a, b: op(a, b), st.sampled_from(CONNECTIVES), sub, sub),
+        ),
+        max_leaves=12,
+    )
+
+
+def random_read_once(rng, names):
+    """A read-once tree over `names`, each wrapped in a negation with
+    probability 0.2."""
+    if len(names) == 1:
+        node = Var(names[0])
+    else:
+        cut = int(rng.integers(1, len(names)))
+        op = CONNECTIVES[int(rng.integers(3))]
+        node = op(random_read_once(rng, names[:cut]), random_read_once(rng, names[cut:]))
+    return Not(node) if rng.random() < 0.2 else node
+
+
+def sibling_leaves(node):
+    """The (left, right) names of every binary node over two variables."""
+    if isinstance(node, Var):
+        return []
+    if isinstance(node, Not):
+        return sibling_leaves(node.child)
+    if isinstance(node.left, Var) and isinstance(node.right, Var):
+        return [(node.left.name, node.right.name)]
+    return sibling_leaves(node.left) + sibling_leaves(node.right)
+
+
+Q_CONNECTIVE = {And: mf.and_q, Or: mf.or_q, Implies: mf.implies_q}
+
+
+def read_once_interval(node, ps, qs):
+    """The exact interval of a read-once formula by the binary Frechet
+    rules, a leaf pair with a known q taking its q connective's value."""
+    if isinstance(node, Var):
+        return ps[node.name], ps[node.name]
+    if isinstance(node, Not):
+        lo, hi = read_once_interval(node.child, ps, qs)
+        return 1.0 - hi, 1.0 - lo
+    names = (getattr(node.left, "name", None), getattr(node.right, "name", None))
+    if names in qs:
+        value = Q_CONNECTIVE[type(node)](ps[names[0]], ps[names[1]], qs[names])
+        return value, value
+    (a, b), (c, d) = (read_once_interval(x, ps, qs) for x in (node.left, node.right))
+    if isinstance(node, And):
+        return max(0.0, a + c - 1.0), min(b, d)
+    if isinstance(node, Or):
+        return max(a, c), min(1.0, b + d)
+    return max(1.0 - b, c), min(1.0, 1.0 - a + d)
+
+
+class TestDecomposition:
+    """A compiled formula is bounded part by part; raw tables take one LP."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 6), st.data(), st.integers(0, 2**32 - 1))
+    def test_matches_one_lp_on_the_same_table(self, n, data, seed):
+        rng = np.random.default_rng(seed)
+        ast = data.draw(formulas_over(NAMES[:n]))
+        ordering = list(NAMES[:n])
+        rng.shuffle(ordering)
+        if seed % 2:
+            spec = edge_spec(rng, n)
+        else:
+            spec = random_consistent_spec(rng, n, pair_prob=rng.random())[1]
+        f = mf.compile_formula(ast, ordering)
+        outcomes = []
+        for g in (f, mf.BooleanFunction(n, 1, f.table)):
+            try:
+                outcomes.append(mf.exact_bounds(spec, g))
+            except InfeasibleSpec:
+                outcomes.append(None)
+        split, whole = outcomes
+        if whole is None:
+            assert split is None
+        else:
+            assert split.lo == pytest.approx(whole.lo, abs=1e-9)
+            assert split.hi == pytest.approx(whole.hi, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(13, 25))
+    def test_read_once_above_the_lp_cap(self, n, simplex_log):
+        """Read-once formulas over 13-24 variables, marginals only or with
+        the q of some pairs of sibling leaves, against the recursion.  Each
+        such pair is one two-variable LP; nothing else reaches the solver."""
+        rng = np.random.default_rng(n)
+        names = [f"x{i}" for i in range(n)]
+        pair_lps = 0
+        for _ in range(4):
+            ast = random_read_once(rng, names)
+            certain = rng.integers(0, 2, n).astype(float)
+            ps = dict(zip(names, np.where(rng.random(n) < 0.1, certain, rng.random(n))))
+            qs = {}
+            for left, right in sibling_leaves(ast):
+                if rng.random() < 0.5:
+                    b = mf.q_bounds(ps[left], ps[right])
+                    qs[left, right] = b.q_min + rng.random() * (b.q_max - b.q_min)
+            ordering = list(names)
+            rng.shuffle(ordering)
+            coordinate = {name: k + 1 for k, name in enumerate(ordering)}
+            spec = mf.PartialJointSpec(
+                marginals=tuple(ps[name] for name in ordering),
+                pairwise={(coordinate[a], coordinate[b]): q for (a, b), q in qs.items()},
+            )
+            ci = mf.exact_bounds(spec, mf.compile_formula(ast, ordering))
+            lo, hi = read_once_interval(ast, ps, qs)
+            assert ci.lo == pytest.approx(lo, abs=1e-12)
+            assert ci.hi == pytest.approx(hi, abs=1e-12)
+            pair_lps += len(qs)
+        assert simplex_log["made"] == pair_lps
+
+    def test_unread_variables_with_conflicting_pairs(self):
+        """c, d, e are never read, but their pairs admit no joint."""
+        f = compiled("a & b", ["a", "b", "c", "d", "e"])
+        spec = mf.PartialJointSpec(
+            marginals=(0.5,) * 5, pairwise={(3, 4): 0.0, (3, 5): 0.0, (4, 5): 0.0}
+        )
+        with pytest.raises(InfeasibleSpec):
+            mf.exact_bounds(spec, f)
+        # The same component under a variable the formula reads alone.
+        f = compiled("a & c", ["a", "b", "c", "d", "e"])
+        with pytest.raises(InfeasibleSpec):
+            mf.exact_bounds(spec, f)
+
+    def test_cancel_between_group_lps(self, simplex_log):
+        """Two groups that each need an LP; cancel turns True once the
+        first has solved both ends."""
+        f = compiled("((a | b) & (a | c)) | ((d | e) & (d | f))")
+        spec = mf.PartialJointSpec(marginals=(0.5, 0.4, 0.3, 0.6, 0.7, 0.2))
+        with pytest.raises(Cancelled):
+            mf.exact_bounds(spec, f, cancel=lambda: simplex_log["ends"] >= 2)
+        assert simplex_log["made"] == 1
+        mf.exact_bounds(spec, f)
+        assert simplex_log["made"] == 3
+
+    def test_group_over_the_cap_is_named(self):
+        names = [f"x{i}" for i in range(14)]
+        chain = {(i, i + 1): 0.2 for i in range(1, 13)}
+        spec = mf.PartialJointSpec(marginals=(0.5,) * 14, pairwise=chain)
+        f = compiled(" & ".join(names), names)
+        with pytest.raises(ArityTooLarge, match=r"got one over 13\b"):
+            mf.exact_bounds(spec, f)
+        # x14 splits off, so a pair linking it makes the one part 14 wide.
+        spec = mf.PartialJointSpec(marginals=(0.5,) * 14, pairwise={**chain, (13, 14): 0.2})
+        with pytest.raises(ArityTooLarge, match=r"got one over 14\b"):
+            mf.exact_bounds(spec, f)
+
+    @pytest.mark.parametrize(
+        "text, pairwise, made",
+        [
+            # Marginals only and read once: the Frechet rules alone.
+            ("a & b & c & d", {}, 0),
+            ("(a | !b) -> (c & d)", {}, 0),
+            # Pairs inside each of two parts: one LP per part.
+            ("(a & b) | (c -> d)", {(1, 2): 0.3, (3, 4): 0.2}, 2),
+            (
+                "(a & b & c) | !(d & e & f)",
+                {(1, 2): 0.3, (2, 3): 0.3, (4, 6): 0.2, (5, 6): 0.2},
+                2,
+            ),
+            # Pairs that connect every variable: one LP on the whole table.
+            ("(a | b) & c", {(1, 3): 0.3, (2, 3): 0.2}, 1),
+            # A pair cycle among variables read alone: one feasibility check.
+            ("a | b | c | d", {(1, 2): 0.3, (2, 3): 0.3, (1, 3): 0.3}, 1),
+            # A variable read twice: one LP over what it joins.
+            ("(a & b) | (a & c) | d", {}, 1),
+        ],
+    )
+    def test_solves_only_what_does_not_split(self, simplex_log, text, pairwise, made):
+        ast = mf.parse_formula(text)
+        n = len(mf.formula_variables(ast))
+        spec = mf.PartialJointSpec(marginals=(0.6,) * n, pairwise=pairwise)
+        mf.exact_bounds(spec, mf.compile_formula(ast, mf.formula_variables(ast)))
+        assert simplex_log["made"] == made
+
+    @pytest.mark.parametrize(
+        "kind, texts",
+        [
+            ("and", ["P1 & P2", "P2 & P1", "!(!P1 | !P2)", "!(P1 -> !P2)"]),
+            ("or", ["P1 | P2", "P2 | P1", "!P1 -> P2", "!(!P1 & !P2)"]),
+            ("implies", ["P1 -> P2", "!P1 | P2", "!P2 -> !P1", "!(P1 & !P2)"]),
+        ],
+    )
+    def test_two_variable_spellings_and_the_classic_forms(self, kind, texts):
+        """With no negation above the connective, lo and hi equal the
+        classic closed forms bit for bit; through a negated connective they
+        pass through 1 - x twice and may differ in the last digit."""
+        grid = [0.0, 1.0, 0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 0.5, 1e-17, 1 - 1e-16]
+        grid += [k / 997 for k in range(3, 997, 71)]
+        for text in texts:
+            f = compiled(text, ["P1", "P2"])
+            for p1 in grid:
+                for p2 in grid:
+                    ci = mf.exact_bounds(mf.PartialJointSpec(marginals=(p1, p2)), f)
+                    want = (mf.classic(p1, p2, kind, "min"), mf.classic(p1, p2, kind, "max"))
+                    if text.startswith("!("):
+                        assert (ci.lo, ci.hi) == pytest.approx(want, abs=2.0**-52)
+                    else:
+                        assert (ci.lo, ci.hi) == want, (text, p1, p2)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_raw_tables_take_one_lp(self, simplex_log, n):
+        spec = mf.PartialJointSpec(marginals=tuple(np.linspace(0.2, 0.8, n)))
+        for gate in (mf.and_function(n), mf.or_function(n)):
+            mf.exact_bounds(spec, gate)
+        assert simplex_log["made"] == 2
+
+    def test_independent_spec_above_the_lp_cap(self):
+        """Independence pins the joint, so no LP and no cap: the and of 14
+        variables is the product of their marginals."""
+        ps = tuple(np.linspace(0.5, 0.95, 14))
+        spec = mf.PartialJointSpec(marginals=ps, independent=True)
+        ci = mf.exact_bounds(spec, mf.and_function(14))
+        assert ci.lo == ci.hi == pytest.approx(float(np.prod(ps)), rel=1e-12)
+
+    def test_deep_trees_need_no_recursion(self):
+        """Trees far deeper than the recursion limit: an and/or chain of
+        3000 levels that rereads three variables, and 3001 negations."""
+        names = ["a", "b", "c"]
+        node = Var("a")
+        for k in range(3000):
+            node = (And if k % 2 else Or)(Var(names[k % 3]), node)
+        spec = mf.PartialJointSpec(marginals=(0.3, 0.6, 0.8), pairwise={(1, 2): 0.2})
+        f = mf.compile_formula(node, names)
+        ci = mf.exact_bounds(spec, f)
+        want = mf.exact_bounds(spec, mf.BooleanFunction(3, 1, f.table))
+        assert (ci.lo, ci.hi) == pytest.approx((want.lo, want.hi), abs=1e-9)
+        node = Or(Var("a"), And(Var("b"), Var("c")))
+        for _ in range(3001):
+            node = Not(node)
+        spec = mf.PartialJointSpec(marginals=(0.3, 0.6, 0.8))
+        ci = mf.exact_bounds(spec, mf.compile_formula(node, names))
+        assert (ci.lo, ci.hi) == pytest.approx((1.0 - 0.9, 1.0 - 0.4), abs=1e-15)
+
+    def test_compiled_function_equals_the_raw_table(self):
+        f = compiled("(a & b) | !c")
+        raw = mf.BooleanFunction(3, 1, f.table)
+        assert f == raw and repr(f) == repr(raw)
+        assert f._formula is not None and raw._formula is None

@@ -167,12 +167,68 @@ class TestBounds:
         assert "InfeasibleQ" in err
 
     def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        """A formula that rereads its variables does not split, so it still
+        reaches the solver."""
         monkeypatch.setattr(_simplex, "MAX_PIVOTS", 0)
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
-        code, out, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
+        formula = "(P1 & P2) | (!P1 & !P2)"
+        code, out, err = run(capsys, ["bounds", "--formula", formula, "--input", path])
         assert code == 5
         assert out == ""
         assert err == "error: SolverError: LP solve failed: pivot limit (0) reached\n"
+
+    def test_split_formula_needs_no_solver(self, tmp_path, capsys, monkeypatch):
+        """A marginals-only two-variable and is the classic interval, with
+        no linear program to fail."""
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 0)
+        path = write(tmp_path, "spec.json", DYADIC_SPEC)
+        code, out, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "lo": 0.25,
+            "hi": 0.5,
+            "classic": {"kind": "and", "lo": "and_min", "hi": "and_max"},
+        }
+
+    @pytest.mark.parametrize(
+        "formula, kind", [("P1 & P2", "and"), ("P1 | P2", "or"), ("P1 -> P2", "implies")]
+    )
+    def test_two_variable_results_are_the_classic_forms(
+        self, tmp_path, capsys, formula, kind
+    ):
+        """lo and hi are the closed forms the classic tag names, bit for
+        bit, on a grid with the ends and points where rounding differs."""
+        grid = [0.0, 1.0, 0.1, 0.2, 0.3, 0.7, 0.9, 1 / 3, 0.5, 1e-17, 1 - 1e-16]
+        grid += random.Random(5).sample([k / 997 for k in range(998)], 8)
+        for p1 in grid:
+            for p2 in grid:
+                spec = json.dumps({"marginals": [p1, p2]})
+                path = write(tmp_path, "spec.json", spec)
+                code, out, _ = run(capsys, ["bounds", "--formula", formula, "--input", path])
+                result = json.loads(out)
+                assert code == 0 and result["classic"]["kind"] == kind
+                assert result["lo"] == mf.classic(p1, p2, kind, "min"), (p1, p2)
+                assert result["hi"] == mf.classic(p1, p2, kind, "max"), (p1, p2)
+
+    def test_read_once_formula_above_the_lp_cap(self, tmp_path, capsys):
+        """20 variables, each read once: no linear program, so no cap."""
+        names = [f"X{i}" for i in range(1, 21)]
+        formula = " & ".join(f"({a} | {b})" for a, b in zip(names[::2], names[1::2]))
+        path = write(tmp_path, "spec.json", json.dumps({"marginals": [0.95] * 20}))
+        code, out, err = run(capsys, ["bounds", "--formula", formula, "--input", path])
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert result["lo"] == pytest.approx(0.5, abs=1e-12)
+        assert result["hi"] == 1.0
+
+    def test_part_over_the_lp_cap_exit_4(self, tmp_path, capsys):
+        """X1 is read twice, which joins 13 variables into one part."""
+        names = [f"X{i}" for i in range(1, 14)]
+        formula = "(" + " | ".join(names) + ") & !X1"
+        path = write(tmp_path, "spec.json", json.dumps({"marginals": [0.5] * 13}))
+        code, out, err = run(capsys, ["bounds", "--formula", formula, "--input", path])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ArityTooLarge: ") and err.endswith(" got one over 13\n")
 
     def test_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "spec.json", DYADIC_SPEC)

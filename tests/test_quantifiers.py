@@ -971,6 +971,51 @@ class TestTupleStream:
         with pytest.raises(BadCoordinate, match="'y'"):
             self.sample(stream, len(stream), lift="pairwise")
 
+    def test_element_without_length_is_a_bad_length(self):
+        with pytest.raises(InvalidParameter, match=r"^tuple 1 does not have length 2$"):
+            self.sample([1, 2], 2)
+        # Still after a short stream, and still before an unknown label.
+        with pytest.raises(InvalidParameter, match="yielded 2 tuples, need 3"):
+            self.sample([1, 2], 3)
+        with pytest.raises(InvalidParameter, match="tuple 7 does not"):
+            self.sample([("a", "z"), 7], 2)
+
+    def test_unhashable_label_is_outside_the_universe(self):
+        with pytest.raises(BadCoordinate, match=r"names \['b'\], which is not"):
+            self.sample([("a", ["b"])], 1)
+        # The first label outside the universe is named, hashable or not.
+        with pytest.raises(BadCoordinate, match="names 'z'"):
+            self.sample([("a", "b"), ("z", ["b"])], 2)
+        with pytest.raises(InvalidParameter, match="does not have length"):
+            self.sample([("a", ["b"]), ("a",)], 2)
+
+    @pytest.mark.parametrize(
+        "stream, line",
+        [
+            ([1, 2], "InvalidParameter: tuple 1 does not have length 2"),
+            (
+                [("a", ["b"])] * 2,
+                "BadCoordinate: tuple stream names ['b'], which is not in the universe",
+            ),
+        ],
+    )
+    def test_malformed_stream_exits_2_on_the_command_line(
+        self, tmp_path, capsys, monkeypatch, stream, line
+    ):
+        """`quantify sample` reads no stream itself; one is put into its
+        strategy here, to show that the error maps to an input exit."""
+        real = cli.SamplingStrategy
+        monkeypatch.setattr(
+            cli,
+            "SamplingStrategy",
+            lambda tuple_length, seed: real(tuple_length, seed, tuples=stream),
+        )
+        path = tmp_path / "table.json"
+        path.write_text('{"universe": ["a", "b"], "p": {"a": 0.25, "b": 0.5}}')
+        code = cli.main(["quantify", "sample", "--input", str(path), "--samples", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
     def test_callable_lift_errors_come_last(self):
         calls = []
 
