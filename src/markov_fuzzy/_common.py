@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ArityTooLarge, InvalidBelief
 
 #: Dense tables are capped at 2**N_MAX entries.
@@ -55,7 +57,11 @@ def check_arity(n, name: str = "arity") -> int:
     return n
 
 
-def clip01(x: float) -> float:
+def clip01(x):
+    """x clamped to [0, 1]; elementwise, with the same comparisons (signed
+    zeros kept), for a numpy array."""
+    if isinstance(x, np.ndarray):
+        return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
     if x < 0.0:
         return 0.0
     if x > 1.0:

@@ -6,13 +6,12 @@ N <= 2**n <= 4096 columns, so the whole method fits in a few numpy calls
 per pivot:
 
 * phase I starts from the caller's basis: m column indices, where index
-  N + r names the artificial column e_r of row r (without one, from one
-  artificial per row).  It is inverted once and its levels B^-1 b must
-  be >= -TOL.  A start basis without an artificial is feasible as it
-  stands, and phase I makes no pass over it.  Otherwise phase I
-  minimizes the sum of the artificials; a sum above `TOL` proves
-  infeasibility.  Any artificial left in the basis at level zero is then
-  pivoted out, unless its row depends on the others;
+  N + r names the artificial column e_r of row r.  It is inverted once
+  and its levels B^-1 b must be >= -TOL.  A start basis without an
+  artificial is feasible as it stands, and phase I makes no pass over it.
+  Otherwise phase I minimizes the sum of the artificials; a sum above
+  `TOL` proves infeasibility.  Any artificial left in the basis at level
+  zero is then pivoted out, unless its row depends on the others;
 * phase II minimizes each cost from the basis phase I ended on, so both
   ends of `exact_bounds` start there;
 * the m x m basis inverse is kept explicitly, updated by a rank-one
@@ -66,20 +65,17 @@ _HARRIS_SLACK = 1e-12
 class Simplex:
     """Phase I on construction; `minimize(cost)` then runs phase II.
 
-    `basis` is the start basis (see the module docstring); None starts
-    from the artificials.  `feasible` is False when no x >= 0 satisfies
-    A x = b within `TOL`.
+    `basis` is the start basis (see the module docstring).  `feasible` is
+    False when no x >= 0 satisfies A x = b within `TOL`.
     """
 
-    def __init__(
-        self, a: np.ndarray, b: np.ndarray, basis: Optional[np.ndarray] = None
-    ):
+    def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray):
         m, n = a.shape
         self._a = a
         self._b = b
         self._n = n
         # Artificial column n + r is the unit vector e_r.
-        self._basis = np.arange(n, n + m) if basis is None else np.array(basis)
+        self._basis = np.array(basis)
         self._refactor()
         if self._x.min() < -TOL:
             raise SolverError(

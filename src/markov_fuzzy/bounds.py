@@ -59,7 +59,7 @@ from .boolfuncs import (
     _fold,
     compile_formula,
 )
-from .connectives import _add_pair_q, _frechet_and, _frechet_or, classic
+from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, classic
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -153,7 +153,10 @@ class PartialJointSpec:
             raise SchemaError("an independent spec cannot carry pairwise entries")
         normalized: dict = {}
         for key, value in dict(self.pairwise or {}).items():
-            i, j = (int(c) for c in key)
+            try:
+                i, j = (int(c) for c in key)
+            except (TypeError, ValueError, OverflowError):
+                raise BadCoordinate(f"bad pairwise coordinates {key!r}") from None
             if i == j or not (1 <= i <= len(ps)) or not (1 <= j <= len(ps)):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             pair = (min(i, j), max(i, j))
@@ -249,16 +252,10 @@ def _lp_bounds(
                 keep &= bits[i] != value
     for (i, j), q in pairs:
         bi, bj = bits[i - 1], bits[j - 1]
-        pi, pj = marginals[i - 1], marginals[j - 1]
-        cells = {
-            (False, False): q,
-            (True, False): 1.0 - pj - q,
-            (False, True): 1.0 - pi - q,
-            (True, True): pi + pj - 1.0 + q,
-        }
-        for (vi, vj), mass in cells.items():
+        cells = _pair_cells(marginals[i - 1], marginals[j - 1], q)
+        for index, mass in enumerate(cells):
             if mass <= EPS_FEAS:
-                keep &= (bi != vi) | (bj != vj)
+                keep &= (bi != (index & 1)) | (bj != (index >> 1))
 
     if not keep.all():
         bits = bits[:, keep]

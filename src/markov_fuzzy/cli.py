@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from ._common import EPS_SIMPLEX, N_MAX
+from ._common import N_MAX
 from .boolfuncs import (
     and_function,
     compile_formula,
@@ -36,15 +36,15 @@ from .boolfuncs import (
     or_function,
 )
 from .bounds import PartialJointSpec, exact_bounds
-from .connectives import _feasible_q, q_bounds
+from .connectives import _feasible_q, _pair_cells, and_q, implies_q, or_q, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
     DuplicateVariable,
+    InvalidParameter,
     MarginalMismatch,
     MultiOutput,
-    NotNormalized,
     SchemaError,
     SolverError,
     UnboundVariable,
@@ -168,49 +168,16 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _clip01(x: np.ndarray) -> np.ndarray:
-    """Elementwise `clip01`, with the same comparisons (signed zeros kept)."""
-    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-
-
-def _check_normalized(table: np.ndarray) -> None:
-    """Column-wise `JointBooleanDist` normalisation check of a table."""
-    sums = table.sum(axis=0)
-    bad = np.abs(sums - 1.0) > 4 * EPS_SIMPLEX
-    if bad.any():
-        raise NotNormalized(f"probabilities sum to {float(sums[np.argmax(bad)])}")
-
-
 def _sweep_columns(p1: float, p2: float, qs: np.ndarray, f) -> list:
-    """The sweep's columns over the whole q grid at once.
-
-    Each column repeats, elementwise and in the same operation order, the
-    float expressions of `and_q`, `or_q`, `implies_q` and, for the formula,
-    `pushforward(pair_from_pq(p1, p2, q), f)`, so every value equals the
-    scalar one bit for bit.
-    """
-    # An interval holds the whole grid iff it holds the grid's two ends.
-    for end in (qs.min(), qs.max()):
-        _feasible_q(p1, p2, end)
-    b = q_bounds(p1, p2)
-    q = np.where(b.q_min > qs, b.q_min, qs)
-    q = np.where(b.q_max < q, b.q_max, q)
-    columns = [
-        qs,
-        _clip01(p1 + p2 + q - 1.0),
-        _clip01(1.0 - q),
-        _clip01(p2 + q),
-    ]
+    """The sweep's columns over the whole q grid at once: `and_q`, `or_q`,
+    `implies_q` and, for the formula, `pushforward(pair_from_pq(p1, p2, q),
+    f)`, each evaluated on the array of q by the scalar path's own
+    expressions, so every value equals the scalar one bit for bit."""
+    columns = [qs, and_q(p1, p2, qs), or_q(p1, p2, qs), implies_q(p1, p2, qs)]
     if f is not None:
-        # Rows in table-index order: p_FF, p_TF, p_FT, p_TT.
-        pair = np.maximum(
-            np.stack([q, (1.0 - p2) - q, (1.0 - p1) - q, p1 + p2 - 1.0 + q]), 0.0
-        )
-        _check_normalized(pair)
+        pair = np.maximum(_pair_cells(*_feasible_q(p1, p2, qs)), 0.0)
         pushed = np.zeros((2, qs.size))
-        for index, value in enumerate(f.table.tolist()):
-            pushed[value] += pair[index]
-        _check_normalized(pushed)
+        np.add.at(pushed, f.table, pair)
         columns.append(pushed[1])
     return [column.tolist() for column in columns]
 
@@ -231,7 +198,13 @@ def _cmd_sweep(args) -> int:
     if b.q_min == b.q_max:
         qs = np.array([b.q_min])
     else:
-        qs = np.linspace(b.q_min, b.q_max, args.steps)
+        try:
+            qs = np.linspace(b.q_min, b.q_max, args.steps)
+        except (MemoryError, ValueError):
+            raise InvalidParameter(
+                f"--steps = {args.steps} is too large: its {8 * args.steps} "
+                "bytes of q values cannot be allocated"
+            ) from None
 
     f = _compile(args.formula, 2) if args.formula else None
     header = ["q", "and_q", "or_q", "implies_q"]

@@ -11,8 +11,10 @@ in terms of (p1, p2, q):
 
 The feasible range of q is [q_min, q_max]; the endpoints reproduce the
 classic extremal fuzzy connectives and q_indep = (1-p1)(1-p2) reproduces
-the independent ("product") flavor.  All functions here are pure scalar
-maps and safe to share between threads.
+the independent ("product") flavor.  All functions here are pure maps and
+safe to share between threads.  `and_q`, `or_q` and `implies_q` also take
+a numpy array of q, and then return the array of their values, each equal
+bit for bit to the scalar call; `sweep` evaluates its whole q grid so.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ._common import EPS_FEAS, check_belief, clip01, to_float
 from .errors import InfeasibleQ, InvalidParameter
@@ -70,12 +74,21 @@ def clamp_q(p1: float, p2: float, q: float) -> float:
     return min(max(float(q), b.q_min), b.q_max)
 
 
-def _feasible_q(p1: float, p2: float, q) -> tuple[float, float, float]:
+def _feasible_q(p1: float, p2: float, q) -> tuple:
     """Validate (p1, p2, q) and return the triple with q exactly feasible.
 
     q within EPS_FEAS of the interval is clamped to the boundary; anything
-    farther out raises InfeasibleQ.
+    farther out raises InfeasibleQ.  An array of q is checked at its two
+    ends, least first, and clamped elementwise by the comparisons of the
+    scalar clamp.
     """
+    if isinstance(q, np.ndarray):
+        # An interval holds the whole array iff it holds the array's ends.
+        for end in (q.min(), q.max()):
+            p1, p2, _ = _feasible_q(p1, p2, end)
+        b = q_bounds(p1, p2)
+        q = np.where(b.q_min > q, b.q_min, q)
+        return p1, p2, np.where(b.q_max < q, b.q_max, q)
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
     q = to_float(q)
@@ -86,6 +99,13 @@ def _feasible_q(p1: float, p2: float, q) -> tuple[float, float, float]:
             f"for marginals ({p1}, {p2})"
         )
     return p1, p2, min(max(q, b.q_min), b.q_max)
+
+
+def _pair_cells(p1: float, p2: float, q) -> list:
+    """The 2x2 table of marginals (p1, p2) and both-false confidence q, in
+    table-index order [p_FF, p_TF, p_FT, p_TT] (the first letter names
+    predicate 1).  Elementwise for an array of q."""
+    return [q, (1.0 - p2) - q, (1.0 - p1) - q, p1 + p2 - 1.0 + q]
 
 
 def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, to_float
 from .boolfuncs import BooleanFunction, index_assignment
-from .connectives import _feasible_q
+from .connectives import _feasible_q, _pair_cells
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -282,12 +282,7 @@ def pair_from_pq(p1: float, p2: float, q: float) -> JointBooleanDist:
     the marginals of the result equal (p1, p2).  q outside the feasible
     interval (beyond EPS_FEAS) raises InfeasibleQ.
     """
-    p1, p2, q = _feasible_q(p1, p2, q)
-    p_ff = q
-    p_ft = (1.0 - p1) - q
-    p_tf = (1.0 - p2) - q
-    p_tt = p1 + p2 - 1.0 + q
-    table = np.maximum([p_ff, p_tf, p_ft, p_tt], 0.0)
+    table = np.maximum(_pair_cells(*_feasible_q(p1, p2, q)), 0.0)
     return JointBooleanDist._adopt(2, table)
 
 

@@ -93,8 +93,12 @@ class BeliefTable:
 
         normalized: dict = {}
         for key, value in dict(self.q_pair or {}).items():
-            a, b = key
-            if a not in position or b not in position or a == b:
+            try:
+                a, b = key
+                known = a in position and b in position and a != b
+            except (TypeError, ValueError):
+                known = False
+            if not known:
                 raise SchemaError(f"bad q_pair key {key!r}")
             pair = (a, b) if position[a] < position[b] else (b, a)
             _add_pair_q(normalized, pair, beliefs[pair[0]], beliefs[pair[1]], value)
@@ -231,9 +235,12 @@ class SamplingStrategy:
     tuples: Optional[Iterable] = None
 
     def __post_init__(self):
-        if int(self.tuple_length) < 1:
+        length = self.tuple_length
+        if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
+            raise InvalidParameter(f"tuple_length must be an integer, got {length!r}")
+        if length < 1:
             raise InvalidParameter("tuple_length must be >= 1")
-        object.__setattr__(self, "tuple_length", int(self.tuple_length))
+        object.__setattr__(self, "tuple_length", int(length))
         seed = self.seed
         if seed is not None:
             if (

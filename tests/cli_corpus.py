@@ -260,6 +260,9 @@ def _sweep_cases(rng: random.Random) -> list:
         (["--formula", "P1"], '{"marginals": [0.5, 0.5]}'),
         (["--formula", "P1 |"], '{"marginals": [0.5, 0.5]}'),
         ([], '{"marginals": [0.5, -0.5]}'),
+        # Too many rows to allocate: no memory is touched.
+        (["--steps", str(10**15)], '{"marginals": [0.5, 0.5]}'),
+        (["--steps", str(10**20)], '{"marginals": [0.5, 0.5]}'),
     ]
     for extra, document in failing:
         for fmt in ([], ["--format", "json"]):
@@ -319,7 +322,8 @@ def _quantify_cases(rng: random.Random) -> list:
 def cases() -> list:
     """The corpus's calls, in a fixed order, without their results."""
     rng = random.Random(SEED)
-    return _eval_cases(rng) + _bounds_cases(rng) + _sweep_cases(rng) + _quantify_cases(rng)
+    groups = (_eval_cases, _bounds_cases, _sweep_cases, _quantify_cases)
+    return [case for group in groups for case in group(rng)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,8 +367,9 @@ def replay(case: dict, workdir: str) -> dict:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with _settings(case), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(case["argv"])
+        with _settings(case), contextlib.redirect_stdout(out):
+            with contextlib.redirect_stderr(err):
+                code = cli.main(case["argv"])
     finally:
         os.chdir(cwd)
         for name in case["inputs"]:

@@ -485,7 +485,11 @@ class TestSolverEquivalence:
         rows += [(bits[i] == 0) & (bits[j] == 0) for i, j in pairs]
         color = (coloring >> np.arange(n)) & 1
         rhs = [1.0] + [0.5] * n + [0.5 * (color[i] == color[j]) for i, j in pairs]
-        lp = _simplex.Simplex(np.array(rows, dtype=np.float64), np.array(rhs))
+        lp = _simplex.Simplex(
+            np.array(rows, dtype=np.float64),
+            np.array(rhs),
+            np.arange(1 << n, (1 << n) + len(rows)),  # one artificial per row
+        )
         assert lp.feasible
         for a in (coloring, (1 << n) - 1 - coloring):
             cost = np.zeros(1 << n)

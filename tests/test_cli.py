@@ -274,6 +274,27 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--input", path, "--steps", "0"])
         assert code == 2
 
+    def test_unallocatable_step_count_exit_2(self, tmp_path):
+        """10**15 rows need 8 PB for their q values, which fails up front:
+        a one-line error that names the count, not a traceback."""
+        path = write(tmp_path, "spec.json", DYADIC_SPEC)
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["sweep", "--input", path, "--steps", str(10**15)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "markov_fuzzy", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(
+            "error: InvalidParameter: --steps = 1000000000000000 is too large"
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_wrong_arity_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, "spec.json", '{"marginals": [0.5, 0.5, 0.5]}')
         code, _, _ = run(capsys, ["sweep", "--input", path, "--steps", "3"])

@@ -1,6 +1,6 @@
-"""Argument checks of the boolfuncs, bounds, connectives, dsl and joints
-modules raise typed errors: each a MarkovFuzzyError that is still a
-ValueError, so callers catching ValueError keep working."""
+"""Argument checks of the boolfuncs, bounds, connectives, dsl, joints and
+quantifiers modules raise typed errors: each a MarkovFuzzyError that is
+still a ValueError, so callers catching ValueError keep working."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,22 @@ from markov_fuzzy import Exists, Var, cli
 from markov_fuzzy.dsl import SourceSpan
 from markov_fuzzy.errors import (
     ArityMismatch,
+    BadCoordinate,
     InvalidParameter,
     MarkovFuzzyError,
+    SchemaError,
     UnexpandedQuantifier,
 )
+
+
+class HashableKey(tuple):
+    """A pair key that hashes although it holds an unhashable label."""
+
+    def __hash__(self):
+        return 0
+
+
+BELIEFS = {"a": 0.5, "b": 0.5}
 
 #: Each check: the call and the error it raises.
 RAISE_SITES = {
@@ -50,6 +62,42 @@ RAISE_SITES = {
     "repeated alphabet label": (
         InvalidParameter,
         lambda: mf.FiniteDist(("a", "a"), [0.5, 0.5]),
+    ),
+    "pairwise key of three coordinates": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(1, 2, 3): 0.1}),
+    ),
+    "pairwise key of names": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {("x", "y"): 0.1}),
+    ),
+    "pairwise key holding an unhashable label": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {HashableKey((1, [2])): 0.1}),
+    ),
+    "pairwise key holding an infinite coordinate": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(float("inf"), 2): 0.1}),
+    ),
+    "q_pair key of three labels": (
+        SchemaError,
+        lambda: mf.BeliefTable(("a", "b"), BELIEFS, {"abc": 0.1}),
+    ),
+    "q_pair key holding an unhashable label": (
+        SchemaError,
+        lambda: mf.BeliefTable(("a", "b"), BELIEFS, {HashableKey(("a", ["b"])): 0.1}),
+    ),
+    "tuple_length a string": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length="x"),
+    ),
+    "tuple_length a float": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=2.7),
+    ),
+    "tuple_length a bool": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(tuple_length=True),
     ),
 }
 
