@@ -11,7 +11,12 @@ per pivot:
   artificial is feasible as it stands, and phase I makes no pass over it.
   Otherwise phase I minimizes the sum of the artificials; a sum above
   `TOL` proves infeasibility.  Any artificial left in the basis at level
-  zero is then pivoted out, unless its row depends on the others;
+  zero is then pivoted out, unless its row depends on the others.
+  `exact_bounds` starts from the table glued from its pair tables
+  (`bounds._glued_basis`), which leaves an artificial basic only in the
+  row of a pair that closes a cycle and in rows whose piece of that table
+  lies in a cell left out as empty: a spec whose pairs form a forest,
+  with no empty cell, runs no phase I;
 * phase II minimizes each cost from the basis phase I ended on, so both
   ends of `exact_bounds` start there;
 * the m x m basis inverse is kept explicitly, updated by a rank-one

@@ -17,14 +17,18 @@ formula attains an exact minimum and maximum over it:
 * each LP is solved with the package's own dense revised simplex
   (`_simplex`, numpy only): phase I once, then the min and the max, each
   from the basis phase I ended on, each optimum checked on its final
-  basis from one fresh inverse.  Phase I starts from the comonotone chain
-  table (`_chain_basis`), which puts every pair at its q_max and is a
-  vertex of every marginals-only LP: on a marginals-only spec without a 0/1
-  marginal the start basis holds no artificial and phase I is skipped,
-  and the end the chain table attains (the max of an and chain, the min
-  of an or chain) makes no pivot.  Entries inside an empty cell of a
-  marginal or a pair (a 0/1 marginal, a q at an end of its range) must
-  be zero and are left out of the LPs;
+  basis from one fresh inverse.  Phase I starts from a table glued from
+  the pair tables along a spanning forest of the pair graph
+  (`_glued_basis`): every pair of the forest is at its own q, and with no
+  pairs this is the comonotone chain table, a vertex of every
+  marginals-only LP.  The start basis holds an artificial only for a pair
+  that closes a cycle and for a cell left out below, so phase I runs only
+  for those; a spec whose pairs form a forest is always feasible, and
+  without 0/1 marginals or a q at an end of its range it skips phase I.
+  The end the start table attains (the max of an and chain, the min of
+  an or chain, given marginals only) makes no pivot.  Entries inside an
+  empty cell of a marginal or a pair (a 0/1 marginal, a q at an end of
+  its range) must be zero and are left out of the LPs;
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
@@ -154,9 +158,15 @@ class PartialJointSpec:
         normalized: dict = {}
         for key, value in dict(self.pairwise or {}).items():
             try:
-                i, j = (int(c) for c in key)
-            except (TypeError, ValueError, OverflowError):
+                i, j = key
+            except (TypeError, ValueError):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}") from None
+            # Integers only: int() would truncate 1.7 and read True as 1.
+            if any(
+                isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in (i, j)
+            ):
+                raise BadCoordinate(f"bad pairwise coordinates {key!r}")
+            i, j = int(i), int(j)
             if i == j or not (1 <= i <= len(ps)) or not (1 <= j <= len(ps)):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             pair = (min(i, j), max(i, j))
@@ -243,8 +253,8 @@ def _lp_bounds(
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
     # of its range) forces its entries to zero.  Leaving them out removes
     # the degenerate vertices where the simplex would otherwise stall; a
-    # chain column left out hands its row to an artificial in the start
-    # basis (`_chain_basis`).
+    # piece of the start table left out hands its row to an artificial in
+    # the start basis (`_glued_basis`).
     keep = np.ones(1 << n, dtype=bool)
     for i, p in enumerate(marginals):
         for value, mass in ((True, p), (False, 1.0 - p)):
@@ -273,7 +283,7 @@ def _lp_bounds(
     _check_cancel(cancel)
     if not keep.any():
         raise InfeasibleSpec("no joint distribution satisfies the spec")
-    lp = Simplex(a_eq, b_eq, _chain_basis(marginals, keep, a_eq, b_eq))
+    lp = Simplex(a_eq, b_eq, _glued_basis(marginals, pairs, keep, a_eq, b_eq))
     if not lp.feasible:
         raise InfeasibleSpec("no joint distribution satisfies the spec")
     if cost is None:
@@ -281,7 +291,8 @@ def _lp_bounds(
     cost = cost.astype(np.float64)
     lo = lp.minimize(cost)
     _check_cancel(cancel)
-    hi = -lp.minimize(-cost)
+    # 0.0 - x, not -x: a maximum of 0 is +0.0, never -0.0.
+    hi = 0.0 - lp.minimize(-cost)
     return clip01(lo), clip01(hi)
 
 
@@ -366,18 +377,19 @@ def _coordinates(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _find(parent: list, k: int) -> int:
+    """The root of k in the union-find forest `parent`, halving its path."""
+    while parent[k] != k:
+        parent[k] = parent[parent[k]]
+        k = parent[k]
+    return k
+
+
 def _groups(kids: list, component: list) -> list:
     """The operands of an and/or, grouped by union-find so that operands
     reading a common component share a group: [components' mask, operands]
     per group, in order of first operand."""
     parent = list(range(len(kids)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
     first: dict = {}
     closures = []
     for k, kid in enumerate(kids):
@@ -389,11 +401,11 @@ def _groups(kids: list, component: list) -> list:
             closure |= c
             j = first.setdefault(c, k)
             if j != k:
-                parent[find(j)] = find(k)
+                parent[_find(parent, j)] = _find(parent, k)
         closures.append(closure)
     groups: dict = {}
     for k, kid in enumerate(kids):
-        group = groups.setdefault(find(k), [0, []])
+        group = groups.setdefault(_find(parent, k), [0, []])
         group[0] |= closures[k]
         group[1].append(kid)
     return list(groups.values())
@@ -502,43 +514,166 @@ def _bit_table(n: int) -> np.ndarray:
     return bits
 
 
-def _chain_basis(
-    marginals: tuple, keep: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
-) -> np.ndarray:
-    """Start basis of the comonotone chain table, which puts every pair at
-    its q_max at once; it is a vertex of every marginals-only bounds LP.
+def _spanning_forest(n: int, pairs: list) -> list:
+    """Indices of the sorted pairs that join two trees when the pairs are
+    walked in order with union-find; the others close a cycle."""
+    parent = list(range(n))
+    forest = []
+    for k, ((i, j), _) in enumerate(pairs):
+        a, b = _find(parent, i - 1), _find(parent, j - 1)
+        if a != b:
+            parent[a] = b
+            forest.append(k)
+    return forest
 
-    With the coordinates sorted by marginal, descending (ties by index),
-    chain assignment S_k makes the first k of them true and carries mass
-    p_(k) - p_(k+1), where p_(0) = 1 and p_(n+1) = 0.  On the marginal rows
-    the chain columns are triangular: S_0 is basic in the row of ones and
-    S_k in the row of the k-th sorted coordinate.  A chain column outside
-    `keep` leaves the artificial of its row basic instead; then slot k,
-    column or artificial, is at level p_(k) - p_(next kept column), which
-    the sort makes >= 0.  Each pair row keeps its artificial, at level q
-    minus the chain mass on the pair's both-false cell; a row where that
-    is negative is negated in place, in `a_eq` and `b_eq`, so that every
-    level is >= 0.
+
+def _glue(marginals: tuple, pairs: list, forest: list, keep: np.ndarray) -> tuple:
+    """The table glued from the pair tables along `forest`, as pieces of
+    [0, 1): (row, mask, length, kept) per piece, in position order.
+
+    Each coordinate's true set is a union of pieces (bit i of `mask` set
+    when the piece lies in coordinate i's), and each piece is basic in
+    its own `row`, the row it was cut for.  The roots, the coordinates
+    first in the chain order of their tree (marginal descending, ties by
+    index), are laid out first: root r is [0, p_r), so with no forest the
+    pieces are the chain table.  Then each tree is walked from its root:
+    child c of u, joined by forest pair k, is the first P(u true, c true)
+    of u's true set (cut for c's marginal row) and the first P(u false,
+    c true) of u's false set (cut for pair k's row), read left to right;
+    both are cells of the pair's 2x2 table (`_pair_cells`).  A cut splits
+    one piece in two and gives one of them the new row; a cut at a
+    piece's end leaves a piece of length 0.
+
+    A piece outside `keep` is not basic: the artificial of its row is.
+    At each cut of a child, the half holding a kept piece keeps the old
+    row when the other half holds none, so that the kept pieces and these
+    artificials stay independent (the chain's cuts are triangular, so any
+    of its pieces can be swapped for its artificial).
     """
     n = len(marginals)
-    # Plain Python on these n + 1 <= 13 slots: numpy calls on arrays this
-    # small cost more than the work.
     order = sorted(range(n), key=lambda i: -marginals[i])
-    chain = [0]
-    for i in order:
-        chain.append(chain[-1] | 1 << i)
-    rows = [0] + [1 + i for i in order]
-    levels = [1.0] + [marginals[i] for i in order] + [0.0]
-    kept = [k for k in range(n + 1) if keep[chain[k]]]
-    mass = [levels[k] - levels[k_next] for k, k_next in zip(kept, kept[1:] + [n + 1])]
-    columns = keep.nonzero()[0].searchsorted([chain[k] for k in kept])
+    neighbours: list = [[] for _ in range(n)]
+    for k in forest:
+        (i, j), q = pairs[k]
+        cells = _pair_cells(marginals[i - 1], marginals[j - 1], q)
+        # (child, pair, P(u true, c true), P(u false, c true)) from each end
+        neighbours[i - 1].append((j - 1, k, cells[3], cells[2]))
+        neighbours[j - 1].append((i - 1, k, cells[3], cells[1]))
+    roots, walk = [], []
+    seen = [False] * n
+    for r in order:
+        if not seen[r]:
+            seen[r] = True
+            roots.append(r)
+            tree = [r]
+            for u in tree:
+                for c, k, both_true, only_c in neighbours[u]:
+                    if not seen[c]:
+                        seen[c] = True
+                        tree.append(c)
+                        walk.append((u, c, k, both_true, only_c))
 
+    length, mask = [1.0], [0]
+    pieces = [0]  # piece ids in position order
+    cuts = []  # (piece, left half, right half, new row, new row to the left)
+
+    def cut(at, left, bit, row, to_left):
+        """Cut the piece at position `at` after `left`; `bit` is set on
+        the left half, and the new row goes to the left or right half."""
+        p = pieces[at]
+        k = len(length)
+        pieces[at : at + 1] = [k, k + 1]
+        cuts.append((p, k, k + 1, row, to_left))
+        length.extend((left, length[p] - left))
+        mask.extend((mask[p] | bit, mask[p]))
+
+    def prefix(u_bit, value, size, bit):
+        """Set `bit` on the first `size` of the pieces whose `u_bit` is
+        `value`; the position of the piece the prefix ends in, unmarked,
+        and the length of the prefix inside it."""
+        done, last = 0.0, 0
+        for at, p in enumerate(pieces):
+            if (mask[p] & u_bit) == value:
+                if done + length[p] >= size:
+                    return at, min(size - done, length[p])
+                done += length[p]
+                mask[p] |= bit
+                last = at
+        mask[pieces[last]] &= ~bit  # rounding left `size` beyond the set
+        return last, length[pieces[last]]
+
+    for r in roots:  # the chain: every cut falls in the first piece
+        cut(0, min(marginals[r], length[pieces[0]]), 1 << r, 1 + r, True)
+    for u, c, k, both_true, only_c in walk:
+        at, left = prefix(1 << u, 1 << u, max(both_true, 0.0), 1 << c)
+        cut(at, left, 1 << c, 1 + c, True)
+        at, left = prefix(1 << u, 0, max(only_c, 0.0), 1 << c)
+        cut(at, left, 1 << c, n + 1 + k, False)
+
+    held = [False] * len(length)  # the piece is or holds a kept piece
+    for p in pieces:
+        held[p] = bool(keep[mask[p]])
+    for p, left, right, _, _ in reversed(cuts):
+        held[p] = held[left] or held[right]
+    row = [0] * len(length)
+    for index, (p, left, right, new, to_left) in enumerate(cuts):
+        fresh, old = (left, right) if to_left else (right, left)
+        if index >= len(roots) and held[fresh] and not held[old]:
+            fresh, old = old, fresh
+        row[fresh], row[old] = new, row[p]
+    return [(row[p], mask[p], length[p], held[p]) for p in pieces]
+
+
+def _glued_basis(
+    marginals: tuple, pairs: list, keep: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
+) -> np.ndarray:
+    """Start basis of the table glued from the pair tables along a spanning
+    forest of the pair graph (`_glue`); with no pairs it is the comonotone
+    chain table, a vertex of every marginals-only bounds LP.
+
+    The pieces, 1 + n + |forest| of them, are independent columns that
+    satisfy the marginal rows and every forest pair's row, each basic in
+    its own row.  A piece of length 0 in a kept cell stays basic at level
+    0; a piece outside `keep` hands its row to its artificial.  A pair
+    that closes a cycle keeps its artificial, at level q minus the glued
+    mass on the pair's both-false cell; a row where that is negative is
+    negated in place, in `a_eq` and `b_eq`, so that every level is >= 0.
+    With no such pair and no piece outside `keep`, the basis holds no
+    artificial and phase I does not run.
+
+    The levels are the pieces' lengths, each dropped piece's length moved
+    onto the next kept piece to its right (for the chain, the mass that
+    the triangular marginal rows put there).  They solve the start basis
+    exactly when the dropped pieces are empty.  Glue that puts mass on a
+    cell a cycle's pair leaves empty (at a q at an end of its range) is
+    not a start: then the chain table is, with every pair row artificial.
+    """
+    n = len(marginals)
+    forest = _spanning_forest(n, pairs)
+    pieces = _glue(marginals, pairs, forest, keep)
+    if forest and any(size > EPS_FEAS and not kept for _, _, size, kept in pieces):
+        forest = []
+        pieces = _glue(marginals, pairs, forest, keep)
+
+    rows, masks, levels = [], [], []
+    carry = 0.0
+    for row, a, size, kept in pieces:
+        if kept:
+            rows.append(row)
+            masks.append(a)
+            levels.append(size + carry)
+            carry = 0.0
+        else:
+            carry += size
+    columns = keep.nonzero()[0].searchsorted(masks)
     m, size = a_eq.shape
     basis = np.arange(size, size + m)
-    basis[[rows[k] for k in kept]] = columns
-    if m > n + 1:
-        residual = b_eq[n + 1 :] - a_eq[n + 1 :, columns] @ mass
-        negative = n + 1 + (residual < 0.0).nonzero()[0]
+    basis[rows] = columns
+    if len(forest) < len(pairs):
+        in_forest = set(forest)
+        cycle = np.array([n + 1 + k for k in range(len(pairs)) if k not in in_forest])
+        residual = b_eq[cycle] - a_eq[cycle][:, columns] @ levels
+        negative = cycle[residual < 0.0]
         a_eq[negative] *= -1.0
         b_eq[negative] *= -1.0
     return basis

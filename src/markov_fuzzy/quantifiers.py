@@ -98,7 +98,8 @@ class BeliefTable:
                 known = a in position and b in position and a != b
             except (TypeError, ValueError):
                 known = False
-            if not known:
+            # A string key would unpack into its characters.
+            if isinstance(key, str) or not known:
                 raise SchemaError(f"bad q_pair key {key!r}")
             pair = (a, b) if position[a] < position[b] else (b, a)
             _add_pair_q(normalized, pair, beliefs[pair[0]], beliefs[pair[1]], value)

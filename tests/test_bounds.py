@@ -1,5 +1,6 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -103,6 +104,14 @@ class TestPartialJointSpec:
         with pytest.raises(BadCoordinate):
             mf.PartialJointSpec(marginals=(0.7, 0.6), pairwise={(1, 1): 0.1})
 
+    def test_numpy_integer_coordinates(self):
+        """Any integer type names a coordinate; a float or a bool does not
+        (see `tests/test_errors.py`)."""
+        key = (np.int64(2), np.uint8(1))
+        spec = mf.PartialJointSpec(marginals=(0.7, 0.6), pairwise={key: 0.12})
+        assert spec.pairwise == {(1, 2): pytest.approx(0.12)}
+        assert all(type(c) is int for c in next(iter(spec.pairwise)))
+
     def test_independent_excludes_pairwise(self):
         with pytest.raises(SchemaError):
             mf.PartialJointSpec(
@@ -174,6 +183,17 @@ class TestExactBounds:
         )
         with pytest.raises(InfeasibleSpec):
             mf.exact_bounds(spec, mf.and_function(3))
+
+    def test_zero_maximum_is_positive_zero(self):
+        """The max end is the negated min of the negated cost; a zero
+        there comes back as +0.0, not -0.0."""
+        spec = mf.PartialJointSpec(
+            marginals=(0.7020217104975492, 1e-13), pairwise={(1, 2): 0.2979782895024276}
+        )
+        for f in (mf.and_function(), compiled("P1 & P2")):
+            ci = mf.exact_bounds(spec, f)
+            assert (ci.lo, ci.hi) == (0.0, 0.0)
+            assert math.copysign(1.0, ci.hi) == 1.0
 
     def test_arity_cap(self):
         spec = mf.PartialJointSpec(marginals=(0.5,) * 13)
@@ -653,6 +673,137 @@ class TestChainStart:
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
 
+def pair_graph_spec(rng, n, cyclic):
+    """Marginals of a random table with pairs along a random forest; with
+    `cyclic`, more pairs that close cycles, their q read off the table or
+    (then often jointly infeasible) drawn anywhere in its range."""
+    table = rng.dirichlet(np.ones(1 << n))
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    marginals = [float(table[bits[:, i] == 1].sum()) for i in range(n)]
+    chosen = {(int(rng.integers(0, v)), v) for v in range(1, n) if rng.random() < 0.8}
+    if cyclic and n > 2:
+        for _ in range(int(rng.integers(1, n + 1))):
+            i, j = sorted(int(c) for c in rng.choice(n, size=2, replace=False))
+            chosen.add((i, j))
+    pairwise = {}
+    for i, j in sorted(chosen):
+        q = float(table[(bits[:, i] == 0) & (bits[:, j] == 0)].sum())
+        if cyclic and rng.random() < 0.3:
+            b = mf.q_bounds(marginals[i], marginals[j])
+            q = b.q_min + rng.random() * (b.q_max - b.q_min)
+        pairwise[(i + 1, j + 1)] = q
+    return mf.PartialJointSpec(marginals=tuple(marginals), pairwise=pairwise)
+
+
+def spanning_forest(n, pairs):
+    """Indices of the sorted pairs that join two trees of the pairs before
+    them; the others close a cycle."""
+    tree = list(range(n))
+
+    def root(i):
+        while tree[i] != i:
+            i = tree[i]
+        return i
+
+    forest = []
+    for k, ((i, j), _) in enumerate(pairs):
+        a, b = root(i - 1), root(j - 1)
+        if a != b:
+            tree[a] = b
+            forest.append(k)
+    return forest
+
+
+def has_empty_cell(spec, pair):
+    (i, j), q = pair
+    cells = [q, (1 - spec.marginals[j - 1]) - q, (1 - spec.marginals[i - 1]) - q]
+    cells.append(spec.marginals[i - 1] + spec.marginals[j - 1] - 1 + q)
+    return min(cells) <= 1e-12
+
+
+class TestGluedStart:
+    """Each LP starts at a table glued from the pair tables along a
+    spanning forest of the pair graph."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(("forest", "cyclic", "edge")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_start_basis(self, n, kind, seed):
+        """The start basis is nonsingular with every level >= -TOL, and the
+        start table meets every forest pair's row, unless a pair that
+        closes a cycle has an empty cell (then the start may be the chain
+        table); the bounds agree with HiGHS."""
+        rng = np.random.default_rng(seed)
+        if kind == "edge":
+            spec = edge_spec(rng, n)
+        else:
+            spec = pair_graph_spec(rng, n, kind == "cyclic")
+        f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+        starts = []
+
+        class Recording(_simplex.Simplex):
+            def __init__(self, a, b, basis):
+                starts.append((a, b.copy(), np.array(basis)))
+                super().__init__(a, b, basis)
+
+        with mock.patch.object(bounds, "Simplex", Recording):
+            try:
+                ci = mf.exact_bounds(spec, f)
+            except InfeasibleSpec:
+                ci = None
+        pairs = sorted(spec.pairwise.items())
+        forest = spanning_forest(n, pairs)
+        glued = not any(
+            has_empty_cell(spec, pair) for k, pair in enumerate(pairs) if k not in forest
+        )
+        for a, b, basis in starts:  # one LP: f is a raw table
+            m, size = a.shape
+            matrix = np.hstack((a, np.eye(m)))[:, basis]
+            assert np.linalg.matrix_rank(matrix) == m
+            levels = np.linalg.solve(matrix, b)
+            assert levels.min() >= -_simplex.TOL
+            artificial = basis >= size
+            if glued:
+                row_level = dict(zip(basis[artificial] - size, levels[artificial]))
+                for k in forest:
+                    assert abs(row_level.get(n + 1 + k, 0.0)) <= _simplex.TOL
+        want = reference_bounds(spec, f)
+        if want is None:
+            assert ci is None
+        else:
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_forest_specs_run_no_phase_one(self, n, monkeypatch):
+        """Pairs that form a forest, read off a table with no empty cell:
+        the glued table meets every row, so the start basis holds no
+        artificial and phase I neither prices nor pivots."""
+        counts = count_pivots(monkeypatch)
+        infeasibility = _simplex.Simplex._infeasibility
+        phase_one = []
+
+        def counting_infeasibility(self, reduced):
+            phase_one.append(None)
+            return infeasibility(self, reduced)
+
+        monkeypatch.setattr(_simplex.Simplex, "_infeasibility", counting_infeasibility)
+        rng = np.random.default_rng(500 + n)
+        for _ in range(3):
+            spec = pair_graph_spec(rng, n, cyclic=False)
+            f = random_single_output(rng, n)
+            counts.update(all=0, phase_one=None)
+            ci = mf.exact_bounds(spec, f)
+            assert counts["phase_one"] == 0
+            want = reference_bounds(spec, f)
+            assert ci.lo == pytest.approx(want[0], abs=1e-9)
+            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+        assert not phase_one
+
+
 class TestFinalCheck:
     def test_false_optimum_on_an_updated_inverse_pivots_on(self, monkeypatch):
         """Pricing that finds no improving column right after each pivot,
@@ -716,9 +867,11 @@ class TestBitTable:
                 bits[0, 0] = True
 
     def test_negated_pair_rows_leave_the_next_solve_unchanged(self):
-        """Every pair here is below its q_max, so `_chain_basis` negates its
-        row; the next solve at the same arity matches a fresh process bit
-        for bit."""
+        """The pairs form a 4-cycle; (3, 4), sorted last, closes it, and the
+        glued table puts more than its q on the pair's both-false cell, so
+        `_glued_basis` negates its row (and only its row: the glued table
+        meets the other three).  The next solve at the same arity matches a
+        fresh process bit for bit."""
         pairwise = {(1, 2): 0.05, (2, 3): 0.1, (3, 4): 0.15, (1, 4): 0.2}
         spec = mf.PartialJointSpec(marginals=(0.6, 0.5, 0.55, 0.45), pairwise=pairwise)
         starts = []
@@ -730,7 +883,7 @@ class TestBitTable:
 
         with mock.patch.object(bounds, "Simplex", Recording):
             mf.exact_bounds(spec, mf.or_function(4))
-        assert (starts[0][5:] < 0).all()
+        assert (starts[0][5:8] > 0).all() and starts[0][8] < 0
 
         here = {}
         exec(NEXT_SOLVE, here)

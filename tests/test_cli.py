@@ -17,6 +17,12 @@ from markov_fuzzy.errors import InfeasibleQ
 DYADIC_JOINT = '{"arity": 2, "probs": [0.125, 0.25, 0.25, 0.375]}'
 DYADIC_SPEC = '{"marginals": [0.75, 0.5]}'
 TABLE = '{"universe": ["a", "b"], "p": {"a": 0.25, "b": 0.5}}'
+#: The pair's q leaves P(both true) = 0 up to rounding, so the max of
+#: "P1 & P2" is the negation of a zero minimum.
+NEGATIVE_ZERO_SPEC = {
+    "marginals": [0.7020217104975492, 1e-13],
+    "pairwise": {"1,2": 0.2979782895024276},
+}
 
 
 def write(tmp_path, name, text):
@@ -165,6 +171,14 @@ class TestBounds:
         code, _, err = run(capsys, ["bounds", "--formula", "P1 & P2", "--input", path])
         assert code == 2
         assert "InfeasibleQ" in err
+
+    def test_zero_maximum_prints_positive_zero(self, tmp_path, capsys):
+        """P(P1 & P2) is 0 on every table of this spec; its max prints as
+        0.0, not -0.0."""
+        path = write(tmp_path, "spec.json", json.dumps(NEGATIVE_ZERO_SPEC))
+        for fmt, want in (("json", '{"lo": 0.0, "hi": 0.0}\n'), ("csv", "lo,hi\n0,0\n")):
+            argv = ["bounds", "--formula", "P1 & P2", "--input", path, "--format", fmt]
+            assert run(capsys, argv) == (0, want, "")
 
     def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
         """A formula that rereads its variables does not split, so it still
@@ -356,6 +370,18 @@ class TestSweepMatchesScalarPath:
                     code, out, _ = run(capsys, argv)
                     assert code == 0
                     assert out == scalar_sweep(p1, p2, steps, formula, fmt), argv
+
+    def test_csv_template_prints_the_digits_of_format(self, capsys):
+        """A row of numbers goes through one %-template; its bytes are those
+        of `format(x, ".17g")` cell by cell, edge values included, and a
+        row holding a string is printed as it is."""
+        edges = [0.0, -0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e17, 1.7976931348623157e308]
+        edges += [float("inf"), float("-inf"), float("nan"), 2, np.float64(0.2)]
+        rows = [(x, 1.0 - x, x * 3.0) for x in edges] + [("false", 0.25, "7")]
+        cli._emit_csv(("a", "b", "c"), rows)
+        cells = [[c if isinstance(c, str) else format(c, ".17g") for c in r] for r in rows]
+        want = "\n".join(["a,b,c"] + [",".join(r) for r in cells]) + "\n"
+        assert capsys.readouterr().out == want
 
     def test_q_outside_feasible_range(self):
         with pytest.raises(InfeasibleQ):

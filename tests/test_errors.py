@@ -79,6 +79,22 @@ RAISE_SITES = {
         BadCoordinate,
         lambda: mf.PartialJointSpec((0.5, 0.5), {(float("inf"), 2): 0.1}),
     ),
+    "pairwise key of fractional coordinates": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(1.7, 2.2): 0.25}),
+    ),
+    "pairwise key holding a bool": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(True, 2): 0.25}),
+    ),
+    "pairwise key of digit strings": (
+        BadCoordinate,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {("1", "2"): 0.25}),
+    ),
+    "q_pair key a two-letter string": (
+        SchemaError,
+        lambda: mf.BeliefTable(("a", "b"), BELIEFS, {"ab": 0.1}),
+    ),
     "q_pair key of three labels": (
         SchemaError,
         lambda: mf.BeliefTable(("a", "b"), BELIEFS, {"abc": 0.1}),
