@@ -105,17 +105,10 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
-    """Strings as they are, numbers as `_fmt` prints them.  A row of
-    numbers goes through one %-template, whose "%.17g" gives the same
-    digits as `format(x, ".17g")`; a row holding a string, cell by cell."""
-    numbers = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        if str in map(type, row):
-            cells = (cell if isinstance(cell, str) else _fmt(cell) for cell in row)
-            lines.append(",".join(cells))
-        else:
-            lines.append(numbers % tuple(row))
+        cells = (cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+        lines.append(",".join(cells))
     sys.stdout.write("\n".join(lines) + "\n")
 
 

@@ -6,23 +6,23 @@
 Run it from anywhere inside the repository.  The parent revision's
 committed files are exported (`git archive`) into a temporary directory;
 the change is this checkout's working tree.  For each workload and each
-pair k (seed `--first-seed` + k) the driver runs
+pair k = 1 … `--pairs` (seed k) the driver runs
 
-    python3 perfbench/run.py --workload W --seed s --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seed k --seconds S --trace 0
 
-once in each tree, one run at a time, the side that runs first alternating
-from pair to pair.  Each tree runs its own `perfbench/` and imports its
-own `src/`.  It then writes `BENCH_<pr>.json` at the root of the checkout
-(or `--out`): for every end-to-end metric of `BENCHMARK.json`, the
-parent's median and quartiles (inclusive method), the change's median,
-the number of pairs the change won (ties count for neither side, the
-direction taken from `BENCHMARK.json`), every run, and whether the
-change's median is within the metric's bound.  With `--claim W:metric`
-the record says whether that gain is shown: the change wins at least
-nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range.  `--trace-seeds` adds, per workload, one
-`--trace 1` pair per seed and the medians of every per-layer metric
-the workload enters.
+once in each tree, S being `BENCHMARK.json`'s `run_seconds`, one run at
+a time, the side that runs first alternating from pair to pair.  Each
+tree runs its own `perfbench/` and imports its own `src/`.  It then
+writes `BENCH_<pr>.json` at the root of the checkout: for every
+end-to-end metric of `BENCHMARK.json`, the parent's median and quartiles
+(inclusive method), the change's median, the number of pairs the change
+won (ties count for neither side, the direction taken from
+`BENCHMARK.json`), every run, and whether the change's median is within
+the metric's bound.  With `--claim W:metric` the record says whether
+that gain is shown: the change wins at least nine tenths of the pairs
+and the medians differ by more than the parent's interquartile range.
+`--trace-seeds` adds, per workload, one `--trace 1` pair per seed and
+the medians of every per-layer metric the workload enters.
 
 A run that exits nonzero or prints no result line stops the driver with
 its output.  The parent's temporary tree is removed at the end.
@@ -43,8 +43,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("bounds_mix", "dense_kernels", "cli_cold")
-#: A run at --seconds 30 takes 20-48 s on the reference machine; this is
-#: well past it and under the benchmark's own 180 s limit per run.
+#: A run at --seconds 30 takes 20-48 s on a 2-core Xeon; this is well past
+#: it.
 RUN_TIMEOUT_S = 600
 
 
@@ -165,16 +165,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--title", default="", help="the change's title")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--claim", help="W:metric, the gain the change claims")
     parser.add_argument("--trace-seeds", default="", help="seeds of --trace 1 pairs")
-    parser.add_argument("--out", help="output file (default BENCH_<pr>.json)")
     args = parser.parse_args(argv)
 
     root = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]
     end_to_end = {m["name"]: m for m in declared["end_to_end"]}
     per_layer = {m["name"]: m for m in declared["per_layer"]}
     workloads = [w for w in args.workloads.split(",") if w]
@@ -188,7 +186,7 @@ def main(argv=None) -> int:
             parser.error(f"--claim {args.claim}: not a measured workload:metric")
         claim = (workload, metric)
     trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
-    out = Path(args.out) if args.out else root / f"BENCH_{args.pr}.json"
+    out = root / f"BENCH_{args.pr}.json"
 
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
@@ -200,11 +198,11 @@ def main(argv=None) -> int:
             "title": args.title,
             "machine": machine(),
             "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-            f"--seconds {args.seconds:g} --trace 0",
+            f"--seconds {seconds:g} --trace 0",
             "protocol": (
                 f"tools/ab.py: {args.pairs} alternating parent/change pairs per "
                 f"workload, the side that runs first alternating, one seed per pair "
-                f"(seeds {args.first_seed}-{args.first_seed + args.pairs - 1}); "
+                f"(seeds 1-{args.pairs}); "
                 f"parent {parent_commit[:7]}, change the working tree of "
                 f"{_git(root, 'rev-parse', '--short', 'HEAD')}"
             ),
@@ -213,13 +211,10 @@ def main(argv=None) -> int:
         }
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for k in range(args.pairs):
-                seed = args.first_seed + k
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for seed in range(1, args.pairs + 1):
+                order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    runs[side].append(
-                        run_once(trees[side], workload, seed, args.seconds, 0)
-                    )
+                    runs[side].append(run_once(trees[side], workload, seed, seconds, 0))
                     print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
             block = {}
             for name, spec in end_to_end.items():
@@ -241,7 +236,7 @@ def main(argv=None) -> int:
                     order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                     for side in order:
                         traced[side].append(
-                            run_once(trees[side], workload, seed, args.seconds, 1)
+                            run_once(trees[side], workload, seed, seconds, 1)
                         )
                 metrics = {}
                 for name, spec in per_layer.items():
@@ -255,7 +250,7 @@ def main(argv=None) -> int:
                         )
                 record[f"{workload}_trace"] = {
                     "command": f"python3 perfbench/run.py --workload {workload} "
-                    f"--seed <s> --seconds {args.seconds:g} --trace 1",
+                    f"--seed <s> --seconds {seconds:g} --trace 1",
                     "seeds": trace_seeds,
                     "metrics": metrics,
                 }
