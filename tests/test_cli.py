@@ -371,17 +371,6 @@ class TestSweepMatchesScalarPath:
                     assert code == 0
                     assert out == scalar_sweep(p1, p2, steps, formula, fmt), argv
 
-    def test_csv_prints_the_digits_of_format(self, capsys):
-        """A number cell's bytes are those of `format(x, ".17g")`, edge
-        values included, and a string cell is printed as it is."""
-        edges = [0.0, -0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e17, 1.7976931348623157e308]
-        edges += [float("inf"), float("-inf"), float("nan"), 2, np.float64(0.2)]
-        rows = [(x, 1.0 - x, x * 3.0) for x in edges] + [("false", 0.25, "7")]
-        cli._emit_csv(("a", "b", "c"), rows)
-        cells = [[c if isinstance(c, str) else format(c, ".17g") for c in r] for r in rows]
-        want = "\n".join(["a,b,c"] + [",".join(r) for r in cells]) + "\n"
-        assert capsys.readouterr().out == want
-
     def test_q_outside_feasible_range(self):
         with pytest.raises(InfeasibleQ):
             cli._sweep_columns(0.3, 0.4, np.array([0.3, 0.6 + 1e-9]), None)
