@@ -104,8 +104,8 @@ _CHUNK = 1 << 17
 class ConfidenceInterval:
     """Lower/upper bounds on a truth confidence.
 
-    Exact when returned by `exact_bounds`; `exists_bounds` and
-    `forall_bounds` return an outer bound when pairwise q values are given.
+    Exact from `exact_bounds`, `exists_bounds` and `forall_bounds` (outer
+    only past `LP_MAX_ARITY`); a spec with no joint raises InfeasibleSpec.
     """
 
     lo: float

@@ -52,6 +52,11 @@ def fuzzy_not(p: float) -> float:
     return 1.0 - check_belief(p, "p")
 
 
+def _q_range(p1: float, p2: float) -> tuple:
+    """(q_min, q_max) for checked beliefs p1 and p2."""
+    return max(0.0, 1.0 - (p1 + p2)), 1.0 - max(p1, p2)
+
+
 def q_bounds(p1: float, p2: float) -> QBounds:
     """Feasible q range for marginals (p1, p2).
 
@@ -60,8 +65,7 @@ def q_bounds(p1: float, p2: float) -> QBounds:
     """
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
-    q_min = max(0.0, 1.0 - (p1 + p2))
-    q_max = 1.0 - max(p1, p2)
+    q_min, q_max = _q_range(p1, p2)
     q_indep = (1.0 - p1) * (1.0 - p2)
     # Guard against rounding placing q_indep a hair outside the interval.
     q_indep = min(max(q_indep, q_min), q_max)
@@ -86,19 +90,19 @@ def _feasible_q(p1: float, p2: float, q) -> tuple:
         # An interval holds the whole array iff it holds the array's ends.
         for end in (q.min(), q.max()):
             p1, p2, _ = _feasible_q(p1, p2, end)
-        b = q_bounds(p1, p2)
-        q = np.where(b.q_min > q, b.q_min, q)
-        return p1, p2, np.where(b.q_max < q, b.q_max, q)
+        q_min, q_max = _q_range(p1, p2)
+        q = np.where(q_min > q, q_min, q)
+        return p1, p2, np.where(q_max < q, q_max, q)
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
     q = to_float(q)
-    b = q_bounds(p1, p2)
-    if not b.contains(q):
+    q_min, q_max = _q_range(p1, p2)
+    if not q_min - EPS_FEAS <= q <= q_max + EPS_FEAS:
         raise InfeasibleQ(
-            f"q={q} outside feasible range [{b.q_min}, {b.q_max}] "
+            f"q={q} outside feasible range [{q_min}, {q_max}] "
             f"for marginals ({p1}, {p2})"
         )
-    return p1, p2, min(max(q, b.q_min), b.q_max)
+    return p1, p2, min(max(q, q_min), q_max)
 
 
 def _pair_cells(p1: float, p2: float, q) -> list:

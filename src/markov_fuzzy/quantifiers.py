@@ -3,15 +3,10 @@
 The confidence of "some point satisfies P" is fully determined by a joint
 distribution over the per-point predicates (`exists_exact`); with only
 marginal beliefs, and optionally pairwise both-false confidences, it is
-bracketed by `exists_bounds`:
-
-    lower:  best single point, and best pair 1 - q(x1, x2);
-    upper:  sum of beliefs capped at 1, improved by greedily partitioning
-            the universe into pairs with known q.
-
-From marginals alone this is the exact Frechet pair.  With pairwise q it
-is an outer bound: it contains the exact interval (`exact_bounds` of the
-n-ary "or") but can be wider.
+bracketed by `exists_bounds`.  "Some x" is the "or" over the universe, the
+Frechet "or" of the intervals of the q_pair graph's components (as in
+`exact_bounds`' decomposition): [p, p] for a point no pair touches, or_q
+for two joined points, else the LP of the "or" (outer over the LP cap).
 
 `forall_bounds` reduces to the existential case through negation.
 `exists_truncated` follows a growing chain of explicit joints (the finite
@@ -33,10 +28,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
+from . import bounds
 from ._common import EPS_SIMPLEX, check_belief, clip01
 from .boolfuncs import And, Exists, Forall, Formula, Or, Var, _fold, _with_children
 from .bounds import ConfidenceInterval
-from .connectives import _add_pair_q, and_q
+from .connectives import _add_pair_q, _frechet_or, _pair_cells, and_q, or_q
 from .errors import (
     BadCoordinate,
     EmptyUniverse,
@@ -71,8 +67,8 @@ class BeliefTable:
     """Per-point beliefs over a finite universe, optionally with pairwise q.
 
     `q_pair` maps unordered pairs of distinct labels to the confidence that
-    the predicate fails at both points; each value must be feasible for the
-    pair of beliefs it constrains.
+    the predicate fails at both points, each feasible for its two beliefs.
+    Pairs with no common joint table make `exists_bounds` raise InfeasibleSpec.
     """
 
     universe: tuple
@@ -129,45 +125,54 @@ def exists_exact(joint: JointBooleanDist) -> float:
     return clip01(1.0 - float(joint.probs[0]))
 
 
-def _greedy_pair_partition(table: BeliefTable) -> float:
-    """Upper bound from a partition into pairs (plus leftover singletons),
-    choosing pairs greedily by how much they improve on their singletons."""
-    candidates = []
-    for (a, b), q in table.q_pair.items():
-        gain = table.p[a] + table.p[b] - (1.0 - q)
-        candidates.append((-gain, a, b, q))
-    candidates.sort(key=lambda item: (item[0], str(item[1]), str(item[2])))
-    matched: set = set()
-    total = 0.0
-    for neg_gain, a, b, q in candidates:
-        if a in matched or b in matched:
-            continue
-        matched.add(a)
-        matched.add(b)
-        total += 1.0 - q
-    for x in table.universe:
-        if x not in matched:
-            total += table.p[x]
-    return total
-
-
 def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
-    """Bounds on the existential confidence from partial information.
-
-    From the beliefs alone the result is exact: [max p, min(1, sum p)].
-    With q_pair it is an outer bound, valid but possibly wider than the
-    exact interval; e.g. three points at p = 0.4 with pairwise q = 0.3 give
-    lo = 0.7 where the exact lower bound is 0.9.
-    """
+    """Bounds on the existential confidence from partial information: the
+    exact interval (`exact_bounds` of the n-ary "or") unless a component of
+    the q_pair graph has over `LP_MAX_ARITY` points, and then an outer
+    bound.  Pairs that admit no joint table raise InfeasibleSpec."""
     if not table.universe:
         raise EmptyUniverse("cannot quantify over an empty universe")
-    lo = max(table.p[x] for x in table.universe)
-    for (a, b), q in table.q_pair.items():
-        lo = max(lo, 1.0 - q)
-    hi = min(1.0, math.fsum(table.p[x] for x in table.universe))
-    if table.q_pair:
-        hi = min(hi, _greedy_pair_partition(table))
-    return ConfidenceInterval(clip01(lo), clip01(max(lo, hi)))
+    touched = set(chain.from_iterable(table.q_pair))
+    index = {x: k for k, x in enumerate(x for x in table.universe if x in touched)}
+    parent = list(range(len(index)))
+    for a, b in table.q_pair:
+        parent[bounds._find(parent, index[a])] = bounds._find(parent, index[b])
+    components: dict = {}
+    for x, k in index.items():
+        components.setdefault(bounds._find(parent, k), ([], []))[0].append(x)
+    for pair, q in table.q_pair.items():
+        components[bounds._find(parent, index[pair[0]])][1].append((pair, q))
+    ends = [_component_or(*component, table.p) for component in components.values()]
+    los = [table.p[x] for x in table.universe if x not in touched]
+    lo, hi = _frechet_or(los + [end[0] for end in ends], los + [end[1] for end in ends])
+    return ConfidenceInterval(lo, hi)
+
+
+def _component_or(labels: list, pairs: list, p: Mapping) -> tuple:
+    """(lo, hi) of the "or" over a component of the q_pair graph: its labels
+    in universe order and its ((a, b), q) pairs.  Over the LP cap, an outer
+    bound: the best point or pair below, Hunter's (1976) bound above."""
+    marginals = tuple(p[x] for x in labels)
+    if len(labels) == 2:
+        value = or_q(*marginals, pairs[0][1])
+        return value, value
+    local = {x: k + 1 for k, x in enumerate(labels)}
+    numbered = sorted(((local[a], local[b]), q) for (a, b), q in pairs)
+    if len(labels) <= bounds.LP_MAX_ARITY:
+        # The "or" is true on every assignment but the all-false one.
+        cost = np.arange(1 << len(labels)) > 0
+        return bounds._lp_bounds(marginals, numbered, cost, None)
+    lo = max(max(marginals), *(1.0 - q for _, q in pairs))
+    # Hunter: P(or) <= sum p - sum of P(both true) over a spanning forest;
+    # Kruskal on the positive weights, heaviest first, finds the best one.
+    weighted = [
+        ((i, j), _pair_cells(marginals[i - 1], marginals[j - 1], q)[3])
+        for (i, j), q in numbered
+    ]
+    heavy = sorted((w for w in weighted if w[1] > 0.0), key=lambda w: -w[1])
+    forest = bounds._spanning_forest(len(labels), heavy)
+    hi = math.fsum([*marginals, *(-heavy[k][1] for k in forest)])
+    return lo, max(lo, hi)
 
 
 def forall_bounds(table: BeliefTable) -> ConfidenceInterval:
@@ -343,8 +348,18 @@ def _drawn_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int
     # uniforms as one (n_samples, tuple_length) call would.
     rng = np.random.Generator(np.random.Philox(key=strategy.seed))
     length = strategy.tuple_length
+
+    def draw(rows: int) -> np.ndarray:
+        try:
+            return rng.random((rows, length))
+        except (MemoryError, ValueError):
+            raise InvalidParameter(
+                f"tuple_length = {length} is too large: its {8 * rows * length} "
+                "bytes of uniforms per block cannot be allocated"
+            ) from None
+
     return (
-        search(rng.random((min(_SAMPLE_BLOCK, n_samples - start), length)))
+        search(draw(min(_SAMPLE_BLOCK, n_samples - start)))
         for start in range(0, n_samples, _SAMPLE_BLOCK)
     )
 
@@ -509,12 +524,12 @@ def sample_exists(
     tuples is rejected rather than approximated.
 
     Tuples are drawn or read, lifted and scored in blocks of _SAMPLE_BLOCK
-    rows, so each sample holds 8 bytes, its score; a count whose scores
-    cannot be allocated raises InvalidParameter.  A tuple stream is checked
-    as it is read and its errors are raised once it has run out or yielded
-    n_samples tuples: a short stream first, then a tuple of the wrong
-    length (or an element with no length), then a label outside the
-    universe (an unhashable one included), then an error of the lift.
+    rows, so each sample holds 8 bytes, its score; a count whose scores or
+    a tuple_length whose block cannot be allocated raises InvalidParameter.
+    A tuple stream is checked as read; its errors are raised once it has
+    run out or yielded n_samples tuples: a short stream first, then a tuple
+    of the wrong length (or an element with no length), then a label
+    outside the universe (an unhashable one included), then a lift error.
     """
     n_samples = int(n_samples)
     if n_samples < 1:

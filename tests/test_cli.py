@@ -534,6 +534,18 @@ class TestQuantify:
         assert (code, out) == (2, "")
         assert err == "error: --tuple-length must be >= 1\n"
 
+    def test_unallocatable_tuple_length_exit_2(self, tmp_path, capsys):
+        """A block of 8192 tuples of 10**11 uniforms (6.5e15 bytes, beyond
+        the address space) fails up front: one line that names the length."""
+        path = write(tmp_path, "table.json", TABLE)
+        argv = ["quantify", "sample", "--input", path, "--tuple-length", str(10**11)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: InvalidParameter: tuple_length = 100000000000 is too large: "
+            "its 6553600000000000 bytes of uniforms per block cannot be allocated\n"
+        )
+
     def test_tuple_length_defaults_to_universe_size(self, tmp_path, capsys):
         path = write(tmp_path, "table.json", TABLE)
         argv = ["quantify", "sample", "--input", path, "--samples", "200"]

@@ -115,6 +115,23 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.SamplingStrategy(tuple_length=True),
     ),
+    # A block of 8192 tuples of 10**11 uniforms is 6.5e15 bytes, beyond the
+    # address space, so malloc fails under any overcommit setting; 2**62
+    # fails numpy's own size check.  Neither allocates anything.
+    "tuple_length whose block of uniforms malloc refuses": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            mf.BeliefTable(("a",), {"a": 0.5}),
+            mf.SamplingStrategy(10**11, seed=1),
+            8192,
+        ),
+    ),
+    "tuple_length beyond numpy's array size": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            mf.BeliefTable(("a",), {"a": 0.5}), mf.SamplingStrategy(2**62, seed=1), 5
+        ),
+    ),
 }
 
 

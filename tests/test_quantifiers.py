@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
+from markov_fuzzy import bounds
 from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy import cli
 from markov_fuzzy._common import clip01
@@ -19,6 +20,7 @@ from markov_fuzzy.errors import (
     BadCoordinate,
     EmptyUniverse,
     InfeasibleQ,
+    InfeasibleSpec,
     InvalidParameter,
     MarginalMismatch,
     MarkovFuzzyError,
@@ -192,9 +194,9 @@ class TestExistsBounds:
                 assert ci.lo == pytest.approx(exact.lo, abs=FEASIBILITY_TOL)
                 assert ci.hi == pytest.approx(exact.hi, abs=FEASIBILITY_TOL)
 
-    def test_pairwise_lower_bound_is_loose(self):
-        """Three points at p = 0.4 with pairwise q = 0.3: the LP (and
-        Bonferroni S1 - S2) gives 0.9, exists_bounds only 0.7."""
+    def test_pairwise_lower_bound_is_exact(self):
+        """Three points at p = 0.4 with pairwise q = 0.3: exists_bounds
+        gives the LP's 0.9 (Bonferroni S1 - S2), not the best pair's 0.7."""
         labels = ("a", "b", "c")
         pairs = list(itertools.combinations(labels, 2))
         table = mf.BeliefTable(
@@ -205,9 +207,139 @@ class TestExistsBounds:
         )
         ci = mf.exists_bounds(table)
         exact = mf.exact_bounds(spec, mf.or_function(3))
-        assert ci.lo == pytest.approx(0.7, abs=1e-12)
+        assert ci.lo == pytest.approx(0.9, abs=FEASIBILITY_TOL)
         assert exact.lo == pytest.approx(0.9, abs=FEASIBILITY_TOL)
         assert ci.hi == exact.hi == pytest.approx(1.0, abs=FEASIBILITY_TOL)
+
+
+def random_partial_table(seed, n, kept_pairs):
+    """A consistent table from a random joint over n points, with the pairs
+    whose bit is set in `kept_pairs`; also its spec for `exact_bounds`."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"x{i}" for i in range(n))
+    joint = mf.make_joint(n, rng.dirichlet(np.full(1 << n, 0.5)))
+    full = table_from_joint(joint, labels, with_pairs=True)
+    kept = {
+        pair: q
+        for k, (pair, q) in enumerate(sorted(full.q_pair.items()))
+        if kept_pairs >> k & 1
+    }
+    table = mf.BeliefTable(labels, full.p, kept)
+    spec = mf.PartialJointSpec(
+        tuple(table.p[x] for x in labels),
+        pairwise={
+            (labels.index(a) + 1, labels.index(b) + 1): q for (a, b), q in kept.items()
+        },
+    )
+    return table, spec
+
+
+def greedy_pair_partition(table):
+    """The upper bound exists_bounds used before it was exact: a greedy
+    partition of the universe into pairs with known q (by P(both true),
+    largest first) plus leftover singletons."""
+    candidates = sorted(
+        (-(table.p[a] + table.p[b] - (1.0 - q)), a, b, q)
+        for (a, b), q in table.q_pair.items()
+    )
+    matched, total = set(), 0.0
+    for _, a, b, q in candidates:
+        if a not in matched and b not in matched:
+            matched |= {a, b}
+            total += 1.0 - q
+    return total + sum(table.p[x] for x in table.universe if x not in matched)
+
+
+class TestExistsBoundsExact:
+    """exists_bounds is the "or" of the bounds engine: exact per component
+    of the q_pair graph up to LP_MAX_ARITY points, an outer bound above."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        kept_pairs=st.integers(0, 2**21 - 1),
+    )
+    def test_equals_exact_bounds_of_or_and_and(self, seed, n, kept_pairs):
+        """Within the tolerance TestSolverEquivalence holds the LP to."""
+        table, spec = random_partial_table(seed, n, kept_pairs)
+        for ci, exact in (
+            (mf.exists_bounds(table), mf.exact_bounds(spec, mf.or_function(n))),
+            (mf.forall_bounds(table), mf.exact_bounds(spec, mf.and_function(n))),
+        ):
+            assert ci.lo == pytest.approx(exact.lo, abs=1e-9)
+            assert ci.hi == pytest.approx(exact.hi, abs=1e-9)
+
+    def test_marginals_only_is_the_frechet_pair_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        for n in range(1, 30):
+            p = rng.random(n) ** 3
+            labels = tuple(range(n))
+            ci = mf.exists_bounds(mf.BeliefTable(labels, dict(zip(labels, p))))
+            assert (ci.lo, ci.hi) == (max(p), min(1.0, math.fsum(p)))
+
+    def test_above_the_cap_contains_the_lp_and_beats_the_greedy_partition(
+        self, monkeypatch
+    ):
+        """With the cap lowered to 2, every component of 3 or more points
+        takes the outer bound: [best point or pair, Hunter's bound]."""
+        cases = []
+        for seed in range(120):
+            n = seed % 6 + 3
+            table, spec = random_partial_table(seed, n, seed * 2654435761 % 2**21)
+            cases.append((table, mf.exact_bounds(spec, mf.or_function(n))))
+        monkeypatch.setattr(bounds, "LP_MAX_ARITY", 2)
+        looser = 0
+        for table, exact in cases:
+            ci = mf.exists_bounds(table)
+            assert ci.lo - FEASIBILITY_TOL <= exact.lo
+            assert exact.hi <= ci.hi + FEASIBILITY_TOL
+            assert ci.hi <= min(1.0, greedy_pair_partition(table)) + 1e-12
+            looser += ci.width > exact.width + 1e-9
+        assert looser > 0  # the outer path did run
+
+    def test_inconsistent_cycle_raises(self, tmp_path, capsys):
+        """Each pair fits its beliefs, but a = b, b = c and a = not c admit
+        no joint table: InfeasibleSpec, and exit 2 from the CLI as from
+        `bounds` on the same spec."""
+        labels = ("a", "b", "c")
+        q_pair = {("a", "b"): 0.5, ("b", "c"): 0.5, ("a", "c"): 0.0}
+        table = mf.BeliefTable(labels, {x: 0.5 for x in labels}, q_pair)
+        for quantify in (mf.exists_bounds, mf.forall_bounds):
+            with pytest.raises(InfeasibleSpec):
+                quantify(table)
+        path = tmp_path / "table.json"
+        path.write_text(
+            '{"universe": ["a", "b", "c"], "p": {"a": 0.5, "b": 0.5, "c": 0.5}, '
+            '"q_pair": {"a,b": 0.5, "b,c": 0.5, "a,c": 0.0}}',
+            encoding="utf-8",
+        )
+        assert cli.main(["quantify", "bounds", "--input", str(path)]) == 2
+        assert "InfeasibleSpec" in capsys.readouterr().err
+
+    def test_one_lp_per_component_of_three_or_more(self, monkeypatch):
+        """No LP for a point no pair touches or for two joined points."""
+        arities = []
+        solve = bounds._lp_bounds
+
+        def counted(marginals, pairs, cost, cancel):
+            arities.append(len(marginals))
+            return solve(marginals, pairs, cost, cancel)
+
+        monkeypatch.setattr(bounds, "_lp_bounds", counted)
+        labels = tuple("abcdefghijk")
+        q_pair = {
+            ("a", "b"): 0.4,  # a pair
+            ("c", "d"): 0.4,  # a chain of three
+            ("d", "e"): 0.4,
+            ("f", "g"): 0.4,  # a triangle and a tail: four points
+            ("g", "h"): 0.4,
+            ("f", "h"): 0.4,
+            ("h", "i"): 0.4,
+        }  # j and k are touched by no pair
+        table = mf.BeliefTable(labels, {x: 0.5 for x in labels}, q_pair)
+        mf.exists_bounds(table)
+        assert sorted(arities) == [3, 4]
 
 
 class TestForallBounds:
