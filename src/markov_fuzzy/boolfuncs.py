@@ -5,10 +5,11 @@ a holds the m output bits of f at the input assignment encoded by a.  The
 input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
-Formulas are immutable dataclass trees; `compile_formula` evaluates a
-quantifier-free tree on every assignment at once (broadcast over the
-(2,)*n grid of assignments), which by uniqueness of the minterm normal
-form is the same function as the or-of-minterms expansion.
+Formulas are immutable dataclass trees; `compile_formula` checks a
+quantifier-free tree against its ordering, and the first read of the
+result's `table` evaluates the tree on every assignment at once (broadcast
+over the (2,)*n grid of assignments), which by uniqueness of the minterm
+normal form is the same function as the or-of-minterms expansion.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class BooleanFunction:
     arity_out: int
     table: np.ndarray
 
-    #: (formula, ordering) when `compile_formula` built the table, else
-    #: None; `exact_bounds` decomposes along the formula.  Not a field:
-    #: equality, hashing and repr ignore it.
+    #: (formula, ordering) when `compile_formula` made the function, else
+    #: None; `exact_bounds` decomposes along the formula, and the first read
+    #: of `table` builds the table from it.  Not a field: equality, hashing
+    #: and repr ignore it.
     _formula = None
 
     def __post_init__(self):
@@ -57,17 +59,27 @@ class BooleanFunction:
 
     @classmethod
     def _adopt(
-        cls, arity_in: int, arity_out: int, table: np.ndarray
+        cls, arity_in: int, arity_out: int, table: np.ndarray | None
     ) -> "BooleanFunction":
         """Wrap an int64 table that a builder here has just made, valid by
         construction: made read-only in place, neither copied nor checked
-        again."""
-        table.flags.writeable = False
+        again.  With None, `compile_formula` sets `_formula` instead."""
         f = object.__new__(cls)
         object.__setattr__(f, "arity_in", arity_in)
         object.__setattr__(f, "arity_out", arity_out)
-        object.__setattr__(f, "table", table)
+        if table is not None:
+            table.flags.writeable = False
+            object.__setattr__(f, "table", table)
         return f
+
+    def __getattr__(self, name):
+        """Only reached when `name` is not set: the table of a compiled
+        formula before its first read, built now and kept."""
+        if name != "table" or self._formula is None:
+            raise AttributeError(name)
+        table = _truth_table(*self._formula)
+        object.__setattr__(self, "table", table)
+        return table
 
     def __eq__(self, other):
         if not isinstance(other, BooleanFunction):
@@ -382,17 +394,33 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     `ordering` assigns variable i+1 (bit i) to ordering[i]; it may contain
     variables the formula never mentions.  Every variable in the formula
     must appear in the ordering.  The function keeps the formula and the
-    ordering, so that `exact_bounds` can split it into independent parts.
+    ordering, so that `exact_bounds` can split it into independent parts;
+    the first read of its `table` builds the table from them.
     """
     names = list(ordering)
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
-    if any(isinstance(node, _QUANTIFIERS) for node in _walk(ast)):
-        raise UnexpandedQuantifier(
-            "quantifiers must be expanded over their universes before compilation"
-        )
+    bound = set(names)
+    unbound = None
+    for node in _walk(ast):
+        if isinstance(node, _QUANTIFIERS):
+            raise UnexpandedQuantifier(
+                "quantifiers must be expanded over their universes before compilation"
+            )
+        if unbound is None and isinstance(node, Var) and node.name not in bound:
+            unbound = node.name
+    if unbound is not None:
+        raise UnboundVariable(f"variable {unbound!r} not bound by the ordering")
+    f = BooleanFunction._adopt(n, 1, None)
+    object.__setattr__(f, "_formula", (ast, tuple(names)))
+    return f
+
+
+def _truth_table(ast: Formula, names: Sequence[str]) -> np.ndarray:
+    """The read-only table of a formula that `compile_formula` checked."""
+    n = len(names)
     # Variable `bit` is a [False, True] column along axis n-1-bit of the
     # (2,)*n index grid, so the ops broadcast up to the full table.
     columns = {}
@@ -403,12 +431,7 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
 
     def column(node, args):
         if isinstance(node, Var):
-            try:
-                return columns[node.name]
-            except KeyError:
-                raise UnboundVariable(
-                    f"variable {node.name!r} not bound by the ordering"
-                ) from None
+            return columns[node.name]
         # The root's op writes its 0/1 values straight into the table,
         # without a full-size boolean column in between.
         out = np.empty((2,) * n, dtype=np.int64) if node is ast else None
@@ -419,6 +442,6 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
         table[...] = column(ast, [])
     else:
         table = _fold(ast, column)
-    f = BooleanFunction._adopt(n, 1, table.reshape(-1))
-    object.__setattr__(f, "_formula", (ast, tuple(names)))
-    return f
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table

@@ -103,6 +103,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.current = self.tokens[0]
+        #: Set once a quantifier is read; only then can the tree hold one.
+        self.quantified = False
 
     def advance(self) -> _Token:
         token = self.current
@@ -163,6 +165,7 @@ class _Parser:
                 self.expect(":", "':'")
                 node = Exists if token.kind == "exists" else Forall
                 stack.append((node, (var, universe)))
+                self.quantified = True
             elif token.kind == "!":
                 self.advance()
                 stack.append((Not, ()))
@@ -242,7 +245,8 @@ def parse_formula(text: str) -> Formula:
     node = parser.formula()
     if parser.current.kind != "eof":
         raise parser.fail(("end of input", "'&'", "'|'", "'->'"))
-    _check_quantified(node)
+    if parser.quantified:
+        _check_quantified(node)
     return node
 
 
@@ -302,7 +306,8 @@ def format_formula(ast: Formula) -> str:
 def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # A nesting deeper than the recursion limit ends the decoder this way.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("model document must be a JSON object")

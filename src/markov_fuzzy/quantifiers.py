@@ -32,7 +32,7 @@ from . import bounds
 from ._common import EPS_SIMPLEX, check_belief, clip01
 from .boolfuncs import And, Exists, Forall, Formula, Or, Var, _fold, _with_children
 from .bounds import ConfidenceInterval
-from .connectives import _add_pair_q, _frechet_or, _pair_cells, and_q, or_q
+from .connectives import _add_pair_q, _frechet_or, _or_clamped, _pair_cells, and_q
 from .errors import (
     BadCoordinate,
     EmptyUniverse,
@@ -154,7 +154,8 @@ def _component_or(labels: list, pairs: list, p: Mapping) -> tuple:
     bound: the best point or pair below, Hunter's (1976) bound above."""
     marginals = tuple(p[x] for x in labels)
     if len(labels) == 2:
-        value = or_q(*marginals, pairs[0][1])
+        # BeliefTable has checked and clamped the pair's q already.
+        value = _or_clamped(pairs[0][1])
         return value, value
     local = {x: k + 1 for k, x in enumerate(labels)}
     numbered = sorted(((local[a], local[b]), q) for (a, b), q in pairs)

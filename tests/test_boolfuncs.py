@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var
@@ -14,6 +16,7 @@ from markov_fuzzy.errors import (
     DuplicateVariable,
     MultiOutput,
     UnboundVariable,
+    UnexpandedQuantifier,
 )
 
 
@@ -32,17 +35,17 @@ def eval_ast(node, env):
     raise TypeError(node)
 
 
-def random_formula(rng, names, depth):
-    if depth == 0 or rng.random() < 0.25:
-        return Var(str(rng.choice(names)))
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        return Not(random_formula(rng, names, depth - 1))
-    branches = (
-        random_formula(rng, names, depth - 1),
-        random_formula(rng, names, depth - 1),
-    )
-    return (And, Or, Implies)[kind - 1](*branches)
+#: Formulas over a, b, c, d; variables are often read twice.
+FORMULAS = st.recursive(
+    st.sampled_from("abcd").map(Var),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.builds(
+            lambda op, a, b: op(a, b), st.sampled_from((And, Or, Implies)), sub, sub
+        ),
+    ),
+    max_leaves=12,
+)
 
 
 class TestCompile:
@@ -84,25 +87,48 @@ class TestCompile:
         with pytest.raises(ValueError):
             mf.compile_formula(ast, ["P(a)"])
 
-    def test_matches_recursive_evaluation(self):
-        rng = np.random.default_rng(23)
-        names = ["a", "b", "c", "d"]
-        for _ in range(60):
-            ast = random_formula(rng, names, depth=int(rng.integers(1, 7)))
-            f = mf.compile_formula(ast, names)
-            for index in range(16):
-                env = {
-                    name: bool((index >> bit) & 1) for bit, name in enumerate(names)
-                }
-                assert bool(f.table[index]) == eval_ast(ast, env)
+    def test_quantifier_reported_before_an_unbound_variable(self):
+        ast = And(Var("mystery"), Exists("x", "U", Var("P(x)")))
+        with pytest.raises(UnexpandedQuantifier):
+            mf.compile_formula(ast, ["P(a)"])
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(FORMULAS, st.permutations("abcdef"))
+    def test_matches_recursive_evaluation(self, ast, ordering):
+        """Orderings of six names, so e and f (and any of a-d the formula
+        does not read) are unused variables.  The first read of `table`
+        builds it; later reads return the same array."""
+        want = [
+            int(eval_ast(ast, dict(zip(ordering, mf.index_assignment(index, 6)))))
+            for index in range(64)
+        ]
+        f = mf.compile_formula(ast, ordering)
+        assert "table" not in vars(f)
+        assert not hasattr(f, "tables")
+        table = f.table
+        assert table.tolist() == want
+        assert not table.flags.writeable
+        assert f.table is table
+        # Each of these reads the table of a fresh, unread function first.
+        expected = mf.BooleanFunction(6, 1, np.array(want))
+        assert mf.compile_formula(ast, ordering) == expected
+        assert expected == mf.compile_formula(ast, ordering)
+        assert repr(mf.compile_formula(ast, ordering)) == repr(expected)
+        fresh = mf.compile_formula(ast, ordering)
+        for index in range(64):
+            assignment = mf.index_assignment(index, 6)
+            assert fresh(assignment) == expected(assignment)
 
     def test_leaves_no_reference_cycle(self):
-        """The variable columns are freed on return, not by the cyclic GC."""
+        """The variable columns are freed once the first read of `table`
+        returns, not by the cyclic GC."""
         ast = mf.parse_formula("(a & !b) | (c -> a)")
         gc.collect()
         gc.disable()
         try:
-            mf.compile_formula(ast, ["a", "b", "c"])
+            assert mf.compile_formula(ast, ["a", "b", "c"]).table.tolist() == [
+                1, 1, 1, 1, 0, 1, 0, 1
+            ]
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -1180,6 +1181,29 @@ class TestDecomposition:
         spec = mf.PartialJointSpec(marginals=(0.3, 0.6, 0.8))
         ci = mf.exact_bounds(spec, mf.compile_formula(node, names))
         assert (ci.lo, ci.hi) == pytest.approx((1.0 - 0.9, 1.0 - 0.4), abs=1e-15)
+
+    def test_read_once_split_builds_no_table(self):
+        """Marginals only, a read-once formula over 20 variables is bounded
+        by the Frechet rules alone, so its 8 MiB table is never built."""
+        names = [f"x{i}" for i in range(20)]
+        text = " | ".join(f"({a} & !{b})" for a, b in zip(names[::2], names[1::2]))
+        spec = mf.PartialJointSpec(marginals=tuple(np.linspace(0.05, 0.95, 20)))
+        tracemalloc.start()
+        try:
+            f = compiled(text, names)
+            mf.exact_bounds(spec, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "table" not in vars(f)
+        assert peak < 1 << 20
+
+    def test_connected_pairs_build_the_table(self):
+        f = compiled("(a | b) & c")
+        spec = mf.PartialJointSpec(marginals=(0.6,) * 3, pairwise={(1, 3): 0.3, (2, 3): 0.2})
+        ci = mf.exact_bounds(spec, f)
+        assert "table" in vars(f)
+        assert ci == mf.exact_bounds(spec, mf.BooleanFunction(3, 1, f.table))
 
     def test_compiled_function_equals_the_raw_table(self):
         f = compiled("(a & b) | !c")

@@ -633,6 +633,30 @@ class TestIntegerBeyondFloatRange:
         assert big == results[0]
 
 
+class TestDeepJson:
+    """JSON nested beyond the recursion limit is a schema error, not a
+    traceback, for each kind of document."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize(
+        "argv, template",
+        [
+            (["eval", "--formula", "P1"], "%s"),
+            (["bounds", "--formula", "P1 & P2"], "%s"),
+            (["bounds", "--formula", "P1 & P2"], '{"marginals": %s}'),
+            (["quantify", "bounds"], "%s"),
+        ],
+        ids=["joint", "spec", "spec-marginals", "belief-table"],
+    )
+    def test_exit_2(self, tmp_path, capsys, argv, template):
+        path = write(tmp_path, "doc.json", template % self.DEEP)
+        code, out, err = run(capsys, argv + ["--input", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: SchemaError: not valid JSON: ")
+        assert err.count("\n") == 1
+
+
 class TestArityCap:
     def test_env_lowers_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MARKOV_FUZZY_MAX_ARITY", "1")

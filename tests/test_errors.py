@@ -26,6 +26,7 @@ class HashableKey(tuple):
 
 
 BELIEFS = {"a": 0.5, "b": 0.5}
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 #: Each check: the call and the error it raises.
 RAISE_SITES = {
@@ -36,6 +37,14 @@ RAISE_SITES = {
     "quantifier left in a compiled formula": (
         UnexpandedQuantifier,
         lambda: mf.compile_formula(Exists("x", "U", Var("P(x)")), ["P(x)"]),
+    ),
+    "model JSON nested beyond the recursion limit": (
+        SchemaError,
+        lambda: mf.parse_model('{"marginals": %s}' % DEEP_JSON),
+    ),
+    "joint JSON nested beyond the recursion limit": (
+        SchemaError,
+        lambda: mf.parse_joint(DEEP_JSON),
     ),
     "interval ends out of order": (
         InvalidParameter,

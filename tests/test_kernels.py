@@ -376,6 +376,7 @@ def test_pushforward_copies_no_table():
     ps = np.linspace(0.05, 0.95, GUARD_ARITY).tolist()
     joint = mf.independent_product(ps)
     f = mf.compile_formula(balanced_formula(GUARD_NAMES), GUARD_NAMES)
+    f.table  # built on first read, which is not pushforward's allocation
     assert traced_peak(lambda: mf.pushforward(joint, f)) < 0.01
 
 
@@ -390,7 +391,9 @@ def test_independent_product_builds_one_table():
     ids=["balanced", "chain", "variable"],
 )
 def test_compile_formula_builds_one_table(ast):
-    assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES)) < 1.1
+    """The first read of `table` runs the fold, whose root op writes
+    straight into the table."""
+    assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES).table) < 1.1
 
 
 def test_make_joint_holds_little_beyond_its_table():

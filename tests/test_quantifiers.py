@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
-from markov_fuzzy import bounds
+from markov_fuzzy import bounds, quantifiers
 from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy import cli
 from markov_fuzzy._common import clip01
@@ -316,6 +316,28 @@ class TestExistsBoundsExact:
         )
         assert cli.main(["quantify", "bounds", "--input", str(path)]) == 2
         assert "InfeasibleSpec" in capsys.readouterr().err
+
+    def test_two_point_component_is_or_q_bit_for_bit(self):
+        """A joined pair takes 1 - q of the table's clamped q, which is
+        `or_q` on the raw input, q just outside its range included."""
+        rng = np.random.default_rng(29)
+        p = rng.random(4000) ** rng.choice([1.0, 4.0, 0.25], 4000)
+        p[rng.random(4000) < 0.05] = 0.0
+        p[rng.random(4000) < 0.05] = 1.0
+        labels = tuple(range(4000))
+        q_pair = {}
+        for a in range(0, 4000, 2):
+            b = mf.q_bounds(p[a], p[a + 1])
+            q = b.q_min + rng.random() * (b.q_max - b.q_min)
+            q_pair[a, a + 1] = rng.choice([q, b.q_min - 9e-13, b.q_max + 9e-13])
+        table = mf.BeliefTable(labels, dict(zip(labels, p)), q_pair)
+        for (a, b), q in q_pair.items():
+            value = mf.or_q(p[a], p[b], q)
+            pair = [((a, b), table.q(a, b))]
+            assert quantifiers._component_or([a, b], pair, table.p) == (value, value)
+            single = mf.BeliefTable((a, b), {a: p[a], b: p[b]}, {(a, b): q})
+            ci = mf.exists_bounds(single)
+            assert (ci.lo, ci.hi) == (value, value)
 
     def test_one_lp_per_component_of_three_or_more(self, monkeypatch):
         """No LP for a point no pair touches or for two joined points."""
