@@ -7,6 +7,10 @@ partial joint information (marginals, pairwise both-false confidences)
 the package computes exact confidence bounds, and for quantifiers over
 finite universes it provides exact values, bounds, truncation limits and
 a seeded Monte-Carlo estimator.
+
+numpy is loaded on first array use: the joint-table names below come from
+`joints` when first read (PEP 562), and the other modules import numpy
+inside the functions that build tables, solve, sample or sweep.
 """
 
 from ._common import EPS_FEAS, EPS_SIMPLEX, N_MAX
@@ -60,16 +64,6 @@ from .dsl import (
     parse_joint,
     parse_model,
 )
-from .joints import (
-    FiniteDist,
-    JointBooleanDist,
-    independent_product,
-    make_joint,
-    marginal,
-    pair_from_pq,
-    pushforward,
-    pushforward_finite,
-)
 from .quantifiers import (
     BeliefTable,
     SampleEstimate,
@@ -84,6 +78,24 @@ from .quantifiers import (
 from . import errors
 
 __version__ = "0.1.0"
+
+#: Names of `joints`, which imports numpy at load, bound on first read.
+_JOINTS = ("FiniteDist", "JointBooleanDist", "independent_product", "make_joint")
+_JOINTS += ("marginal", "pair_from_pq", "pushforward", "pushforward_finite")
+
+
+def __getattr__(name):
+    if name not in _JOINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import joints
+
+    value = globals()[name] = getattr(joints, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_JOINTS})
+
 
 __all__ = [
     "N_MAX",

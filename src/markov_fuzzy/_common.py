@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import ArityTooLarge, InvalidBelief
 
@@ -60,7 +59,9 @@ def check_arity(n, name: str = "arity") -> int:
 def clip01(x):
     """x clamped to [0, 1]; elementwise, with the same comparisons (signed
     zeros kept), for a numpy array."""
-    if isinstance(x, np.ndarray):
+    # Imports nothing: an array can only exist once numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
     if x < 0.0:
         return 0.0

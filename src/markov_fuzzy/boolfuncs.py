@@ -15,9 +15,7 @@ normal form is the same function as the or-of-minterms expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ._common import N_MAX, check_arity
 from .errors import (
@@ -28,6 +26,9 @@ from .errors import (
     UnboundVariable,
     UnexpandedQuantifier,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +46,8 @@ class BooleanFunction:
     _formula = None
 
     def __post_init__(self):
+        import numpy as np
+
         check_arity(self.arity_in, "arity_in")
         check_arity(self.arity_out, "arity_out")
         table = np.array(self.table, dtype=np.int64)
@@ -84,10 +87,11 @@ class BooleanFunction:
     def __eq__(self, other):
         if not isinstance(other, BooleanFunction):
             return NotImplemented
+        # Equal arity_in: tables of one shape.
         return (
             self.arity_in == other.arity_in
             and self.arity_out == other.arity_out
-            and np.array_equal(self.table, other.table)
+            and bool((self.table == other.table).all())
         )
 
     def __call__(self, assignment: Sequence[bool]) -> tuple[bool, ...]:
@@ -126,15 +130,19 @@ def index_assignment(index: int, arity: int) -> tuple[bool, ...]:
 
 
 def identity_function(n: int) -> BooleanFunction:
+    import numpy as np
+
     check_arity(n)
     return BooleanFunction._adopt(n, n, np.arange(1 << n, dtype=np.int64))
 
 
 def not_function() -> BooleanFunction:
-    return BooleanFunction(1, 1, np.array([1, 0]))
+    return BooleanFunction(1, 1, [1, 0])
 
 
 def and_function(n: int = 2) -> BooleanFunction:
+    import numpy as np
+
     check_arity(n)
     table = np.zeros(1 << n, dtype=np.int64)
     table[-1] = 1
@@ -142,6 +150,8 @@ def and_function(n: int = 2) -> BooleanFunction:
 
 
 def or_function(n: int = 2) -> BooleanFunction:
+    import numpy as np
+
     check_arity(n)
     table = np.ones(1 << n, dtype=np.int64)
     table[0] = 0
@@ -149,11 +159,11 @@ def or_function(n: int = 2) -> BooleanFunction:
 
 
 def implies_function() -> BooleanFunction:
-    return BooleanFunction(2, 1, np.array([1, 0, 1, 1]))
+    return BooleanFunction(2, 1, [1, 0, 1, 1])
 
 
 def xor_function() -> BooleanFunction:
-    return BooleanFunction(2, 1, np.array([0, 1, 1, 0]))
+    return BooleanFunction(2, 1, [0, 1, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +184,8 @@ def compose(g: BooleanFunction, f: BooleanFunction) -> BooleanFunction:
 def product(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     """Blockwise product f x g acting on the first f.arity_in coordinates
     with f and the remaining g.arity_in with g."""
+    import numpy as np
+
     n = f.arity_in + g.arity_in
     m = f.arity_out + g.arity_out
     if n > N_MAX or m > N_MAX:
@@ -192,12 +204,14 @@ def to_minterms(f: BooleanFunction) -> set[tuple[bool, ...]]:
             f"minterm expansion requires a single output, got {f.arity_out}"
         )
     return {
-        index_assignment(int(a), f.arity_in) for a in np.flatnonzero(f.table)
+        index_assignment(int(a), f.arity_in) for a in f.table.nonzero()[0]
     }
 
 
 def from_minterms(arity: int, minterms) -> BooleanFunction:
     """Rebuild the single-output function that is true exactly on `minterms`."""
+    import numpy as np
+
     check_arity(arity)
     table = np.zeros(1 << arity, dtype=np.int64)
     for assignment in minterms:
@@ -325,17 +339,6 @@ def _hash_node(node, child_hashes) -> int:
 
 _QUANTIFIERS = (Exists, Forall)
 
-_FALSE_TRUE = np.array([False, True])
-_FALSE_TRUE.flags.writeable = False
-
-#: Truth-column op of each connective; on booleans a -> b is a <= b.
-_OPS = {
-    Not: np.logical_not,
-    And: np.logical_and,
-    Or: np.logical_or,
-    Implies: np.less_equal,
-}
-
 
 def _child_fields(node) -> tuple:
     """Names of the node's subformula fields, left to right."""
@@ -420,6 +423,16 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
 
 def _truth_table(ast: Formula, names: Sequence[str]) -> np.ndarray:
     """The read-only table of a formula that `compile_formula` checked."""
+    import numpy as np
+
+    # Truth-column op of each connective; on booleans a -> b is a <= b.
+    ops = {
+        Not: np.logical_not,
+        And: np.logical_and,
+        Or: np.logical_or,
+        Implies: np.less_equal,
+    }
+    false_true = np.array([False, True])
     n = len(names)
     # Variable `bit` is a [False, True] column along axis n-1-bit of the
     # (2,)*n index grid, so the ops broadcast up to the full table.
@@ -427,7 +440,7 @@ def _truth_table(ast: Formula, names: Sequence[str]) -> np.ndarray:
     for bit, name in enumerate(names):
         shape = [1] * n
         shape[n - 1 - bit] = 2
-        columns[name] = _FALSE_TRUE.reshape(shape)
+        columns[name] = false_true.reshape(shape)
 
     def column(node, args):
         if isinstance(node, Var):
@@ -435,7 +448,7 @@ def _truth_table(ast: Formula, names: Sequence[str]) -> np.ndarray:
         # The root's op writes its 0/1 values straight into the table,
         # without a full-size boolean column in between.
         out = np.empty((2,) * n, dtype=np.int64) if node is ast else None
-        return _OPS[type(node)](*args, out=out)
+        return ops[type(node)](*args, out=out)
 
     if isinstance(ast, Var):
         table = np.empty((2,) * n, dtype=np.int64)

@@ -47,12 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Mapping, Optional
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ._common import EPS_FEAS, N_MAX, check_belief, clip01
-from ._simplex import Simplex
 from .boolfuncs import (
     And,
     BooleanFunction,
@@ -74,7 +72,9 @@ from .errors import (
     MultiOutput,
     SchemaError,
 )
-from .joints import independent_product, pushforward
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConfidenceInterval",
@@ -163,7 +163,7 @@ class PartialJointSpec:
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}") from None
             # Integers only: int() would truncate 1.7 and read True as 1.
             if any(
-                isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in (i, j)
+                isinstance(c, bool) or not isinstance(c, (int, Integral)) for c in (i, j)
             ):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             i, j = int(i), int(j)
@@ -194,6 +194,8 @@ def _check_cancel(cancel: Optional[Callable[[], bool]]) -> None:
 
 def _independent_point(spec: PartialJointSpec, f: BooleanFunction) -> float:
     """Confidence under full independence: the product table pushed through f."""
+    from .joints import independent_product, pushforward
+
     return clip01(pushforward(independent_product(spec.marginals), f).probs[1])
 
 
@@ -247,6 +249,10 @@ def _lp_bounds(
     """(min, max) of cost . x over the tables x on 2**n entries with the
     given marginals and sorted ((i, j), q) pairs; with `cost` None, only
     check that such a table exists and return None."""
+    import numpy as np
+
+    from ._simplex import Simplex
+
     n = len(marginals)
     _check_lp_arity(n)
     bits = _bit_table(n)
@@ -362,36 +368,47 @@ def _formula_of(node: list):
 
 def _components(n: int, pairwise: Mapping) -> list:
     """component[i]: the mask of the coordinates the pairs connect to i."""
-    component = [1 << i for i in range(n)]
-    for i, j in pairwise:
-        merged = component[i - 1] | component[j - 1]
-        rest = merged
-        while rest:
-            low = rest & -rest
-            component[low.bit_length() - 1] = merged
-            rest ^= low
-    return component
+    if not pairwise:
+        return [1 << i for i in range(n)]
+    roots = _union_find(n, [(i - 1, j - 1) for i, j in pairwise])[0]
+    masks = [0] * n
+    for i, root in enumerate(roots):
+        masks[root] |= 1 << i
+    return [masks[root] for root in roots]
 
 
 def _coordinates(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _find(parent: list, k: int) -> int:
-    """The root of k in the union-find forest `parent`, halving its path."""
-    while parent[k] != k:
-        parent[k] = parent[parent[k]]
-        k = parent[k]
-    return k
+def _union_find(n: int, edges) -> tuple:
+    """Union-find over 0 ... n-1, joining the ends of each (a, b) in
+    `edges` in order: (the root of each element, the indices of the edges
+    that joined two sets).  The joining edges span a forest; the others
+    close a cycle."""
+    parent = list(range(n))
+    joined = []
+    for k, (a, b) in enumerate(edges):
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            joined.append(k)
+    for k, root in enumerate(parent):
+        while parent[root] != root:
+            root = parent[root]
+        parent[k] = root
+    return parent, joined
 
 
 def _groups(kids: list, component: list) -> list:
     """The operands of an and/or, grouped by union-find so that operands
     reading a common component share a group: [components' mask, operands]
     per group, in order of first operand."""
-    parent = list(range(len(kids)))
     first: dict = {}
-    closures = []
+    closures, edges = [], []
     for k, kid in enumerate(kids):
         closure = 0
         rest = kid[1]
@@ -401,12 +418,13 @@ def _groups(kids: list, component: list) -> list:
             closure |= c
             j = first.setdefault(c, k)
             if j != k:
-                parent[_find(parent, j)] = _find(parent, k)
+                edges.append((j, k))
         closures.append(closure)
     groups: dict = {}
-    for k, kid in enumerate(kids):
-        group = groups.setdefault(_find(parent, k), [0, []])
-        group[0] |= closures[k]
+    roots = _union_find(len(kids), edges)[0] if edges else range(len(kids))
+    for kid, closure, root in zip(kids, closures, roots):
+        group = groups.setdefault(root, [0, []])
+        group[0] |= closure
         group[1].append(kid)
     return list(groups.values())
 
@@ -509,22 +527,11 @@ def _decomposed_bounds(
 def _bit_table(n: int) -> np.ndarray:
     """The read-only (n, 2**n) table of bit i of each assignment a; built
     once per arity, on first use."""
+    import numpy as np
+
     bits = (np.arange(1 << n) & (1 << np.arange(n))[:, None]) != 0
     bits.flags.writeable = False
     return bits
-
-
-def _spanning_forest(n: int, pairs: list) -> list:
-    """Indices of the sorted pairs that join two trees when the pairs are
-    walked in order with union-find; the others close a cycle."""
-    parent = list(range(n))
-    forest = []
-    for k, ((i, j), _) in enumerate(pairs):
-        a, b = _find(parent, i - 1), _find(parent, j - 1)
-        if a != b:
-            parent[a] = b
-            forest.append(k)
-    return forest
 
 
 def _glue(marginals: tuple, pairs: list, forest: list, keep: np.ndarray) -> tuple:
@@ -648,8 +655,10 @@ def _glued_basis(
     cell a cycle's pair leaves empty (at a q at an end of its range) is
     not a start: then the chain table is, with every pair row artificial.
     """
+    import numpy as np
+
     n = len(marginals)
-    forest = _spanning_forest(n, pairs)
+    forest = _union_find(n, [(i - 1, j - 1) for (i, j), _ in pairs])[1]
     pieces = _glue(marginals, pairs, forest, keep)
     if forest and any(size > EPS_FEAS and not kept for _, _, size, kept in pieces):
         forest = []
@@ -720,6 +729,8 @@ class _ZSystem:
 
 
 def _build_z_system(spec: PartialJointSpec, grid_step: float) -> _ZSystem:
+    import numpy as np
+
     n = spec.arity
     size = 1 << n
     full = size - 1
@@ -781,6 +792,8 @@ def brute_force_bounds(
     the number of free parameters, so fine grids are only practical for
     arity <= 3.  `cancel` is polled once per enumeration chunk.
     """
+    import numpy as np
+
     _check_formula(spec, f)
     grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.1:

@@ -14,27 +14,23 @@ mismatch, 4 arity over the active cap, 5 LP solver failure.
 MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
 built-in N_MAX).
 
-Every subcommand needs numpy alone; `bounds` solves its LPs with the
-package's own simplex.
+Every subcommand needs numpy alone, loaded on first array use; `bounds`
+solves its LPs with the package's own simplex.  `bounds` on a formula
+that splits down to its marginals and `quantify bounds` on a table with
+no q_pair build no array and never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
-import numpy as np
-
 from ._common import N_MAX
-from .boolfuncs import (
-    and_function,
-    compile_formula,
-    formula_variables,
-    implies_function,
-    or_function,
-)
+from .boolfuncs import And, Implies, Not, Or, Var, _fold
+from .boolfuncs import compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _feasible_q, _pair_cells, and_q, implies_q, or_q, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
@@ -50,7 +46,6 @@ from .errors import (
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
-from .joints import pushforward
 from .quantifiers import BeliefTable, SamplingStrategy, exists_bounds, sample_exists
 
 EXIT_OK = 0
@@ -68,10 +63,17 @@ _SEMANTIC_ERRORS = (
     UnsupportedLiftPolicy,
 )
 
+#: The connectives the classic closed forms name, by their truth tables as
+#: 4-bit masks: bit a set when the connective is true at assignment a.
+_CLASSIC_KINDS = {0b1000: "and", 0b1110: "or", 0b1101: "implies"}
 
-def _fmt(x: float) -> str:
-    """17 significant digits, '.' decimal point, enough to round-trip."""
-    return format(float(x), ".17g")
+#: Each connective on the masks of its operands; a -> b is (not a) or b.
+_MASK_OPS = {
+    Not: operator.invert,
+    And: operator.and_,
+    Or: operator.or_,
+    Implies: lambda a, b: ~a | b,
+}
 
 
 def _active_cap() -> int:
@@ -105,10 +107,13 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (cell if isinstance(cell, str) else _fmt(cell) for cell in row)
-        lines.append(",".join(cells))
+    """Text cells as they are, numbers in 17 significant digits with a '.'
+    decimal point, enough to round-trip; every row (a tuple) has the cell
+    types of the first."""
+    rows = list(rows)
+    cells = rows[0] if rows else ()
+    template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in cells)
+    lines = [",".join(header), *(template % row for row in rows)]
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -124,6 +129,8 @@ def _compile(formula_text: str, expected_arity: int):
 
 
 def _cmd_eval(args) -> int:
+    from .joints import pushforward
+
     dist = parse_joint(_read(args.input))
     _check_cap(dist.arity)
     f = _compile(args.formula, dist.arity)
@@ -149,18 +156,9 @@ def _cmd_bounds(args) -> int:
     # The classic closed forms bound a two-variable connective given its
     # marginals alone; a pairwise q or independence pins it tighter.
     if model.arity == 2 and not model.pairwise and not model.independent:
-        for kind, gate in (
-            ("and", and_function()),
-            ("or", or_function()),
-            ("implies", implies_function()),
-        ):
-            if f == gate:
-                result["classic"] = {
-                    "kind": kind,
-                    "lo": f"{kind}_min",
-                    "hi": f"{kind}_max",
-                }
-                break
+        kind = _classic_kind(f)
+        if kind is not None:
+            result["classic"] = {"kind": kind, "lo": f"{kind}_min", "hi": f"{kind}_max"}
     if (args.format or "json") == "json":
         _emit_json(result)
     else:
@@ -168,11 +166,27 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _sweep_columns(p1: float, p2: float, qs: np.ndarray, f) -> list:
+def _classic_kind(f):
+    """The connective of `_CLASSIC_KINDS` that a compiled two-variable
+    formula computes, or None.  Its truth table is folded as a mask from
+    those of its variables (the first is true at assignments 1 and 3, the
+    second at 2 and 3), so no table is built."""
+    ast, names = f._formula
+    columns = dict(zip(names, (0b1010, 0b1100)))
+
+    def mask(node, args):
+        return columns[node.name] if type(node) is Var else _MASK_OPS[type(node)](*args)
+
+    return _CLASSIC_KINDS.get(_fold(ast, mask) & 0b1111)
+
+
+def _sweep_columns(p1: float, p2: float, qs, f) -> list:
     """The sweep's columns over the whole q grid at once: `and_q`, `or_q`,
     `implies_q` and, for the formula, `pushforward(pair_from_pq(p1, p2, q),
     f)`, each evaluated on the array of q by the scalar path's own
     expressions, so every value equals the scalar one bit for bit."""
+    import numpy as np
+
     columns = [qs, and_q(p1, p2, qs), or_q(p1, p2, qs), implies_q(p1, p2, qs)]
     if f is not None:
         pair = np.maximum(_pair_cells(*_feasible_q(p1, p2, qs)), 0.0)
@@ -183,6 +197,8 @@ def _sweep_columns(p1: float, p2: float, qs: np.ndarray, f) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return EXIT_INPUT

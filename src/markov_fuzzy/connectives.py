@@ -20,10 +20,9 @@ bit for bit to the scalar call; `sweep` evaluates its whole q grid so.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from ._common import EPS_FEAS, check_belief, clip01, to_float
 from .errors import InfeasibleQ, InvalidParameter
@@ -86,7 +85,8 @@ def _feasible_q(p1: float, p2: float, q) -> tuple:
     ends, least first, and clamped elementwise by the comparisons of the
     scalar clamp.
     """
-    if isinstance(q, np.ndarray):
+    np = sys.modules.get("numpy")  # loaded if q is an array
+    if np is not None and isinstance(q, np.ndarray):
         # An interval holds the whole array iff it holds the array's ends.
         for end in (q.min(), q.max()):
             p1, p2, _ = _feasible_q(p1, p2, end)

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Sequence, Union
 
 from . import bounds
 from ._common import EPS_SIMPLEX, check_belief, clip01
@@ -44,7 +44,11 @@ from .errors import (
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
-from .joints import JointBooleanDist, marginal
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .joints import JointBooleanDist
 
 __all__ = [
     "BeliefTable",
@@ -134,14 +138,13 @@ def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
         raise EmptyUniverse("cannot quantify over an empty universe")
     touched = set(chain.from_iterable(table.q_pair))
     index = {x: k for k, x in enumerate(x for x in table.universe if x in touched)}
-    parent = list(range(len(index)))
-    for a, b in table.q_pair:
-        parent[bounds._find(parent, index[a])] = bounds._find(parent, index[b])
+    edges = [(index[a], index[b]) for a, b in table.q_pair]
+    roots = bounds._union_find(len(index), edges)[0]
     components: dict = {}
     for x, k in index.items():
-        components.setdefault(bounds._find(parent, k), ([], []))[0].append(x)
+        components.setdefault(roots[k], ([], []))[0].append(x)
     for pair, q in table.q_pair.items():
-        components[bounds._find(parent, index[pair[0]])][1].append((pair, q))
+        components[roots[index[pair[0]]]][1].append((pair, q))
     ends = [_component_or(*component, table.p) for component in components.values()]
     los = [table.p[x] for x in table.universe if x not in touched]
     lo, hi = _frechet_or(los + [end[0] for end in ends], los + [end[1] for end in ends])
@@ -160,6 +163,8 @@ def _component_or(labels: list, pairs: list, p: Mapping) -> tuple:
     local = {x: k + 1 for k, x in enumerate(labels)}
     numbered = sorted(((local[a], local[b]), q) for (a, b), q in pairs)
     if len(labels) <= bounds.LP_MAX_ARITY:
+        import numpy as np
+
         # The "or" is true on every assignment but the all-false one.
         cost = np.arange(1 << len(labels)) > 0
         return bounds._lp_bounds(marginals, numbered, cost, None)
@@ -171,7 +176,7 @@ def _component_or(labels: list, pairs: list, p: Mapping) -> tuple:
         for (i, j), q in numbered
     ]
     heavy = sorted((w for w in weighted if w[1] > 0.0), key=lambda w: -w[1])
-    forest = bounds._spanning_forest(len(labels), heavy)
+    forest = bounds._union_find(len(labels), [(i - 1, j - 1) for (i, j), _ in heavy])[1]
     hi = math.fsum([*marginals, *(-heavy[k][1] for k in forest)])
     return lo, max(lo, hi)
 
@@ -191,6 +196,10 @@ def exists_truncated(
     TRUNCATION_TOL); the emitted sequence is then non-decreasing up to
     1e-12, and any larger drop is reported as an inconsistency.
     """
+    import numpy as np
+
+    from .joints import marginal
+
     prev_dist = None
     prev_value = None
     for dist in joints:
@@ -243,7 +252,7 @@ class SamplingStrategy:
 
     def __post_init__(self):
         length = self.tuple_length
-        if isinstance(length, bool) or not isinstance(length, (int, np.integer)):
+        if isinstance(length, bool) or not isinstance(length, (int, Integral)):
             raise InvalidParameter(f"tuple_length must be an integer, got {length!r}")
         if length < 1:
             raise InvalidParameter("tuple_length must be >= 1")
@@ -252,7 +261,7 @@ class SamplingStrategy:
         if seed is not None:
             if (
                 isinstance(seed, bool)
-                or not isinstance(seed, (int, np.integer))
+                or not isinstance(seed, (int, Integral))
                 or not 0 <= seed < 1 << 128
             ):
                 raise InvalidParameter(
@@ -288,7 +297,7 @@ class SampleEstimate:
         return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_samples))
 
 
-LiftPolicy = Union[str, Callable[[tuple], JointBooleanDist]]
+LiftPolicy = Union[str, Callable[[tuple], "JointBooleanDist"]]
 
 
 #: Rows per block of `sample_exists`.  A block's uniforms, indices and
@@ -312,6 +321,8 @@ class _IndexedSearch:
     """
 
     def __init__(self, cdf: np.ndarray):
+        import numpy as np
+
         self.slots = 1 << (2 * cdf.size - 1).bit_length()
         edges = np.arange(self.slots + 1) / self.slots
         self.lo = np.searchsorted(cdf, edges[:-1], side="right")
@@ -320,6 +331,8 @@ class _IndexedSearch:
         self.padded = np.concatenate([cdf, np.full(1 << self.passes, np.inf)])
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         idx = self.lo[(u * self.slots).astype(np.intp)]
         for bit in reversed(range(self.passes)):
             step = 1 << bit
@@ -332,6 +345,8 @@ class _IndexedSearch:
 def _drawn_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int):
     """Index tuples drawn i.i.d. from the strategy's weights, as a lazy
     sequence of blocks of _SAMPLE_BLOCK rows; the weights are checked now."""
+    import numpy as np
+
     labels = table.universe
     if strategy.weights is None:
         weights = np.full(len(labels), 1.0 / len(labels))
@@ -437,6 +452,8 @@ def _score_block(block: list, position: dict, length: int, score, out: np.ndarra
     into `out`.  Returns (a 1-tuple of its first label outside the universe,
     unhashable ones included, the error scoring raised), each None when
     there is none; the block's index array is freed on return."""
+    import numpy as np
+
     flat = map(position.__getitem__, chain.from_iterable(block))
     try:
         indices = np.fromiter(flat, dtype=np.intp, count=len(block) * length)
@@ -454,6 +471,8 @@ def _score_block(block: list, position: dict, length: int, score, out: np.ndarra
 def _lift_scorer(table: BeliefTable, tuple_length: int, lift: LiftPolicy):
     """score(block, out): the witness confidence of each index tuple of a
     block, written to out."""
+    import numpy as np
+
     labels = table.universe
     p_by_index = np.array([table.p[x] for x in labels])
     if lift == "independent":
@@ -532,6 +551,8 @@ def sample_exists(
     of the wrong length (or an element with no length), then a label
     outside the universe (an unhashable one included), then a lift error.
     """
+    import numpy as np
+
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidParameter("n_samples must be >= 1")

@@ -494,6 +494,25 @@ class TestSolverEquivalence:
             assert ci.lo == pytest.approx(want[0], abs=1e-9)
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
+    def test_ratio_test_with_one_candidate_row(self, monkeypatch):
+        """A pivot whose entering column is positive in one row alone takes
+        that row without a ratio test.  Over the probability simplex (one
+        row of ones), min c.x is min(c) and max c.x is max(c)."""
+        leaving = _simplex.Simplex._leaving_row
+        candidates = []
+
+        def counting_leaving(self, u, bland):
+            candidates.append(int((u > _simplex.TOL).sum()))
+            return leaving(self, u, bland)
+
+        monkeypatch.setattr(_simplex.Simplex, "_leaving_row", counting_leaving)
+        cost = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
+        lp = _simplex.Simplex(np.ones((1, cost.size)), np.array([1.0]), np.array([0]))
+        assert lp.feasible
+        assert lp.minimize(cost) == cost.min()
+        assert -lp.minimize(-cost) == cost.max()
+        assert candidates == [1, 1]
+
     def test_simplex_on_a_fully_degenerate_vertex(self):
         """The solver itself, given every column of the coloring spec above
         (a vertex with 2 of 37 basic entries nonzero), stays under its
@@ -602,7 +621,7 @@ class TestChainStart:
                 starts.append((a, b.copy(), np.array(basis)))
                 super().__init__(a, b, basis)
 
-        with mock.patch.object(bounds, "Simplex", Recording):
+        with mock.patch.object(_simplex, "Simplex", Recording):
             try:
                 ci = mf.exact_bounds(spec, f)
             except InfeasibleSpec:
@@ -750,7 +769,7 @@ class TestGluedStart:
                 starts.append((a, b.copy(), np.array(basis)))
                 super().__init__(a, b, basis)
 
-        with mock.patch.object(bounds, "Simplex", Recording):
+        with mock.patch.object(_simplex, "Simplex", Recording):
             try:
                 ci = mf.exact_bounds(spec, f)
             except InfeasibleSpec:
@@ -882,7 +901,7 @@ class TestBitTable:
                 starts.append(b.copy())
                 super().__init__(a, b, basis)
 
-        with mock.patch.object(bounds, "Simplex", Recording):
+        with mock.patch.object(_simplex, "Simplex", Recording):
             mf.exact_bounds(spec, mf.or_function(4))
         assert (starts[0][5:8] > 0).all() and starts[0][8] < 0
 
@@ -934,7 +953,7 @@ def simplex_log(monkeypatch):
             log["ends"] += 1
             return super().minimize(cost)
 
-    monkeypatch.setattr(bounds, "Simplex", Counting)
+    monkeypatch.setattr(_simplex, "Simplex", Counting)
     return log
 
 

@@ -475,6 +475,47 @@ def test_bounds_run_without_scipy(tmp_path):
     assert result["or"] == pytest.approx([0.75, 1.0], abs=1e-9)
 
 
+def imported_numpy(importtime_report: str) -> list:
+    """The numpy modules named in a `python -X importtime` report."""
+    names = (line.rsplit("|", 1)[-1].strip() for line in importtime_report.splitlines())
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("call", ["import", "bounds", "quantify_bounds"])
+def test_cold_call_never_imports_numpy(tmp_path, call):
+    """A bare `import markov_fuzzy`, a cold `bounds` call that splits down
+    to its marginals and a cold `quantify bounds` on a table with no q_pair
+    build no array, so they never load numpy; the two calls print what
+    they always printed, the classic tag included."""
+    spec = write(tmp_path, "spec.json", DYADIC_SPEC)
+    table = write(tmp_path, "table.json", TABLE)
+    command, stdout = {
+        "import": (["-c", "import markov_fuzzy"], ""),
+        "bounds": (
+            ["-m", "markov_fuzzy", "bounds", "--formula", "P1 & P2", "--input", spec],
+            '{"lo": 0.25, "hi": 0.5, '
+            '"classic": {"kind": "and", "lo": "and_min", "hi": "and_max"}}\n',
+        ),
+        "quantify_bounds": (
+            ["-m", "markov_fuzzy", "quantify", "bounds", "--input", table],
+            '{"lo": 0.5, "hi": 0.75}\n',
+        ),
+    }[call]
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *command],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "markov_fuzzy.bounds" in proc.stderr  # the report lists the package
+    assert imported_numpy(proc.stderr) == []
+    assert proc.stdout == stdout
+
+
 class TestQuantify:
     def test_bounds_golden(self, tmp_path, capsys):
         path = write(tmp_path, "table.json", TABLE)
