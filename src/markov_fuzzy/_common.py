@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import sys
+from numbers import Integral
 
-from .errors import ArityTooLarge, InvalidBelief
+from .errors import ArityTooLarge, InvalidBelief, InvalidParameter
 
 #: Dense tables are capped at 2**N_MAX entries.
 N_MAX = 24
@@ -46,11 +47,20 @@ def check_belief(value, name: str = "belief") -> float:
     return x
 
 
+def check_int(value, what: str, error: type = InvalidParameter) -> int:
+    """`value` as an int when it is an int or a numbers.Integral other than
+    a bool (int() would read True as 1 and truncate 2.7); otherwise
+    `error` saying "<what>, got <value>"."""
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
+        raise error(f"{what}, got {value!r}")
+    return int(value)
+
+
 def check_arity(n, name: str = "arity") -> int:
     """Validate a table arity against the dense cap."""
-    n = int(n)
+    n = check_int(n, f"{name} must be an integer")
     if n < 0:
-        raise InvalidBelief(f"{name} must be nonnegative, got {n}")
+        raise InvalidParameter(f"{name} must be nonnegative, got {n}")
     if n > N_MAX:
         raise ArityTooLarge(f"{name}={n} exceeds the dense-table cap N_MAX={N_MAX}")
     return n

@@ -6,12 +6,15 @@ N <= 2**n <= 4096 columns, so the whole method fits in a few numpy calls
 per pivot:
 
 * phase I starts from the caller's basis: m column indices, where index
-  N + r names the artificial column e_r of row r.  It is inverted once
-  and its levels B^-1 b must be >= -TOL.  A start basis without an
-  artificial is feasible as it stands, and phase I makes no pass over it.
-  Otherwise phase I minimizes the sum of the artificials; a sum above
-  `TOL` proves infeasibility.  Any artificial left in the basis at level
-  zero is then pivoted out, unless its row depends on the others.
+  N + r names the artificial column e_r of row r.  `Simplex` inverts it
+  and takes the levels B^-1 b.  The row of each artificial below zero is
+  negated in place, in A and b, and the basis inverted again, so that
+  the artificial starts at the opposite level; a structural level below
+  -TOL raises SolverError.  A start basis without an artificial is
+  feasible as it stands, and phase I makes no pass over it.  Otherwise
+  phase I minimizes the sum of the artificials; a sum above `TOL` proves
+  infeasibility.  Any artificial left in the basis at level zero is then
+  pivoted out, unless its row depends on the others.
   `exact_bounds` starts from the table glued from its pair tables
   (`bounds._glued_basis`), which leaves an artificial basic only in the
   row of a pair that closes a cycle and in rows whose piece of that table
@@ -20,8 +23,7 @@ per pivot:
 * phase II minimizes each cost from the basis phase I ended on, so both
   ends of `exact_bounds` start there;
 * the m x m basis inverse is kept explicitly, updated by a rank-one
-  correction per pivot and recomputed every `REFACTOR_EVERY` pivots and
-  before phase I decides feasibility;
+  correction per pivot and recomputed every `REFACTOR_EVERY` pivots;
 * pricing takes every reduced cost in one `y @ A` pass and enters the
   most negative one (Dantzig's rule).  When a run of pivots that do not
   move the point comes back to a basis it has met, pricing switches to
@@ -29,20 +31,20 @@ per pivot:
   variable (Bland's rule, which cannot cycle) until a pivot moves the
   point again;
 * more than `MAX_PIVOTS` pivots in one phase raise SolverError;
-* each optimum is checked on its final basis as soon as pricing finds no
-  improving column, from one fresh inverse (an updated inverse is
-  recomputed first): x_B = B^-1 b with one refinement step against a
-  residual summed by `math.fsum`, and y = c_B B^-1.  x_B >= -TOL and
-  every reduced cost c - y A >= -TOL are required, and the value is
-  `math.fsum(c_B * x_B)`.  A check that fails on an inverse that was
-  updated pivots on from the fresh one; one that fails on an inverse
-  that was already fresh raises SolverError.
+* a phase ends only when pricing on a fresh inverse finds no improving
+  column: pricing on an updated inverse that finds none recomputes the
+  inverse and prices again, and pivots on if a column now improves.
+  Phase I then decides feasibility, and each optimum of phase II is
+  checked on its final basis: x_B = B^-1 b with one refinement step
+  against a residual summed by `math.fsum`, and y = c_B B^-1.  x_B >=
+  -TOL and every reduced cost c - y A >= -TOL are required, else
+  SolverError, and the value is `math.fsum(c_B * x_B)`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -70,8 +72,9 @@ _HARRIS_SLACK = 1e-12
 class Simplex:
     """Phase I on construction; `minimize(cost)` then runs phase II.
 
-    `basis` is the start basis (see the module docstring).  `feasible` is
-    False when no x >= 0 satisfies A x = b within `TOL`.
+    `basis` is the start basis (see the module docstring); `a` and `b` are
+    kept, not copied, and may have rows negated.  `feasible` is False when
+    no x >= 0 satisfies A x = b within `TOL`.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray):
@@ -82,6 +85,14 @@ class Simplex:
         # Artificial column n + r is the unit vector e_r.
         self._basis = np.array(basis)
         self._refactor()
+        # An artificial below zero: its row, negated in place, starts it at
+        # the opposite level.
+        rows = self._basis[self._x < 0.0] - n
+        rows = rows[rows >= 0]
+        if rows.size:
+            a[rows] *= -1.0
+            b[rows] *= -1.0
+            self._refactor()
         if self._x.min() < -TOL:
             raise SolverError(
                 f"LP solve failed: start basis infeasible by {-self._x.min():.3g}"
@@ -106,29 +117,15 @@ class Simplex:
         cost = np.concatenate((cost, np.zeros(len(basis))))
         return self._iterate(cost, lambda reduced: self._checked_value(cost, reduced))
 
-    def _infeasibility(self, reduced: np.ndarray) -> Optional[float]:
-        """The sum of the artificial levels.  Feasibility is decided on a
-        fresh inverse: an updated one is refactored first, and None is
-        returned so that pricing runs again on it."""
-        if self._since_refactor:
-            self._refactor()
-            return None
+    def _infeasibility(self, reduced: np.ndarray) -> float:
+        """The sum of the artificial levels."""
         return math.fsum(self._x[self._basis >= self._n])
 
-    def _checked_value(self, cost: np.ndarray, reduced: np.ndarray) -> Optional[float]:
-        """The value of the current basis, checked on a fresh inverse once
-        pricing finds no improving column: x_B = B^-1 b with one refinement
-        step, x_B >= -TOL, y = c_B B^-1 and every reduced cost c - y A
-        >= -TOL.  `reduced` holds the reduced costs pricing took; an
-        updated inverse is refactored and they are taken afresh.  None when
-        the check fails on an inverse that was updated, so that pivoting
-        goes on from the fresh one; on an inverse that was already fresh the
-        failure is a SolverError."""
-        updated = self._since_refactor > 0
-        if updated:
-            self._refactor()
-            y = cost[self._basis] @ self._binv
-            reduced = cost[: self._n] - y @ self._a
+    def _checked_value(self, cost: np.ndarray, reduced: np.ndarray) -> float:
+        """The value of the current basis, checked once pricing on a fresh
+        inverse finds no improving column: x_B = B^-1 b with one refinement
+        step, x_B >= -TOL, and every reduced cost c - y A in `reduced`
+        >= -TOL.  A failure is a SolverError."""
         matrix, x = self._matrix, self._x
         # One step of refinement against a residual summed exactly.
         terms = np.concatenate((self._b[:, None], -matrix * x), axis=1).tolist()
@@ -139,17 +136,15 @@ class Simplex:
             failure = f"final basis not optimal, reduced cost {reduced.min():.3g}"
         else:
             return math.fsum(cost[self._basis] * x)
-        if updated:
-            return None
         raise SolverError(f"LP solve failed: {failure}")
 
     def _iterate(
-        self, cost: np.ndarray, accept: Callable[[np.ndarray], Optional[float]]
+        self, cost: np.ndarray, accept: Callable[[np.ndarray], float]
     ) -> float:
-        """Pivot until no column prices out and `accept(reduced)` returns a
-        value, which is returned; while it returns None (having refactored),
-        go on.  `cost` covers every column that can be basic (the
-        artificials too, in phase I)."""
+        """Pivot until pricing on a fresh inverse finds no improving column,
+        then return `accept(reduced)`.  Pricing on an updated inverse that
+        finds none refactors and prices again.  `cost` covers every column
+        that can be basic (the artificials too, in phase I)."""
         a, n = self._a, self._n
         pivots = 0
         seen: set = set()  # bases met since the point last moved
@@ -160,9 +155,9 @@ class Simplex:
             reduced = cost[:n] - (cost[self._basis] @ self._binv) @ a
             j = self._entering(reduced, bland)
             if j < 0:
-                value = accept(reduced)
-                if value is not None:
-                    return value
+                if not self._since_refactor:
+                    return accept(reduced)
+                self._refactor()
                 continue
             if pivots == MAX_PIVOTS:
                 raise SolverError(

@@ -48,8 +48,8 @@ class BooleanFunction:
     def __post_init__(self):
         import numpy as np
 
-        check_arity(self.arity_in, "arity_in")
-        check_arity(self.arity_out, "arity_out")
+        object.__setattr__(self, "arity_in", check_arity(self.arity_in, "arity_in"))
+        object.__setattr__(self, "arity_out", check_arity(self.arity_out, "arity_out"))
         table = np.array(self.table, dtype=np.int64)
         if table.shape != (1 << self.arity_in,):
             raise ArityMismatch(
@@ -132,7 +132,7 @@ def index_assignment(index: int, arity: int) -> tuple[bool, ...]:
 def identity_function(n: int) -> BooleanFunction:
     import numpy as np
 
-    check_arity(n)
+    n = check_arity(n)
     return BooleanFunction._adopt(n, n, np.arange(1 << n, dtype=np.int64))
 
 
@@ -143,7 +143,7 @@ def not_function() -> BooleanFunction:
 def and_function(n: int = 2) -> BooleanFunction:
     import numpy as np
 
-    check_arity(n)
+    n = check_arity(n)
     table = np.zeros(1 << n, dtype=np.int64)
     table[-1] = 1
     return BooleanFunction._adopt(n, 1, table)
@@ -152,7 +152,7 @@ def and_function(n: int = 2) -> BooleanFunction:
 def or_function(n: int = 2) -> BooleanFunction:
     import numpy as np
 
-    check_arity(n)
+    n = check_arity(n)
     table = np.ones(1 << n, dtype=np.int64)
     table[0] = 0
     return BooleanFunction._adopt(n, 1, table)
@@ -212,7 +212,7 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
     """Rebuild the single-output function that is true exactly on `minterms`."""
     import numpy as np
 
-    check_arity(arity)
+    arity = check_arity(arity)
     table = np.zeros(1 << arity, dtype=np.int64)
     for assignment in minterms:
         if len(assignment) != arity:

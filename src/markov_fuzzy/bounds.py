@@ -47,10 +47,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from ._common import EPS_FEAS, N_MAX, check_belief, clip01
+from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01
 from .boolfuncs import (
     And,
     BooleanFunction,
@@ -104,8 +103,11 @@ _CHUNK = 1 << 17
 class ConfidenceInterval:
     """Lower/upper bounds on a truth confidence.
 
-    Exact from `exact_bounds`, `exists_bounds` and `forall_bounds` (outer
-    only past `LP_MAX_ARITY`); a spec with no joint raises InfeasibleSpec.
+    Exact from `exact_bounds`, which raises ArityTooLarge for a linear
+    program over more than `LP_MAX_ARITY` variables.  Exact from
+    `exists_bounds` and `forall_bounds` too, except that a component of the
+    q_pair graph with more than `LP_MAX_ARITY` points gives an outer bound.
+    A spec with no joint raises InfeasibleSpec.
     """
 
     lo: float
@@ -161,12 +163,8 @@ class PartialJointSpec:
                 i, j = key
             except (TypeError, ValueError):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}") from None
-            # Integers only: int() would truncate 1.7 and read True as 1.
-            if any(
-                isinstance(c, bool) or not isinstance(c, (int, Integral)) for c in (i, j)
-            ):
-                raise BadCoordinate(f"bad pairwise coordinates {key!r}")
-            i, j = int(i), int(j)
+            what = "pairwise coordinates must be integers"
+            i, j = check_int(i, what, BadCoordinate), check_int(j, what, BadCoordinate)
             if i == j or not (1 <= i <= len(ps)) or not (1 <= j <= len(ps)):
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             pair = (min(i, j), max(i, j))
@@ -289,7 +287,7 @@ def _lp_bounds(
     _check_cancel(cancel)
     if not keep.any():
         raise InfeasibleSpec("no joint distribution satisfies the spec")
-    lp = Simplex(a_eq, b_eq, _glued_basis(marginals, pairs, keep, a_eq, b_eq))
+    lp = Simplex(a_eq, b_eq, _glued_basis(marginals, pairs, keep))
     if not lp.feasible:
         raise InfeasibleSpec("no joint distribution satisfies the spec")
     if cost is None:
@@ -436,9 +434,8 @@ def _decomposed_bounds(
 
     A formula that does not split below its root (or below a negation
     there), as when the pairs connect every coordinate, is one LP on f's
-    own table, solved exactly as the raw table would be.  Otherwise an
-    explicit stack stands in for recursion, so the depth of the tree is
-    not bounded by the recursion limit, and the components that no linear
+    own table, solved exactly as the raw table would be.  Otherwise the
+    normal form is walked by recursion, and the components that no linear
     program covers are checked for feasibility afterwards.  One whose
     pairs form a tree always is (each pair's q is feasible for its
     marginals, and chaining the pair tables along the tree builds a
@@ -465,54 +462,53 @@ def _decomposed_bounds(
         part = [((local[i], local[j]), q) for (i, j), q in pairs if i in local]
         return _lp_bounds(tuple(marginals[i] for i in coords), part, cost, cancel)
 
-    _check_cancel(cancel)
-    root = _normal_form(ast, {name: i for i, name in enumerate(names)})
-    top = root[3] if root[0] == _NEG else root
-    stack: list = [(root, None)]
-    done: list = []
-    while stack:
-        node, groups = stack.pop()
+    def walk(node: list) -> tuple:
+        # The walk descends only into an operand alone in its group while
+        # the and/or has another group, so each and/or on the way down
+        # reads strictly fewer of the at most N_MAX components than the
+        # one above it.  Double negations cancel in the normal form, so at
+        # most one negation lies above each and/or and above the leaf: the
+        # depth stays under 2 * N_MAX + 2 however deep the formula is.
         kind = node[0]
         if kind == _LEAF:
             p = marginals[node[3]]
-            done.append((p, p))
-        elif kind == _NEG:
-            if groups is None:
-                stack.append((node, ()))
-                stack.append((node[3], None))
+            return p, p
+        if kind == _NEG:
+            lo, hi = walk(node[3])
+            return 1.0 - hi, 1.0 - lo
+        groups = top_groups if node is top else _groups(node[3], component)
+        # Single operands are bounded before the LPs of the groups.
+        singles = {}
+        for k, (_, members) in enumerate(groups):
+            if len(members) == 1:
+                singles[k] = walk(members[0])
+        los, his = [], []
+        for k, (mask, members) in enumerate(groups):
+            if k in singles:
+                lo, hi = singles[k]
             else:
-                lo, hi = done.pop()
-                done.append((1.0 - hi, 1.0 - lo))
-        elif groups is None:
-            groups = _groups(node[3], component)
-            if node is top and len(groups) == 1 and groups[0][0] == full:
-                # Nothing splits: one LP on f's own table.
-                return _lp_bounds(marginals, pairs, f.table, cancel)
-            stack.append((node, groups))
-            # Single operands are bounded first, their results landing on
-            # `done` in group order.
-            stack.extend((g[1][0], None) for g in reversed(groups) if len(g[1]) == 1)
-        else:
-            singles = sum(len(g[1]) == 1 for g in groups)
-            results = iter(done[len(done) - singles :])
-            del done[len(done) - singles :]
-            los, his = [], []
-            for mask, members in groups:
-                if len(members) == 1:
-                    lo, hi = next(results)
+                if len(members) == len(node[3]):
+                    formula = node[2]
                 else:
-                    if len(members) == len(node[3]):
-                        formula = node[2]
-                    else:
-                        operands = [_formula_of(m) for m in members]
-                        formula = reduce(And if kind == _ALL else Or, operands)
-                    coords = _coordinates(mask)
-                    _check_lp_arity(len(coords))
-                    g = compile_formula(formula, [names[i] for i in coords])
-                    lo, hi = bound(mask, g.table)
-                los.append(lo)
-                his.append(hi)
-            done.append((_frechet_and if kind == _ALL else _frechet_or)(los, his))
+                    operands = [_formula_of(m) for m in members]
+                    formula = reduce(And if kind == _ALL else Or, operands)
+                coords = _coordinates(mask)
+                _check_lp_arity(len(coords))
+                g = compile_formula(formula, [names[i] for i in coords])
+                lo, hi = bound(mask, g.table)
+            los.append(lo)
+            his.append(hi)
+        return (_frechet_and if kind == _ALL else _frechet_or)(los, his)
+
+    _check_cancel(cancel)
+    root = _normal_form(ast, {name: i for i, name in enumerate(names)})
+    top = root[3] if root[0] == _NEG else root
+    if top[0] != _LEAF:
+        top_groups = _groups(top[3], component)
+        if len(top_groups) == 1 and top_groups[0][0] == full:
+            # Nothing splits: one LP on f's own table.
+            return _lp_bounds(marginals, pairs, f.table, cancel)
+    result = walk(root)
 
     edges: dict = {}
     for i, _ in spec.pairwise:
@@ -520,7 +516,7 @@ def _decomposed_bounds(
     for mask, count in edges.items():
         if count >= bin(mask).count("1") and not mask & covered:
             bound(mask, None)
-    return done[0]
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -631,9 +627,7 @@ def _glue(marginals: tuple, pairs: list, forest: list, keep: np.ndarray) -> tupl
     return [(row[p], mask[p], length[p], held[p]) for p in pieces]
 
 
-def _glued_basis(
-    marginals: tuple, pairs: list, keep: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray
-) -> np.ndarray:
+def _glued_basis(marginals: tuple, pairs: list, keep: np.ndarray) -> np.ndarray:
     """Start basis of the table glued from the pair tables along a spanning
     forest of the pair graph (`_glue`); with no pairs it is the comonotone
     chain table, a vertex of every marginals-only bounds LP.
@@ -641,19 +635,13 @@ def _glued_basis(
     The pieces, 1 + n + |forest| of them, are independent columns that
     satisfy the marginal rows and every forest pair's row, each basic in
     its own row.  A piece of length 0 in a kept cell stays basic at level
-    0; a piece outside `keep` hands its row to its artificial.  A pair
-    that closes a cycle keeps its artificial, at level q minus the glued
-    mass on the pair's both-false cell; a row where that is negative is
-    negated in place, in `a_eq` and `b_eq`, so that every level is >= 0.
-    With no such pair and no piece outside `keep`, the basis holds no
-    artificial and phase I does not run.
-
-    The levels are the pieces' lengths, each dropped piece's length moved
-    onto the next kept piece to its right (for the chain, the mass that
-    the triangular marginal rows put there).  They solve the start basis
-    exactly when the dropped pieces are empty.  Glue that puts mass on a
-    cell a cycle's pair leaves empty (at a q at an end of its range) is
-    not a start: then the chain table is, with every pair row artificial.
+    0; a piece outside `keep` hands its row to its artificial, as does a
+    pair that closes a cycle (`Simplex` orients each such row so that its
+    artificial starts at a level >= 0).  With no such pair and no piece
+    outside `keep`, the basis holds no artificial and phase I does not run.
+    Glue that puts mass on a cell left out (a cell a cycle's pair leaves
+    empty, at a q at an end of its range) is not a start: then the chain
+    table is, with every pair row artificial.
     """
     import numpy as np
 
@@ -661,30 +649,12 @@ def _glued_basis(
     forest = _union_find(n, [(i - 1, j - 1) for (i, j), _ in pairs])[1]
     pieces = _glue(marginals, pairs, forest, keep)
     if forest and any(size > EPS_FEAS and not kept for _, _, size, kept in pieces):
-        forest = []
-        pieces = _glue(marginals, pairs, forest, keep)
-
-    rows, masks, levels = [], [], []
-    carry = 0.0
-    for row, a, size, kept in pieces:
-        if kept:
-            rows.append(row)
-            masks.append(a)
-            levels.append(size + carry)
-            carry = 0.0
-        else:
-            carry += size
-    columns = keep.nonzero()[0].searchsorted(masks)
-    m, size = a_eq.shape
-    basis = np.arange(size, size + m)
-    basis[rows] = columns
-    if len(forest) < len(pairs):
-        in_forest = set(forest)
-        cycle = np.array([n + 1 + k for k in range(len(pairs)) if k not in in_forest])
-        residual = b_eq[cycle] - a_eq[cycle][:, columns] @ levels
-        negative = cycle[residual < 0.0]
-        a_eq[negative] *= -1.0
-        b_eq[negative] *= -1.0
+        pieces = _glue(marginals, pairs, [], keep)
+    rows = [row for row, _, _, kept in pieces if kept]
+    masks = [mask for _, mask, _, kept in pieces if kept]
+    columns = keep.nonzero()[0]
+    basis = np.arange(columns.size, columns.size + 1 + n + len(pairs))
+    basis[rows] = columns.searchsorted(masks)
     return basis
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, to_float
+from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, check_int, to_float
 from .boolfuncs import BooleanFunction, index_assignment
 from .connectives import _feasible_q, _pair_cells
 from .errors import (
@@ -77,7 +77,7 @@ class JointBooleanDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        check_arity(self.arity)
+        object.__setattr__(self, "arity", check_arity(self.arity))
         object.__setattr__(self, "probs", _freeze(self.probs, 1 << self.arity))
 
     @classmethod
@@ -243,7 +243,8 @@ def independent_product(factors: Sequence[float]) -> JointBooleanDist:
 
 
 def _coords_to_bits(coords: Sequence[int], arity: int) -> list[int]:
-    coords = [int(c) for c in coords]
+    what = "coordinates must be integers"
+    coords = [check_int(c, what, BadCoordinate) for c in coords]
     if not coords:
         raise BadCoordinate("coordinate selection must be nonempty")
     if len(set(coords)) != len(coords):

@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 from typing import Sequence, Union
 
 from . import bounds
-from ._common import EPS_SIMPLEX, check_belief, clip01
+from ._common import EPS_SIMPLEX, check_belief, check_int, clip01
 from .boolfuncs import And, Exists, Forall, Formula, Or, Var, _fold, _with_children
 from .bounds import ConfidenceInterval
 from .connectives import _add_pair_q, _frechet_or, _or_clamped, _pair_cells, and_q
@@ -251,23 +250,17 @@ class SamplingStrategy:
     tuples: Optional[Iterable] = None
 
     def __post_init__(self):
-        length = self.tuple_length
-        if isinstance(length, bool) or not isinstance(length, (int, Integral)):
-            raise InvalidParameter(f"tuple_length must be an integer, got {length!r}")
+        length = check_int(self.tuple_length, "tuple_length must be an integer")
         if length < 1:
             raise InvalidParameter("tuple_length must be >= 1")
-        object.__setattr__(self, "tuple_length", int(length))
+        object.__setattr__(self, "tuple_length", length)
         seed = self.seed
         if seed is not None:
-            if (
-                isinstance(seed, bool)
-                or not isinstance(seed, (int, Integral))
-                or not 0 <= seed < 1 << 128
-            ):
-                raise InvalidParameter(
-                    f"seed must be None or an integer in [0, 2**128), got {seed!r}"
-                )
-            object.__setattr__(self, "seed", int(seed))
+            what = "seed must be None or an integer in [0, 2**128)"
+            seed = check_int(seed, what)
+            if not 0 <= seed < 1 << 128:
+                raise InvalidParameter(f"{what}, got {seed!r}")
+            object.__setattr__(self, "seed", seed)
         if self.weights is not None:
             if self.tuples is not None:
                 raise InvalidParameter(
@@ -553,7 +546,7 @@ def sample_exists(
     """
     import numpy as np
 
-    n_samples = int(n_samples)
+    n_samples = check_int(n_samples, "n_samples must be an integer")
     if n_samples < 1:
         raise InvalidParameter("n_samples must be >= 1")
     if not table.universe:

@@ -538,6 +538,33 @@ class TestSolverEquivalence:
             assert -lp.minimize(-cost) == pytest.approx(0.5, abs=1e-12)
 
 
+    # The n = 2 bounds LP: rows sum, P1, P2 and the both-false pair cell
+    # over the table entries FF, TF, FT, TT (bit 0 is P1).
+    PAIR_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0]]
+
+    def test_artificial_below_zero_starts_on_its_negated_row(self):
+        """From the chain table of p = (0.6, 0.5), FF holds 0.4, so the
+        artificial of the pair row at q = 0.2 starts at -0.2: its row is
+        negated in place and phase I starts it at 0.2.  The one table
+        left has TT = and_q(0.6, 0.5, 0.2)."""
+        a = np.array(self.PAIR_ROWS, dtype=np.float64)
+        b = np.array([1.0, 0.6, 0.5, 0.2])
+        lp = _simplex.Simplex(a, b, np.array([0, 1, 3, 4 + 3]))
+        assert b.tolist() == [1.0, 0.6, 0.5, -0.2]
+        assert a[3].tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert a[:3].tolist() == self.PAIR_ROWS[:3]
+        assert lp.feasible
+        cost = np.array([0.0, 0.0, 0.0, 1.0])
+        want = mf.and_q(0.6, 0.5, 0.2)
+        assert lp.minimize(cost) == pytest.approx(want, abs=1e-15)
+        assert -lp.minimize(-cost) == pytest.approx(want, abs=1e-15)
+
+    def test_structural_below_tol_is_an_infeasible_start(self):
+        """FF, TF and FT basic for p = (0.6, 0.5) put FF at 1 - 1.1."""
+        a = np.array(self.PAIR_ROWS[:3], dtype=np.float64)
+        with pytest.raises(SolverError, match=r"start basis infeasible by 0\.1"):
+            _simplex.Simplex(a, np.array([1.0, 0.6, 0.5]), np.array([0, 1, 2]))
+
 def count_pivots(monkeypatch):
     """Counts the pivots of `Simplex`: "all" of them, and "phase_one", the
     ones made before the first `minimize` (phase I and the drive-out of
@@ -889,7 +916,7 @@ class TestBitTable:
     def test_negated_pair_rows_leave_the_next_solve_unchanged(self):
         """The pairs form a 4-cycle; (3, 4), sorted last, closes it, and the
         glued table puts more than its q on the pair's both-false cell, so
-        `_glued_basis` negates its row (and only its row: the glued table
+        `Simplex` negates its row (and only its row: the glued table
         meets the other three).  The next solve at the same arity matches a
         fresh process bit for bit."""
         pairwise = {(1, 2): 0.05, (2, 3): 0.1, (3, 4): 0.15, (1, 4): 0.2}
@@ -898,8 +925,8 @@ class TestBitTable:
 
         class Recording(_simplex.Simplex):
             def __init__(self, a, b, basis=None):
-                starts.append(b.copy())
                 super().__init__(a, b, basis)
+                starts.append(b.copy())
 
         with mock.patch.object(_simplex, "Simplex", Recording):
             mf.exact_bounds(spec, mf.or_function(4))
@@ -1184,7 +1211,9 @@ class TestDecomposition:
 
     def test_deep_trees_need_no_recursion(self):
         """Trees far deeper than the recursion limit: an and/or chain of
-        3000 levels that rereads three variables, and 3001 negations."""
+        3000 levels that rereads three variables, and 3001 negations.  The
+        walk over the normal form recurses only as deep as the components
+        split."""
         names = ["a", "b", "c"]
         node = Var("a")
         for k in range(3000):
@@ -1200,6 +1229,48 @@ class TestDecomposition:
         spec = mf.PartialJointSpec(marginals=(0.3, 0.6, 0.8))
         ci = mf.exact_bounds(spec, mf.compile_formula(node, names))
         assert (ci.lo, ci.hi) == pytest.approx((1.0 - 0.9, 1.0 - 0.4), abs=1e-15)
+
+    def test_walk_depth_is_bounded_by_the_components(self):
+        """Under a recursion limit of 150: an alternating and/or read-once
+        tree over 24 variables, with negations, equals its Frechet fold; a
+        rereading formula 20 000 levels deep over P1-P3, or-ed with P4,
+        splits once and solves one LP.  The walk descends only into an
+        operand alone in its group, which reads fewer components."""
+        names = [f"x{k}" for k in range(24)]
+        ps = tuple(float(p) for p in np.linspace(0.07, 0.93, 24))
+        node = Var(names[0])
+        want = (ps[0], ps[0])
+        for k in range(1, 24):
+            leaf = Var(names[k])
+            p = (ps[k], ps[k])
+            if k % 3 == 0:
+                leaf, p = Not(leaf), (1.0 - ps[k], 1.0 - ps[k])
+            node, want = Not(node), (1.0 - want[1], 1.0 - want[0])
+            if k % 2:
+                node = And(leaf, node)
+                want = (max(0.0, math.fsum([p[0], want[0], -1.0])), min(p[1], want[1]))
+            else:
+                node = Or(leaf, node)
+                want = (max(p[0], want[0]), min(1.0, math.fsum([p[1], want[1]])))
+        read_once = (mf.PartialJointSpec(marginals=ps), node, names)
+
+        deep = Var("P1")
+        for k in range(20_000):
+            deep = (And if k % 2 else Or)(Var(f"P{k % 3 + 1}"), deep)
+        spec = mf.PartialJointSpec((0.3, 0.4, 0.5, 0.6), {(1, 2): 0.3})
+        rereading = (spec, Or(deep, Var("P4")), ["P1", "P2", "P3", "P4"])
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            got = [
+                mf.exact_bounds(spec, mf.compile_formula(ast, order))
+                for spec, ast, order in (read_once, rereading)
+            ]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (got[0].lo, got[0].hi) == want
+        assert (got[1].lo, got[1].hi) == pytest.approx((0.6, 1.0), abs=1e-9)
 
     def test_read_once_split_builds_no_table(self):
         """Marginals only, a read-once formula over 20 variables is bounded

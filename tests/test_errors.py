@@ -124,6 +124,46 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.SamplingStrategy(tuple_length=True),
     ),
+    "joint arity a float": (
+        InvalidParameter,
+        lambda: mf.make_joint(2.7, [0.25] * 4),
+    ),
+    "joint arity a bool": (
+        InvalidParameter,
+        lambda: mf.make_joint(True, [0.5, 0.5]),
+    ),
+    "joint arity negative": (
+        InvalidParameter,
+        lambda: mf.make_joint(-1, [1.0]),
+    ),
+    "function arity a float": (
+        InvalidParameter,
+        lambda: mf.BooleanFunction(2.0, 1, [0, 0, 0, 1]),
+    ),
+    "gate arity a string": (
+        InvalidParameter,
+        lambda: mf.and_function("3"),
+    ),
+    "marginal coordinate a float": (
+        BadCoordinate,
+        lambda: mf.marginal(mf.make_joint(2, [0.25] * 4), [1.7]),
+    ),
+    "marginal coordinate None": (
+        BadCoordinate,
+        lambda: mf.marginal(mf.make_joint(2, [0.25] * 4), [None]),
+    ),
+    "sample count a float": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            mf.BeliefTable(("a",), {"a": 0.5}), mf.SamplingStrategy(1), 2.9
+        ),
+    ),
+    "sample count a digit string": (
+        InvalidParameter,
+        lambda: mf.sample_exists(
+            mf.BeliefTable(("a",), {"a": 0.5}), mf.SamplingStrategy(1), "5"
+        ),
+    ),
     # A block of 8192 tuples of 10**11 uniforms is 6.5e15 bytes, beyond the
     # address space, so malloc fails under any overcommit setting; 2**62
     # fails numpy's own size check.  Neither allocates anything.
