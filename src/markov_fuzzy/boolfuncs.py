@@ -30,6 +30,32 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "BooleanFunction",
+    "assignment_index",
+    "index_assignment",
+    "identity_function",
+    "not_function",
+    "and_function",
+    "or_function",
+    "implies_function",
+    "xor_function",
+    "compose",
+    "product",
+    "to_minterms",
+    "from_minterms",
+    "Var",
+    "Not",
+    "And",
+    "Or",
+    "Implies",
+    "Exists",
+    "Forall",
+    "Formula",
+    "compile_formula",
+    "formula_variables",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:

@@ -10,7 +10,8 @@ Subcommands:
 Formula variables bind to coordinates in first-appearance order: the
 first variable mentioned is coordinate 1 (and matches marginal 1 of a
 spec document).  Exit codes: 0 success, 2 input/parse error, 3 semantic
-mismatch, 4 arity over the active cap, 5 LP solver failure.
+mismatch, 4 arity over the active cap, 5 LP solver failure; `_EXIT_CODES`
+is the one place that maps errors to them.
 MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
 built-in N_MAX).
 
@@ -63,6 +64,14 @@ _SEMANTIC_ERRORS = (
     UnsupportedLiftPolicy,
 )
 
+#: The exit code of each error `main` catches; the first match wins.
+_EXIT_CODES = (
+    (ArityTooLarge, EXIT_LIMIT),
+    (_SEMANTIC_ERRORS, EXIT_SEMANTIC),
+    (SolverError, EXIT_SOLVER),
+    ((ValueError, OSError), EXIT_INPUT),
+)
+
 #: The connectives the classic closed forms name, by their truth tables as
 #: 4-bit masks: bit a set when the connective is true at assignment a.
 _CLASSIC_KINDS = {0b1000: "and", 0b1110: "or", 0b1101: "implies"}
@@ -102,15 +111,25 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
+def _load_model(args, kind, message):
+    model = parse_model(_read(args.input))
+    if not isinstance(model, kind):
+        raise SchemaError(message)
+    return model
 
 
-def _emit_csv(header, rows) -> None:
-    """Text cells as they are, numbers in 17 significant digits with a '.'
-    decimal point, enough to round-trip; every row (a tuple) has the cell
-    types of the first."""
+def _emit(args, default, header, rows, obj=None) -> None:
+    """Print `rows` under `header` as CSV, or `obj` as JSON, in the format
+    --format names (else `default`).  `obj` defaults to the rows as objects
+    keyed by the header, built only for JSON.  CSV cells: text as it is,
+    numbers in 17 significant digits with a '.' decimal point, enough to
+    round-trip; every row (a tuple) has the cell types of the first."""
     rows = list(rows)
+    if (args.format or default) == "json":
+        if obj is None:
+            obj = [dict(zip(header, row)) for row in rows]
+        print(json.dumps(obj))
+        return
     cells = rows[0] if rows else ()
     template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in cells)
     lines = [",".join(header), *(template % row for row in rows)]
@@ -136,19 +155,16 @@ def _cmd_eval(args) -> int:
     f = _compile(args.formula, dist.arity)
     out = pushforward(dist, f)
     p_false, p_true = float(out.probs[0]), float(out.probs[1])
-    if (args.format or "json") == "json":
-        _emit_json(
-            {"true": p_true, "distribution": {"false": p_false, "true": p_true}}
-        )
-    else:
-        _emit_csv(("outcome", "probability"), [("false", p_false), ("true", p_true)])
+    rows = [("false", p_false), ("true", p_true)]
+    obj = {"true": p_true, "distribution": dict(rows)}
+    _emit(args, "json", ("outcome", "probability"), rows, obj)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    model = parse_model(_read(args.input))
-    if not isinstance(model, PartialJointSpec):
-        raise SchemaError("bounds requires a marginal spec document")
+    model = _load_model(
+        args, PartialJointSpec, "bounds requires a marginal spec document"
+    )
     _check_cap(model.arity)
     f = _compile(args.formula, model.arity)
     interval = exact_bounds(model, f)
@@ -159,10 +175,7 @@ def _cmd_bounds(args) -> int:
         kind = _classic_kind(f)
         if kind is not None:
             result["classic"] = {"kind": kind, "lo": f"{kind}_min", "hi": f"{kind}_max"}
-    if (args.format or "json") == "json":
-        _emit_json(result)
-    else:
-        _emit_csv(("lo", "hi"), [(interval.lo, interval.hi)])
+    _emit(args, "json", ("lo", "hi"), [(interval.lo, interval.hi)], result)
     return EXIT_OK
 
 
@@ -202,9 +215,9 @@ def _cmd_sweep(args) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    model = parse_model(_read(args.input))
-    if not isinstance(model, PartialJointSpec):
-        raise SchemaError("sweep requires a marginal spec document")
+    model = _load_model(
+        args, PartialJointSpec, "sweep requires a marginal spec document"
+    )
     if model.arity != 2:
         raise ArityMismatch(f"sweep requires exactly 2 marginals, got {model.arity}")
     if model.independent or model.pairwise:
@@ -226,24 +239,18 @@ def _cmd_sweep(args) -> int:
     header = ["q", "and_q", "or_q", "implies_q"]
     if f is not None:
         header.append("formula")
-    columns = _sweep_columns(p1, p2, qs, f)
-    if (args.format or "csv") == "csv":
-        _emit_csv(header, zip(*columns))
-    else:
-        _emit_json([dict(zip(header, row)) for row in zip(*columns)])
+    _emit(args, "csv", header, zip(*_sweep_columns(p1, p2, qs, f)))
     return EXIT_OK
 
 
 def _cmd_quantify(args) -> int:
-    model = parse_model(_read(args.input))
-    if not isinstance(model, BeliefTable):
-        raise SchemaError("quantify requires a belief-table document")
+    model = _load_model(
+        args, BeliefTable, "quantify requires a belief-table document"
+    )
     if args.mode == "bounds":
         interval = exists_bounds(model)
-        if (args.format or "json") == "json":
-            _emit_json({"lo": interval.lo, "hi": interval.hi})
-        else:
-            _emit_csv(("lo", "hi"), [(interval.lo, interval.hi)])
+        result = {"lo": interval.lo, "hi": interval.hi}
+        _emit(args, "json", ("lo", "hi"), [(interval.lo, interval.hi)], result)
         return EXIT_OK
     # sample mode
     if args.samples < 1:
@@ -266,20 +273,8 @@ def _cmd_quantify(args) -> int:
         "n": estimate.n_samples,
         "seed": estimate.seed,
     }
-    if (args.format or "json") == "json":
-        _emit_json(result)
-    else:
-        _emit_csv(
-            ("mean", "radius", "n", "seed"),
-            [
-                (
-                    result["mean"],
-                    result["radius"],
-                    str(result["n"]),
-                    str(result["seed"]),
-                )
-            ],
-        )
+    row = (result["mean"], result["radius"], str(result["n"]), str(result["seed"]))
+    _emit(args, "json", ("mean", "radius", "n", "seed"), [row], result)
     return EXIT_OK
 
 
@@ -333,18 +328,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ArityTooLarge as exc:
+    except (ValueError, OSError, SolverError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except _SEMANTIC_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except SolverError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,18 @@ from typing import Sequence
 from ._common import EPS_FEAS, check_belief, clip01, to_float
 from .errors import InfeasibleQ, InvalidParameter
 
+__all__ = [
+    "QBounds",
+    "fuzzy_not",
+    "q_bounds",
+    "clamp_q",
+    "and_q",
+    "or_q",
+    "implies_q",
+    "classic",
+    "de_morgan_dual",
+]
+
 KINDS = ("and", "or", "implies")
 FLAVORS = ("min", "indep", "max")
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import markov_fuzzy as mf
-from markov_fuzzy import Exists, Var, cli
+from markov_fuzzy import Exists, Var, cli, errors
 from markov_fuzzy.dsl import SourceSpan
 from markov_fuzzy.errors import (
     ArityMismatch,
     BadCoordinate,
+    Cancelled,
     InvalidParameter,
     MarkovFuzzyError,
     SchemaError,
@@ -199,3 +200,58 @@ def test_cli_maps_them_to_input_errors():
     for error, _ in RAISE_SITES.values():
         if error is not ArityMismatch:
             assert not issubclass(error, cli._SEMANTIC_ERRORS)
+
+
+#: The README's exit code of each error the package raises (the base class
+#: is never raised bare), and of the two builtins the CLI reads as bad input.
+EXIT_CODES = {
+    "InvalidBelief": 2,
+    "NegativeMass": 2,
+    "NotNormalized": 2,
+    "ArityTooLarge": 4,
+    "BadCoordinate": 2,
+    "ArityMismatch": 3,
+    "InfeasibleQ": 2,
+    "UnboundVariable": 3,
+    "DuplicateVariable": 3,
+    "MultiOutput": 3,
+    "InfeasibleSpec": 2,
+    "EmptyUniverse": 2,
+    "MarginalMismatch": 3,
+    "UnsupportedLiftPolicy": 3,
+    "SchemaError": 2,
+    "InvalidParameter": 2,
+    "UnexpandedQuantifier": 2,
+    "SolverError": 5,
+    "ParseError": 2,
+    "FileNotFoundError": 2,
+    "ValueError": 2,
+}
+ERROR_CLASSES = [
+    value
+    for value in vars(errors).values()
+    if isinstance(value, type)
+    and issubclass(value, MarkovFuzzyError)
+    and value is not MarkovFuzzyError
+] + [FileNotFoundError, ValueError]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_cli_exit_code_of_each_error(monkeypatch, capsys, error):
+    """Raised from a command, each error gives its exit code, no output and
+    one `error: <Name>: <message>` line.  `Cancelled` escapes `main`: only a
+    cancel callback raises it, and no command passes one."""
+
+    def handler(args):
+        raise error(f"{error.__name__} from the handler")
+
+    monkeypatch.setattr(cli, "_cmd_eval", handler)
+    argv = ["eval", "--formula", "P1", "--input", "unread.json"]
+    if error is Cancelled:
+        with pytest.raises(Cancelled):
+            cli.main(argv)
+        return
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_CODES[error.__name__], "")
+    assert err == f"error: {error.__name__}: {error.__name__} from the handler\n"

@@ -16,16 +16,14 @@ from markov_fuzzy import joints
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: The names that come from `joints`, bound on first read.
-JOINTS_NAMES = (
-    "FiniteDist",
-    "JointBooleanDist",
-    "independent_product",
-    "make_joint",
-    "marginal",
-    "pair_from_pq",
-    "pushforward",
-    "pushforward_finite",
-)
+JOINTS_NAMES = joints.__all__
+
+
+def test_lazy_names_are_those_of_joints():
+    """The package's literal list of the lazy names is `joints.__all__`, and
+    no public name is listed twice."""
+    assert set(mf._JOINTS) == set(joints.__all__)
+    assert len(set(mf.__all__)) == len(mf.__all__)
 
 
 def test_every_public_name_resolves():

@@ -22,7 +22,11 @@ the metric's bound.  With `--claim W:metric` the record says whether
 that gain is shown: the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's interquartile range.
 `--trace-seeds` adds, per workload, one `--trace 1` pair per seed and
-the medians of every per-layer metric the workload enters.
+the medians of every per-layer metric the workload enters.  Each seed
+gives one traced run per side, so a per-layer figure from one seed is a
+single run: its `pairs` is 1 and its quartiles are equal, which shows no
+spread.  A per-layer comparison needs several seeds (`--trace-seeds
+7,8,9,10,11`).
 
 A run that exits nonzero or prints no result line stops the driver with
 its output.  The parent's temporary tree is removed at the end.
@@ -167,7 +171,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--claim", help="W:metric, the gain the change claims")
-    parser.add_argument("--trace-seeds", default="", help="seeds of --trace 1 pairs")
+    parser.add_argument(
+        "--trace-seeds",
+        default="",
+        help="comma-separated seeds, one --trace 1 pair each; one seed is one "
+        "run per side, so compare layers over several",
+    )
     args = parser.parse_args(argv)
 
     root = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
