@@ -60,7 +60,8 @@ from .boolfuncs import (
     _fold,
     compile_formula,
 )
-from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, classic
+from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
+from .connectives import classic
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -253,6 +254,15 @@ def _lp_bounds(
 
     n = len(marginals)
     _check_lp_arity(n)
+    # A marginal, and then a q, within EPS_FEAS of an end of its range is
+    # that end, so that the cells dropped below are exactly empty and the
+    # rows left agree (a marginal of 1 - 1e-13 would otherwise leave its row
+    # 1e-13 short of the row of ones).
+    marginals = tuple(_snapped(p, 0.0, 1.0) for p in marginals)
+    pairs = [
+        ((i, j), _snapped(q, *_q_range(marginals[i - 1], marginals[j - 1])))
+        for (i, j), q in pairs
+    ]
     bits = _bit_table(n)
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
     # of its range) forces its entries to zero.  Leaving them out removes
@@ -298,6 +308,16 @@ def _lp_bounds(
     # 0.0 - x, not -x: a maximum of 0 is +0.0, never -0.0.
     hi = 0.0 - lp.minimize(-cost)
     return clip01(lo), clip01(hi)
+
+
+def _snapped(x: float, lo: float, hi: float) -> float:
+    """x clamped to [lo, hi], and moved to an end within EPS_FEAS of it."""
+    x = min(max(x, lo), hi)
+    if x - lo <= EPS_FEAS:
+        return lo
+    if hi - x <= EPS_FEAS:
+        return hi
+    return x
 
 
 # ---------------------------------------------------------------------------

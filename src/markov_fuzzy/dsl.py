@@ -360,14 +360,12 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
             raise SchemaError("'marginals' must be a list of numbers")
         pairwise = {}
         for key, value in _number_map(obj, "pairwise").items():
-            a, b = _split_pair_key(key)
-            try:
-                pair = (int(a), int(b))
-            except ValueError:
-                raise SchemaError(
-                    f"pair key {key!r} must name 1-based coordinates"
-                ) from None
-            pairwise[pair] = value
+            pair = _split_pair_key(key)
+            # ASCII digits only: int() would also take signs, spaces,
+            # underscores and other scripts' digits.
+            if not all(side.isascii() and side.isdigit() for side in pair):
+                raise SchemaError(f"pair key {key!r} must name 1-based coordinates")
+            pairwise[tuple(map(int, pair))] = value
         independent = obj.get("independent", False)
         if not isinstance(independent, bool):
             raise SchemaError("'independent' must be a boolean")

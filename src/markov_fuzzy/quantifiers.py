@@ -373,56 +373,41 @@ def _drawn_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int
     )
 
 
-def _score_stream(
-    table: BeliefTable,
-    strategy: SamplingStrategy,
-    n_samples: int,
-    lift: LiftPolicy,
-    values: np.ndarray,
-) -> None:
-    """Read the caller's tuple stream and score it into `values`, block by
-    block.  The first tuple of the wrong length (an element with no length
-    among them) and the first label outside the universe (an unhashable
-    one among them) are noted as they come, but nothing is raised until the
-    stream has run out or yielded n_samples tuples; then a short stream is
-    reported first, a bad length next, an unknown label after that, and an
-    error of the lift (an unusable policy, or one raised while scoring)
-    last.  Scoring stops at the first problem; reading and checking do
-    not."""
-    labels = table.universe
-    length = strategy.tuple_length
-    position = {x: i for i, x in enumerate(labels)}
-    bad_tuple = bad_label = lift_error = None
-    try:
-        score = _lift_scorer(table, length, lift)
-    except UnsupportedLiftPolicy as exc:
-        score, lift_error = None, exc
-    stream = iter(strategy.tuples)
-    read = 0
-    while read < n_samples:
-        block = list(islice(stream, min(_SAMPLE_BLOCK, n_samples - read)))
-        if not block:
-            break
-        start, read = read, read + len(block)
-        if bad_tuple is None:
-            bad_tuple = next((t for t in block if _length(t) != length), None)
-        if bad_tuple is None and bad_label is None:
-            bad_label, error = _score_block(
-                block, position, length, score, values[start:read]
-            )
-            if error is not None:
-                score, lift_error = None, error
+def _streamed_blocks(table: BeliefTable, strategy: SamplingStrategy, n_samples: int):
+    """Index tuples read from the caller's stream, in blocks of _SAMPLE_BLOCK
+    rows.  Each block is checked as it is read, and its first fault raises:
+    a tuple of the wrong length (an element with no length among them), then
+    a label outside the universe (an unhashable one among them), then a
+    stream that ran out before n_samples tuples."""
+    import numpy as np
 
-    if read < n_samples:
-        raise InvalidParameter(f"tuple stream yielded {read} tuples, need {n_samples}")
-    if bad_tuple is not None:
-        raise InvalidParameter(f"tuple {bad_tuple!r} does not have length {length}")
-    if bad_label is not None:
-        raise BadCoordinate(
-            f"tuple stream names {bad_label[0]!r}, which is not in the universe"
-        )
-    if lift_error is not None:
-        raise lift_error
+    length = strategy.tuple_length
+    position = {x: i for i, x in enumerate(table.universe)}
+    stream = iter(strategy.tuples)
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, n_samples - start)
+        block = list(islice(stream, rows))
+        count = len(block)
+        for item in block:
+            if _length(item) != length:
+                raise InvalidParameter(f"tuple {item!r} does not have length {length}")
+        try:
+            # The index array replaces the list: one block is held at a time.
+            block = np.fromiter(
+                map(position.__getitem__, chain.from_iterable(block)),
+                dtype=np.intp,
+                count=count * length,
+            )
+        except (KeyError, TypeError):
+            label = next(x for x in chain.from_iterable(block) if not _known(x, position))
+            raise BadCoordinate(
+                f"tuple stream names {label!r}, which is not in the universe"
+            ) from None
+        if count < rows:
+            raise InvalidParameter(
+                f"tuple stream yielded {start + count} tuples, need {n_samples}"
+            )
+        yield block.reshape(rows, length)
 
 
 def _length(item) -> Optional[int]:
@@ -438,27 +423,6 @@ def _known(label, position: dict) -> bool:
         return label in position
     except TypeError:  # unhashable
         return False
-
-
-def _score_block(block: list, position: dict, length: int, score, out: np.ndarray):
-    """Index one block of the stream and, unless `score` is None, score it
-    into `out`.  Returns (a 1-tuple of its first label outside the universe,
-    unhashable ones included, the error scoring raised), each None when
-    there is none; the block's index array is freed on return."""
-    import numpy as np
-
-    flat = map(position.__getitem__, chain.from_iterable(block))
-    try:
-        indices = np.fromiter(flat, dtype=np.intp, count=len(block) * length)
-    except (KeyError, TypeError):
-        labels = chain.from_iterable(block)
-        return next((x,) for x in labels if not _known(x, position)), None
-    if score is not None:
-        try:
-            score(indices.reshape(-1, length), out)
-        except Exception as exc:  # held until the stream is known good
-            return None, exc
-    return None, None
 
 
 def _lift_scorer(table: BeliefTable, tuple_length: int, lift: LiftPolicy):
@@ -539,10 +503,12 @@ def sample_exists(
     Tuples are drawn or read, lifted and scored in blocks of _SAMPLE_BLOCK
     rows, so each sample holds 8 bytes, its score; a count whose scores or
     a tuple_length whose block cannot be allocated raises InvalidParameter.
-    A tuple stream is checked as read; its errors are raised once it has
-    run out or yielded n_samples tuples: a short stream first, then a tuple
-    of the wrong length (or an element with no length), then a label
-    outside the universe (an unhashable one included), then a lift error.
+    An unknown or unusable lift policy raises before any tuple is read.  A
+    tuple stream is then read and checked block by block, and the first
+    fault raises at once: within a block, a tuple of the wrong length (or an
+    element with no length) first, then a label outside the universe (an
+    unhashable one included), then a stream that ran out before n_samples
+    tuples; an error raised while scoring a block stops reading there.
     """
     import numpy as np
 
@@ -553,6 +519,8 @@ def sample_exists(
         raise EmptyUniverse("cannot sample from an empty universe")
     if strategy.tuples is None:
         blocks = _drawn_blocks(table, strategy, n_samples)
+    else:
+        blocks = _streamed_blocks(table, strategy, n_samples)
     try:
         values = np.empty(n_samples)
     except (MemoryError, ValueError):
@@ -560,12 +528,12 @@ def sample_exists(
             f"n_samples = {n_samples} is too large: its {8 * n_samples} bytes "
             "of per-sample values cannot be allocated"
         ) from None
-    if strategy.tuples is None:
-        score = _lift_scorer(table, strategy.tuple_length, lift)
-        for start, block in zip(range(0, n_samples, _SAMPLE_BLOCK), blocks):
-            score(block, values[start : start + len(block)])
-    else:
-        _score_stream(table, strategy, n_samples, lift, values)
+    score = _lift_scorer(table, strategy.tuple_length, lift)
+    start = 0
+    for block in blocks:
+        score(block, values[start : start + len(block)])
+        start += len(block)
+        del block  # freed before the next block is read
 
     mean = float(np.add.reduce(values) / n_samples)
     return SampleEstimate(mean=clip01(mean), n_samples=n_samples, seed=strategy.seed)

@@ -79,3 +79,22 @@ class TestWithinBound:
     def test_checks_the_direction_of_the_metric(self, better, change, ok):
         stats = {"parent_median": 100.0, "change_median": change}
         assert ab.within_bound(stats, better, 0.25) is ok
+
+
+class TestWorkloads:
+    """The workloads are the ones `BENCHMARK.json` declares; each case stops
+    at an argument check, before any run."""
+
+    @pytest.fixture(autouse=True)
+    def repository(self, monkeypatch):
+        monkeypatch.setattr(ab, "_git", lambda root, *args: str(_PATH.parent.parent))
+
+    def test_the_default_workloads_are_declared(self, capsys):
+        with pytest.raises(SystemExit):
+            ab.main(["--parent", "HEAD", "--pr", "0", "--pairs", "0"])
+        assert "error: --pairs < 1" in capsys.readouterr().err
+
+    def test_an_undeclared_workload_is_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            ab.main(["--parent", "HEAD", "--pr", "0", "--workloads", "cli_cold,cli_warm"])
+        assert "error: unknown workloads ['cli_warm']" in capsys.readouterr().err

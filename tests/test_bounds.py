@@ -1,5 +1,6 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -951,6 +952,74 @@ f = mf.BooleanFunction(4, 1, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1])
 ci = mf.exact_bounds(spec, f)
 result = f"{ci.lo!r} {ci.hi!r}"
 """
+
+
+class TestNearlyCertainMarginals:
+    """A marginal within EPS_FEAS of 0 or 1 is that end in the LP, and each
+    q is then moved into its range, so that a certain answer is exact."""
+
+    #: Point 5 is certain; point 4 is 1e-13 short of it, and pair (1, 4) has
+    #: a both-false mass below EPS_FEAS.
+    SPEC = mf.PartialJointSpec(
+        marginals=(
+            0.5,
+            0.26679063537280756,
+            0.8288624517731875,
+            0.9999999999999,
+            1.0000000001,
+            0.12404357351052353,
+        ),
+        pairwise={(3, 5): 0.0, (1, 4): 2.7659537124151384e-14, (2, 3): 0.12294335346181964},
+    )
+
+    def test_a_certain_point_makes_the_or_certain_by_every_route(self):
+        names = [f"P{i}" for i in range(1, 7)]
+        formula = compiled(" | ".join(names), names)
+        table = mf.BeliefTable(
+            tuple(names),
+            dict(zip(names, self.SPEC.marginals)),
+            {(names[i - 1], names[j - 1]): q for (i, j), q in self.SPEC.pairwise.items()},
+        )
+        for ci in (
+            mf.exact_bounds(self.SPEC, mf.or_function(6)),
+            mf.exact_bounds(self.SPEC, formula),
+            mf.exists_bounds(table),
+        ):
+            assert (ci.lo, ci.hi) == (1.0, 1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.integers(2, 6),
+        st.sampled_from((0, 1)),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_nearly_certain_marginal_settles_the_gate(self, n, end, off, seed):
+        """Point k of a random table is always `end`; the spec moves its
+        marginal off that end by up to EPS_FEAS, and the q of each of its
+        given pairs into the range by up to as much.  Then the "or" of a
+        nearly certain point is 1, and the "and" of a nearly impossible
+        point is 0, to 1e-15."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(0, n))
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        table = rng.dirichlet(np.ones(1 << n)) * (bits[:, k] == end)
+        table /= table.sum()
+        marginals = [float(table[bits[:, i] == 1].sum()) for i in range(n)]
+        shift = off * mf.EPS_FEAS
+        marginals[k] = 1.0 - shift if end else shift
+        pairwise = {}
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                q = float(table[(bits[:, i] == 0) & (bits[:, j] == 0)].sum())
+                if k in (i, j):
+                    q += rng.random() * shift * (1 if end else -1)
+                pairwise[(i + 1, j + 1)] = q
+        spec = mf.PartialJointSpec(marginals=tuple(marginals), pairwise=pairwise)
+        if end:
+            assert mf.exact_bounds(spec, mf.or_function(n)).lo >= 1.0 - 1e-15
+        else:
+            assert mf.exact_bounds(spec, mf.and_function(n)).hi <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,20 @@ RAISE_SITES = {
         BadCoordinate,
         lambda: mf.PartialJointSpec((0.5, 0.5), {("1", "2"): 0.25}),
     ),
+    "pairwise key with an underscore": (
+        SchemaError,
+        lambda: mf.parse_model('{"marginals": [0.5, 0.5], "pairwise": {"1_0,2": 0.25}}'),
+    ),
+    "pairwise key with a sign and spaces": (
+        SchemaError,
+        lambda: mf.parse_model('{"marginals": [0.5, 0.5], "pairwise": {" +1 , 2": 0.25}}'),
+    ),
+    "pairwise key of non-ASCII digits": (
+        SchemaError,
+        lambda: mf.parse_model(
+            '{"marginals": [0.5, 0.5], "pairwise": {"\\u0661,\\u0662": 0.25}}'
+        ),
+    ),
     "q_pair key a two-letter string": (
         SchemaError,
         lambda: mf.BeliefTable(("a", "b"), BELIEFS, {"ab": 0.1}),

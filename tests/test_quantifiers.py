@@ -1052,8 +1052,11 @@ class TestBlockSampler:
 
 
 class TestTupleStream:
-    """A caller's tuple stream is read and scored in blocks, and its errors
-    come out in a fixed order once it has run out or yielded N tuples."""
+    """A caller's tuple stream is read and scored in blocks.  An unknown or
+    unusable lift policy raises before any tuple is read; then each block is
+    checked as it is read, and its first fault raises at once: a bad length,
+    then a label outside the universe, then a stream that ran out, and an
+    error raised while scoring the block stops reading there."""
 
     TABLE = mf.BeliefTable(("a", "b", "c"), {"a": 0.2, "b": 0.4, "c": 0.6})
 
@@ -1094,23 +1097,27 @@ class TestTupleStream:
         assert len(taken) == _SAMPLE_BLOCK + 5
         assert estimate.mean == pytest.approx(1.0 - 0.8 * 0.6, abs=1e-12)
 
-    def test_short_stream_is_reported_before_a_bad_length(self):
+    def test_bad_length_is_reported_before_a_short_stream(self):
         stream = [("a", "b")] * 3 + [("a",)] + [("a", "z")] * _SAMPLE_BLOCK
-        with pytest.raises(InvalidParameter, match=r"yielded 8196 tuples, need 9000"):
+        with pytest.raises(InvalidParameter, match=r"^tuple \('a',\) does not have length 2$"):
             self.sample(stream, 9000)
 
-    def test_short_stream_is_reported_before_a_lift_error(self):
+    def test_lift_error_is_reported_before_a_short_stream(self):
+        """A missing q_pair entry stops reading at the first block; an
+        unknown policy raises before the stream is read at all."""
         stream = [("a", "b")] * (_SAMPLE_BLOCK + 1)
-        with pytest.raises(InvalidParameter, match="yielded"):
+        with pytest.raises(UnsupportedLiftPolicy, match=r"no q_pair entry for pair \(a, b\)"):
             self.sample(stream, 2 * _SAMPLE_BLOCK, lift="pairwise")
-        with pytest.raises(InvalidParameter, match="yielded"):
-            self.sample(stream, 2 * _SAMPLE_BLOCK, length=2, lift="bogus")
+        tuples = iter(stream)
+        with pytest.raises(UnsupportedLiftPolicy, match="unknown lift policy 'bogus'"):
+            self.sample(tuples, 2 * _SAMPLE_BLOCK, length=2, lift="bogus")
+        assert len(list(tuples)) == len(stream)
 
-    def test_bad_length_is_reported_before_an_earlier_unknown_label(self):
+    def test_unknown_label_is_reported_before_a_later_bad_length(self):
         """The unknown label comes in the first block, the bad length only
-        in the second."""
+        in the second, which is never read."""
         stream = [("a", "z")] + [("a", "b")] * _SAMPLE_BLOCK + [("a", "b", "c")]
-        with pytest.raises(InvalidParameter, match=r"\('a', 'b', 'c'\) does not"):
+        with pytest.raises(BadCoordinate, match="names 'z'"):
             self.sample(stream, len(stream))
 
     def test_first_unknown_label_is_named(self):
@@ -1118,21 +1125,24 @@ class TestTupleStream:
         with pytest.raises(BadCoordinate, match="'y'"):
             self.sample(stream, len(stream))
 
-    def test_unknown_label_is_reported_before_a_lift_error(self):
+    def test_lift_error_is_reported_before_a_later_unknown_label(self):
         """A missing q_pair entry in the first block, an unknown label in
-        the second: the stream's own error comes first."""
+        the second: scoring the first block raises before the second is
+        read."""
         stream = [("a", "b")] * _SAMPLE_BLOCK + [("c", "y")]
-        with pytest.raises(BadCoordinate, match="'y'"):
+        with pytest.raises(UnsupportedLiftPolicy, match=r"no q_pair entry for pair \(a, b\)"):
             self.sample(stream, len(stream), lift="pairwise")
 
     def test_element_without_length_is_a_bad_length(self):
         with pytest.raises(InvalidParameter, match=r"^tuple 1 does not have length 2$"):
             self.sample([1, 2], 2)
-        # Still after a short stream, and still before an unknown label.
-        with pytest.raises(InvalidParameter, match="yielded 2 tuples, need 3"):
+        # Before a short stream, and before an unknown label.
+        with pytest.raises(InvalidParameter, match=r"^tuple 1 does not have length 2$"):
             self.sample([1, 2], 3)
         with pytest.raises(InvalidParameter, match="tuple 7 does not"):
             self.sample([("a", "z"), 7], 2)
+        with pytest.raises(InvalidParameter, match=r"^tuple None does not have length 2$"):
+            self.sample([("a", "b"), None], 2)
 
     def test_unhashable_label_is_outside_the_universe(self):
         with pytest.raises(BadCoordinate, match=r"names \['b'\], which is not"):
@@ -1170,7 +1180,7 @@ class TestTupleStream:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
 
-    def test_callable_lift_errors_come_last(self):
+    def test_callable_lift_error_stops_reading(self):
         calls = []
 
         def lift(labels):
@@ -1178,9 +1188,83 @@ class TestTupleStream:
             raise UnsupportedLiftPolicy("lift failed")
 
         stream = [("a", "b")] * (_SAMPLE_BLOCK + 1)
-        with pytest.raises(InvalidParameter, match="yielded"):
+        # The first call raises; the short stream is never reached.
+        with pytest.raises(UnsupportedLiftPolicy, match="lift failed"):
             self.sample(stream, len(stream) + 1, lift=lift)
+        assert len(calls) == 1
         with pytest.raises(UnsupportedLiftPolicy, match="lift failed"):
             self.sample(stream, len(stream), lift=lift)
-        # Scoring stops at the first error; reading goes on.
         assert len(calls) == 2
+
+    #: Universe a-d with a q_pair entry for each pair of a, b and c only.
+    PAIRED = mf.BeliefTable(
+        ("a", "b", "c", "d"),
+        {"a": 0.2, "b": 0.4, "c": 0.6, "d": 0.5},
+        {("a", "b"): 0.5, ("a", "c"): 0.3, ("b", "c"): 0.3},
+    )
+    #: One fault each: the stream element, and the error and message it
+    #: raises as a stream's only fault, the same as when every fault was
+    #: held until the stream had been read.
+    FAULTS = {
+        "bad length": (("a",), InvalidParameter, "tuple ('a',) does not have length 2"),
+        "no length": (7, InvalidParameter, "tuple 7 does not have length 2"),
+        "unknown label": (
+            ("a", "z"),
+            BadCoordinate,
+            "tuple stream names 'z', which is not in the universe",
+        ),
+        "unhashable label": (
+            ("a", ["b"]),
+            BadCoordinate,
+            "tuple stream names ['b'], which is not in the universe",
+        ),
+        "no q_pair entry": (
+            ("a", "d"),
+            UnsupportedLiftPolicy,
+            "no q_pair entry for pair (a, d)",
+        ),
+    }
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 3 * _SAMPLE_BLOCK),
+        fault=st.sampled_from([None, "short stream", *sorted(FAULTS)]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_fault_raises_in_its_own_block(self, n, fault, where, seed):
+        """A stream of up to three blocks with at most one fault, at index
+        `at`: the fault raises with its type and message, and the stream is
+        pulled no further than the end of the fault's block; a stream with
+        none gives the mean of its scores, summed as one array."""
+        labels = ("a", "b", "c")
+        rows = np.random.default_rng(seed).integers(0, 3, (n, 2)).tolist()
+        tuples = [(labels[i], labels[j]) for i, j in rows]
+        at = int(where * n)
+        if fault == "short stream":
+            del tuples[at:]
+        elif fault is not None:
+            tuples[at] = self.FAULTS[fault][0]
+        pulled = []
+
+        def counting():
+            for item in tuples:
+                pulled.append(None)
+                yield item
+
+        strategy = mf.SamplingStrategy(2, tuples=counting())
+        if fault is None:
+            estimate = mf.sample_exists(self.PAIRED, strategy, n, lift="pairwise")
+            p, q = self.PAIRED.p, self.PAIRED.q
+            scores = np.array([p[a] if a == b else 1.0 - q(a, b) for a, b in tuples])
+            assert estimate.mean == clip01(float(np.add.reduce(scores) / n))
+            assert len(pulled) == n
+            return
+        if fault == "short stream":
+            error, message = InvalidParameter, f"tuple stream yielded {at} tuples, need {n}"
+        else:
+            error, message = self.FAULTS[fault][1:]
+        with pytest.raises(error) as info:
+            mf.sample_exists(self.PAIRED, strategy, n, lift="pairwise")
+        assert str(info.value) == message
+        assert len(pulled) <= min((at // _SAMPLE_BLOCK + 1) * _SAMPLE_BLOCK, n)

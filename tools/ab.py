@@ -5,8 +5,9 @@
 
 Run it from anywhere inside the repository.  The parent revision's
 committed files are exported (`git archive`) into a temporary directory;
-the change is this checkout's working tree.  For each workload and each
-pair k = 1 … `--pairs` (seed k) the driver runs
+the change is this checkout's working tree.  For each workload that
+`BENCHMARK.json` declares (or those of them that `--workloads` names)
+and each pair k = 1 … `--pairs` (seed k) this script runs
 
     python3 perfbench/run.py --workload W --seed k --seconds S --trace 0
 
@@ -46,7 +47,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("bounds_mix", "dense_kernels", "cli_cold")
 #: A run at --seconds 30 takes 20-48 s on a 2-core Xeon; this is well past
 #: it.
 RUN_TIMEOUT_S = 600
@@ -164,12 +164,15 @@ def machine() -> str:
 
 
 def main(argv=None) -> int:
+    root = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in declared["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--title", default="", help="the change's title")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--workloads", default=",".join(names))
     parser.add_argument("--claim", help="W:metric, the gain the change claims")
     parser.add_argument(
         "--trace-seeds",
@@ -179,13 +182,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    root = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
-    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = declared["run_seconds"]
     end_to_end = {m["name"]: m for m in declared["end_to_end"]}
     per_layer = {m["name"]: m for m in declared["per_layer"]}
     workloads = [w for w in args.workloads.split(",") if w]
-    unknown = set(workloads) - set(WORKLOADS)
+    unknown = set(workloads) - set(names)
     if unknown or args.pairs < 1:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs < 1")
     claim = None
