@@ -185,8 +185,6 @@ class Simplex:
 
     def _leaving_row(self, u: np.ndarray, bland: bool) -> int:
         rows = (u > TOL).nonzero()[0]
-        if rows.size == 1:
-            return int(rows[0])
         if not rows.size:
             # Not in the bounds LPs: their row of ones keeps x in a simplex.
             raise SolverError("LP solve failed: unbounded direction")

@@ -5,11 +5,14 @@ a holds the m output bits of f at the input assignment encoded by a.  The
 input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
-Formulas are immutable dataclass trees; `compile_formula` checks a
-quantifier-free tree against its ordering, and the first read of the
-result's `table` evaluates the tree on every assignment at once (broadcast
-over the (2,)*n grid of assignments), which by uniqueness of the minterm
-normal form is the same function as the or-of-minterms expansion.
+Formulas are immutable dataclass trees.  `compile_formula` checks a
+quantifier-free tree against its ordering in the same fold that builds its
+normal form (n-ary and/or over variables and negations), and the result
+keeps that normal form.  The first read of its `table` evaluates the
+normal form on every assignment at once (broadcast over the (2,)*n grid of
+assignments), which by uniqueness of the minterm normal form is the same
+function as the or-of-minterms expansion; `exact_bounds` evaluates the
+table of each part of it that reaches a linear program the same way.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ class BooleanFunction:
     arity_out: int
     table: np.ndarray
 
-    #: (formula, ordering) when `compile_formula` made the function, else
-    #: None; `exact_bounds` decomposes along the formula, and the first read
-    #: of `table` builds the table from it.  Not a field: equality, hashing
-    #: and repr ignore it.
+    #: The formula's normal form (see `compile_formula`) when `compile_formula`
+    #: made the function, else None; `exact_bounds` decomposes along it,
+    #: and the first read of `table` evaluates the table from it.  Not a
+    #: field: equality, hashing and repr ignore it.
     _formula = None
 
     def __post_init__(self):
@@ -106,7 +109,7 @@ class BooleanFunction:
         formula before its first read, built now and kept."""
         if name != "table" or self._formula is None:
             raise AttributeError(name)
-        table = _truth_table(*self._formula)
+        table = _truth_table(self._formula, range(self.arity_in))
         object.__setattr__(self, "table", table)
         return table
 
@@ -390,22 +393,27 @@ def _walk(node):
             stack.append(getattr(node, name))
 
 
-def _fold(node, combine):
+def _subformulas(node) -> list:
+    return [getattr(node, name) for name in _child_fields(node)]
+
+
+def _fold(node, combine, children=_subformulas):
     """combine(node, [folded children]) over the tree, bottom-up and left
-    to right.  An explicit stack stands in for recursion, so tree depth
+    to right; `children(node)` lists a node's children (by default its
+    subformulas).  An explicit stack stands in for recursion, so tree depth
     (a quantifier over a large universe expands to a chain as long as the
     universe) is not bounded by the interpreter's recursion limit."""
     stack = [(node, None)]
     done: list = []
     while stack:
-        node, fields = stack.pop()
-        if fields is None:
-            fields = _child_fields(node)
-            stack.append((node, fields))
-            for name in reversed(fields):
-                stack.append((getattr(node, name), None))
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            for kid in reversed(kids):
+                stack.append((kid, None))
         else:
-            start = len(done) - len(fields)
+            start = len(done) - len(kids)
             value = combine(node, done[start:])
             del done[start:]
             done.append(value)
@@ -417,70 +425,124 @@ def formula_variables(ast: Formula) -> list[str]:
     return list(dict.fromkeys(n.name for n in _walk(ast) if isinstance(n, Var)))
 
 
+# ---------------------------------------------------------------------------
+# Normal form
+# ---------------------------------------------------------------------------
+#
+# A compiled formula keeps its normal form, a tree of [kind, mask, part]
+# lists.  `mask` has bit i set when the subtree reads coordinate i; `part`
+# is the coordinate of a leaf, the operand of a negation or the operand
+# list of an and/or.  a -> b becomes (not a) or b, double negations cancel
+# and nested chains of one connective become one node.  Operand order
+# carries no meaning: a chain is merged into the longer operand list, so a
+# chain of either association costs time linear in its length.
+
+#: Node kinds of the normal form: a variable, a negation, an n-ary and, an
+#: n-ary or.
+_LEAF, _NEG, _ALL, _ANY = range(4)
+
+
 def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     """Compile a quantifier-free formula into its truth table.
 
     `ordering` assigns variable i+1 (bit i) to ordering[i]; it may contain
     variables the formula never mentions.  Every variable in the formula
-    must appear in the ordering.  The function keeps the formula and the
-    ordering, so that `exact_bounds` can split it into independent parts;
-    the first read of its `table` builds the table from them.
+    must appear in the ordering.  One fold over the formula checks it and
+    builds its normal form, which the function keeps: `exact_bounds`
+    splits the normal form into independent parts and evaluates the table
+    of each part from it, and the first read of `table` evaluates all of
+    it.
     """
     names = list(ordering)
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
-    bound = set(names)
-    unbound = None
-    for node in _walk(ast):
-        if isinstance(node, _QUANTIFIERS):
+    index = {name: i for i, name in enumerate(names)}
+    unbound = []
+
+    def node(formula, kids):
+        kind = type(formula)
+        if kind is Var:
+            i = index.get(formula.name)
+            if i is None:
+                unbound.append(formula.name)
+                return [_LEAF, 0, 0]
+            return [_LEAF, 1 << i, i]
+        if kind is Not:
+            return _negated(kids[0])
+        if kind in _QUANTIFIERS:
             raise UnexpandedQuantifier(
                 "quantifiers must be expanded over their universes before compilation"
             )
-        if unbound is None and isinstance(node, Var) and node.name not in bound:
-            unbound = node.name
-    if unbound is not None:
-        raise UnboundVariable(f"variable {unbound!r} not bound by the ordering")
+        left, right = kids
+        if kind is Implies:
+            left = _negated(left)
+        op = _ALL if kind is And else _ANY
+        a = left[2] if left[0] == op else [left]
+        b = right[2] if right[0] == op else [right]
+        if len(a) < len(b):
+            a, b = b, a
+        a.extend(b)
+        return [op, left[1] | right[1], a]
+
+    tree = _fold(ast, node)
+    if unbound:
+        raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
     f = BooleanFunction._adopt(n, 1, None)
-    object.__setattr__(f, "_formula", (ast, tuple(names)))
+    object.__setattr__(f, "_formula", tree)
     return f
 
 
-def _truth_table(ast: Formula, names: Sequence[str]) -> np.ndarray:
-    """The read-only table of a formula that `compile_formula` checked."""
+def _negated(node: list) -> list:
+    return node[2] if node[0] == _NEG else [_NEG, node[1], node]
+
+
+def _operands(node: list) -> list:
+    """The children of a normal-form node, for `_fold`."""
+    kind = node[0]
+    if kind == _LEAF:
+        return []
+    return [node[2]] if kind == _NEG else node[2]
+
+
+def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:
+    """The read-only table of a normal-form node over the coordinates
+    `coords`, ascending: bit k of the index is coordinate coords[k]."""
     import numpy as np
 
-    # Truth-column op of each connective; on booleans a -> b is a <= b.
-    ops = {
-        Not: np.logical_not,
-        And: np.logical_and,
-        Or: np.logical_or,
-        Implies: np.less_equal,
-    }
     false_true = np.array([False, True])
-    n = len(names)
-    # Variable `bit` is a [False, True] column along axis n-1-bit of the
-    # (2,)*n index grid, so the ops broadcast up to the full table.
+    n = len(coords)
+    # Coordinate coords[k] is a [False, True] column along axis n-1-k of
+    # the (2,)*n index grid, so the ops broadcast up to the full table.
     columns = {}
-    for bit, name in enumerate(names):
+    for k, i in enumerate(coords):
         shape = [1] * n
-        shape[n - 1 - bit] = 2
-        columns[name] = false_true.reshape(shape)
+        shape[n - 1 - k] = 2
+        columns[i] = false_true.reshape(shape)
 
     def column(node, args):
-        if isinstance(node, Var):
-            return columns[node.name]
-        # The root's op writes its 0/1 values straight into the table,
-        # without a full-size boolean column in between.
-        out = np.empty((2,) * n, dtype=np.int64) if node is ast else None
-        return ops[type(node)](*args, out=out)
+        kind = node[0]
+        if kind == _LEAF:
+            return columns[node[2]]
+        if kind == _NEG:
+            op = np.logical_not
+        else:
+            op = np.logical_and if kind == _ALL else np.logical_or
+            value = args[0]
+            for arg in args[1:-1]:
+                value = op(value, arg)
+            args = [value, args[-1]]
+        # The root's last op writes its 0/1 values straight into the
+        # table, without a full-size boolean column in between.
+        out = np.empty((2,) * n, dtype=np.int64) if node is tree else None
+        return op(*args, out=out)
 
-    if isinstance(ast, Var):
+    if tree[0] == _LEAF:
         table = np.empty((2,) * n, dtype=np.int64)
-        table[...] = column(ast, [])
+        table[...] = column(tree, [])
     else:
-        table = _fold(ast, column)
+        table = _fold(tree, column, _operands)
     table = table.reshape(-1)
     table.flags.writeable = False
     return table

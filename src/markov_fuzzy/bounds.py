@@ -5,15 +5,16 @@ pairwise both-false confidences q_ij.  The set of joint tables compatible
 with a spec is a compact polytope, so the confidence of any single-output
 formula attains an exact minimum and maximum over it:
 
-* `exact_bounds` first splits a function from `compile_formula` along its
-  formula (see "Decomposition along the formula" below): operands of an
-  and/or that read variables no given pair connects are bounded apart and
-  combined by the classic Frechet rules, so a read-once formula given
-  marginals only reaches no linear program.  Only a part that does not
-  split (a variable read twice, or pairs that link its operands) is
-  solved, over the 2**k table of its own k variables; `LP_MAX_ARITY`
-  caps k.  A raw table (`and_function(n)`, a `BooleanFunction` built by
-  hand) always takes one LP over all n;
+* `exact_bounds` first splits a function from `compile_formula` along
+  the normal form of its formula, which the function keeps (see
+  "Decomposition along the formula" below): operands of an and/or that
+  read variables no given pair connects are bounded apart and combined by
+  the classic Frechet rules, so a read-once formula given marginals only
+  reaches no linear program.  Only a part that does not split (a variable
+  read twice, or pairs that link its operands) is solved, over the 2**k
+  table of its own k variables, evaluated from the normal form;
+  `LP_MAX_ARITY` caps k.  A raw table (`and_function(n)`, a
+  `BooleanFunction` built by hand) always takes one LP over all n;
 * each LP is solved with the package's own dense revised simplex
   (`_simplex`, numpy only): phase I once, then the min and the max, each
   from the basis phase I ended on, each optimum checked on its final
@@ -46,20 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01
-from .boolfuncs import (
-    And,
-    BooleanFunction,
-    Implies,
-    Not,
-    Or,
-    Var,
-    _fold,
-    compile_formula,
-)
+from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _truth_table
 from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
 from .connectives import classic
 from .errors import (
@@ -265,20 +257,21 @@ def _lp_bounds(
     ]
     bits = _bit_table(n)
     # An empty cell of a marginal or a pair (a 0/1 marginal, a q at an end
-    # of its range) forces its entries to zero.  Leaving them out removes
-    # the degenerate vertices where the simplex would otherwise stall; a
-    # piece of the start table left out hands its row to an artificial in
-    # the start basis (`_glued_basis`).
+    # of its range, exactly 0 once snapped) forces its entries to zero.
+    # Leaving them out removes the degenerate vertices where the simplex
+    # would otherwise stall; a piece of the start table left out hands its
+    # row to an artificial in the start basis (`_glued_basis`).  A cell
+    # with any mass stays, however small.
     keep = np.ones(1 << n, dtype=bool)
     for i, p in enumerate(marginals):
         for value, mass in ((True, p), (False, 1.0 - p)):
-            if mass <= EPS_FEAS:
+            if mass <= 0.0:
                 keep &= bits[i] != value
     for (i, j), q in pairs:
         bi, bj = bits[i - 1], bits[j - 1]
         cells = _pair_cells(marginals[i - 1], marginals[j - 1], q)
         for index, mass in enumerate(cells):
-            if mass <= EPS_FEAS:
+            if mass <= 0.0:
                 keep &= (bi != (index & 1)) | (bj != (index >> 1))
 
     if not keep.all():
@@ -333,55 +326,8 @@ def _snapped(x: float, lo: float, hi: float) -> float:
 # of the operands' intervals, the classic connectives of the paper.  A
 # negation maps [lo, hi] to [1 - hi, 1 - lo].  Operands that share a
 # component are solved together, as one linear program over the components
-# they read.
-
-#: Node kinds of `_normal_form`: a variable, a negation, an n-ary and, an
-#: n-ary or.
-_LEAF, _NEG, _ALL, _ANY = range(4)
-
-
-def _normal_form(ast, index: dict) -> list:
-    """The formula as a tree of [kind, mask, formula, part] lists.
-
-    `mask` has bit i set when the subtree reads coordinate i; `formula` is
-    an AST of the subtree's function (None for a negation: see
-    `_formula_of`); `part` is the coordinate of a leaf, the operand of a
-    negation or the operand list of an and/or.  a -> b becomes (not a) or
-    b, double negations cancel and nested chains of one connective become
-    one node.  Operand order carries no meaning: a chain is merged into
-    the longer operand list, so a chain of either association costs time
-    linear in its length.
-    """
-
-    def node(formula, kids):
-        kind = type(formula)
-        if kind is Var:
-            i = index[formula.name]
-            return [_LEAF, 1 << i, formula, i]
-        if kind is Not:
-            return _negated(kids[0])
-        left, right = kids
-        if kind is Implies:
-            left = _negated(left)
-        op = _ALL if kind is And else _ANY
-        a = left[3] if left[0] == op else [left]
-        b = right[3] if right[0] == op else [right]
-        if len(a) < len(b):
-            a, b = b, a
-        a.extend(b)
-        return [op, left[1] | right[1], formula, a]
-
-    return _fold(ast, node)
-
-
-def _negated(node: list) -> list:
-    return node[3] if node[0] == _NEG else [_NEG, node[1], None, node]
-
-
-def _formula_of(node: list):
-    """An AST of the node's function; a negation's is built only here, as
-    few of them are ever compiled."""
-    return Not(node[3][2]) if node[0] == _NEG else node[2]
+# they read, whose cost is the table of their and/or evaluated from the
+# normal form that `compile_formula` kept (`boolfuncs._truth_table`).
 
 
 def _components(n: int, pairwise: Mapping) -> list:
@@ -454,22 +400,18 @@ def _decomposed_bounds(
 
     A formula that does not split below its root (or below a negation
     there), as when the pairs connect every coordinate, is one LP on f's
-    own table, solved exactly as the raw table would be.  Otherwise the
+    own table, solved exactly as the raw table would be.  Otherwise f's
     normal form is walked by recursion, and the components that no linear
     program covers are checked for feasibility afterwards.  One whose
     pairs form a tree always is (each pair's q is feasible for its
     marginals, and chaining the pair tables along the tree builds a
     joint), so only those with a cycle are solved.
     """
-    ast, names = f._formula
     n = spec.arity
     marginals = spec.marginals
     pairs = sorted(spec.pairwise.items())
     component = _components(n, spec.pairwise)
     full = (1 << n) - 1
-    if spec.pairwise and component[0] == full:
-        # One component: every operand reads it, so nothing splits.
-        return _lp_bounds(marginals, pairs, f.table, cancel)
     covered = 0
 
     def bound(mask: int, cost: Optional[np.ndarray]) -> Optional[tuple]:
@@ -491,12 +433,12 @@ def _decomposed_bounds(
         # depth stays under 2 * N_MAX + 2 however deep the formula is.
         kind = node[0]
         if kind == _LEAF:
-            p = marginals[node[3]]
+            p = marginals[node[2]]
             return p, p
         if kind == _NEG:
-            lo, hi = walk(node[3])
+            lo, hi = walk(node[2])
             return 1.0 - hi, 1.0 - lo
-        groups = top_groups if node is top else _groups(node[3], component)
+        groups = top_groups if node is top else _groups(node[2], component)
         # Single operands are bounded before the LPs of the groups.
         singles = {}
         for k, (_, members) in enumerate(groups):
@@ -507,24 +449,18 @@ def _decomposed_bounds(
             if k in singles:
                 lo, hi = singles[k]
             else:
-                if len(members) == len(node[3]):
-                    formula = node[2]
-                else:
-                    operands = [_formula_of(m) for m in members]
-                    formula = reduce(And if kind == _ALL else Or, operands)
                 coords = _coordinates(mask)
                 _check_lp_arity(len(coords))
-                g = compile_formula(formula, [names[i] for i in coords])
-                lo, hi = bound(mask, g.table)
+                lo, hi = bound(mask, _truth_table([kind, mask, members], coords))
             los.append(lo)
             his.append(hi)
         return (_frechet_and if kind == _ALL else _frechet_or)(los, his)
 
     _check_cancel(cancel)
-    root = _normal_form(ast, {name: i for i, name in enumerate(names)})
-    top = root[3] if root[0] == _NEG else root
+    root = f._formula
+    top = root[2] if root[0] == _NEG else root
     if top[0] != _LEAF:
-        top_groups = _groups(top[3], component)
+        top_groups = _groups(top[2], component)
         if len(top_groups) == 1 and top_groups[0][0] == full:
             # Nothing splits: one LP on f's own table.
             return _lp_bounds(marginals, pairs, f.table, cancel)

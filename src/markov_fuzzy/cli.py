@@ -28,9 +28,10 @@ import json
 import operator
 import os
 import sys
+from functools import reduce
 
 from ._common import N_MAX
-from .boolfuncs import And, Implies, Not, Or, Var, _fold
+from .boolfuncs import _ALL, _LEAF, _NEG, _fold, _operands
 from .boolfuncs import compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _feasible_q, _pair_cells, and_q, implies_q, or_q, q_bounds
@@ -75,14 +76,6 @@ _EXIT_CODES = (
 #: The connectives the classic closed forms name, by their truth tables as
 #: 4-bit masks: bit a set when the connective is true at assignment a.
 _CLASSIC_KINDS = {0b1000: "and", 0b1110: "or", 0b1101: "implies"}
-
-#: Each connective on the masks of its operands; a -> b is (not a) or b.
-_MASK_OPS = {
-    Not: operator.invert,
-    And: operator.and_,
-    Or: operator.or_,
-    Implies: lambda a, b: ~a | b,
-}
 
 
 def _active_cap() -> int:
@@ -181,16 +174,19 @@ def _cmd_bounds(args) -> int:
 
 def _classic_kind(f):
     """The connective of `_CLASSIC_KINDS` that a compiled two-variable
-    formula computes, or None.  Its truth table is folded as a mask from
+    formula computes, or None.  Its normal form is folded as a mask from
     those of its variables (the first is true at assignments 1 and 3, the
     second at 2 and 3), so no table is built."""
-    ast, names = f._formula
-    columns = dict(zip(names, (0b1010, 0b1100)))
 
     def mask(node, args):
-        return columns[node.name] if type(node) is Var else _MASK_OPS[type(node)](*args)
+        kind = node[0]
+        if kind == _LEAF:
+            return (0b1010, 0b1100)[node[2]]
+        if kind == _NEG:
+            return ~args[0]
+        return reduce(operator.and_ if kind == _ALL else operator.or_, args)
 
-    return _CLASSIC_KINDS.get(_fold(ast, mask) & 0b1111)
+    return _CLASSIC_KINDS.get(_fold(f._formula, mask, _operands) & 0b1111)
 
 
 def _sweep_columns(p1: float, p2: float, qs, f) -> list:
@@ -213,8 +209,7 @@ def _cmd_sweep(args) -> int:
     import numpy as np
 
     if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidParameter("--steps must be >= 1")
     model = _load_model(
         args, PartialJointSpec, "sweep requires a marginal spec document"
     )
@@ -254,14 +249,11 @@ def _cmd_quantify(args) -> int:
         return EXIT_OK
     # sample mode
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidParameter("--samples must be >= 1")
     if not 0.0 < args.delta < 1.0:
-        print("error: --delta must be in (0, 1)", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidParameter("--delta must be in (0, 1)")
     if args.tuple_length is not None and args.tuple_length < 1:
-        print("error: --tuple-length must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidParameter("--tuple-length must be >= 1")
     length = args.tuple_length or len(model.universe)
     if length < 1:
         raise SchemaError("cannot sample from an empty universe")

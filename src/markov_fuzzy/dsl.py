@@ -188,16 +188,30 @@ class _Parser:
                 raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
 
 
-#: Binary connective of each operator token, and the pending operators it
-#: closes first: those binding tighter, and its own kind when it associates
-#: to the left (& and |; -> associates to the right).
-_BINARY = {
-    "&": (And, frozenset((Not, And))),
-    "|": (Or, frozenset((Not, And, Or))),
-    "->": (Implies, frozenset((Not, And, Or))),
-}
+#: Precedence of each node type, from the loosest binding to the tightest.
+#: Of the binary connectives, -> alone associates to the right.  Both the
+#: parser's closing rules and the printer's brackets follow from these two
+#: facts.
+_PRECEDENCE = {Exists: 0, Forall: 0, Implies: 1, Or: 2, And: 3, Not: 4, Var: 5}
+_RIGHT_ASSOCIATIVE = Implies
+_SYMBOL = {And: "&", Or: "|", Implies: "->"}
+
+
+def _closed_first(cls) -> frozenset:
+    """The pending operators that binary `cls` closes before it applies:
+    those binding tighter, and `cls` itself when it associates to the
+    left."""
+    prec = _PRECEDENCE[cls]
+    kinds = {kind for kind, other in _PRECEDENCE.items() if other > prec}
+    if cls is not _RIGHT_ASSOCIATIVE:
+        kinds.add(cls)
+    return frozenset(kinds)
+
+
+#: Binary connective of each operator token, and `_closed_first` of it.
+_BINARY = {symbol: (cls, _closed_first(cls)) for cls, symbol in _SYMBOL.items()}
 #: Everything but an open parenthesis (None) closes at the end of a formula.
-_CLOSES_ALL = frozenset((Not, And, Or, Implies, Exists, Forall))
+_CLOSES_ALL = frozenset(_PRECEDENCE)
 #: Stack tops after which a full formula, quantifier included, may start.
 _OPENERS = frozenset((None, Exists, Forall))
 
@@ -256,36 +270,29 @@ def parse_formula(text: str) -> Formula:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_ATOM = 5
+
+def _child_contexts(kind) -> tuple:
+    """The least precedence each child of a `kind` node may have without
+    brackets: its own precedence, and one more on the side a binary
+    connective does not associate to."""
+    prec = _PRECEDENCE[kind]
+    if kind not in _SYMBOL:
+        return (prec,)
+    return (prec + 1, prec) if kind is _RIGHT_ASSOCIATIVE else (prec, prec + 1)
 
 
-#: Precedence of each connective and the least precedence each of its
-#: children may have without parentheses.
-_LAYOUT = {
-    Not: (_PREC_NOT, (_PREC_NOT,)),
-    And: (_PREC_AND, (_PREC_AND, _PREC_NOT)),
-    Or: (_PREC_OR, (_PREC_OR, _PREC_AND)),
-    Implies: (_PREC_IMPLIES, (_PREC_OR, _PREC_IMPLIES)),
-    Exists: (_PREC_QUANT, (_PREC_QUANT,)),
-    Forall: (_PREC_QUANT, (_PREC_QUANT,)),
-}
-_SYMBOL = {And: "&", Or: "|", Implies: "->"}
+_CONTEXTS = {kind: _child_contexts(kind) for kind in _PRECEDENCE if kind is not Var}
 
 
 def _format_node(node: Formula, children: list) -> tuple:
     """(text, precedence) of a node from those of its children."""
     kind = type(node)
+    prec = _PRECEDENCE[kind]
     if kind is Var:
-        return node.name, _PREC_ATOM
-    prec, contexts = _LAYOUT[kind]
+        return node.name, prec
     parts = [
         text if child_prec >= context else f"({text})"
-        for (text, child_prec), context in zip(children, contexts)
+        for (text, child_prec), context in zip(children, _CONTEXTS[kind])
     ]
     if kind is Not:
         return "!" + parts[0], prec

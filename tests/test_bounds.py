@@ -497,8 +497,8 @@ class TestSolverEquivalence:
 
     def test_ratio_test_with_one_candidate_row(self, monkeypatch):
         """A pivot whose entering column is positive in one row alone takes
-        that row without a ratio test.  Over the probability simplex (one
-        row of ones), min c.x is min(c) and max c.x is max(c)."""
+        that row.  Over the probability simplex (one row of ones), min c.x
+        is min(c) and max c.x is max(c)."""
         leaving = _simplex.Simplex._leaving_row
         candidates = []
 
@@ -1021,6 +1021,20 @@ class TestNearlyCertainMarginals:
         else:
             assert mf.exact_bounds(spec, mf.and_function(n)).hi <= 1e-15
 
+    def test_a_tiny_pair_cell_stays_in_the_lp(self):
+        """Marginals 5e-13 apart with q at the end of its range leave the
+        both-true cell 5e-13 short of the other corner: P(both) is exactly
+        p1 + p2 - 1 + q = 0.5, and the cell of mass 5e-13 (within EPS_FEAS
+        but not empty) must stay in the LP."""
+        q = 0.5 - 5e-13
+        spec = mf.PartialJointSpec((0.5, 0.5 + 5e-13), {(1, 2): q})
+        for f in (mf.and_function(), compiled("P1 & P2")):
+            ci = mf.exact_bounds(spec, f)
+            assert (ci.lo, ci.hi) == (0.5, 0.5)
+        for f in (mf.or_function(), compiled("P1 | P2")):
+            ci = mf.exact_bounds(spec, f)
+            assert (ci.lo, ci.hi) == (1.0 - q, 1.0 - q)
+
 
 # ---------------------------------------------------------------------------
 # Decomposition of compiled formulas
@@ -1340,6 +1354,49 @@ class TestDecomposition:
             sys.setrecursionlimit(limit)
         assert (got[0].lo, got[0].hi) == want
         assert (got[1].lo, got[1].hi) == pytest.approx((0.6, 1.0), abs=1e-9)
+
+    def test_parts_are_evaluated_from_the_normal_form(self, monkeypatch):
+        """Parts that reach an LP (pairs linking operands, a variable read
+        twice) take tables evaluated from the normal form the compiled
+        function keeps: no BooleanFunction is made and nothing is
+        compiled again, and the bounds are those of the raw table."""
+        f = compiled("(a & b) | (c -> d) | (e & (f | e))")
+        spec = mf.PartialJointSpec(
+            marginals=(0.6, 0.3, 0.7, 0.4, 0.5, 0.8), pairwise={(1, 2): 0.2, (3, 4): 0.2}
+        )
+        calls = []
+        adopt, post_init = mf.BooleanFunction._adopt, mf.BooleanFunction.__post_init__
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(mf.BooleanFunction, "_adopt", counting("_adopt", adopt))
+        monkeypatch.setattr(
+            mf.BooleanFunction, "__post_init__", counting("__post_init__", post_init)
+        )
+        for name, module in list(sys.modules.items()):
+            if name.startswith("markov_fuzzy") and hasattr(module, "compile_formula"):
+                real = module.compile_formula
+                monkeypatch.setattr(module, "compile_formula", counting(name, real))
+        made = []
+
+        class Counting(_simplex.Simplex):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(_simplex, "Simplex", Counting)
+        ci = mf.exact_bounds(spec, f)
+        assert calls == [] and "table" not in vars(f)
+        assert len(made) == 3  # a & b, !c | d and e & (f | e)
+        monkeypatch.undo()
+        raw = mf.exact_bounds(spec, mf.BooleanFunction(6, 1, f.table))
+        assert ci.lo == pytest.approx(raw.lo, abs=1e-12)
+        assert ci.hi == pytest.approx(raw.hi, abs=1e-12)
 
     def test_read_once_split_builds_no_table(self):
         """Marginals only, a read-once formula over 20 variables is bounded

@@ -287,6 +287,7 @@ class TestSweep:
         path = write(tmp_path, "spec.json", DYADIC_SPEC)
         code, _, err = run(capsys, ["sweep", "--input", path, "--steps", "0"])
         assert code == 2
+        assert err == "error: InvalidParameter: --steps must be >= 1\n"
 
     def test_unallocatable_step_count_exit_2(self, tmp_path):
         """10**15 rows need 8 PB for their q values, which fails up front:
@@ -573,7 +574,7 @@ class TestQuantify:
         argv = ["quantify", "sample", "--input", path, "--tuple-length", length]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: --tuple-length must be >= 1\n"
+        assert err == "error: InvalidParameter: --tuple-length must be >= 1\n"
 
     def test_unallocatable_tuple_length_exit_2(self, tmp_path, capsys):
         """A block of 8192 tuples of 10**11 uniforms (6.5e15 bytes, beyond

@@ -185,6 +185,58 @@ class TestRoundTrip:
             assert mf.parse_formula(mf.format_formula(ast)) == ast
 
 
+CONNECTIVES = (Not, And, Or, Implies, Exists, Forall)
+
+
+def build(kind, children, var):
+    """A `kind` node over `children`, each given as (node, text): the node
+    and its text with no brackets added."""
+    (first, text), *rest = children
+    if kind is Not:
+        return Not(first), f"!{text}"
+    if kind in (Exists, Forall):
+        keyword = "exists" if kind is Exists else "forall"
+        return kind(var, "U", first), f"{keyword} {var} in U : {text}"
+    (second, other), = rest
+    symbol = {And: "&", Or: "|", Implies: "->"}[kind]
+    return kind(first, second), f"{text} {symbol} {other}"
+
+
+def bracketed(child):
+    return child[0], f"({child[1]})"
+
+
+#: Each connective with each side of it: a unary node has one operand.
+SIDES = [(Not, "only"), (Exists, "only"), (Forall, "only")] + [
+    (kind, side) for kind in (And, Or, Implies) for side in ("left", "right")
+]
+
+
+class TestBrackets:
+    @pytest.mark.parametrize(
+        "outer, side", SIDES, ids=[f"{k.__name__}-{side}" for k, side in SIDES]
+    )
+    @pytest.mark.parametrize("inner", CONNECTIVES, ids=lambda k: k.__name__)
+    def test_brackets_exactly_when_needed(self, outer, side, inner):
+        """An `inner` node as the `side` operand of an `outer` one:
+        `format_formula` brackets it exactly when its unbracketed text
+        would not parse back to the same tree, and its text parses back to
+        the same tree."""
+        leaves = [(Var(name), name) for name in ("A", "B")]
+        child = build(inner, leaves, "y")
+        other = (Var("C"), "C")
+        kids = {"only": [child], "left": [child, other], "right": [other, child]}[side]
+        tree, bare = build(outer, kids, "x")
+        _, wrapped = build(outer, [bracketed(k) if k is child else k for k in kids], "x")
+        try:
+            needed = mf.parse_formula(bare) != tree
+        except ParseError:
+            needed = True
+        text = mf.format_formula(tree)
+        assert text == (wrapped if needed else bare)
+        assert mf.parse_formula(text) == tree
+
+
 class TestParseModel:
     def test_marginal_spec(self):
         spec = mf.parse_model('{"marginals": [0.7, 0.6]}')
