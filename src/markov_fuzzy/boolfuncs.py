@@ -17,7 +17,9 @@ table of each part of it that reaches a linear program the same way.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from typing import TYPE_CHECKING, Sequence, Union
 
 from ._common import N_MAX, check_arity
@@ -506,6 +508,22 @@ def _operands(node: list) -> list:
     return [node[2]] if kind == _NEG else node[2]
 
 
+def _small_table(tree: list, coords: Sequence[int]) -> int:
+    """The table of a normal-form node over one or two `coords` as an int,
+    bit a set when it is true at assignment a (bit k of a is coords[k]):
+    no array is built."""
+
+    def table(node, args):
+        kind = node[0]
+        if kind == _LEAF:
+            return (0b1010, 0b1100)[coords.index(node[2])]
+        if kind == _NEG:
+            return ~args[0]
+        return reduce(operator.and_ if kind == _ALL else operator.or_, args)
+
+    return _fold(tree, table, _operands) & ((1 << (1 << len(coords))) - 1)
+
+
 def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:
     """The read-only table of a normal-form node over the coordinates
     `coords`, ascending: bit k of the index is coordinate coords[k]."""
@@ -521,6 +539,9 @@ def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:
         shape[n - 1 - k] = 2
         columns[i] = false_true.reshape(shape)
 
+    def negating_smaller(x, y):
+        return (x, ~y) if x.size >= y.size else (y, ~x)
+
     def column(node, args):
         kind = node[0]
         if kind == _LEAF:
@@ -528,11 +549,14 @@ def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:
         if kind == _NEG:
             op = np.logical_not
         else:
-            op = np.logical_and if kind == _ALL else np.logical_or
+            # x and y is x > not y, and x or y is x >= not y: comparisons
+            # run far faster than logical_and/or on broadcast boolean
+            # columns.  The operand with fewer elements is the one negated.
+            op = np.greater if kind == _ALL else np.greater_equal
             value = args[0]
             for arg in args[1:-1]:
-                value = op(value, arg)
-            args = [value, args[-1]]
+                value = op(*negating_smaller(value, arg))
+            args = negating_smaller(value, args[-1])
         # The root's last op writes its 0/1 values straight into the
         # table, without a full-size boolean column in between.
         out = np.empty((2,) * n, dtype=np.int64) if node is tree else None

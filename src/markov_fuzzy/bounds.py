@@ -5,15 +5,17 @@ pairwise both-false confidences q_ij.  The set of joint tables compatible
 with a spec is a compact polytope, so the confidence of any single-output
 formula attains an exact minimum and maximum over it:
 
-* `exact_bounds` first splits a function from `compile_formula` along
-  the normal form of its formula, which the function keeps (see
+* `exact_bounds` splits a function from `compile_formula` along the
+  normal form of its formula, which the function keeps (see
   "Decomposition along the formula" below): operands of an and/or that
   read variables no given pair connects are bounded apart and combined by
-  the classic Frechet rules, so a read-once formula given marginals only
-  reaches no linear program.  Only a part that does not split (a variable
-  read twice, or pairs that link its operands) is solved, over the 2**k
-  table of its own k variables, evaluated from the normal form;
-  `LP_MAX_ARITY` caps k.  A raw table (`and_function(n)`, a
+  the classic Frechet rules.  Each part that does not split is bounded by
+  one rule (`_part_bounds`): one or two variables in closed form (the q
+  connective at the pair's q, or the classic connectives at the ends of
+  its range), an and/or of literals whose pairs form no cycle in closed
+  form (Hunter's bound above, the best point or pair below), and anything
+  else as an LP over the 2**k table of its k variables, evaluated from the
+  normal form; `LP_MAX_ARITY` caps k.  A raw table (`and_function(n)`, a
   `BooleanFunction` built by hand) always takes one LP over all n;
 * each LP is solved with the package's own dense revised simplex
   (`_simplex`, numpy only): phase I once, then the min and the max, each
@@ -24,23 +26,18 @@ formula attains an exact minimum and maximum over it:
   pairs this is the comonotone chain table, a vertex of every
   marginals-only LP.  The start basis holds an artificial only for a pair
   that closes a cycle and for a cell left out below, so phase I runs only
-  for those; a spec whose pairs form a forest is always feasible, and
-  without 0/1 marginals or a q at an end of its range it skips phase I.
-  The end the start table attains (the max of an and chain, the min of
-  an or chain, given marginals only) makes no pivot.  Entries inside an
-  empty cell of a marginal or a pair (a 0/1 marginal, a q at an end of
-  its range) must be zero and are left out of the LPs;
+  for those.  Entries inside an empty cell of a marginal or a pair (a 0/1
+  marginal, a q at an end of its range, after snapping values within
+  EPS_FEAS of an end to it) must be zero and are left out of the LPs; the
+  closed forms read the spec's values as given;
 * `brute_force_bounds` is the independent oracle: it enumerates joint
   tables directly on a grid in the "both-false" parametrization and never
   touches the LP machinery.
 
 For n = 2 with marginals only, both reproduce the classic closed-form
-connective bounds (`classic_binary_bounds`).  A compiled two-variable
-and/or/implies with no negation above its connective (`P1 & P2`,
-`P2 | P1`, `!P1 | P2`, `P1 -> P2`, ...) gives them bit for bit, since both
-come from the rules of `connectives._frechet_and` / `_frechet_or`; a
-spelling through a negated connective, such as `!(P1 & !P2)`, passes
-through 1 - x twice and may differ in the last digit.
+connective bounds (`classic_binary_bounds`); a compiled two-variable
+and/or/implies with no negation above its connective gives them bit for
+bit, since both come from `connectives._frechet_and` / `_frechet_or`.
 """
 
 from __future__ import annotations
@@ -48,10 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01
-from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _truth_table
+from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _small_table, _truth_table
 from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
 from .connectives import classic
 from .errors import (
@@ -99,8 +97,8 @@ class ConfidenceInterval:
     Exact from `exact_bounds`, which raises ArityTooLarge for a linear
     program over more than `LP_MAX_ARITY` variables.  Exact from
     `exists_bounds` and `forall_bounds` too, except that a component of the
-    q_pair graph with more than `LP_MAX_ARITY` points gives an outer bound.
-    A spec with no joint raises InfeasibleSpec.
+    q_pair graph with a cycle and more than `LP_MAX_ARITY` points gives an
+    outer bound.  A spec with no joint raises InfeasibleSpec.
     """
 
     lo: float
@@ -199,27 +197,26 @@ def exact_bounds(
 
     A function from `compile_formula` is split along its formula: and/or
     operands whose variables no given pair connects are bounded apart and
-    combined by the classic (Frechet) rules, so only the parts that do not
-    split reach a linear program.  Each such part is solved over the 2**k
-    table of its own k variables, which `LP_MAX_ARITY` caps.  Any other
-    table (a gate such as `and_function(n)`, or one built by hand) is
-    solved as one linear program over the 2**n table.  Either way the
-    constraints are the marginals and any pairwise q values, and every
-    part of the spec is checked for feasibility.  `cancel` is polled
-    before each solve; a True return aborts with Cancelled.  A solver
-    failure other than infeasibility (the pivot limit, or a final basis
-    that fails its check) raises SolverError.
+    combined by the classic (Frechet) rules.  A part that does not split
+    takes a closed form (one or two variables, or an and/or of literals
+    whose pairs form no cycle) or one linear program over the 2**k table
+    of its k variables, which `LP_MAX_ARITY` caps.  Any other table (a
+    gate such as `and_function(n)`, or one built by hand) is one linear
+    program over the 2**n table.  Every part of the spec is checked for
+    feasibility.  `cancel` is polled before each solve; a True return
+    aborts with Cancelled.  A solver failure other than infeasibility (the
+    pivot limit, or a final basis that fails its check) raises SolverError.
     """
     _check_formula(spec, f)
     if spec.independent:
         _check_cancel(cancel)
         value = _independent_point(spec, f)
         return ConfidenceInterval(value, value)
+    pairs = sorted(spec.pairwise.items())
     if f._formula is None:
-        pairs = sorted(spec.pairwise.items())
         lo, hi = _lp_bounds(spec.marginals, pairs, f.table, cancel)
     else:
-        lo, hi = _decomposed_bounds(spec, f, cancel)
+        lo, hi = _decomposed_bounds(spec.marginals, pairs, f._formula, cancel, compiled=f)
     return ConfidenceInterval(min(lo, hi), hi)
 
 
@@ -325,20 +322,30 @@ def _snapped(x: float, lo: float, hi: float) -> float:
 # reachable: the confidence of the and/or ranges over the Frechet interval
 # of the operands' intervals, the classic connectives of the paper.  A
 # negation maps [lo, hi] to [1 - hi, 1 - lo].  Operands that share a
-# component are solved together, as one linear program over the components
-# they read, whose cost is the table of their and/or evaluated from the
-# normal form that `compile_formula` kept (`boolfuncs._truth_table`).
-
-
-def _components(n: int, pairwise: Mapping) -> list:
-    """component[i]: the mask of the coordinates the pairs connect to i."""
-    if not pairwise:
-        return [1 << i for i in range(n)]
-    roots = _union_find(n, [(i - 1, j - 1) for i, j in pairwise])[0]
-    masks = [0] * n
-    for i, root in enumerate(roots):
-        masks[root] |= 1 << i
-    return [masks[root] for root in roots]
+# component form one part over the components they read, bounded by
+# `_part_bounds`.
+#
+# A part that is an and/or of literals of distinct variables, reading each
+# of its variables, whose pairs form no cycle, has a closed form.  Write it
+# as the "or" of events E_i (the literals; for an "and", 1 minus the "or" of
+# their negations).  Over the given pairs ij its exact range is
+#
+#     [max(max_i P(E_i), max_ij P(E_i or E_j)),
+#      min(1, sum_i P(E_i) - sum_ij P(E_i and E_j))].
+#
+# Both ends hold for every joint.  Each is attained by laying the events out
+# as sets in [0, 1), one variable at a time, each tree of the pair graph in
+# the order of a walk from its root, so that a new E_v shares a pair with
+# at most one placed E_u.  The part of E_v in E_u has its given size and
+# lies inside E_u.  For the lower end the rest of E_v goes first inside the
+# union so far, outside E_u: the union grows only to
+# max(union, P(E_u or E_v)).  For the upper end it goes first outside the
+# union: the union grows to min(1, union + P(E_v) - P(E_u and E_v)).  What
+# does not fit spills into the other region, which is large enough because
+# P(E_u or E_v) <= 1.  The upper end is Hunter's (1976) bound.  With a
+# cycle both ends still hold, the upper one over the heaviest spanning
+# forest (Kruskal), but are only an outer bound; the quantifiers take it
+# for a part over `LP_MAX_ARITY`.
 
 
 def _coordinates(mask: int) -> list:
@@ -369,68 +376,73 @@ def _union_find(n: int, edges) -> tuple:
 
 def _groups(kids: list, component: list) -> list:
     """The operands of an and/or, grouped by union-find so that operands
-    reading a common component share a group: [components' mask, operands]
-    per group, in order of first operand."""
+    reading a common component share a group: [the components they read,
+    repeats included, operands] per group, in order of first operand.  A
+    leaf's coordinate is read from the leaf, never its mask."""
     first: dict = {}
-    closures, edges = [], []
+    reads, edges = [], []
     for k, kid in enumerate(kids):
-        closure = 0
-        rest = kid[1]
-        while rest:
-            c = component[(rest & -rest).bit_length() - 1]
-            rest &= ~c
-            closure |= c
+        leaf = kid[2] if kid[0] == _NEG else kid
+        if leaf[0] == _LEAF:
+            comps = (component[leaf[2]],)
+        else:
+            comps = tuple({component[i] for i in _coordinates(kid[1])})
+        for c in comps:
             j = first.setdefault(c, k)
             if j != k:
                 edges.append((j, k))
-        closures.append(closure)
+        reads.append(comps)
     groups: dict = {}
     roots = _union_find(len(kids), edges)[0] if edges else range(len(kids))
-    for kid, closure, root in zip(kids, closures, roots):
-        group = groups.setdefault(root, [0, []])
-        group[0] |= closure
-        group[1].append(kid)
+    for kid, comps, root in zip(kids, reads, roots):
+        if root in groups:
+            groups[root][0] += comps
+            groups[root][1].append(kid)
+        else:
+            groups[root] = [comps, [kid]]
     return list(groups.values())
 
 
-def _decomposed_bounds(
-    spec: PartialJointSpec, f: BooleanFunction, cancel: Optional[Callable[[], bool]]
-) -> tuple:
-    """(lo, hi) of a compiled formula by the decomposition above.
+def _decomposed_bounds(marginals, pairs, root, cancel, outer=False, compiled=None):
+    """(lo, hi) of the normal-form `root` given `marginals` and the sorted
+    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  A root that does not
+    split below itself (or a negation) is one part, whose LP takes the
+    cached table of `compiled`, root's function, if given.  Then each
+    component with a cycle that no part covered is checked for feasibility
+    (a tree of pairs always is feasible)."""
+    n = len(marginals)
+    component, joined = _union_find(n, [(i - 1, j - 1) for (i, j), _ in pairs])
+    by_component: dict = {}
+    for pair in pairs:
+        by_component.setdefault(component[pair[0][0] - 1], []).append(pair)
+    members: dict = {}  # the coordinates of each component, on first use
+    covered: set = set()
 
-    A formula that does not split below its root (or below a negation
-    there), as when the pairs connect every coordinate, is one LP on f's
-    own table, solved exactly as the raw table would be.  Otherwise f's
-    normal form is walked by recursion, and the components that no linear
-    program covers are checked for feasibility afterwards.  One whose
-    pairs form a tree always is (each pair's q is feasible for its
-    marginals, and chaining the pair tables along the tree builds a
-    joint), so only those with a cycle are solved.
-    """
-    n = spec.arity
-    marginals = spec.marginals
-    pairs = sorted(spec.pairwise.items())
-    component = _components(n, spec.pairwise)
-    full = (1 << n) - 1
-    covered = 0
+    def local(comps) -> tuple:
+        """The coordinates of `comps`, ascending, their marginals and pairs."""
+        if not members:
+            for i, c in enumerate(component):
+                members.setdefault(c, []).append(i)
+        comps = set(comps)
+        coords = sorted(chain.from_iterable(members[c] for c in comps))
+        number = {i + 1: k + 1 for k, i in enumerate(coords)}
+        part = sorted(chain.from_iterable(by_component.get(c, ()) for c in comps))
+        part = [((number[i], number[j]), q) for (i, j), q in part]
+        return coords, tuple(marginals[i] for i in coords), part
 
-    def bound(mask: int, cost: Optional[np.ndarray]) -> Optional[tuple]:
-        """(min, max) of a truth table over the variables of `mask`, a
-        union of components; with `cost` None, only their feasibility."""
-        nonlocal covered
-        covered |= mask
-        coords = _coordinates(mask)
-        local = {i + 1: k + 1 for k, i in enumerate(coords)}
-        part = [((local[i], local[j]), q) for (i, j), q in pairs if i in local]
-        return _lp_bounds(tuple(marginals[i] for i in coords), part, cost, cancel)
+    def bound(node: list, comps, compiled=None) -> tuple:
+        covered.update(comps)
+        coords, ps, part = local(comps)
+        return _part_bounds(ps, part, node, coords, cancel, outer, compiled)
 
     def walk(node: list) -> tuple:
         # The walk descends only into an operand alone in its group while
         # the and/or has another group, so each and/or on the way down
-        # reads strictly fewer of the at most N_MAX components than the
-        # one above it.  Double negations cancel in the normal form, so at
-        # most one negation lies above each and/or and above the leaf: the
-        # depth stays under 2 * N_MAX + 2 however deep the formula is.
+        # reads strictly fewer components than the one above it.  Double
+        # negations cancel in the normal form, so at most one negation lies
+        # above each and/or and above the leaf.  A compiled formula has at
+        # most N_MAX components, so the depth stays under 2 * N_MAX + 2
+        # however deep the formula is; a quantifier's root has leaves only.
         kind = node[0]
         if kind == _LEAF:
             p = marginals[node[2]]
@@ -439,40 +451,104 @@ def _decomposed_bounds(
             lo, hi = walk(node[2])
             return 1.0 - hi, 1.0 - lo
         groups = top_groups if node is top else _groups(node[2], component)
-        # Single operands are bounded before the LPs of the groups.
+        # Single operands are bounded before the parts of the groups.
         singles = {}
-        for k, (_, members) in enumerate(groups):
-            if len(members) == 1:
-                singles[k] = walk(members[0])
+        for k, (_, kids) in enumerate(groups):
+            if len(kids) == 1:
+                singles[k] = walk(kids[0])
         los, his = [], []
-        for k, (mask, members) in enumerate(groups):
-            if k in singles:
-                lo, hi = singles[k]
-            else:
-                coords = _coordinates(mask)
-                _check_lp_arity(len(coords))
-                lo, hi = bound(mask, _truth_table([kind, mask, members], coords))
+        for k, (comps, kids) in enumerate(groups):
+            lo, hi = singles[k] if k in singles else bound([kind, node[1], kids], comps)
             los.append(lo)
             his.append(hi)
         return (_frechet_and if kind == _ALL else _frechet_or)(los, his)
 
     _check_cancel(cancel)
-    root = f._formula
     top = root[2] if root[0] == _NEG else root
     if top[0] != _LEAF:
         top_groups = _groups(top[2], component)
-        if len(top_groups) == 1 and top_groups[0][0] == full:
-            # Nothing splits: one LP on f's own table.
-            return _lp_bounds(marginals, pairs, f.table, cancel)
+        if len(top_groups) == 1 and len(set(top_groups[0][0])) == n - len(joined):
+            return bound(root, top_groups[0][0], compiled)  # nothing splits
     result = walk(root)
-
-    edges: dict = {}
-    for i, _ in spec.pairwise:
-        edges[component[i - 1]] = edges.get(component[i - 1], 0) + 1
-    for mask, count in edges.items():
-        if count >= bin(mask).count("1") and not mask & covered:
-            bound(mask, None)
+    for c in by_component:
+        if c not in covered:
+            coords, ps, part = local([c])
+            if len(part) >= len(coords):
+                _lp_bounds(ps, part, None, cancel)
     return result
+
+
+def _part_bounds(marginals, pairs, node, coords, cancel, outer=False, compiled=None):
+    """(lo, hi) of the normal-form `node` over `coords`, the ascending
+    coordinates of whole components, which `marginals` and the sorted
+    pairs number 1 ... k.  One or two variables take the cells of the pair
+    table (`_pair_cells`) at the pair's q, or at both ends of its range;
+    an and/or of literals whose pairs form no cycle takes its closed form;
+    anything else one LP on its table (that of `compiled`, if given) up to
+    `LP_MAX_ARITY`.  Above the cap an and/or of literals takes the outer
+    bound if `outer` is set, and anything else raises ArityTooLarge."""
+    k = len(coords)
+    if k <= 2:
+        truth = _small_table(node, coords)
+        if k == 1:
+            cells = [[1.0 - marginals[0], marginals[0]]]
+        else:
+            qs = [pairs[0][1]] if pairs else _q_range(*marginals)
+            cells = [_pair_cells(*marginals, q) for q in qs]
+        values = [_table_value(truth, c) for c in cells]
+        return min(values), max(values)
+    literal = _literal_bounds(marginals, pairs, node, coords)
+    if literal is not None and (literal[2] or outer and k > LP_MAX_ARITY):
+        return literal[:2]
+    _check_lp_arity(k)
+    cost = _truth_table(node, coords) if compiled is None else compiled.table
+    return _lp_bounds(marginals, pairs, cost, cancel)
+
+
+def _table_value(truth: int, cells: list) -> float:
+    """P(true) of the truth table `truth` (bit a for cell a) over `cells`:
+    the sum of its true cells, or 1 minus the sum of its false ones when
+    those are fewer, so that an "or" is 1 - q as `or_q` computes it."""
+    true = [c for a, c in enumerate(cells) if truth >> a & 1]
+    false = [c for a, c in enumerate(cells) if not truth >> a & 1]
+    return clip01(1.0 - math.fsum(false) if len(false) < len(true) else math.fsum(true))
+
+
+def _literal_bounds(marginals: tuple, pairs: list, node: list, coords: list):
+    """(lo, hi, exact) of `node` by the closed form when it is an and/or,
+    under at most one negation, of literals of distinct variables, one
+    per coordinate; exact when its pairs form no cycle.  Else None."""
+    flip = node[0] == _NEG
+    if flip:
+        node = node[2]
+    if node[0] == _LEAF:
+        return None
+    negate = node[0] == _ALL  # an "and" is 1 - the "or" of the negations
+    sign = {}  # coordinate: whether E_i is "x_i" rather than "not x_i"
+    for kid in node[2]:
+        leaf = kid[2] if kid[0] == _NEG else kid
+        if leaf[0] != _LEAF:
+            return None
+        sign[leaf[2]] = (kid[0] == _NEG) == negate
+    if not len(node[2]) == len(sign) == len(coords):
+        return None
+    sign = [sign[i] for i in coords]
+    ps = [p if s else 1.0 - p for p, s in zip(marginals, sign)]
+    lo, weights = max(ps), []
+    for (i, j), q in pairs:
+        cells = _pair_cells(marginals[i - 1], marginals[j - 1], q)
+        both = sign[i - 1] + 2 * sign[j - 1]  # the cell where E_i and E_j
+        lo = max(lo, 1.0 - cells[3 - both])
+        weights.append(cells[both])
+    # Kruskal, heaviest first, finds the forest that makes Hunter's bound
+    # least; a forest of all the pairs leaves nothing to choose.
+    order = sorted(range(len(pairs)), key=lambda e: -weights[e])
+    edges = [(pairs[e][0][0] - 1, pairs[e][0][1] - 1) for e in order]
+    forest = [weights[order[e]] for e in _union_find(len(coords), edges)[1]]
+    hi = max(lo, min(1.0, math.fsum([*ps, *(-w for w in forest if w > 0.0)])))
+    if negate != flip:
+        lo, hi = 1.0 - hi, 1.0 - lo
+    return lo, hi, len(forest) == len(pairs)
 
 
 @lru_cache(maxsize=None)

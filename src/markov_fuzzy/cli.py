@@ -16,23 +16,20 @@ MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
 built-in N_MAX).
 
 Every subcommand needs numpy alone, loaded on first array use; `bounds`
-solves its LPs with the package's own simplex.  `bounds` on a formula
-that splits down to its marginals and `quantify bounds` on a table with
-no q_pair build no array and never load numpy.
+solves its LPs with the package's own simplex.  `bounds` and `quantify
+bounds` build no array and never load numpy when every part takes a
+closed form: marginals, two variables, or literals over a tree of pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
-from functools import reduce
 
 from ._common import N_MAX
-from .boolfuncs import _ALL, _LEAF, _NEG, _fold, _operands
-from .boolfuncs import compile_formula, formula_variables
+from .boolfuncs import _small_table, compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _feasible_q, _pair_cells, and_q, implies_q, or_q, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
@@ -165,28 +162,11 @@ def _cmd_bounds(args) -> int:
     # The classic closed forms bound a two-variable connective given its
     # marginals alone; a pairwise q or independence pins it tighter.
     if model.arity == 2 and not model.pairwise and not model.independent:
-        kind = _classic_kind(f)
+        kind = _CLASSIC_KINDS.get(_small_table(f._formula, [0, 1]))
         if kind is not None:
             result["classic"] = {"kind": kind, "lo": f"{kind}_min", "hi": f"{kind}_max"}
     _emit(args, "json", ("lo", "hi"), [(interval.lo, interval.hi)], result)
     return EXIT_OK
-
-
-def _classic_kind(f):
-    """The connective of `_CLASSIC_KINDS` that a compiled two-variable
-    formula computes, or None.  Its normal form is folded as a mask from
-    those of its variables (the first is true at assignments 1 and 3, the
-    second at 2 and 3), so no table is built."""
-
-    def mask(node, args):
-        kind = node[0]
-        if kind == _LEAF:
-            return (0b1010, 0b1100)[node[2]]
-        if kind == _NEG:
-            return ~args[0]
-        return reduce(operator.and_ if kind == _ALL else operator.or_, args)
-
-    return _CLASSIC_KINDS.get(_fold(f._formula, mask, _operands) & 0b1111)
 
 
 def _sweep_columns(p1: float, p2: float, qs, f) -> list:

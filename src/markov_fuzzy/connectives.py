@@ -150,11 +150,6 @@ def and_q(p1: float, p2: float, q: float) -> float:
 def or_q(p1: float, p2: float, q: float) -> float:
     """Confidence of the disjunction under both-false confidence q."""
     p1, p2, q = _feasible_q(p1, p2, q)
-    return _or_clamped(q)
-
-
-def _or_clamped(q):
-    """`or_q` at a q that `_feasible_q` has already clamped."""
     return clip01(1.0 - q)
 
 

@@ -66,36 +66,29 @@ class _Token(NamedTuple):
 
 
 _KEYWORDS = ("exists", "forall", "in")
+#: One pass over the text: whitespace (the characters `str.isspace` names),
+#: an identifier, a symbol, or any other character, which is an error.
 _TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<sym>[&|!():])"
+    r"\s+|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>->|[&|!():])|(?P<bad>.)", re.S
 )
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        if group is None:
             continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+        word, start = match.group(), match.start()
+        if group == "bad":
             raise ParseError(
-                f"unexpected character {text[pos]!r} at offset {pos}",
-                span=SourceSpan(pos, pos + 1),
+                f"unexpected character {word!r} at offset {start}",
+                span=SourceSpan(start, start + 1),
                 expected=("identifier", "'!'", "'&'", "'|'", "'->'", "'('", "')'", "':'"),
             )
-        if match.lastgroup == "ident":
-            word = match.group()
-            kind = word if word in _KEYWORDS else "ident"
-        elif match.lastgroup == "arrow":
-            kind = "->"
-        else:
-            kind = match.group()
-        tokens.append(_Token(kind, match.group(), match.start(), match.end()))
-        pos = match.end()
-    tokens.append(_Token("eof", "", length, length))
+        kind = "ident" if group == "ident" and word not in _KEYWORDS else word
+        tokens.append(_Token(kind, word, start, match.end()))
+    tokens.append(_Token("eof", "", len(text), len(text)))
     return tokens
 
 

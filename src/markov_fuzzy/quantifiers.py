@@ -3,12 +3,8 @@
 The confidence of "some point satisfies P" is fully determined by a joint
 distribution over the per-point predicates (`exists_exact`); with only
 marginal beliefs, and optionally pairwise both-false confidences, it is
-bracketed by `exists_bounds`.  "Some x" is the "or" over the universe, the
-Frechet "or" of the intervals of the q_pair graph's components (as in
-`exact_bounds`' decomposition): [p, p] for a point no pair touches, or_q
-for two joined points, else the LP of the "or" (outer over the LP cap).
-
-`forall_bounds` reduces to the existential case through negation.
+bracketed by `exists_bounds`, the "or" over the universe, and
+`forall_bounds`, the "and", both bounded by the engine of `exact_bounds`.
 `exists_truncated` follows a growing chain of explicit joints (the finite
 truncations of a countable universe) and `sample_exists` estimates the
 expected confidence of finding a witness under a sampling strategy, with a
@@ -29,9 +25,10 @@ from typing import Sequence, Union
 
 from . import bounds
 from ._common import EPS_SIMPLEX, check_belief, check_int, clip01
-from .boolfuncs import And, Exists, Forall, Formula, Or, Var, _fold, _with_children
+from .boolfuncs import _ALL, _ANY, _LEAF, And, Exists, Forall, Formula, Or, Var, _fold
+from .boolfuncs import _with_children
 from .bounds import ConfidenceInterval
-from .connectives import _add_pair_q, _frechet_or, _or_clamped, _pair_cells, and_q
+from .connectives import _add_pair_q
 from .errors import (
     BadCoordinate,
     EmptyUniverse,
@@ -110,16 +107,6 @@ class BeliefTable:
         """Pairwise both-false confidence, if supplied (symmetric lookup)."""
         return self.q_pair.get((a, b), self.q_pair.get((b, a)))
 
-    def negated(self) -> "BeliefTable":
-        """Pointwise-negated table: p -> 1-p; a pair's q becomes the
-        original confidence that both points satisfy the predicate."""
-        neg_p = {x: 1.0 - v for x, v in self.p.items()}
-        neg_q = {
-            pair: and_q(self.p[pair[0]], self.p[pair[1]], q)
-            for pair, q in self.q_pair.items()
-        }
-        return BeliefTable(self.universe, neg_p, neg_q)
-
 
 def exists_exact(joint: JointBooleanDist) -> float:
     """Confidence that at least one predicate holds: 1 - P(all false)."""
@@ -129,61 +116,30 @@ def exists_exact(joint: JointBooleanDist) -> float:
 
 
 def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
-    """Bounds on the existential confidence from partial information: the
-    exact interval (`exact_bounds` of the n-ary "or") unless a component of
-    the q_pair graph has over `LP_MAX_ARITY` points, and then an outer
-    bound.  Pairs that admit no joint table raise InfeasibleSpec."""
-    if not table.universe:
-        raise EmptyUniverse("cannot quantify over an empty universe")
-    touched = set(chain.from_iterable(table.q_pair))
-    index = {x: k for k, x in enumerate(x for x in table.universe if x in touched)}
-    edges = [(index[a], index[b]) for a, b in table.q_pair]
-    roots = bounds._union_find(len(index), edges)[0]
-    components: dict = {}
-    for x, k in index.items():
-        components.setdefault(roots[k], ([], []))[0].append(x)
-    for pair, q in table.q_pair.items():
-        components[roots[index[pair[0]]]][1].append((pair, q))
-    ends = [_component_or(*component, table.p) for component in components.values()]
-    los = [table.p[x] for x in table.universe if x not in touched]
-    lo, hi = _frechet_or(los + [end[0] for end in ends], los + [end[1] for end in ends])
-    return ConfidenceInterval(lo, hi)
-
-
-def _component_or(labels: list, pairs: list, p: Mapping) -> tuple:
-    """(lo, hi) of the "or" over a component of the q_pair graph: its labels
-    in universe order and its ((a, b), q) pairs.  Over the LP cap, an outer
-    bound: the best point or pair below, Hunter's (1976) bound above."""
-    marginals = tuple(p[x] for x in labels)
-    if len(labels) == 2:
-        # BeliefTable has checked and clamped the pair's q already.
-        value = _or_clamped(pairs[0][1])
-        return value, value
-    local = {x: k + 1 for k, x in enumerate(labels)}
-    numbered = sorted(((local[a], local[b]), q) for (a, b), q in pairs)
-    if len(labels) <= bounds.LP_MAX_ARITY:
-        import numpy as np
-
-        # The "or" is true on every assignment but the all-false one.
-        cost = np.arange(1 << len(labels)) > 0
-        return bounds._lp_bounds(marginals, numbered, cost, None)
-    lo = max(max(marginals), *(1.0 - q for _, q in pairs))
-    # Hunter: P(or) <= sum p - sum of P(both true) over a spanning forest;
-    # Kruskal on the positive weights, heaviest first, finds the best one.
-    weighted = [
-        ((i, j), _pair_cells(marginals[i - 1], marginals[j - 1], q)[3])
-        for (i, j), q in numbered
-    ]
-    heavy = sorted((w for w in weighted if w[1] > 0.0), key=lambda w: -w[1])
-    forest = bounds._union_find(len(labels), [(i - 1, j - 1) for (i, j), _ in heavy])[1]
-    hi = math.fsum([*marginals, *(-heavy[k][1] for k in forest)])
-    return lo, max(lo, hi)
+    """Bounds on the existential confidence: the "or" over the universe.
+    Exact unless a component of the q_pair graph that has a cycle has over
+    `LP_MAX_ARITY` points, which takes the outer bound of `_part_bounds`.
+    Pairs that admit no joint table raise InfeasibleSpec."""
+    return _quantified(table, _ANY)
 
 
 def forall_bounds(table: BeliefTable) -> ConfidenceInterval:
-    """Bounds on the universal confidence, via negation of the table."""
-    inner = exists_bounds(table.negated())
-    return ConfidenceInterval(clip01(1.0 - inner.hi), clip01(1.0 - inner.lo))
+    """Bounds on the universal confidence: the "and" over the universe,
+    exact where `exists_bounds` is."""
+    return _quantified(table, _ALL)
+
+
+def _quantified(table: BeliefTable, kind: int) -> ConfidenceInterval:
+    if not table.universe:
+        raise EmptyUniverse("cannot quantify over an empty universe")
+    position = {x: i + 1 for i, x in enumerate(table.universe)}
+    pairs = sorted(((position[a], position[b]), q) for (a, b), q in table.q_pair.items())
+    # The walk reads a leaf's coordinate, never its mask, nor the root's:
+    # masks of 1 << i would take memory quadratic in the universe's size.
+    root = [kind, None, [[_LEAF, None, i] for i in range(len(position))]]
+    marginals = tuple(table.p[x] for x in table.universe)
+    lo, hi = bounds._decomposed_bounds(marginals, pairs, root, None, outer=True)
+    return ConfidenceInterval(lo, hi)
 
 
 def exists_truncated(

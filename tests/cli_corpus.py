@@ -224,10 +224,9 @@ def _bounds_cases(rng: random.Random) -> list:
             argv = ["bounds", "--formula", formula, "--input", "input.json"]
             out.append(_case(argv + fmt, document))
     # With no pivots allowed, a part that reaches the solver fails (exit 5)
-    # unless its start table is optimal at both ends as it stands: a
-    # two-variable part with its q has one table, and the start glued from
-    # the pair's table is it (exit 0).  The rereading formula on marginals
-    # only, and the three-variable part with one pair, still pivot.
+    # unless its start table is optimal at both ends as it stands.  A
+    # two-variable part takes its closed form and reaches no solver
+    # (exit 0); the three-variable part with one pair still pivots.
     for formula in ("(P1 & P2) | (!P1 & !P2)", "P1 & P2", "P1 | (P2 & P3)"):
         n = 3 if "P3" in formula else 2
         fixed = {"marginals": [0.75, 0.5, 0.45][:n], "pairwise": {"1,2": 0.2}}

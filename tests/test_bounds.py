@@ -189,13 +189,21 @@ class TestExactBounds:
     def test_zero_maximum_is_positive_zero(self):
         """The max end is the negated min of the negated cost; a zero
         there comes back as +0.0, not -0.0."""
-        spec = mf.PartialJointSpec(
-            marginals=(0.7020217104975492, 1e-13), pairwise={(1, 2): 0.2979782895024276}
-        )
-        for f in (mf.and_function(), compiled("P1 & P2")):
-            ci = mf.exact_bounds(spec, f)
+        p1, p2, q = 0.7020217104975492, 1e-13, 0.2979782895024276
+        spec = mf.PartialJointSpec(marginals=(p1, p2), pairwise={(1, 2): q})
+        # A formula that rereads P1 reaches an LP over three variables.
+        wider = mf.PartialJointSpec(marginals=(p1, p2, 0.5), pairwise={(1, 2): q})
+        rereading = compiled("P1 & P2 & (P1 | P3)")
+        for given, f in ((spec, mf.and_function()), (wider, rereading)):
+            ci = mf.exact_bounds(given, f)
             assert (ci.lo, ci.hi) == (0.0, 0.0)
             assert math.copysign(1.0, ci.hi) == 1.0
+        # The compiled two-variable and reaches no LP: it is the both-true
+        # cell at the spec's own q, which the LP's snapping of 1e-13 to 0
+        # does not see.
+        cell = p1 + p2 - 1.0 + q
+        ci = mf.exact_bounds(spec, compiled("P1 & P2"))
+        assert (ci.lo, ci.hi) == (cell, cell)
 
     def test_arity_cap(self):
         spec = mf.PartialJointSpec(marginals=(0.5,) * 13)
@@ -1161,10 +1169,10 @@ class TestDecomposition:
     def test_read_once_above_the_lp_cap(self, n, simplex_log):
         """Read-once formulas over 13-24 variables, marginals only or with
         the q of some pairs of sibling leaves, against the recursion.  Each
-        such pair is one two-variable LP; nothing else reaches the solver."""
+        such pair is a two-variable part, which takes its q connective's
+        closed form: nothing reaches the solver."""
         rng = np.random.default_rng(n)
         names = [f"x{i}" for i in range(n)]
-        pair_lps = 0
         for _ in range(4):
             ast = random_read_once(rng, names)
             certain = rng.integers(0, 2, n).astype(float)
@@ -1185,8 +1193,7 @@ class TestDecomposition:
             lo, hi = read_once_interval(ast, ps, qs)
             assert ci.lo == pytest.approx(lo, abs=1e-12)
             assert ci.hi == pytest.approx(hi, abs=1e-12)
-            pair_lps += len(qs)
-        assert simplex_log["made"] == pair_lps
+        assert simplex_log["made"] == 0
 
     def test_unread_variables_with_conflicting_pairs(self):
         """c, d, e are never read, but their pairs admit no joint."""
@@ -1213,8 +1220,11 @@ class TestDecomposition:
         assert simplex_log["made"] == 3
 
     def test_group_over_the_cap_is_named(self):
+        """An and of literals whose pairs close a cycle needs an LP (a
+        tree takes its closed form at any size)."""
         names = [f"x{i}" for i in range(14)]
         chain = {(i, i + 1): 0.2 for i in range(1, 13)}
+        chain[1, 13] = 0.2
         spec = mf.PartialJointSpec(marginals=(0.5,) * 14, pairwise=chain)
         f = compiled(" & ".join(names), names)
         with pytest.raises(ArityTooLarge, match=r"got one over 13\b"):
@@ -1230,12 +1240,13 @@ class TestDecomposition:
             # Marginals only and read once: the Frechet rules alone.
             ("a & b & c & d", {}, 0),
             ("(a | !b) -> (c & d)", {}, 0),
-            # Pairs inside each of two parts: one LP per part.
-            ("(a & b) | (c -> d)", {(1, 2): 0.3, (3, 4): 0.2}, 2),
+            # Pairs inside each of two parts, two variables or literals
+            # over a tree of pairs: closed forms, no LP.
+            ("(a & b) | (c -> d)", {(1, 2): 0.3, (3, 4): 0.2}, 0),
             (
                 "(a & b & c) | !(d & e & f)",
                 {(1, 2): 0.3, (2, 3): 0.3, (4, 6): 0.2, (5, 6): 0.2},
-                2,
+                0,
             ),
             # Pairs that connect every variable: one LP on the whole table.
             ("(a | b) & c", {(1, 3): 0.3, (2, 3): 0.2}, 1),
@@ -1360,9 +1371,10 @@ class TestDecomposition:
         twice) take tables evaluated from the normal form the compiled
         function keeps: no BooleanFunction is made and nothing is
         compiled again, and the bounds are those of the raw table."""
-        f = compiled("(a & b) | (c -> d) | (e & (f | e))")
+        f = compiled("(a & (b | c)) | ((d -> e) & f) | (g & (h | i | g))")
         spec = mf.PartialJointSpec(
-            marginals=(0.6, 0.3, 0.7, 0.4, 0.5, 0.8), pairwise={(1, 2): 0.2, (3, 4): 0.2}
+            marginals=(0.6, 0.3, 0.7, 0.4, 0.5, 0.8, 0.2, 0.9, 0.35),
+            pairwise={(1, 2): 0.2, (2, 3): 0.2, (4, 6): 0.1, (5, 6): 0.1},
         )
         calls = []
         adopt, post_init = mf.BooleanFunction._adopt, mf.BooleanFunction.__post_init__
@@ -1392,9 +1404,9 @@ class TestDecomposition:
         monkeypatch.setattr(_simplex, "Simplex", Counting)
         ci = mf.exact_bounds(spec, f)
         assert calls == [] and "table" not in vars(f)
-        assert len(made) == 3  # a & b, !c | d and e & (f | e)
+        assert len(made) == 3  # a & (b | c), (!d | e) & f and g & (h | i | g)
         monkeypatch.undo()
-        raw = mf.exact_bounds(spec, mf.BooleanFunction(6, 1, f.table))
+        raw = mf.exact_bounds(spec, mf.BooleanFunction(9, 1, f.table))
         assert ci.lo == pytest.approx(raw.lo, abs=1e-12)
         assert ci.hi == pytest.approx(raw.hi, abs=1e-12)
 
@@ -1426,3 +1438,86 @@ class TestDecomposition:
         raw = mf.BooleanFunction(3, 1, f.table)
         assert f == raw and repr(f) == repr(raw)
         assert f._formula is not None and raw._formula is None
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of a part
+# ---------------------------------------------------------------------------
+
+from markov_fuzzy.boolfuncs import _ALL, _ANY, _LEAF, _NEG, _small_table  # noqa: E402
+from markov_fuzzy.boolfuncs import _truth_table  # noqa: E402
+
+#: Marginals at the ends of [0, 1], at a half, or anywhere.
+EDGE_BELIEFS = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def literal_trees(draw):
+    """An and/or of k = 2...12 literals of distinct variables, of both
+    signs and in any order, under a negation or not, with a spec whose
+    pairs form a random tree, each q at q_min, q_max, q_indep or inside."""
+    k = draw(st.integers(2, 12))
+    marginals = tuple(draw(EDGE_BELIEFS) for _ in range(k))
+    order = draw(st.permutations(range(k)))
+    pairs = []
+    for v in range(1, k):
+        i, j = sorted((order[draw(st.integers(0, v - 1))], order[v]))
+        b = mf.q_bounds(marginals[i], marginals[j])
+        inside = b.q_min + draw(st.floats(0.0, 1.0)) * (b.q_max - b.q_min)
+        q = draw(st.sampled_from([b.q_min, b.q_max, b.q_indep, inside]))
+        pairs.append(((i + 1, j + 1), q))
+    kids = []
+    for i in draw(st.permutations(range(k))):
+        leaf = [_LEAF, 1 << i, i]
+        kids.append([_NEG, 1 << i, leaf] if draw(st.booleans()) else leaf)
+    node = [draw(st.sampled_from([_ALL, _ANY])), (1 << k) - 1, kids]
+    if draw(st.booleans()):
+        node = [_NEG, node[1], node]
+    return marginals, sorted(pairs), node
+
+
+class TestClosedForms:
+    """Each closed form of `_part_bounds` against the LP of the same part."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(literal_trees())
+    def test_literals_over_a_tree_match_the_lp(self, tree):
+        marginals, pairs, node = tree
+        coords = list(range(len(marginals)))
+        lo, hi, exact = bounds._literal_bounds(marginals, pairs, node, coords)
+        assert exact
+        want = bounds._lp_bounds(marginals, pairs, _truth_table(node, coords), None)
+        assert (lo, hi) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("truth", range(16))
+    def test_every_two_variable_table_matches_the_lp(self, truth):
+        """All 16 tables, as a disjunction of their true cells, on a grid of
+        marginals, with no pair and with the pair at five points of its
+        range."""
+        x = [[_LEAF, 1 << i, i] for i in (0, 1)]
+        literal = [[[_NEG, 1 << i, x[i]], x[i]] for i in (0, 1)]  # [i][value]
+        cell = [[_ALL, 3, [literal[0][a & 1], literal[1][a >> 1]]] for a in range(4)]
+        false = [_ALL, 3, [x[0], literal[0][0], x[1]]]
+        node = [_ANY, 3, [cell[a] for a in range(4) if truth >> a & 1] or [false]]
+        assert _small_table(node, [0, 1]) == truth
+        cost = _truth_table(node, [0, 1])
+        grid = [0.0, 0.3, 0.5, 0.8, 1.0]
+        for p1, p2 in itertools.product(grid, grid):
+            b = mf.q_bounds(p1, p2)
+            qs = [b.q_min, b.q_max, b.q_indep, 0.5 * (b.q_min + b.q_max)]
+            qs.append(0.9 * b.q_min + 0.1 * b.q_max)
+            for pairs in [[]] + [[((1, 2), q)] for q in qs]:
+                got = bounds._part_bounds((p1, p2), pairs, node, [0, 1], None)
+                want = bounds._lp_bounds((p1, p2), pairs, cost, None)
+                assert got == pytest.approx(want, abs=1e-9), (p1, p2, pairs)
+
+    def test_tree_above_the_lp_cap_takes_its_closed_form(self, simplex_log):
+        """An and of 14 variables chained by pairs: no LP, no cap.  Its
+        negated literals have P = 0.1, pairwise both true 0.05 and either
+        true 1 - 0.85, so the and is [1 - (1.4 - 13 * 0.05), 0.85]."""
+        names = [f"x{i}" for i in range(14)]
+        chain = {(i, i + 1): 0.05 for i in range(1, 14)}
+        spec = mf.PartialJointSpec(marginals=(0.9,) * 14, pairwise=chain)
+        ci = mf.exact_bounds(spec, compiled(" & ".join(names), names))
+        assert (ci.lo, ci.hi) == pytest.approx((0.25, 0.85), abs=1e-12)
+        assert simplex_log["made"] == 0

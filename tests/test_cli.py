@@ -17,10 +17,17 @@ from markov_fuzzy.errors import InfeasibleQ
 DYADIC_JOINT = '{"arity": 2, "probs": [0.125, 0.25, 0.25, 0.375]}'
 DYADIC_SPEC = '{"marginals": [0.75, 0.5]}'
 TABLE = '{"universe": ["a", "b"], "p": {"a": 0.25, "b": 0.5}}'
+PAIR_SPEC = '{"marginals": [0.75, 0.5], "pairwise": {"1,2": 0.125}}'
+#: A three-point chain of pairs: exists is [max(p, 1 - q), sum p - sum P(both)].
+CHAIN_TABLE = (
+    '{"universe": ["a", "b", "c"], "p": {"a": 0.25, "b": 0.5, "c": 0.75}, '
+    '"q_pair": {"a,b": 0.375, "b,c": 0.25}}'
+)
 #: The pair's q leaves P(both true) = 0 up to rounding, so the max of
-#: "P1 & P2" is the negation of a zero minimum.
+#: "P1 & P2 & (P1 | P3)", which rereads P1 and so reaches an LP, is the
+#: negation of a zero minimum.
 NEGATIVE_ZERO_SPEC = {
-    "marginals": [0.7020217104975492, 1e-13],
+    "marginals": [0.7020217104975492, 1e-13, 0.5],
     "pairwise": {"1,2": 0.2979782895024276},
 }
 
@@ -173,19 +180,20 @@ class TestBounds:
         assert "InfeasibleQ" in err
 
     def test_zero_maximum_prints_positive_zero(self, tmp_path, capsys):
-        """P(P1 & P2) is 0 on every table of this spec; its max prints as
-        0.0, not -0.0."""
+        """P(P1 & P2 & (P1 | P3)) is 0 on every table of this spec, once
+        the LP snaps 1e-13 to 0; its max prints as 0.0, not -0.0."""
         path = write(tmp_path, "spec.json", json.dumps(NEGATIVE_ZERO_SPEC))
+        formula = "P1 & P2 & (P1 | P3)"
         for fmt, want in (("json", '{"lo": 0.0, "hi": 0.0}\n'), ("csv", "lo,hi\n0,0\n")):
-            argv = ["bounds", "--formula", "P1 & P2", "--input", path, "--format", fmt]
+            argv = ["bounds", "--formula", formula, "--input", path, "--format", fmt]
             assert run(capsys, argv) == (0, want, "")
 
     def test_solver_failure_exit_5(self, tmp_path, capsys, monkeypatch):
-        """A formula that rereads its variables does not split, so it still
-        reaches the solver."""
+        """A formula over three variables that rereads one does not split,
+        so it still reaches the solver."""
         monkeypatch.setattr(_simplex, "MAX_PIVOTS", 0)
-        path = write(tmp_path, "spec.json", DYADIC_SPEC)
-        formula = "(P1 & P2) | (!P1 & !P2)"
+        path = write(tmp_path, "spec.json", '{"marginals": [0.75, 0.5, 0.5]}')
+        formula = "(P1 & P2) | (!P1 & P3)"
         code, out, err = run(capsys, ["bounds", "--formula", formula, "--input", path])
         assert code == 5
         assert out == ""
@@ -482,14 +490,20 @@ def imported_numpy(importtime_report: str) -> list:
     return [name for name in names if name.split(".")[0] == "numpy"]
 
 
-@pytest.mark.parametrize("call", ["import", "bounds", "quantify_bounds"])
+@pytest.mark.parametrize(
+    "call", ["import", "bounds", "quantify_bounds", "bounds_pair", "quantify_bounds_tree"]
+)
 def test_cold_call_never_imports_numpy(tmp_path, call):
     """A bare `import markov_fuzzy`, a cold `bounds` call that splits down
     to its marginals and a cold `quantify bounds` on a table with no q_pair
     build no array, so they never load numpy; the two calls print what
-    they always printed, the classic tag included."""
+    they always printed, the classic tag included.  Nor do a two-variable
+    part with its pair and a table whose pairs form a tree, which take
+    closed forms."""
     spec = write(tmp_path, "spec.json", DYADIC_SPEC)
     table = write(tmp_path, "table.json", TABLE)
+    pair = write(tmp_path, "pair.json", PAIR_SPEC)
+    chain = write(tmp_path, "chain.json", CHAIN_TABLE)
     command, stdout = {
         "import": (["-c", "import markov_fuzzy"], ""),
         "bounds": (
@@ -500,6 +514,14 @@ def test_cold_call_never_imports_numpy(tmp_path, call):
         "quantify_bounds": (
             ["-m", "markov_fuzzy", "quantify", "bounds", "--input", table],
             '{"lo": 0.5, "hi": 0.75}\n',
+        ),
+        "bounds_pair": (
+            ["-m", "markov_fuzzy", "bounds", "--formula", "P1 | P2", "--input", pair],
+            '{"lo": 0.875, "hi": 0.875}\n',
+        ),
+        "quantify_bounds_tree": (
+            ["-m", "markov_fuzzy", "quantify", "bounds", "--input", chain],
+            '{"lo": 0.75, "hi": 0.875}\n',
         ),
     }[call]
     src = os.path.dirname(os.path.dirname(mf.__file__))

@@ -1,9 +1,12 @@
 """Formula parsing, printing round trips and model-file loading."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import markov_fuzzy as mf
+from markov_fuzzy import dsl
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var
 from markov_fuzzy.errors import (
     DuplicateVariable,
@@ -108,6 +111,26 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             mf.parse_formula("")
+
+    def test_whitespace_is_what_str_isspace_names(self):
+        """The tokenizer's pattern skips exactly the code points that
+        `str.isspace` names, so a character is whitespace, part of a token
+        or an unexpected character as before the pattern took whitespace
+        in."""
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        skipped = set()
+        for match in dsl._TOKEN_RE.finditer(text):
+            if match.lastgroup is None:
+                skipped.update(range(*match.span()))
+        assert skipped == {i for i, c in enumerate(text) if c.isspace()}
+
+    @pytest.mark.parametrize("space", ["\x1c", "\u3000", "\u2028", "\x85"])
+    def test_unicode_whitespace_separates_tokens(self, space):
+        assert mf.parse_formula(f"P1{space}&{space}P2") == And(Var("P1"), Var("P2"))
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(f"P1{space}^")
+        assert info.value.span.start == 3
+        assert str(info.value) == "unexpected character '^' at offset 3"
 
 
 class TestDeepNesting:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import markov_fuzzy as mf
 from markov_fuzzy import And, Or, Var
 from markov_fuzzy import bounds, quantifiers
+from markov_fuzzy.boolfuncs import _ANY, _LEAF
 from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy import cli
 from markov_fuzzy._common import clip01
@@ -298,6 +299,31 @@ class TestExistsBoundsExact:
             looser += ci.width > exact.width + 1e-9
         assert looser > 0  # the outer path did run
 
+    def test_above_the_cap_a_cycle_takes_the_heaviest_forest(self, monkeypatch):
+        """Hunter's bound over a spanning forest of a triangle whose pairs
+        have P(both true) 0.05, 0.1 and 0.15: the heaviest forest gives
+        0.9 - 0.25 = 0.65, the exact upper end, where the lightest one
+        gives 0.9 - 0.15 = 0.75."""
+        labels = ("a", "b", "c")
+        q_pair = {("a", "b"): 0.45, ("b", "c"): 0.5, ("a", "c"): 0.55}
+        table = mf.BeliefTable(labels, {x: 0.3 for x in labels}, q_pair)
+        exact = mf.exists_bounds(table)
+        monkeypatch.setattr(bounds, "LP_MAX_ARITY", 2)
+        ci = mf.exists_bounds(table)
+        assert ci.hi == pytest.approx(0.65, abs=1e-12)
+        assert ci.hi == pytest.approx(exact.hi, abs=1e-12)
+        assert ci.lo == pytest.approx(0.55, abs=1e-12)  # the exact end is 0.6
+        assert exact.lo == pytest.approx(0.6, abs=1e-9)
+
+    def test_above_the_cap_a_pair_sets_the_lower_end(self, monkeypatch):
+        """Three points at p = 0.5 whose pairs each give P(either) = 1 - 0.2:
+        the lower end is 0.8, above every marginal."""
+        monkeypatch.setattr(bounds, "LP_MAX_ARITY", 2)
+        labels = ("a", "b", "c")
+        q_pair = dict.fromkeys(itertools.combinations(labels, 2), 0.2)
+        table = mf.BeliefTable(labels, {x: 0.5 for x in labels}, q_pair)
+        assert mf.exists_bounds(table) == mf.ConfidenceInterval(0.8, 1.0)
+
     def test_inconsistent_cycle_raises(self, tmp_path, capsys):
         """Each pair fits its beliefs, but a = b, b = c and a = not c admit
         no joint table: InfeasibleSpec, and exit 2 from the CLI as from
@@ -331,16 +357,19 @@ class TestExistsBoundsExact:
             q = b.q_min + rng.random() * (b.q_max - b.q_min)
             q_pair[a, a + 1] = rng.choice([q, b.q_min - 9e-13, b.q_max + 9e-13])
         table = mf.BeliefTable(labels, dict(zip(labels, p)), q_pair)
+        either = [_ANY, 0b11, [[_LEAF, 0b01, 0], [_LEAF, 0b10, 1]]]
         for (a, b), q in q_pair.items():
             value = mf.or_q(p[a], p[b], q)
-            pair = [((a, b), table.q(a, b))]
-            assert quantifiers._component_or([a, b], pair, table.p) == (value, value)
+            pair = [((1, 2), table.q(a, b))]
+            ps = (table.p[a], table.p[b])
+            assert bounds._part_bounds(ps, pair, either, [0, 1], None) == (value, value)
             single = mf.BeliefTable((a, b), {a: p[a], b: p[b]}, {(a, b): q})
             ci = mf.exists_bounds(single)
             assert (ci.lo, ci.hi) == (value, value)
 
     def test_one_lp_per_component_of_three_or_more(self, monkeypatch):
-        """No LP for a point no pair touches or for two joined points."""
+        """No LP for a point no pair touches, for two joined points or for
+        a component whose pairs form a tree."""
         arities = []
         solve = bounds._lp_bounds
 
@@ -361,7 +390,7 @@ class TestExistsBoundsExact:
         }  # j and k are touched by no pair
         table = mf.BeliefTable(labels, {x: 0.5 for x in labels}, q_pair)
         mf.exists_bounds(table)
-        assert sorted(arities) == [3, 4]
+        assert sorted(arities) == [4]
 
 
 class TestForallBounds:
