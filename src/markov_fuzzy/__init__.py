@@ -13,8 +13,7 @@ package re-exports those lists.  The exception is `joints`, whose eight
 names are written out below as `_JOINTS`: reading `joints.__all__` would
 import `joints` and so numpy, which the package loads on first array use.
 Those names are bound when first read (PEP 562), and the other modules
-import numpy inside the functions that build tables, solve, sample or
-sweep.
+import numpy inside the functions that build tables, solve or sample.
 """
 
 from . import boolfuncs, bounds, connectives, dsl, errors, quantifiers

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from numbers import Integral
 
 from .errors import ArityTooLarge, InvalidBelief, InvalidParameter
@@ -66,13 +65,8 @@ def check_arity(n, name: str = "arity") -> int:
     return n
 
 
-def clip01(x):
-    """x clamped to [0, 1]; elementwise, with the same comparisons (signed
-    zeros kept), for a numpy array."""
-    # Imports nothing: an array can only exist once numpy is loaded.
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, np.ndarray):
-        return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+def clip01(x) -> float:
+    """x clamped to [0, 1] as a float."""
     if x < 0.0:
         return 0.0
     if x > 1.0:

@@ -9,16 +9,17 @@ Subcommands:
 
 Formula variables bind to coordinates in first-appearance order: the
 first variable mentioned is coordinate 1 (and matches marginal 1 of a
-spec document).  Exit codes: 0 success, 2 input/parse error, 3 semantic
-mismatch, 4 arity over the active cap, 5 LP solver failure; `_EXIT_CODES`
-is the one place that maps errors to them.
-MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above the
-built-in N_MAX).
+spec document).  Exit codes: 0 success, 1 a missing dependency (numpy),
+2 input/parse error, 3 semantic mismatch, 4 arity over the active cap,
+5 LP solver failure; `_EXIT_CODES` is the one place that maps errors to
+them.  MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above
+the built-in N_MAX).
 
-Every subcommand needs numpy alone, loaded on first array use; `bounds`
-solves its LPs with the package's own simplex.  `bounds` and `quantify
-bounds` build no array and never load numpy when every part takes a
-closed form: marginals, two variables, or literals over a tree of pairs.
+`eval` and `quantify sample` need numpy, loaded on first array use;
+`bounds` solves its LPs with the package's own simplex.  `sweep` is plain
+Python and never loads numpy, and neither do `bounds` and `quantify
+bounds` when every part takes a closed form: marginals, two variables, or
+literals over a tree of pairs.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
+from operator import add
 
 from ._common import N_MAX
 from .boolfuncs import _small_table, compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
-from .connectives import _feasible_q, _pair_cells, and_q, implies_q, or_q, q_bounds
+from .connectives import _connectives, _feasible_q, _pair_cells, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
 from .errors import (
     ArityMismatch,
@@ -48,6 +51,7 @@ from .errors import (
 from .quantifiers import BeliefTable, SamplingStrategy, exists_bounds, sample_exists
 
 EXIT_OK = 0
+EXIT_MISSING = 1
 EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 EXIT_LIMIT = 4
@@ -68,6 +72,7 @@ _EXIT_CODES = (
     (_SEMANTIC_ERRORS, EXIT_SEMANTIC),
     (SolverError, EXIT_SOLVER),
     ((ValueError, OSError), EXIT_INPUT),
+    (ImportError, EXIT_MISSING),
 )
 
 #: The connectives the classic closed forms name, by their truth tables as
@@ -169,25 +174,47 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _sweep_columns(p1: float, p2: float, qs, f) -> list:
-    """The sweep's columns over the whole q grid at once: `and_q`, `or_q`,
-    `implies_q` and, for the formula, `pushforward(pair_from_pq(p1, p2, q),
-    f)`, each evaluated on the array of q by the scalar path's own
-    expressions, so every value equals the scalar one bit for bit."""
-    import numpy as np
+def _q_grid(q_min: float, q_max: float, steps: int) -> list:
+    """`np.linspace(q_min, q_max, steps).tolist()` bit for bit, or [q_min] if
+    q_min == q_max; InvalidParameter if `steps` values cannot be allocated."""
+    if steps == 1 or q_min == q_max:
+        return [q_min]
+    try:
+        qs = [q_max] * steps
+    except (MemoryError, OverflowError):
+        raise InvalidParameter(
+            f"--steps = {steps} is too large: its {8 * steps} "
+            "bytes of q values cannot be allocated"
+        ) from None
+    # numpy's step == 0 branch (gh-5437) is left out: ranges >= 2**-53 never underflow.
+    step = (q_max - q_min) / (steps - 1)
+    for i in range(steps - 1):
+        qs[i] = i * step + q_min
+    return qs
 
-    columns = [qs, and_q(p1, p2, qs), or_q(p1, p2, qs), implies_q(p1, p2, qs)]
+
+def _sweep_columns(p1: float, p2: float, qs, f) -> list:
+    """The sweep's columns over the q grid: q, `and_q`, `or_q`, `implies_q`
+    and, for the formula, `pushforward(pair_from_pq(p1, p2, q), f)`, from
+    one feasibility check per q and the scalar path's own expressions, so
+    every value equals the scalar one bit for bit."""
+    triples = [_feasible_q(p1, p2, q) for q in qs]
+    values = zip(*[_connectives(*triple) for triple in triples])
+    columns = [[float(q) for q in qs], *map(list, values)]
     if f is not None:
-        pair = np.maximum(_pair_cells(*_feasible_q(p1, p2, qs)), 0.0)
-        pushed = np.zeros((2, qs.size))
-        np.add.at(pushed, f.table, pair)
-        columns.append(pushed[1])
-    return [column.tolist() for column in columns]
+        if f._formula is None:  # a raw table, as `and_function()` makes
+            true_cells = [a for a, b in enumerate(f.table.tolist()) if b == 1]
+        else:
+            mask = _small_table(f._formula, [0, 1])
+            true_cells = [a for a in range(4) if mask >> a & 1]
+        # pushforward's sum of pair_from_pq's cells: from 0.0, in index order.
+        tables = (_pair_cells(*triple) for triple in triples)
+        cells = ([max(table[a], 0.0) for a in true_cells] for table in tables)
+        columns.append([reduce(add, row, 0.0) for row in cells])
+    return columns
 
 
 def _cmd_sweep(args) -> int:
-    import numpy as np
-
     if args.steps < 1:
         raise InvalidParameter("--steps must be >= 1")
     model = _load_model(
@@ -199,16 +226,7 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("sweep requires a marginals-only spec")
     p1, p2 = model.marginals
     b = q_bounds(p1, p2)
-    if b.q_min == b.q_max:
-        qs = np.array([b.q_min])
-    else:
-        try:
-            qs = np.linspace(b.q_min, b.q_max, args.steps)
-        except (MemoryError, ValueError):
-            raise InvalidParameter(
-                f"--steps = {args.steps} is too large: its {8 * args.steps} "
-                "bytes of q values cannot be allocated"
-            ) from None
+    qs = _q_grid(b.q_min, b.q_max, args.steps)
 
     f = _compile(args.formula, 2) if args.formula else None
     header = ["q", "and_q", "or_q", "implies_q"]
@@ -300,7 +318,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError, SolverError) as exc:
+    except (ValueError, OSError, SolverError, ImportError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

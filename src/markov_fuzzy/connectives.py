@@ -12,15 +12,13 @@ in terms of (p1, p2, q):
 The feasible range of q is [q_min, q_max]; the endpoints reproduce the
 classic extremal fuzzy connectives and q_indep = (1-p1)(1-p2) reproduces
 the independent ("product") flavor.  All functions here are pure maps and
-safe to share between threads.  `and_q`, `or_q` and `implies_q` also take
-a numpy array of q, and then return the array of their values, each equal
-bit for bit to the scalar call; `sweep` evaluates its whole q grid so.
+safe to share between threads.  `and_q`, `or_q` and `implies_q` take one
+q each; `sweep` evaluates its q grid row by row with their expressions.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,18 +91,8 @@ def _feasible_q(p1: float, p2: float, q) -> tuple:
     """Validate (p1, p2, q) and return the triple with q exactly feasible.
 
     q within EPS_FEAS of the interval is clamped to the boundary; anything
-    farther out raises InfeasibleQ.  An array of q is checked at its two
-    ends, least first, and clamped elementwise by the comparisons of the
-    scalar clamp.
+    farther out raises InfeasibleQ.
     """
-    np = sys.modules.get("numpy")  # loaded if q is an array
-    if np is not None and isinstance(q, np.ndarray):
-        # An interval holds the whole array iff it holds the array's ends.
-        for end in (q.min(), q.max()):
-            p1, p2, _ = _feasible_q(p1, p2, end)
-        q_min, q_max = _q_range(p1, p2)
-        q = np.where(q_min > q, q_min, q)
-        return p1, p2, np.where(q_max < q, q_max, q)
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
     q = to_float(q)
@@ -120,7 +108,7 @@ def _feasible_q(p1: float, p2: float, q) -> tuple:
 def _pair_cells(p1: float, p2: float, q) -> list:
     """The 2x2 table of marginals (p1, p2) and both-false confidence q, in
     table-index order [p_FF, p_TF, p_FT, p_TT] (the first letter names
-    predicate 1).  Elementwise for an array of q."""
+    predicate 1)."""
     return [q, (1.0 - p2) - q, (1.0 - p1) - q, p1 + p2 - 1.0 + q]
 
 
@@ -141,22 +129,24 @@ def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
         raise InfeasibleQ(f"pair {pair}: {exc}") from None
 
 
+def _connectives(p1: float, p2: float, q: float) -> tuple:
+    """(and, or, implies) confidences of a triple that `_feasible_q` returned."""
+    return clip01(p1 + p2 + q - 1.0), clip01(1.0 - q), clip01(p2 + q)
+
+
 def and_q(p1: float, p2: float, q: float) -> float:
     """Confidence of the conjunction under both-false confidence q."""
-    p1, p2, q = _feasible_q(p1, p2, q)
-    return clip01(p1 + p2 + q - 1.0)
+    return _connectives(*_feasible_q(p1, p2, q))[0]
 
 
 def or_q(p1: float, p2: float, q: float) -> float:
     """Confidence of the disjunction under both-false confidence q."""
-    p1, p2, q = _feasible_q(p1, p2, q)
-    return clip01(1.0 - q)
+    return _connectives(*_feasible_q(p1, p2, q))[1]
 
 
 def implies_q(p1: float, p2: float, q: float) -> float:
     """Confidence of the implication under both-false confidence q."""
-    p1, p2, q = _feasible_q(p1, p2, q)
-    return clip01(p2 + q)
+    return _connectives(*_feasible_q(p1, p2, q))[2]
 
 
 def _frechet_and(los: Sequence[float], his: Sequence[float]) -> tuple[float, float]:

@@ -396,6 +396,18 @@ class TestSweepMatchesScalarPath:
             float(mf.pushforward(mf.pair_from_pq(0.3, 0.4, q), f).probs[1]),
         ]
 
+    @pytest.mark.parametrize("p1, p2", SWEEP_PAIRS)
+    def test_grid_is_linspace(self, p1, p2):
+        """The q grid is numpy's linspace bit for bit, up to the 20 000 rows
+        of the benchmark's large sweep; one row when the range is a point."""
+        b = mf.q_bounds(p1, p2)
+        for steps in (1, 2, 3, 257, 20_000):
+            want = [b.q_min]
+            if b.q_min < b.q_max:
+                want = np.linspace(b.q_min, b.q_max, steps).tolist()
+            got = cli._q_grid(b.q_min, b.q_max, steps)
+            assert [q.hex() for q in got] == [q.hex() for q in want], steps
+
 
 COLD_PATH = """
 import contextlib, io, json, sys
@@ -484,6 +496,71 @@ def test_bounds_run_without_scipy(tmp_path):
     assert result["or"] == pytest.approx([0.75, 1.0], abs=1e-9)
 
 
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import contextlib, io, json
+from markov_fuzzy import cli
+
+joint, spec, table = sys.argv[1:]
+calls = [
+    ["eval", "--formula", "P1 & P2", "--input", joint],
+    ["quantify", "sample", "--input", table, "--samples", "100"],
+    ["sweep", "--input", spec, "--steps", "3", "--formula", "P1 & P2"],
+    ["bounds", "--formula", "P1 & P2", "--input", spec],
+    ["quantify", "bounds", "--input", table],
+]
+results = []
+for argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_missing_numpy_is_a_one_line_error(tmp_path):
+    """Without numpy, `eval` and `quantify sample` exit 1 with one error
+    line and no traceback, while `sweep`, `bounds` and `quantify bounds`
+    run in the same process as they do with it."""
+    paths = [
+        write(tmp_path, "joint.json", DYADIC_JOINT),
+        write(tmp_path, "spec.json", DYADIC_SPEC),
+        write(tmp_path, "table.json", TABLE),
+    ]
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, *paths],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (eval_, sample, sweep, bounds, quantify_bounds) = json.loads(proc.stdout)
+    for code, out, err in (eval_, sample):
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ModuleNotFoundError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert sweep == [
+        0,
+        "q,and_q,or_q,implies_q,formula\n"
+        "0,0.25,1,0.5,0.25\n"
+        "0.125,0.375,0.875,0.625,0.375\n"
+        "0.25,0.5,0.75,0.75,0.5\n",
+        "",
+    ]
+    assert bounds == [
+        0,
+        '{"lo": 0.25, "hi": 0.5, '
+        '"classic": {"kind": "and", "lo": "and_min", "hi": "and_max"}}\n',
+        "",
+    ]
+    assert quantify_bounds == [0, '{"lo": 0.5, "hi": 0.75}\n', ""]
+
+
 def imported_numpy(importtime_report: str) -> list:
     """The numpy modules named in a `python -X importtime` report."""
     names = (line.rsplit("|", 1)[-1].strip() for line in importtime_report.splitlines())
@@ -491,7 +568,16 @@ def imported_numpy(importtime_report: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "call", ["import", "bounds", "quantify_bounds", "bounds_pair", "quantify_bounds_tree"]
+    "call",
+    [
+        "import",
+        "bounds",
+        "quantify_bounds",
+        "bounds_pair",
+        "quantify_bounds_tree",
+        "sweep",
+        "sweep_formula_json",
+    ],
 )
 def test_cold_call_never_imports_numpy(tmp_path, call):
     """A bare `import markov_fuzzy`, a cold `bounds` call that splits down
@@ -499,7 +585,7 @@ def test_cold_call_never_imports_numpy(tmp_path, call):
     build no array, so they never load numpy; the two calls print what
     they always printed, the classic tag included.  Nor do a two-variable
     part with its pair and a table whose pairs form a tree, which take
-    closed forms."""
+    closed forms, nor a `sweep`, with or without a formula column."""
     spec = write(tmp_path, "spec.json", DYADIC_SPEC)
     table = write(tmp_path, "table.json", TABLE)
     pair = write(tmp_path, "pair.json", PAIR_SPEC)
@@ -522,6 +608,23 @@ def test_cold_call_never_imports_numpy(tmp_path, call):
         "quantify_bounds_tree": (
             ["-m", "markov_fuzzy", "quantify", "bounds", "--input", chain],
             '{"lo": 0.75, "hi": 0.875}\n',
+        ),
+        "sweep": (
+            ["-m", "markov_fuzzy", "sweep", "--input", spec, "--steps", "3"],
+            "q,and_q,or_q,implies_q\n"
+            "0,0.25,1,0.5\n"
+            "0.125,0.375,0.875,0.625\n"
+            "0.25,0.5,0.75,0.75\n",
+        ),
+        "sweep_formula_json": (
+            ["-m", "markov_fuzzy", "sweep", "--input", spec, "--steps", "3"]
+            + ["--formula", "P1 & P2", "--format", "json"],
+            '[{"q": 0.0, "and_q": 0.25, "or_q": 1.0, "implies_q": 0.5, '
+            '"formula": 0.25}, '
+            '{"q": 0.125, "and_q": 0.375, "or_q": 0.875, "implies_q": 0.625, '
+            '"formula": 0.375}, '
+            '{"q": 0.25, "and_q": 0.5, "or_q": 0.75, "implies_q": 0.75, '
+            '"formula": 0.5}]\n',
         ),
     }[call]
     src = os.path.dirname(os.path.dirname(mf.__file__))

@@ -115,8 +115,8 @@ def test_readme_quick_tour_states_true_values():
     assert tuple(q) == pytest.approx((0.0, 0.12, 0.3))
     assert stated("mf.and_q(0.7, 0.6, 0.1)", "0.4") == pytest.approx(0.4)
     assert stated("mf.or_q(0.7, 0.6, 0.1)", "0.9") == pytest.approx(0.9)
-    array = stated("mf.and_q(0.7, 0.6, np.array([0.0, 0.3]))", "array([0.3, 0.6])")
-    assert array.tolist() == pytest.approx([0.3, 0.6])
+    grid = stated("[mf.and_q(0.7, 0.6, q) for q in (0.0, 0.3)]", "[0.3, 0.6]")
+    assert grid == pytest.approx([0.3, 0.6])
     stated("pair = mf.pair_from_pq(0.7, 0.6, 0.1)", "[0.1, 0.3, 0.2, 0.4]")
     assert namespace["pair"].probs.tolist() == pytest.approx([0.1, 0.3, 0.2, 0.4])
     pushed = stated("mf.pushforward(pair, mf.and_function())", "[0.6, 0.4]")
