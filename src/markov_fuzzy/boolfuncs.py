@@ -8,11 +8,12 @@ input/output bit convention matches the joint-table convention: variable i
 Formulas are immutable dataclass trees.  `compile_formula` checks a
 quantifier-free tree against its ordering in the same fold that builds its
 normal form (n-ary and/or over variables and negations), and the result
-keeps that normal form.  The first read of its `table` evaluates the
-normal form on every assignment at once (broadcast over the (2,)*n grid of
-assignments), which by uniqueness of the minterm normal form is the same
-function as the or-of-minterms expansion; `exact_bounds` evaluates the
-table of each part of it that reaches a linear program the same way.
+keeps that normal form.  One fold (`_truth_bits`) evaluates any node of
+it on every assignment at once, as a Python int with one bit per
+assignment, which by uniqueness of the minterm normal form is the same
+function as the or-of-minterms expansion.  The first read of `table`
+unpacks the bits of the whole formula; `exact_bounds` takes the bits of
+each part of it, unpacked when the part reaches a linear program.
 """
 
 from __future__ import annotations
@@ -508,65 +509,44 @@ def _operands(node: list) -> list:
     return [node[2]] if kind == _NEG else node[2]
 
 
-def _small_table(tree: list, coords: Sequence[int]) -> int:
-    """The table of a normal-form node over one or two `coords` as an int,
-    bit a set when it is true at assignment a (bit k of a is coords[k]):
-    no array is built."""
+def _truth_bits(tree: list, coords: Sequence[int]) -> int:
+    """The table of a normal-form node over the coordinates `coords`,
+    ascending, as an int: bit a is set when the node is true at assignment
+    a, whose bit k is coordinate coords[k]."""
+    size = 1 << len(coords)
+    full = (1 << size) - 1
+    # The last coordinate is true on the upper half of the assignments,
+    # and coordinate k - 1 where coordinate k differs from itself shifted
+    # down by 2**(k - 1).
+    columns, column = {}, full ^ (full >> (size >> 1))
+    for k in reversed(range(len(coords))):
+        columns[coords[k]] = column
+        column ^= column >> (1 << k >> 1)
 
     def table(node, args):
         kind = node[0]
         if kind == _LEAF:
-            return (0b1010, 0b1100)[coords.index(node[2])]
+            return columns[node[2]]
         if kind == _NEG:
-            return ~args[0]
+            return full ^ args[0]
         return reduce(operator.and_ if kind == _ALL else operator.or_, args)
 
-    return _fold(tree, table, _operands) & ((1 << (1 << len(coords))) - 1)
+    return _fold(tree, table, _operands)
 
 
 def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:
-    """The read-only table of a normal-form node over the coordinates
-    `coords`, ascending: bit k of the index is coordinate coords[k]."""
+    """The read-only int64 table of `_truth_bits(tree, coords)`."""
     import numpy as np
 
-    false_true = np.array([False, True])
-    n = len(coords)
-    # Coordinate coords[k] is a [False, True] column along axis n-1-k of
-    # the (2,)*n index grid, so the ops broadcast up to the full table.
-    columns = {}
-    for k, i in enumerate(coords):
-        shape = [1] * n
-        shape[n - 1 - k] = 2
-        columns[i] = false_true.reshape(shape)
-
-    def negating_smaller(x, y):
-        return (x, ~y) if x.size >= y.size else (y, ~x)
-
-    def column(node, args):
-        kind = node[0]
-        if kind == _LEAF:
-            return columns[node[2]]
-        if kind == _NEG:
-            op = np.logical_not
-        else:
-            # x and y is x > not y, and x or y is x >= not y: comparisons
-            # run far faster than logical_and/or on broadcast boolean
-            # columns.  The operand with fewer elements is the one negated.
-            op = np.greater if kind == _ALL else np.greater_equal
-            value = args[0]
-            for arg in args[1:-1]:
-                value = op(*negating_smaller(value, arg))
-            args = negating_smaller(value, args[-1])
-        # The root's last op writes its 0/1 values straight into the
-        # table, without a full-size boolean column in between.
-        out = np.empty((2,) * n, dtype=np.int64) if node is tree else None
-        return op(*args, out=out)
-
-    if tree[0] == _LEAF:
-        table = np.empty((2,) * n, dtype=np.int64)
-        table[...] = column(tree, [])
-    else:
-        table = _fold(tree, column, _operands)
-    table = table.reshape(-1)
+    size = 1 << len(coords)
+    bits = _truth_bits(tree, coords).to_bytes((size + 7) >> 3, "little")
+    packed = np.frombuffer(bits, np.uint8)
+    table = np.empty(size, dtype=np.int64)
+    # Unpacked a block at a time: no full-size byte column besides the table.
+    for start in range(0, size, 1 << 16):
+        stop = min(start + (1 << 16), size)
+        table[start:stop] = np.unpackbits(
+            packed[start >> 3 :], count=stop - start, bitorder="little"
+        )
     table.flags.writeable = False
     return table

@@ -35,9 +35,10 @@ formula attains an exact minimum and maximum over it:
   touches the LP machinery.
 
 For n = 2 with marginals only, both reproduce the classic closed-form
-connective bounds (`classic_binary_bounds`); a compiled two-variable
-and/or/implies with no negation above its connective gives them bit for
-bit, since both come from `connectives._frechet_and` / `_frechet_or`.
+connective bounds (`classic_binary_bounds`); a two-variable
+and/or/implies from `compile_formula` with no negation above its
+connective gives them bit for bit, since both come from
+`connectives._frechet_and` / `_frechet_or`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01
-from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _small_table, _truth_table
+from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _truth_bits, _truth_table
 from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
 from .connectives import classic
 from .errors import (
@@ -80,8 +81,8 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 
 #: Arity cap of each linear program (a 4096-dimensional program at the
-#: cap): of each part of a compiled formula that does not split, and of a
-#: raw table.
+#: cap): of each part of a formula's normal form that does not split, and
+#: of a raw table.
 LP_MAX_ARITY = 12
 
 #: Arity cap for the enumeration oracle.
@@ -200,9 +201,10 @@ def exact_bounds(
     combined by the classic (Frechet) rules.  A part that does not split
     takes a closed form (one or two variables, or an and/or of literals
     whose pairs form no cycle) or one linear program over the 2**k table
-    of its k variables, which `LP_MAX_ARITY` caps.  Any other table (a
-    gate such as `and_function(n)`, or one built by hand) is one linear
-    program over the 2**n table.  Every part of the spec is checked for
+    of its k variables, evaluated from the part alone, which
+    `LP_MAX_ARITY` caps.  Any other table (a gate such as
+    `and_function(n)`, or one built by hand) is one linear program over
+    the 2**n table.  Every part of the spec is checked for
     feasibility.  `cancel` is polled before each solve; a True return
     aborts with Cancelled.  A solver failure other than infeasibility (the
     pivot limit, or a final basis that fails its check) raises SolverError.
@@ -216,7 +218,7 @@ def exact_bounds(
     if f._formula is None:
         lo, hi = _lp_bounds(spec.marginals, pairs, f.table, cancel)
     else:
-        lo, hi = _decomposed_bounds(spec.marginals, pairs, f._formula, cancel, compiled=f)
+        lo, hi = _decomposed_bounds(spec.marginals, pairs, f._formula, cancel)
     return ConfidenceInterval(min(lo, hi), hi)
 
 
@@ -403,11 +405,10 @@ def _groups(kids: list, component: list) -> list:
     return list(groups.values())
 
 
-def _decomposed_bounds(marginals, pairs, root, cancel, outer=False, compiled=None):
+def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
     """(lo, hi) of the normal-form `root` given `marginals` and the sorted
     ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  A root that does not
-    split below itself (or a negation) is one part, whose LP takes the
-    cached table of `compiled`, root's function, if given.  Then each
+    split below itself (or a negation) is one part.  Then each
     component with a cycle that no part covered is checked for feasibility
     (a tree of pairs always is feasible)."""
     n = len(marginals)
@@ -430,19 +431,20 @@ def _decomposed_bounds(marginals, pairs, root, cancel, outer=False, compiled=Non
         part = [((number[i], number[j]), q) for (i, j), q in part]
         return coords, tuple(marginals[i] for i in coords), part
 
-    def bound(node: list, comps, compiled=None) -> tuple:
+    def bound(node: list, comps) -> tuple:
         covered.update(comps)
         coords, ps, part = local(comps)
-        return _part_bounds(ps, part, node, coords, cancel, outer, compiled)
+        return _part_bounds(ps, part, node, coords, cancel, outer)
 
     def walk(node: list) -> tuple:
         # The walk descends only into an operand alone in its group while
         # the and/or has another group, so each and/or on the way down
         # reads strictly fewer components than the one above it.  Double
         # negations cancel in the normal form, so at most one negation lies
-        # above each and/or and above the leaf.  A compiled formula has at
-        # most N_MAX components, so the depth stays under 2 * N_MAX + 2
-        # however deep the formula is; a quantifier's root has leaves only.
+        # above each and/or and above the leaf.  A formula from
+        # `compile_formula` has at most N_MAX components, so the depth
+        # stays under 2 * N_MAX + 2 however deep the formula is; a
+        # quantifier's root has leaves only.
         kind = node[0]
         if kind == _LEAF:
             p = marginals[node[2]]
@@ -468,7 +470,7 @@ def _decomposed_bounds(marginals, pairs, root, cancel, outer=False, compiled=Non
     if top[0] != _LEAF:
         top_groups = _groups(top[2], component)
         if len(top_groups) == 1 and len(set(top_groups[0][0])) == n - len(joined):
-            return bound(root, top_groups[0][0], compiled)  # nothing splits
+            return bound(root, top_groups[0][0])  # nothing splits
     result = walk(root)
     for c in by_component:
         if c not in covered:
@@ -478,18 +480,18 @@ def _decomposed_bounds(marginals, pairs, root, cancel, outer=False, compiled=Non
     return result
 
 
-def _part_bounds(marginals, pairs, node, coords, cancel, outer=False, compiled=None):
+def _part_bounds(marginals, pairs, node, coords, cancel, outer=False):
     """(lo, hi) of the normal-form `node` over `coords`, the ascending
     coordinates of whole components, which `marginals` and the sorted
     pairs number 1 ... k.  One or two variables take the cells of the pair
     table (`_pair_cells`) at the pair's q, or at both ends of its range;
     an and/or of literals whose pairs form no cycle takes its closed form;
-    anything else one LP on its table (that of `compiled`, if given) up to
+    anything else one LP on its table, evaluated from `node`, up to
     `LP_MAX_ARITY`.  Above the cap an and/or of literals takes the outer
     bound if `outer` is set, and anything else raises ArityTooLarge."""
     k = len(coords)
     if k <= 2:
-        truth = _small_table(node, coords)
+        truth = _truth_bits(node, coords)
         if k == 1:
             cells = [[1.0 - marginals[0], marginals[0]]]
         else:
@@ -501,8 +503,7 @@ def _part_bounds(marginals, pairs, node, coords, cancel, outer=False, compiled=N
     if literal is not None and (literal[2] or outer and k > LP_MAX_ARITY):
         return literal[:2]
     _check_lp_arity(k)
-    cost = _truth_table(node, coords) if compiled is None else compiled.table
-    return _lp_bounds(marginals, pairs, cost, cancel)
+    return _lp_bounds(marginals, pairs, _truth_table(node, coords), cancel)
 
 
 def _table_value(truth: int, cells: list) -> float:

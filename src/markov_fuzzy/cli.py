@@ -31,10 +31,10 @@ import sys
 from functools import reduce
 from operator import add
 
-from ._common import N_MAX
-from .boolfuncs import _small_table, compile_formula, formula_variables
+from ._common import N_MAX, check_belief
+from .boolfuncs import _truth_bits, compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
-from .connectives import _connectives, _feasible_q, _pair_cells, q_bounds
+from .connectives import _clamped_q, _connectives, _pair_cells, _q_range, q_bounds
 from .dsl import parse_formula, parse_joint, parse_model
 from .errors import (
     ArityMismatch,
@@ -167,7 +167,7 @@ def _cmd_bounds(args) -> int:
     # The classic closed forms bound a two-variable connective given its
     # marginals alone; a pairwise q or independence pins it tighter.
     if model.arity == 2 and not model.pairwise and not model.independent:
-        kind = _CLASSIC_KINDS.get(_small_table(f._formula, [0, 1]))
+        kind = _CLASSIC_KINDS.get(_truth_bits(f._formula, [0, 1]))
         if kind is not None:
             result["classic"] = {"kind": kind, "lo": f"{kind}_min", "hi": f"{kind}_max"}
     _emit(args, "json", ("lo", "hi"), [(interval.lo, interval.hi)], result)
@@ -196,16 +196,19 @@ def _q_grid(q_min: float, q_max: float, steps: int) -> list:
 def _sweep_columns(p1: float, p2: float, qs, f) -> list:
     """The sweep's columns over the q grid: q, `and_q`, `or_q`, `implies_q`
     and, for the formula, `pushforward(pair_from_pq(p1, p2, q), f)`, from
-    one feasibility check per q and the scalar path's own expressions, so
-    every value equals the scalar one bit for bit."""
-    triples = [_feasible_q(p1, p2, q) for q in qs]
+    one check of the beliefs, one of each q (`_feasible_q`'s two parts) and
+    the scalar path's own expressions, so every value equals the scalar
+    one bit for bit."""
+    p1, p2 = check_belief(p1, "p1"), check_belief(p2, "p2")
+    q_range = _q_range(p1, p2)
+    triples = [(p1, p2, _clamped_q(p1, p2, q_range, q)) for q in qs]
     values = zip(*[_connectives(*triple) for triple in triples])
     columns = [[float(q) for q in qs], *map(list, values)]
     if f is not None:
         if f._formula is None:  # a raw table, as `and_function()` makes
             true_cells = [a for a, b in enumerate(f.table.tolist()) if b == 1]
         else:
-            mask = _small_table(f._formula, [0, 1])
+            mask = _truth_bits(f._formula, [0, 1])
             true_cells = [a for a in range(4) if mask >> a & 1]
         # pushforward's sum of pair_from_pq's cells: from 0.0, in index order.
         tables = (_pair_cells(*triple) for triple in triples)

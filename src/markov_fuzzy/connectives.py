@@ -88,21 +88,25 @@ def clamp_q(p1: float, p2: float, q: float) -> float:
 
 
 def _feasible_q(p1: float, p2: float, q) -> tuple:
-    """Validate (p1, p2, q) and return the triple with q exactly feasible.
-
-    q within EPS_FEAS of the interval is clamped to the boundary; anything
-    farther out raises InfeasibleQ.
-    """
+    """Validate (p1, p2, q) and return the triple with q exactly feasible,
+    as `_clamped_q` makes it."""
     p1 = check_belief(p1, "p1")
     p2 = check_belief(p2, "p2")
+    return p1, p2, _clamped_q(p1, p2, _q_range(p1, p2), q)
+
+
+def _clamped_q(p1: float, p2: float, q_range: tuple, q) -> float:
+    """q for the checked beliefs p1 and p2, whose `_q_range` is `q_range`:
+    q within EPS_FEAS of the interval is clamped to the boundary; anything
+    farther out raises InfeasibleQ."""
     q = to_float(q)
-    q_min, q_max = _q_range(p1, p2)
+    q_min, q_max = q_range
     if not q_min - EPS_FEAS <= q <= q_max + EPS_FEAS:
         raise InfeasibleQ(
             f"q={q} outside feasible range [{q_min}, {q_max}] "
             f"for marginals ({p1}, {p2})"
         )
-    return p1, p2, min(max(q, q_min), q_max)
+    return min(max(q, q_min), q_max)
 
 
 def _pair_cells(p1: float, p2: float, q) -> list:

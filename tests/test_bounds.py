@@ -1430,7 +1430,7 @@ class TestDecomposition:
         f = compiled("(a | b) & c")
         spec = mf.PartialJointSpec(marginals=(0.6,) * 3, pairwise={(1, 3): 0.3, (2, 3): 0.2})
         ci = mf.exact_bounds(spec, f)
-        assert "table" in vars(f)
+        assert "table" not in vars(f)
         assert ci == mf.exact_bounds(spec, mf.BooleanFunction(3, 1, f.table))
 
     def test_compiled_function_equals_the_raw_table(self):
@@ -1444,7 +1444,7 @@ class TestDecomposition:
 # Closed forms of a part
 # ---------------------------------------------------------------------------
 
-from markov_fuzzy.boolfuncs import _ALL, _ANY, _LEAF, _NEG, _small_table  # noqa: E402
+from markov_fuzzy.boolfuncs import _ALL, _ANY, _LEAF, _NEG, _truth_bits  # noqa: E402
 from markov_fuzzy.boolfuncs import _truth_table  # noqa: E402
 
 #: Marginals at the ends of [0, 1], at a half, or anywhere.
@@ -1499,7 +1499,7 @@ class TestClosedForms:
         cell = [[_ALL, 3, [literal[0][a & 1], literal[1][a >> 1]]] for a in range(4)]
         false = [_ALL, 3, [x[0], literal[0][0], x[1]]]
         node = [_ANY, 3, [cell[a] for a in range(4) if truth >> a & 1] or [false]]
-        assert _small_table(node, [0, 1]) == truth
+        assert _truth_bits(node, [0, 1]) == truth
         cost = _truth_table(node, [0, 1])
         grid = [0.0, 0.3, 0.5, 0.8, 1.0]
         for p1, p2 in itertools.product(grid, grid):

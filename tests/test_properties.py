@@ -12,11 +12,12 @@ import sys
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var, cli
+from markov_fuzzy.boolfuncs import _truth_bits
 from markov_fuzzy.bounds import FEASIBILITY_TOL
 from markov_fuzzy.errors import InfeasibleQ
 
@@ -75,6 +76,53 @@ def test_format_parse_round_trip(ast):
 @given(formulas())
 def test_formula_variables_first_appearance_order(ast):
     assert mf.formula_variables(ast) == reference_variables(ast, [])
+
+
+def reference_value(node, value):
+    """The truth of a quantifier-free tree under {name: bool}, by an
+    explicit recursive walk."""
+    if isinstance(node, Var):
+        return value[node.name]
+    if isinstance(node, Not):
+        return not reference_value(node.child, value)
+    left = reference_value(node.left, value)
+    right = reference_value(node.right, value)
+    if isinstance(node, And):
+        return left and right
+    return (left or right) if isinstance(node, Or) else (not left or right)
+
+
+@PROPERTY
+@given(
+    formulas(bound=tuple(FAMILIES)),
+    st.lists(st.integers(0, 1), max_size=7),
+    st.integers(0, 3),
+)
+@example(Var("A"), [], 0)  # n = 1 and 2: tables shorter than a byte
+@example(Not(Var("A")), [1], 0)
+@example(Implies(Var("A"), Or(Var("B"), Not(Var("A")))), [3, 12], 0)  # B at 16 of 17
+def test_truth_bits_evaluate_the_formula(ast, gaps, tail):
+    """Compiled against an ordering with `gaps[k]` unused names before
+    its k-th variable and `tail` after the last, the formula's bits over
+    the coordinates it reads equal the tree's value at every assignment,
+    and its table equals them lifted to all n coordinates."""
+    ordering = []
+    for k, name in enumerate(mf.formula_variables(ast)):
+        for _ in range(gaps[k] if k < len(gaps) else 0):
+            ordering.append(f"unused{len(ordering)}")
+        ordering.append(name)
+    ordering += [f"unused{n}" for n in range(len(ordering), len(ordering) + tail)]
+    f = mf.compile_formula(ast, ordering)
+    coords = [i for i, name in enumerate(ordering) if not name.startswith("unused")]
+    bits = _truth_bits(f._formula, coords)
+    for a in range(1 << len(coords)):
+        value = {ordering[i]: bool(a >> k & 1) for k, i in enumerate(coords)}
+        assert (bits >> a & 1) == reference_value(ast, value)
+    index = np.arange(1 << len(ordering))
+    read = sum(((index >> i) & 1) << k for k, i in enumerate(coords))
+    want = np.array([bits >> a & 1 for a in range(1 << len(coords))])[read]
+    assert f.table.dtype == np.int64 and not f.table.flags.writeable
+    assert f.table.tolist() == want.tolist()
 
 
 BOTH_FALSE = mf.compile_formula(mf.parse_formula("!P1 & !P2"), ["P1", "P2"])
