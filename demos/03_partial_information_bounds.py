@@ -61,8 +61,8 @@ spec20_pins = mf.PartialJointSpec(marginals=marginals20, pairwise=pins)
 print("  with q inside each (a | b) :", mf.exact_bounds(spec20_pins, wide))
 print()
 
-# An independent check: enumerate joint tables on a grid instead of
-# solving anything.  The two routes must agree.
+# An independent check: enumerate the vertices of the polytope of joint
+# tables instead of running the LP.  The two routes must agree.
 oracle = mf.brute_force_bounds(spec_plain, majority, grid_step=0.01)
 exact = mf.exact_bounds(spec_plain, majority)
 print(f"majority bounds, solver      : [{exact.lo:.4f}, {exact.hi:.4f}]")

@@ -30,9 +30,10 @@ formula attains an exact minimum and maximum over it:
   marginal, a q at an end of its range, after snapping values within
   EPS_FEAS of an end to it) must be zero and are left out of the LPs; the
   closed forms read the spec's values as given;
-* `brute_force_bounds` is the independent oracle: it enumerates joint
-  tables directly on a grid in the "both-false" parametrization and never
-  touches the LP machinery.
+* `brute_force_bounds` is the independent oracle: it enumerates the
+  vertices of the spec's polytope in the "both-false" parametrization,
+  one square solve per choice of tight table entries, and never touches
+  the LP machinery.
 
 For n = 2 with marginals only, both reproduce the classic closed-form
 connective bounds (`classic_binary_bounds`); a two-variable
@@ -46,10 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01
+from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01, to_float
 from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _truth_bits, _truth_table
 from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
 from .connectives import classic
@@ -85,10 +86,13 @@ FEASIBILITY_TOL = 1e-9
 #: of a raw table.
 LP_MAX_ARITY = 12
 
-#: Arity cap for the enumeration oracle.
+#: Arity cap for the vertex-enumeration oracle: it solves up to
+#: C(2**n, 2**(n-1)) square systems, C(16, 8) = 12 870 at 4 and about 6e8
+#: at 5.
 ORACLE_MAX_ARITY = 4
 
-_CHUNK = 1 << 17
+#: Square systems the oracle solves per batch, between polls of `cancel`.
+_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -699,85 +703,36 @@ def _glued_basis(marginals: tuple, pairs: list, keep: np.ndarray) -> np.ndarray:
 #
 #     z_S = P(predicate i is false for every i in S),      z_{} = 1,
 #
-# one per nonempty subset S.  Inclusion-exclusion recovers each table entry
+# one per subset S.  Inclusion-exclusion recovers each table entry
 #
 #     x_a = sum over S containing T_a of (-1)^(|S| - |T_a|) z_S
 #
 # where T_a is the set of coordinates that are false in assignment a.  The
 # singleton z's are fixed by the marginals and any supplied pairwise q
-# fixes its z; every other z except the full-set one is enumerated on a
-# grid over its Frechet range.  For each grid combination the remaining
-# top parameter enters every entry linearly with coefficient +-1, so its
-# feasible values form an interval and the (linear) objective is extremal
-# at the interval's endpoints, which are evaluated exactly.
+# fixes its z; the d others are free, and the tables of the spec are the
+# polytope {z : x(z) >= 0}.  The confidence of f is linear in z, so its
+# extremes lie at vertices (Hailperin 1965), and each vertex is the one
+# solution of d independent tight constraints x_a = 0 (Balinski 1961).
+# The oracle solves every d-subset of the 2**n entries and keeps the
+# solutions that are tables.
 
 
-def _subset_masks(a: int):
-    """All submasks of bitmask a, including 0 and a itself."""
-    sub = a
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & a
-
-
-@dataclass
-class _ZSystem:
-    const: np.ndarray          # per-entry constant term
-    coef: np.ndarray           # (n_free, 2**n) coefficients of free z's
-    sigma: np.ndarray          # per-entry coefficient of the top z
-    grids: list                # grid values per free z
-    has_top: bool
-
-
-def _build_z_system(spec: PartialJointSpec, grid_step: float) -> _ZSystem:
+def _build_z_system(spec: PartialJointSpec) -> tuple:
+    """`(const, matrix)`: the joint table as `const + matrix @ z`, over every
+    z that no marginal or pair fixes."""
     import numpy as np
 
-    n = spec.arity
-    size = 1 << n
-    full = size - 1
-    z_single = {1 << i: 1.0 - p for i, p in enumerate(spec.marginals)}
-    fixed = dict(z_single)
+    size = 1 << spec.arity
+    fixed = {0: 1.0, **{1 << i: 1.0 - p for i, p in enumerate(spec.marginals)}}
     for (i, j), q in spec.pairwise.items():
         fixed[(1 << (i - 1)) | (1 << (j - 1))] = q
-
-    has_top = n >= 2 and full not in fixed
-    free_masks = [
-        m
-        for m in range(1, size)
-        if bin(m).count("1") >= 2 and m not in fixed and not (has_top and m == full)
-    ]
-
-    const = np.zeros(size)
-    sigma = np.zeros(size)
-    coef = np.zeros((len(free_masks), size))
-    free_index = {m: k for k, m in enumerate(free_masks)}
+    signs = np.zeros((size, size))
     for a in range(size):
-        t_mask = (~a) & full
-        for r in _subset_masks(a):
-            s_mask = t_mask | r
-            sign = -1.0 if bin(r).count("1") & 1 else 1.0
-            if s_mask == 0:
-                const[a] += sign
-            elif s_mask in fixed:
-                const[a] += sign * fixed[s_mask]
-            elif has_top and s_mask == full:
-                sigma[a] += sign
-            else:
-                coef[free_index[s_mask], a] += sign
-
-    grids = []
-    for m in free_masks:
-        singles = [z_single[1 << i] for i in range(n) if (m >> i) & 1]
-        lo = max(0.0, math.fsum(singles) - (len(singles) - 1))
-        hi = min(singles)
-        if hi <= lo:
-            grids.append(np.array([lo]))
-        else:
-            npts = int(math.ceil((hi - lo) / grid_step)) + 1
-            grids.append(np.linspace(lo, hi, npts))
-    return _ZSystem(const=const, coef=coef, sigma=sigma, grids=grids, has_top=has_top)
+        for s in range(size):
+            if s | a == size - 1:  # S holds every coordinate false in a
+                signs[a, s] = -1.0 if bin(s & a).count("1") & 1 else 1.0
+    free = [s for s in range(size) if s not in fixed]
+    return signs[:, list(fixed)] @ np.array(list(fixed.values())), signs[:, free]
 
 
 def brute_force_bounds(
@@ -786,19 +741,22 @@ def brute_force_bounds(
     grid_step: float,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> ConfidenceInterval:
-    """Grid-enumeration oracle for `exact_bounds`.
+    """Vertex-enumeration oracle for `exact_bounds`.
 
-    Enumerates compatible joint tables on a grid of step `grid_step` in the
-    both-false parametrization, accepting tables whose entries are within
-    `grid_step` of nonnegative.  The result brackets the exact bounds to
-    within about arity * grid_step.  Cost grows as (1/grid_step)**d with d
-    the number of free parameters, so fine grids are only practical for
-    arity <= 3.  `cancel` is polled once per enumeration chunk.
+    Solves every choice of d of the 2**n table entries set to zero, d the
+    number of parameters no marginal or pair fixes, and keeps the tables
+    whose entries are all at least -max(grid_step, FEASIBILITY_TOL); the
+    floor absorbs round-off on entries that are exactly zero.  Every
+    vertex of the spec's polytope is kept, so the result contains the
+    exact bounds; `grid_step`, the slack on negative entries, can widen
+    it by about arity * grid_step.  Cost is C(2**n, d) small solves
+    whatever `grid_step` is, at most C(16, 8) = 12 870 at arity 4.
+    `cancel` is polled once per batch of solves.
     """
     import numpy as np
 
     _check_formula(spec, f)
-    grid_step = float(grid_step)
+    grid_step = to_float(grid_step)
     if not 0.0 < grid_step <= 0.1:
         raise InvalidParameter(f"grid_step must be in (0, 0.1], got {grid_step}")
     n = spec.arity
@@ -811,67 +769,25 @@ def brute_force_bounds(
         value = _independent_point(spec, f)
         return ConfidenceInterval(value, value)
 
-    slack = grid_step
-    system = _build_z_system(spec, grid_step)
-    trueset = np.flatnonzero(f.table == 1)
-    obj_const = float(system.const[trueset].sum())
-    obj_coef = system.coef[:, trueset].sum(axis=1)
-    obj_sigma = float(system.sigma[trueset].sum())
-
-    if not system.has_top:
-        # Table fully determined by the fixed z's (arity 1, or arity 2 with
-        # its pair given).
-        if float(system.const.min()) < -slack:
-            raise InfeasibleSpec("fixed constraints admit no joint distribution")
-        value = clip01(obj_const)
-        return ConfidenceInterval(value, value)
-
-    plus_cols = np.flatnonzero(system.sigma > 0)
-    minus_cols = np.flatnonzero(system.sigma < 0)
-    coef_plus = np.ascontiguousarray(system.coef[:, plus_cols])
-    coef_minus = np.ascontiguousarray(system.coef[:, minus_cols])
-    const_plus = system.const[plus_cols]
-    const_minus = system.const[minus_cols]
-    best_lo = math.inf
-    best_hi = -math.inf
-
-    sizes = [len(g) for g in system.grids]
-    total = int(np.prod(sizes, dtype=np.int64)) if sizes else 1
-    for start in range(0, total, _CHUNK):
+    slack = max(grid_step, FEASIBILITY_TOL)
+    const, matrix = _build_z_system(spec)
+    size, d = matrix.shape
+    true = f.table == 1
+    subsets = np.array(list(combinations(range(size), d)), dtype=np.intp)
+    lo, hi = math.inf, -math.inf
+    for start in range(0, len(subsets), _CHUNK):
         _check_cancel(cancel)
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        if sizes:
-            cols = []
-            rem = ids
-            for g in system.grids:
-                cols.append(g[rem % len(g)])
-                rem = rem // len(g)
-            z_free = np.column_stack(cols)
-        else:
-            z_free = np.zeros((len(ids), 0))
-        top_lo = -(const_plus[None, :] + z_free @ coef_plus).min(axis=1)
-        top_hi = (const_minus[None, :] + z_free @ coef_minus).min(axis=1)
-        gap = top_lo - top_hi
-        # Combos whose top interval is empty by more than 2*slack cannot
-        # correspond to any table with entries >= -slack.
-        strict = gap <= 0.0
-        loose = (gap > 0.0) & (gap <= 2.0 * slack)
-        obj_rest = obj_const + z_free @ obj_coef
-        if strict.any():
-            for top in (top_lo[strict], top_hi[strict]):
-                values = obj_rest[strict] + obj_sigma * top
-                best_lo = min(best_lo, float(values.min()))
-                best_hi = max(best_hi, float(values.max()))
-        if loose.any():
-            # Grid quantization can push a feasible region just outside a
-            # combo; score it at its most-feasible top value.
-            values = obj_rest[loose] + obj_sigma * 0.5 * (top_lo + top_hi)[loose]
-            best_lo = min(best_lo, float(values.min()))
-            best_hi = max(best_hi, float(values.max()))
-
-    if best_lo > best_hi:
-        raise InfeasibleSpec("no grid table satisfies the spec constraints")
-    return ConfidenceInterval(clip01(best_lo), clip01(best_hi))
+        tight = subsets[start:start + _CHUNK]
+        # An integer matrix: a determinant under 1/2 in size is zero.
+        tight = tight[np.abs(np.linalg.det(matrix[tight])) > 0.5]
+        z = np.linalg.solve(matrix[tight], -const[tight][..., None])[..., 0]
+        tables = const + z @ matrix.T
+        values = tables[tables.min(axis=1) >= -slack][:, true].sum(axis=1)
+        if len(values):
+            lo, hi = min(lo, float(values.min())), max(hi, float(values.max()))
+    if lo > hi:
+        raise InfeasibleSpec("no joint table satisfies the spec constraints")
+    return ConfidenceInterval(clip01(lo), clip01(hi))
 
 
 def classic_binary_bounds(p1: float, p2: float, kind: str) -> ConfidenceInterval:

@@ -195,21 +195,18 @@ def _q_grid(q_min: float, q_max: float, steps: int) -> list:
 
 def _sweep_columns(p1: float, p2: float, qs, f) -> list:
     """The sweep's columns over the q grid: q, `and_q`, `or_q`, `implies_q`
-    and, for the formula, `pushforward(pair_from_pq(p1, p2, q), f)`, from
-    one check of the beliefs, one of each q (`_feasible_q`'s two parts) and
-    the scalar path's own expressions, so every value equals the scalar
-    one bit for bit."""
+    and, for a compiled formula f, `pushforward(pair_from_pq(p1, p2, q), f)`,
+    from one check of the beliefs, one of each q (`_feasible_q`'s two
+    parts) and the scalar path's own expressions, so every value equals
+    the scalar one bit for bit."""
     p1, p2 = check_belief(p1, "p1"), check_belief(p2, "p2")
     q_range = _q_range(p1, p2)
     triples = [(p1, p2, _clamped_q(p1, p2, q_range, q)) for q in qs]
     values = zip(*[_connectives(*triple) for triple in triples])
     columns = [[float(q) for q in qs], *map(list, values)]
     if f is not None:
-        if f._formula is None:  # a raw table, as `and_function()` makes
-            true_cells = [a for a, b in enumerate(f.table.tolist()) if b == 1]
-        else:
-            mask = _truth_bits(f._formula, [0, 1])
-            true_cells = [a for a in range(4) if mask >> a & 1]
+        mask = _truth_bits(f._formula, [0, 1])
+        true_cells = [a for a in range(4) if mask >> a & 1]
         # pushforward's sum of pair_from_pq's cells: from 0.0, in index order.
         tables = (_pair_cells(*triple) for triple in triples)
         cells = ([max(table[a], 0.0) for a in true_cells] for table in tables)

@@ -82,9 +82,13 @@ def q_bounds(p1: float, p2: float) -> QBounds:
 
 
 def clamp_q(p1: float, p2: float, q: float) -> float:
-    """Project q onto the feasible interval [q_min, q_max] of (p1, p2)."""
+    """Project q onto the feasible interval [q_min, q_max] of (p1, p2); NaN
+    raises InvalidParameter."""
     b = q_bounds(p1, p2)
-    return min(max(float(q), b.q_min), b.q_max)
+    q = to_float(q)
+    if math.isnan(q):
+        raise InvalidParameter("q must not be NaN")
+    return min(max(q, b.q_min), b.q_max)
 
 
 def _feasible_q(p1: float, p2: float, q) -> tuple:

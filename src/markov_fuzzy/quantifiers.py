@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optiona
 from typing import Sequence, Union
 
 from . import bounds
-from ._common import EPS_SIMPLEX, check_belief, check_int, clip01
+from ._common import EPS_SIMPLEX, check_belief, check_int, clip01, to_float
 from .boolfuncs import _ALL, _ANY, _LEAF, And, Exists, Forall, Formula, Or, Var, _fold
 from .boolfuncs import _with_children
 from .bounds import ConfidenceInterval
@@ -240,7 +240,7 @@ class SampleEstimate:
 
     def hoeffding_radius(self, delta: float) -> float:
         """Distribution-free confidence half-width sqrt(ln(2/d) / (2N))."""
-        delta = float(delta)
+        delta = to_float(delta)
         if not 0.0 < delta < 1.0:
             raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
         return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_samples))

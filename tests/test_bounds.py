@@ -1,5 +1,6 @@
 """Polytope confidence bounds: LP solver vs the grid-enumeration oracle."""
 
+import contextlib
 import itertools
 import math
 import os
@@ -273,6 +274,114 @@ class TestBruteForceBounds:
             oracle = mf.brute_force_bounds(spec, f, step)
             assert abs(exact.lo - oracle.lo) <= 2 * n * step
             assert abs(exact.hi - oracle.hi) <= 2 * n * step
+
+
+@st.composite
+def oracle_specs(draw):
+    """A function and a spec read off a joint table over 1-4 variables.
+    Dense tables weigh every cell 1-9, sparse ones 0-2, so that some cells
+    are empty and some q sit at an end of their range.  Each pair is given
+    or not; or the spec gives only pair (1, 2), at one end of its range."""
+    n = draw(st.integers(1, ORACLE_MAX_ARITY))
+    low, high = draw(st.sampled_from(((1, 9), (0, 2))))
+    weights = draw(st.lists(st.integers(low, high), min_size=1 << n, max_size=1 << n))
+    table = np.array(weights, dtype=float) + (sum(weights) == 0)
+    table /= table.sum()
+    idx = np.arange(1 << n)
+    marginals = tuple(float(table[(idx >> i) & 1 == 1].sum()) for i in range(n))
+    end = draw(st.sampled_from(("q_min", "q_max", None))) if n >= 2 else None
+    if end is not None:
+        pairwise = {(1, 2): getattr(mf.q_bounds(*marginals[:2]), end)}
+    else:
+        pairwise = {
+            (i + 1, j + 1): float(table[((idx >> i) | (idx >> j)) & 1 == 0].sum())
+            for i, j in itertools.combinations(range(n), 2)
+            if draw(st.booleans())
+        }
+    spec = mf.PartialJointSpec(marginals=marginals, pairwise=pairwise)
+    truth = draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    return spec, mf.BooleanFunction(n, 1, truth)
+
+
+class TestVertexOracle:
+    """The oracle enumerates the vertices of the spec's polytope, so with a
+    tiny slack it is exact, and with any slack it contains the exact
+    interval."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(oracle_specs())
+    def test_tiny_slack_is_exact(self, case):
+        spec, f = case
+        exact = mf.exact_bounds(spec, f)
+        oracle = mf.brute_force_bounds(spec, f, 1e-9)
+        assert oracle.lo == pytest.approx(exact.lo, abs=1e-9)
+        assert oracle.hi == pytest.approx(exact.hi, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(oracle_specs(), st.sampled_from((0.1, 0.02)))
+    def test_contains_the_exact_interval(self, case, step):
+        spec, f = case
+        exact = mf.exact_bounds(spec, f)
+        oracle = mf.brute_force_bounds(spec, f, step)
+        assert oracle.lo <= exact.lo + 1e-12
+        assert oracle.hi >= exact.hi - 1e-12
+
+    @pytest.mark.parametrize(
+        "marginals, pairwise",
+        [
+            ((1 / 3, 1 / 3), {(1, 2): 1 / 3}),
+            ((2 / 3, 1 / 3), {(1, 2): 0.0}),
+            ((4 / 7, 2 / 7, 2 / 7), {(1, 2): 3 / 7, (1, 3): 1 / 7}),
+            ((3 / 7, 2 / 7, 0.7142857142857142), {(1, 3): 1 / 7}),
+        ],
+    )
+    def test_round_off_on_empty_cells_is_forgiven(self, marginals, pairwise):
+        """These specs leave cells empty, which round-off computes as about
+        -1e-17; the slack's floor of FEASIBILITY_TOL keeps those tables
+        even at a step of 1e-300."""
+        spec = mf.PartialJointSpec(marginals=marginals, pairwise=pairwise)
+        f = mf.and_function(len(marginals))
+        exact = mf.exact_bounds(spec, f)
+        oracle = mf.brute_force_bounds(spec, f, 1e-300)
+        assert oracle.lo == pytest.approx(exact.lo, abs=1e-12)
+        assert oracle.hi == pytest.approx(exact.hi, abs=1e-12)
+
+    def test_cancel_is_polled_once_per_chunk(self):
+        """At n = 4 with marginals only, 11 parameters are free: C(16, 11)
+        square systems in several chunks, after the poll on entry."""
+        spec = mf.PartialJointSpec(marginals=(0.5, 0.4, 0.3, 0.2))
+        calls = []
+
+        def cancel():
+            calls.append(None)
+            return False
+
+        mf.brute_force_bounds(spec, mf.and_function(4), 0.01, cancel=cancel)
+        chunks = math.ceil(math.comb(16, 11) / bounds._CHUNK)
+        assert chunks > 1
+        assert len(calls) == 1 + chunks
+
+    def test_reaches_no_lp_machinery(self):
+        """The oracle is an independent check: it runs with the simplex and
+        every helper of the LP path made to raise."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached the LP machinery")
+
+        rng = np.random.default_rng(24)
+        cases = []
+        for n in range(1, ORACLE_MAX_ARITY + 1):
+            _, spec = random_consistent_spec(rng, n)
+            cases.append((spec, random_single_output(rng, n)))
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(_simplex, "Simplex", refuse))
+            for name in ("_lp_bounds", "_glued_basis", "_bit_table", "_snapped"):
+                stack.enter_context(mock.patch.object(bounds, name, refuse))
+            oracles = [mf.brute_force_bounds(spec, f, 1e-9) for spec, f in cases]
+        for (spec, f), oracle in zip(cases, oracles):
+            exact = mf.exact_bounds(spec, f)
+            assert oracle.lo == pytest.approx(exact.lo, abs=1e-9)
+            assert oracle.hi == pytest.approx(exact.hi, abs=1e-9)
 
 
 class TestPolytopeProperties:

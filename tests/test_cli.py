@@ -364,7 +364,7 @@ SWEEP_PAIRS += [(_rng.random(), _rng.random()) for _ in range(6)]
 
 
 class TestSweepMatchesScalarPath:
-    """The vectorised sweep prints the bytes of the per-row scalar API."""
+    """The CLI sweep prints the bytes of the per-row scalar API."""
 
     @pytest.mark.parametrize("p1, p2", SWEEP_PAIRS)
     def test_bytes(self, tmp_path, capsys, p1, p2):
@@ -386,7 +386,7 @@ class TestSweepMatchesScalarPath:
 
     def test_q_within_eps_feas_is_clamped(self):
         q = 0.6 + 0.5 * mf.EPS_FEAS
-        f = mf.and_function()
+        f = mf.compile_formula(mf.parse_formula("P1 & P2"), ["P1", "P2"])
         columns = cli._sweep_columns(0.3, 0.4, np.array([q]), f)
         assert [column[0] for column in columns] == [
             q,

@@ -182,6 +182,10 @@ class TestClampQ:
         assert mf.clamp_q(0.2, 0.2, 0.0) == pytest.approx(0.6, abs=1e-15)
         assert mf.clamp_q(0.5, 0.5, 0.3) == 0.3
 
+    def test_huge_integer_projects_to_an_end(self):
+        assert mf.clamp_q(0.5, 0.5, 10**400) == 0.5
+        assert mf.clamp_q(0.5, 0.5, -(10**400)) == 0.0
+
 
 class TestDeMorganDual:
     def test_reference_triple(self):

@@ -57,6 +57,20 @@ RAISE_SITES = {
             mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), grid_step=0.5
         ),
     ),
+    "grid step an integer too large for a float": (
+        InvalidParameter,
+        lambda: mf.brute_force_bounds(
+            mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), 10**400
+        ),
+    ),
+    "Hoeffding delta an integer too large for a float": (
+        InvalidParameter,
+        lambda: mf.SampleEstimate(0.5, 10, None).hoeffding_radius(10**400),
+    ),
+    "q to clamp NaN": (
+        InvalidParameter,
+        lambda: mf.clamp_q(0.5, 0.5, float("nan")),
+    ),
     "unknown connective kind": (
         InvalidParameter,
         lambda: mf.classic(0.5, 0.5, "nand", "min"),

@@ -391,8 +391,8 @@ def test_independent_product_builds_one_table():
     ids=["balanced", "chain", "variable"],
 )
 def test_compile_formula_builds_one_table(ast):
-    """The first read of `table` runs the fold, whose root op writes
-    straight into the table."""
+    """The first read of `table` evaluates the normal form as one int
+    bitset and unpacks it into the table a block at a time."""
     assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES).table) < 1.1
 
 

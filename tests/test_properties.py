@@ -146,7 +146,7 @@ def accepted_q(build):
     st.sampled_from([0.0, 0.25, 0.5, 0.99, 1.0, 1.01, 2.0, 4.0, 1e3]),
 )
 def test_every_q_check_agrees_at_the_boundary(p1, p2, end, sign, k):
-    """pair_from_pq, PartialJointSpec, BeliefTable and the vectorised sweep
+    """pair_from_pq, PartialJointSpec, BeliefTable and the CLI sweep
     accept the same q near an end of [q_min, q_max] and clamp it to the
     same value; and_q accepts it with them and evaluates at that value."""
     b = mf.q_bounds(p1, p2)
