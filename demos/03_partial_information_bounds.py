@@ -45,8 +45,9 @@ print()
 # program.  Here every variable is read once, so the classic rules compose
 # along the whole tree and the interval is exact far above the LP's
 # 12-variable cap.  A known q inside each disjunction ties its two
-# variables together, so each (a | b) is a two-variable LP and the and of
-# the ten parts still composes by the classic rule.
+# variables together, so each (a | b) is one part, whose two-variable table
+# is fixed by its q (the q connective, no LP), and the and of the ten
+# parts still composes by the classic rule.
 names = [f"X{i}" for i in range(1, 21)]
 text = " & ".join(f"({a} | {b})" for a, b in zip(names[::2], names[1::2]))
 wide = mf.compile_formula(mf.parse_formula(text), names)

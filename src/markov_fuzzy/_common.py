@@ -17,13 +17,16 @@ EPS_SIMPLEX = 1e-9
 EPS_FEAS = 1e-12
 
 
-def to_float(value) -> float:
+def to_float(value, name: str = "value", error: type = InvalidParameter) -> float:
     """float(value), except that an integer too large for a float reads as
-    +-inf, as the JSON literal 1e400 does, instead of raising OverflowError."""
+    +-inf, as the JSON literal 1e400 does, instead of raising OverflowError,
+    and that a value float() rejects raises `error` naming `name`."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
 
 
 def check_belief(value, name: str = "belief") -> float:
@@ -33,7 +36,7 @@ def check_belief(value, name: str = "belief") -> float:
     to the boundary; anything larger raises InvalidBelief.  An integer too
     large for a float is not finite: it reads as the infinity it rounds to.
     """
-    x = to_float(value)
+    x = to_float(value, name, InvalidBelief)
     if not math.isfinite(x):
         shown = x if isinstance(value, int) else value
         raise InvalidBelief(f"{name} must be finite, got {shown!r}")

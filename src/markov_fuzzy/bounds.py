@@ -329,7 +329,9 @@ def _snapped(x: float, lo: float, hi: float) -> float:
 # of the operands' intervals, the classic connectives of the paper.  A
 # negation maps [lo, hi] to [1 - hi, 1 - lo].  Operands that share a
 # component form one part over the components they read, bounded by
-# `_part_bounds`.
+# `_part_bounds`.  A negation directly above a part belongs to the part,
+# at any depth: the part is bounded whole, so `!(a -> b)` and `a & !b`
+# over one pair take the same table and give the same bits.
 #
 # A part that is an and/or of literals of distinct variables, reading each
 # of its variables, whose pairs form no cycle, has a closed form.  Write it
@@ -411,12 +413,11 @@ def _groups(kids: list, component: list) -> list:
 
 def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
     """(lo, hi) of the normal-form `root` given `marginals` and the sorted
-    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  A root that does not
-    split below itself (or a negation) is one part.  Then each
-    component with a cycle that no part covered is checked for feasibility
-    (a tree of pairs always is feasible)."""
-    n = len(marginals)
-    component, joined = _union_find(n, [(i - 1, j - 1) for (i, j), _ in pairs])
+    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  An and/or whose
+    operands form one group is one part, with any negation above it.  Then
+    each component with a cycle that no part read is checked for
+    feasibility (a tree of pairs always is feasible)."""
+    component = _union_find(len(marginals), [(i - 1, j - 1) for (i, j), _ in pairs])[0]
     by_component: dict = {}
     for pair in pairs:
         by_component.setdefault(component[pair[0][0] - 1], []).append(pair)
@@ -441,40 +442,33 @@ def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
         return _part_bounds(ps, part, node, coords, cancel, outer)
 
     def walk(node: list) -> tuple:
-        # The walk descends only into an operand alone in its group while
-        # the and/or has another group, so each and/or on the way down
-        # reads strictly fewer components than the one above it.  Double
-        # negations cancel in the normal form, so at most one negation lies
-        # above each and/or and above the leaf.  A formula from
-        # `compile_formula` has at most N_MAX components, so the depth
-        # stays under 2 * N_MAX + 2 however deep the formula is; a
+        # A node and the one negation that may lie above it (double
+        # negations cancel in the normal form) take one frame.  The walk
+        # descends only into an operand alone in its group while the
+        # and/or has another group, so each and/or on the way down reads
+        # strictly fewer components than the one above it, and one that
+        # reads a single component is one part.  A formula from
+        # `compile_formula` has at most N_MAX components, so the walk is
+        # at most N_MAX frames deep however deep the formula is; a
         # quantifier's root has leaves only.
-        kind = node[0]
+        negated = node[0] == _NEG
+        inner = node[2] if negated else node
+        kind = inner[0]
         if kind == _LEAF:
-            p = marginals[node[2]]
-            return p, p
-        if kind == _NEG:
-            lo, hi = walk(node[2])
-            return 1.0 - hi, 1.0 - lo
-        groups = top_groups if node is top else _groups(node[2], component)
-        # Single operands are bounded before the parts of the groups.
-        singles = {}
-        for k, (_, kids) in enumerate(groups):
-            if len(kids) == 1:
-                singles[k] = walk(kids[0])
-        los, his = [], []
-        for k, (comps, kids) in enumerate(groups):
-            lo, hi = singles[k] if k in singles else bound([kind, node[1], kids], comps)
-            los.append(lo)
-            his.append(hi)
-        return (_frechet_and if kind == _ALL else _frechet_or)(los, his)
+            lo = hi = marginals[inner[2]]
+        else:
+            groups = _groups(inner[2], component)
+            if len(groups) == 1:
+                return bound(node, groups[0][0])
+            # In operand order, so that the first group to fail raises.
+            ends = [
+                walk(kids[0]) if len(kids) == 1 else bound([kind, inner[1], kids], c)
+                for c, kids in groups
+            ]
+            lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(*zip(*ends))
+        return (1.0 - hi, 1.0 - lo) if negated else (lo, hi)
 
     _check_cancel(cancel)
-    top = root[2] if root[0] == _NEG else root
-    if top[0] != _LEAF:
-        top_groups = _groups(top[2], component)
-        if len(top_groups) == 1 and len(set(top_groups[0][0])) == n - len(joined):
-            return bound(root, top_groups[0][0])  # nothing splits
     result = walk(root)
     for c in by_component:
         if c not in covered:
@@ -756,7 +750,7 @@ def brute_force_bounds(
     import numpy as np
 
     _check_formula(spec, f)
-    grid_step = to_float(grid_step)
+    grid_step = to_float(grid_step, "grid_step")
     if not 0.0 < grid_step <= 0.1:
         raise InvalidParameter(f"grid_step must be in (0, 0.1], got {grid_step}")
     n = spec.arity

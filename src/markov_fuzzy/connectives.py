@@ -85,7 +85,7 @@ def clamp_q(p1: float, p2: float, q: float) -> float:
     """Project q onto the feasible interval [q_min, q_max] of (p1, p2); NaN
     raises InvalidParameter."""
     b = q_bounds(p1, p2)
-    q = to_float(q)
+    q = to_float(q, "q")
     if math.isnan(q):
         raise InvalidParameter("q must not be NaN")
     return min(max(q, b.q_min), b.q_max)
@@ -103,7 +103,7 @@ def _clamped_q(p1: float, p2: float, q_range: tuple, q) -> float:
     """q for the checked beliefs p1 and p2, whose `_q_range` is `q_range`:
     q within EPS_FEAS of the interval is clamped to the boundary; anything
     farther out raises InfeasibleQ."""
-    q = to_float(q)
+    q = to_float(q, "q")
     q_min, q_max = q_range
     if not q_min - EPS_FEAS <= q <= q_max + EPS_FEAS:
         raise InfeasibleQ(
@@ -126,7 +126,7 @@ def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
 
     A pair given twice must repeat its value within EPS_FEAS.
     """
-    q = to_float(q)
+    q = to_float(q, "q")
     if pair in pairs and abs(pairs[pair] - q) > EPS_FEAS:
         raise InfeasibleQ(
             f"conflicting q values for pair {pair}: {pairs[pair]} vs {q}"

@@ -181,13 +181,16 @@ def _exact_sum(values: np.ndarray) -> float:
 
 def _float_array(values) -> np.ndarray:
     """A new float64 array of values; an integer too large for a float
-    reads as +-inf, as the literal 1e400 does."""
+    reads as +-inf, as the literal 1e400 does, and a value that is not a
+    number raises InvalidParameter."""
     try:
         return np.array(values, dtype=np.float64)
     except OverflowError:
         return np.frompyfunc(to_float, 1, 1)(
             np.asarray(values, dtype=object)
         ).astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"probabilities must be numbers: {exc}") from None
 
 
 def make_joint(arity: int, probs) -> JointBooleanDist:

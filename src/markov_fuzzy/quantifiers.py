@@ -222,9 +222,10 @@ class SamplingStrategy:
                 raise InvalidParameter(
                     "supply either weights or a tuple stream, not both"
                 )
-            w = {k: float(v) for k, v in dict(self.weights).items()}
-            if any(v < 0.0 for v in w.values()):
-                raise NegativeMass("weights must be nonnegative")
+            w = {k: to_float(v, f"weight {k!r}") for k, v in dict(self.weights).items()}
+            # Written as "not (ok)" so that NaN fails the check too.
+            if not all(0.0 <= v < math.inf for v in w.values()):
+                raise NegativeMass("weights must be finite and nonnegative")
             if abs(math.fsum(w.values()) - 1.0) > EPS_SIMPLEX:
                 raise NotNormalized("weights must sum to 1")
             object.__setattr__(self, "weights", w)
@@ -240,7 +241,7 @@ class SampleEstimate:
 
     def hoeffding_radius(self, delta: float) -> float:
         """Distribution-free confidence half-width sqrt(ln(2/d) / (2N))."""
-        delta = to_float(delta)
+        delta = to_float(delta, "delta")
         if not 0.0 < delta < 1.0:
             raise InvalidParameter(f"delta must be in (0, 1), got {delta}")
         return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_samples))

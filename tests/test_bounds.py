@@ -1542,6 +1542,70 @@ class TestDecomposition:
         assert "table" not in vars(f)
         assert ci == mf.exact_bounds(spec, mf.BooleanFunction(3, 1, f.table))
 
+    def test_negated_part_ignores_unread_variables(self):
+        """A negation above a part belongs to the part wherever the part
+        lies, so an unread P3 leaves the bits of !(P1 -> P2) as they are."""
+        f = mf.parse_formula("!(P1 -> P2)")
+        two = mf.exact_bounds(
+            mf.PartialJointSpec((0.7, 0.6), {(1, 2): 0.2}),
+            mf.compile_formula(f, ["P1", "P2"]),
+        )
+        three = mf.exact_bounds(
+            mf.PartialJointSpec((0.7, 0.6, 0.5), {(1, 2): 0.2}),
+            mf.compile_formula(f, ["P1", "P2", "P3"]),
+        )
+        assert (two.lo, two.hi) == (three.lo, three.hi) == (0.2, 0.2)
+
+    def test_negated_part_below_the_root_equals_its_spelling(self):
+        """!(P1 -> P2) and P1 & !P2 take the same pair table, under an and
+        with P3 as at the root."""
+        grid = [0.0, 0.1, 0.3, 0.5, 0.6, 0.7, 1 / 3, 1.0]
+        for p1, p2 in itertools.product(grid, grid):
+            b = mf.q_bounds(p1, p2)
+            for q in (b.q_min, b.q_indep, b.q_max):
+                spec = mf.PartialJointSpec((p1, p2, 0.5), {(1, 2): q})
+                got = [
+                    mf.exact_bounds(spec, compiled(text, ["P1", "P2", "P3"]))
+                    for text in ("!(P1 -> P2) & P3", "P1 & !P2 & P3")
+                ]
+                assert (got[0].lo, got[0].hi) == (got[1].lo, got[1].hi), (p1, p2, q)
+
+    def test_negated_part_is_solved_on_its_own_table(self, monkeypatch):
+        """The one LP of !((a | b) & (a | c)) | d gets the negated part's
+        table as its cost, not the table under the negation."""
+        costs = []
+        real = bounds._lp_bounds
+
+        def recording(marginals, pairs, cost, cancel):
+            costs.append(None if cost is None else cost.tolist())
+            return real(marginals, pairs, cost, cancel)
+
+        monkeypatch.setattr(bounds, "_lp_bounds", recording)
+        f = compiled("!((a | b) & (a | c)) | d")
+        ci = mf.exact_bounds(mf.PartialJointSpec((0.6, 0.3, 0.7, 0.2)), f)
+        inner = compiled("(a | b) & (a | c)", ["a", "b", "c"]).table
+        assert costs == [(1 - inner).tolist()]
+        monkeypatch.undo()
+        raw = mf.exact_bounds(
+            mf.PartialJointSpec((0.6, 0.3, 0.7, 0.2)), mf.BooleanFunction(4, 1, f.table)
+        )
+        assert (ci.lo, ci.hi) == pytest.approx((raw.lo, raw.hi), abs=1e-12)
+
+    def test_groups_fail_in_operand_order(self):
+        """p, q, r share a cycle of pairs that admits no joint; the and of
+        s1 ... s13 after them closes a cycle over the LP cap.  The first
+        group in operand order raises."""
+        names = ["p", "q", "r"] + [f"s{i}" for i in range(1, 14)]
+        pairwise = {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0, (4, 16): 0.2}
+        pairwise.update({(i, i + 1): 0.2 for i in range(4, 16)})
+        spec = mf.PartialJointSpec((0.5,) * 16, pairwise)
+        f = compiled("p | q | r | (" + " & ".join(names[3:]) + ")", names)
+        with pytest.raises(InfeasibleSpec):
+            mf.exact_bounds(spec, f)
+        f = compiled("(" + " & ".join(names[3:]) + ") | p | q | r", names)
+        with pytest.raises(ArityTooLarge):
+            mf.exact_bounds(spec, f)
+
     def test_compiled_function_equals_the_raw_table(self):
         f = compiled("(a & b) | !c")
         raw = mf.BooleanFunction(3, 1, f.table)

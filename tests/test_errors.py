@@ -12,8 +12,10 @@ from markov_fuzzy.errors import (
     ArityMismatch,
     BadCoordinate,
     Cancelled,
+    InvalidBelief,
     InvalidParameter,
     MarkovFuzzyError,
+    NegativeMass,
     SchemaError,
     UnexpandedQuantifier,
 )
@@ -203,6 +205,54 @@ RAISE_SITES = {
             mf.SamplingStrategy(10**11, seed=1),
             8192,
         ),
+    ),
+    "marginal a string": (
+        InvalidBelief,
+        lambda: mf.PartialJointSpec(("x", 0.5)),
+    ),
+    "belief a string": (
+        InvalidBelief,
+        lambda: mf.BeliefTable(("a",), {"a": "x"}),
+    ),
+    "q connective marginal a string": (
+        InvalidBelief,
+        lambda: mf.and_q("x", 0.5, 0.2),
+    ),
+    "pairwise q None": (
+        InvalidParameter,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(1, 2): None}),
+    ),
+    "Hoeffding delta None": (
+        InvalidParameter,
+        lambda: mf.SampleEstimate(0.5, 10, None).hoeffding_radius(None),
+    ),
+    "grid step None": (
+        InvalidParameter,
+        lambda: mf.brute_force_bounds(
+            mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), None
+        ),
+    ),
+    "joint probability a string": (
+        InvalidParameter,
+        lambda: mf.make_joint(1, ["x", 0.5]),
+    ),
+    "sampling weight None": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(1, weights={"a": None, "b": 1.0}),
+    ),
+    "sampling weight a string": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(1, weights={"a": "x", "b": 1.0}),
+    ),
+    "sampling weight an integer too large for a float": (
+        NegativeMass,
+        lambda: mf.SamplingStrategy(1, weights={"a": 10**400, "b": 1.0}),
+    ),
+    # NaN passes both "< 0" and "sum within EPS_SIMPLEX of 1" written as
+    # "> EPS_SIMPLEX": every draw would land on "a".
+    "sampling weight NaN": (
+        NegativeMass,
+        lambda: mf.SamplingStrategy(1, weights={"a": float("nan"), "b": 1.0}),
     ),
     "tuple_length beyond numpy's array size": (
         InvalidParameter,

@@ -1,0 +1,180 @@
+"""Mutation check of the package's safeguards: does some tier-1 test fail
+when one of them is broken?
+
+    python3 tools/mutants.py
+
+Run it from anywhere; it has no options.  `MUTANTS` is a fixed list of
+one-edit mutants of `src/markov_fuzzy`.  Every entry's old text is
+checked first: it must occur exactly once in its file, or the driver
+stops and names the entry.  Then, one entry at a time, `src/` is copied
+to a temporary directory, the edit is applied there, and tier-1 runs
+against the copy:
+
+    PYTHONPATH=<copy>/src python -m pytest -x -q -p no:cacheprovider \\
+        --continue-on-collection-errors <repository>/tests
+
+with the temporary directory as the working directory, so that what a
+run writes there (hypothesis keeps its examples under `.hypothesis/` in
+the working directory) is removed with it and never reaches the
+repository.  A run that fails is "killed", one that passes "survived";
+any other pytest exit stops the driver.  One line is printed per entry.
+The CLI tests that start a subprocess put the repository's own `src/`
+first on its path, so they never see a mutant.
+
+Each entry's note says what the edit breaks; a survivor's note says why
+it survives, or that it is open.  A full run takes 8 tier-1 runs, about
+50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
+and Sayward (1978), "Hints on test data selection".
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: A tier-1 run takes under a minute; a mutant that runs this long stops
+#: the driver.
+RUN_TIMEOUT_S = 1200
+
+#: (file under src/markov_fuzzy, old text, new text, note)
+MUTANTS = [
+    (
+        "bounds.py",
+        "        lo = max(lo, 1.0 - cells[3 - both])\n",
+        "",
+        "the literal closed form's lower end without its pair term",
+    ),
+    (
+        "bounds.py",
+        "key=lambda e: -weights[e])",
+        "key=lambda e: weights[e])",
+        "Hunter's forest taken lightest first",
+    ),
+    (
+        "bounds.py",
+        "        if index >= len(roots) and held[fresh] and not held[old]:\n"
+        "            fresh, old = old, fresh\n",
+        "",
+        "_glue without its held-swap, which keeps the kept pieces and the "
+        "artificials of the start basis independent",
+    ),
+    (
+        "_simplex.py",
+        "bland = key in seen",
+        "bland = False",
+        "the Bland switch never set.  Open: no bounds LP is known on which "
+        "Dantzig's rule with this ratio test revisits a basis (0 Bland "
+        "pricings in 231 739 random degenerate specs); without the switch "
+        "MAX_PIVOTS still ends a cycle with SolverError",
+    ),
+    (
+        "_simplex.py",
+        "return int(ties[self._basis[ties].argmin()])",
+        "return int(ties[u[ties].argmax()])",
+        "Bland's leaving row replaced by the largest pivot.  Open, with the "
+        "entry above: no test reaches Bland's rule",
+    ),
+    (
+        "_simplex.py",
+        "_HARRIS_SLACK = 1e-12\n",
+        "_HARRIS_SLACK = 0.0\n",
+        "the Harris slack removed.  The slack only widens the ties of the "
+        "ratio test, among which the largest pivot leaves, for stability; "
+        "each optimum is still checked on a fresh inverse against TOL.  "
+        "Open: no test LP is ill-conditioned enough for the smaller pivot "
+        "to matter",
+    ),
+    (
+        "_simplex.py",
+        "        if x.min() < -TOL:\n            failure = ",
+        "        if x.min() < -1:\n            failure = ",
+        "the final primal check loosened from -TOL to -1.  Open: no test "
+        "LP ends on a basis infeasible by more than TOL, so the check never "
+        "fires; a dual certificate over all cells (ROADMAP item 5) should "
+        "kill it",
+    ),
+    (
+        "_simplex.py",
+        "REFACTOR_EVERY = 50\n",
+        "REFACTOR_EVERY = 5000\n",
+        "REFACTOR_EVERY raised from 50 to 5000.  Survives because pricing "
+        "on an updated inverse that finds no improving column refactors and "
+        "prices again, and the optimum is checked on that fresh inverse "
+        "against TOL: the updates only steer the path.  Open: no test LP "
+        "takes enough pivots for the drift to reach TOL",
+    ),
+]
+
+
+class MutantError(Exception):
+    """An entry that cannot be applied, or a run that neither passed nor
+    failed."""
+
+
+def mutated(text: str, entry: tuple) -> str:
+    """`text` with `entry`'s edit applied; its old text must occur exactly
+    once."""
+    name, old, new, note = entry
+    count = text.count(old)
+    if count != 1:
+        raise MutantError(f"{name}: {note}: old text found {count} times, need 1")
+    return text.replace(old, new)
+
+
+def run_tier1(src: Path, cwd: Path) -> int:
+    """The exit code of tier-1 run against the package under `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    argv += ["--continue-on-collection-errors", str(ROOT / "tests")]
+    return subprocess.run(
+        argv,
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=RUN_TIMEOUT_S,
+    ).returncode
+
+
+def verdict(code: int) -> str:
+    """"survived" for a run that passed, "killed" for one that failed."""
+    if code == 0:
+        return "survived"
+    if code == 1:
+        return "killed"
+    raise MutantError(f"pytest exited {code}, neither passed nor failed")
+
+
+def check(entry: tuple, runner=run_tier1) -> str:
+    """Apply `entry` to a temporary copy of `src/` and run `runner` on it."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "markov_fuzzy" / entry[0]
+        path.write_text(mutated(path.read_text(), entry))
+        try:
+            return verdict(runner(src, Path(tmp)))
+        except MutantError as exc:
+            raise MutantError(f"{entry[0]}: {entry[3]}: {exc}") from None
+
+
+def main() -> int:
+    try:
+        for entry in MUTANTS:
+            mutated((ROOT / "src" / "markov_fuzzy" / entry[0]).read_text(), entry)
+        for entry in MUTANTS:
+            print(f"{check(entry)}: {entry[0]}: {entry[3]}", flush=True)
+    except MutantError as exc:
+        print(f"mutants: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
