@@ -17,10 +17,19 @@ EPS_SIMPLEX = 1e-9
 EPS_FEAS = 1e-12
 
 
+#: What float() reads as a number but a number check refuses: text and bools.
+_NOT_NUMBERS = (str, bytes, bytearray, bool)
+
+
 def to_float(value, name: str = "value", error: type = InvalidParameter) -> float:
     """float(value), except that an integer too large for a float reads as
     +-inf, as the JSON literal 1e400 does, instead of raising OverflowError,
-    and that a value float() rejects raises `error` naming `name`."""
+    and that text, a bool or a value float() rejects raises `error` naming
+    `name` (float() would read "0.5" and True as numbers)."""
+    if type(value) is float:  # the common case, returned before the type checks
+        return value
+    if isinstance(value, _NOT_NUMBERS):
+        raise error(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:

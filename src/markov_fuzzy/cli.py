@@ -15,10 +15,11 @@ spec document).  Exit codes: 0 success, 1 a missing dependency (numpy),
 them.  MARKOV_FUZZY_MAX_ARITY lowers the cap (it can never raise it above
 the built-in N_MAX).
 
-`eval` and `quantify sample` need numpy, loaded on first array use;
-`bounds` solves its LPs with the package's own simplex.  `sweep` is plain
-Python and never loads numpy, and neither do `bounds` and `quantify
-bounds` when every part takes a closed form: marginals, two variables, or
+Only `quantify sample` and the `bounds` and `quantify bounds` calls that
+solve an LP (with the package's own simplex) need numpy, loaded on first
+array use.  `eval` and `sweep` are plain Python, bit for bit equal to the
+library's array kernels, and `bounds` and `quantify bounds` stay numpy-free
+when every part takes a closed form: marginals, two variables, or
 literals over a tree of pairs.
 """
 
@@ -26,16 +27,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import reduce
+from itertools import compress
 from operator import add
 
-from ._common import N_MAX, check_belief
+from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, to_float
 from .boolfuncs import _truth_bits, compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _clamped_q, _connectives, _pair_cells, _q_range, q_bounds
-from .dsl import parse_formula, parse_joint, parse_model
+from .dsl import _joint_document, parse_formula, parse_model
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -43,6 +46,8 @@ from .errors import (
     InvalidParameter,
     MarginalMismatch,
     MultiOutput,
+    NegativeMass,
+    NotNormalized,
     SchemaError,
     SolverError,
     UnboundVariable,
@@ -142,14 +147,57 @@ def _compile(formula_text: str, expected_arity: int):
     return compile_formula(ast, names)
 
 
-def _cmd_eval(args) -> int:
-    from .joints import pushforward
+def _joint_cells(arity, probs: list) -> list:
+    """The entries of `make_joint(arity, probs)` as floats, each equal to
+    its own (a -0.0 may keep its sign), from make_joint's checks in their
+    order, in plain Python: `probs` holds the ints and floats of a JSON
+    document, and math.fsum is `_exact_sum` on finite values."""
+    arity = check_arity(arity)
+    if len(probs) != 1 << arity:
+        raise ArityMismatch(
+            f"need {1 << arity} probabilities for arity {arity}, "
+            f"got shape ({len(probs)},)"
+        )
+    try:
+        probs = list(map(float, probs))
+    except OverflowError:  # an int beyond the float range: to_float reads +-inf
+        probs = [to_float(p) for p in probs]
+    if not all(map(math.isfinite, probs)):
+        raise NegativeMass("probabilities must be finite")
+    lowest = min(probs)
+    if lowest < -EPS_SIMPLEX:
+        raise NegativeMass(f"probability entry {lowest} is negative")
+    if lowest < 0.0:
+        probs = [p if p >= 0.0 else 0.0 for p in probs]
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # where `_exact_sum` rounds to inf
+        total = math.inf
+    if abs(total - 1.0) > EPS_SIMPLEX:
+        raise NotNormalized(f"probabilities sum to {total}, not 1")
+    if total != 1.0:
+        probs = [p / total for p in probs]
+    return probs
 
-    dist = parse_joint(_read(args.input))
-    _check_cap(dist.arity)
-    f = _compile(args.formula, dist.arity)
-    out = pushforward(dist, f)
-    p_false, p_true = float(out.probs[0]), float(out.probs[1])
+
+#: Selectors of the true and the false cells from the binary digits of a
+#: truth table's bits, lowest assignment first.
+_TRUE_CELLS = bytes.maketrans(b"01", b"\0\1")
+_FALSE_CELLS = bytes.maketrans(b"01", b"\1\0")
+
+
+def _cmd_eval(args) -> int:
+    arity, probs = _joint_document(_read(args.input))
+    probs = _joint_cells(arity, probs)
+    _check_cap(arity)
+    f = _compile(args.formula, arity)
+    # pushforward's np.add.at: each outcome summed from 0.0 in index order.
+    digits = format(_truth_bits(f._formula, range(arity)), f"0{len(probs)}b")
+    digits = digits[::-1].encode()
+    p_false, p_true = (
+        reduce(add, compress(probs, digits.translate(cells)), 0.0)
+        for cells in (_FALSE_CELLS, _TRUE_CELLS)
+    )
     rows = [("false", p_false), ("true", p_true)]
     obj = {"true": p_true, "distribution": dict(rows)}
     _emit(args, "json", ("outcome", "probability"), rows, obj)

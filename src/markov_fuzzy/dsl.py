@@ -393,10 +393,9 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
     )
 
 
-def parse_joint(text: str) -> JointBooleanDist:
-    """Load {"arity": n, "probs": [... 2**n floats ...]} into a joint table."""
-    from .joints import make_joint
-
+def _joint_document(text: str) -> tuple:
+    """(arity, probs) of a joint document, checked against its schema only:
+    an int arity and a list of ints and floats, as json.loads made them."""
     obj = _load_object(text)
     _check_keys(obj, ("arity", "probs"), "joint")
     if "arity" not in obj or "probs" not in obj:
@@ -409,4 +408,11 @@ def parse_joint(text: str) -> JointBooleanDist:
     # one pass over the types rejects strings, booleans and nulls.
     if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
         raise SchemaError("'probs' must be a list of numbers")
-    return make_joint(arity, probs)
+    return arity, probs
+
+
+def parse_joint(text: str) -> JointBooleanDist:
+    """Load {"arity": n, "probs": [... 2**n floats ...]} into a joint table."""
+    from .joints import make_joint
+
+    return make_joint(*_joint_document(text))

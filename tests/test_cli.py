@@ -521,9 +521,9 @@ print(json.dumps(results))
 
 
 def test_missing_numpy_is_a_one_line_error(tmp_path):
-    """Without numpy, `eval` and `quantify sample` exit 1 with one error
-    line and no traceback, while `sweep`, `bounds` and `quantify bounds`
-    run in the same process as they do with it."""
+    """Without numpy, `quantify sample` exits 1 with one error line and no
+    traceback, while `eval`, `sweep`, `bounds` and `quantify bounds` run in
+    the same process as they do with it."""
     paths = [
         write(tmp_path, "joint.json", DYADIC_JOINT),
         write(tmp_path, "spec.json", DYADIC_SPEC),
@@ -540,10 +540,15 @@ def test_missing_numpy_is_a_one_line_error(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     (eval_, sample, sweep, bounds, quantify_bounds) = json.loads(proc.stdout)
-    for code, out, err in (eval_, sample):
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ModuleNotFoundError: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = sample
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ModuleNotFoundError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert eval_ == [
+        0,
+        '{"true": 0.375, "distribution": {"false": 0.625, "true": 0.375}}\n',
+        "",
+    ]
     assert sweep == [
         0,
         "q,and_q,or_q,implies_q,formula\n"
@@ -577,6 +582,8 @@ def imported_numpy(importtime_report: str) -> list:
         "quantify_bounds_tree",
         "sweep",
         "sweep_formula_json",
+        "eval",
+        "eval_clamped_csv",
     ],
 )
 def test_cold_call_never_imports_numpy(tmp_path, call):
@@ -585,11 +592,16 @@ def test_cold_call_never_imports_numpy(tmp_path, call):
     build no array, so they never load numpy; the two calls print what
     they always printed, the classic tag included.  Nor do a two-variable
     part with its pair and a table whose pairs form a tree, which take
-    closed forms, nor a `sweep`, with or without a formula column."""
+    closed forms, nor a `sweep`, with or without a formula column, nor an
+    `eval`, also on a joint that is clamped and renormalised."""
     spec = write(tmp_path, "spec.json", DYADIC_SPEC)
     table = write(tmp_path, "table.json", TABLE)
     pair = write(tmp_path, "pair.json", PAIR_SPEC)
     chain = write(tmp_path, "chain.json", CHAIN_TABLE)
+    joint = write(tmp_path, "joint.json", DYADIC_JOINT)
+    # Sums to 1 + 5e-10, with an entry of -1e-10 that make_joint clamps to 0.
+    noisy = '{"arity": 2, "probs": [0.25, 0.125, -1e-10, 0.6250000006]}'
+    noisy = write(tmp_path, "noisy.json", noisy)
     command, stdout = {
         "import": (["-c", "import markov_fuzzy"], ""),
         "bounds": (
@@ -625,6 +637,15 @@ def test_cold_call_never_imports_numpy(tmp_path, call):
             '"formula": 0.375}, '
             '{"q": 0.25, "and_q": 0.5, "or_q": 0.75, "implies_q": 0.75, '
             '"formula": 0.5}]\n',
+        ),
+        "eval": (
+            ["-m", "markov_fuzzy", "eval", "--formula", "P1 & P2", "--input", joint],
+            '{"true": 0.375, "distribution": {"false": 0.625, "true": 0.375}}\n',
+        ),
+        "eval_clamped_csv": (
+            ["-m", "markov_fuzzy", "eval", "--formula", "P1 -> P2", "--input", noisy]
+            + ["--format", "csv"],
+            "outcome,probability\nfalse,0.12499999992499999\ntrue,0.87500000007500001\n",
         ),
     }[call]
     src = os.path.dirname(os.path.dirname(mf.__file__))

@@ -232,6 +232,33 @@ RAISE_SITES = {
             mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), None
         ),
     ),
+    # float() reads numeric text and bools; every to_float caller refuses them.
+    "marginal a bool": (
+        InvalidBelief,
+        lambda: mf.PartialJointSpec((True, 0.5)),
+    ),
+    "q connective q a numeric string": (
+        InvalidParameter,
+        lambda: mf.and_q(0.5, 0.5, "0.25"),
+    ),
+    "pairwise q a bool": (
+        InvalidParameter,
+        lambda: mf.PartialJointSpec((0.5, 0.5), {(1, 2): False}),
+    ),
+    "grid step a numeric string": (
+        InvalidParameter,
+        lambda: mf.brute_force_bounds(
+            mf.PartialJointSpec((0.5, 0.5)), mf.and_function(), "0.05"
+        ),
+    ),
+    "sampling weight a bool": (
+        InvalidParameter,
+        lambda: mf.SamplingStrategy(1, weights={"a": True, "b": False}),
+    ),
+    "Hoeffding delta bytes": (
+        InvalidParameter,
+        lambda: mf.SampleEstimate(0.5, 10, None).hoeffding_radius(b"0.5"),
+    ),
     "joint probability a string": (
         InvalidParameter,
         lambda: mf.make_joint(1, ["x", 0.5]),

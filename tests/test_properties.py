@@ -1,11 +1,13 @@
 """Property-based checks: formula round trips, the one q-feasibility rule,
 functoriality of pushforward, marginal consistency of products and of
 pair tables, de Morgan duality of the q connectives and monotone
-tightening of exact bounds, and seeded `quantify sample` output."""
+tightening of exact bounds, seeded `quantify sample` output, and `eval`
+equal to pushforward bit for bit."""
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,3 +352,105 @@ def test_quantify_sample_is_byte_identical_for_a_seed(runs):
         )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == outputs
+
+
+@st.composite
+def formulas_reading(draw, n):
+    """A quantifier-free formula that reads each of P1..Pn."""
+    order = draw(st.permutations(range(1, n + 1)))
+    nodes = [Var(f"P{i}") for i in order]
+    nodes = [Not(node) if draw(st.booleans()) else node for node in nodes]
+    while len(nodes) > 1:
+        k = draw(st.integers(0, len(nodes) - 2))
+        node = draw(st.sampled_from(list(BINARY.values())))(*nodes[k : k + 2])
+        nodes[k : k + 2] = [Not(node) if draw(st.booleans()) else node]
+    return mf.format_formula(nodes[0])
+
+
+@st.composite
+def eval_calls(draw):
+    """(joint document, formula) of an `eval` call over n = 1..8: a table
+    of int 0/1 entries with all the mass on one cell, or a normalised
+    one; scaled by up to 1 +- EPS_SIMPLEX, with a few empty cells set to
+    0 or to a value in [-EPS_SIMPLEX, 0).  Up to 1.5 times the tolerance
+    now and then makes a document faulty."""
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    empty = draw(st.lists(st.integers(0, size - 1), max_size=3))
+    if draw(st.booleans()):
+        probs = [draw(st.sampled_from([0, 0.0, -0.0])) for _ in range(size)]
+        full = draw(st.integers(0, size - 1))
+        probs[full] = draw(st.sampled_from([1, 1.0]))
+        empty = [k for k in empty if k != full]
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        for k in empty:
+            weights[k] = 0.0
+        total = math.fsum(weights) or 1.0
+        probs = [w / total for w in weights]
+    eps = mf.EPS_SIMPLEX * draw(st.sampled_from([1.0, 1.5]))
+    scale = 1.0 + draw(st.floats(-eps, eps))
+    probs = [p * scale if isinstance(p, float) else p for p in probs]
+    negative = st.floats(-eps, 0.0, exclude_max=True)
+    for k in empty:
+        probs[k] = draw(st.one_of(negative, st.just(0)))
+    return json.dumps({"arity": n, "probs": probs}), draw(formulas_reading(n))
+
+
+def main_outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def library_outcome(text, formula):
+    """What `eval` prints when it runs the library's parse_joint and
+    pushforward: (exit code, [p_false, p_true] as float.hex, stderr)."""
+    try:
+        dist = mf.parse_joint(text)
+        cli._check_cap(dist.arity)
+        out = mf.pushforward(dist, cli._compile(formula, dist.arity))
+    except ValueError as exc:
+        code = next(code for kind, code in cli._EXIT_CODES if isinstance(exc, kind))
+        return code, None, f"error: {type(exc).__name__}: {exc}\n"
+    return 0, [float.hex(p) for p in out.probs.tolist()], ""
+
+
+HUGE = "1" + "0" * 400
+
+
+@PROPERTY
+@given(eval_calls())
+@example(('{"arity": 1, "probs": [NaN, 1.0]}', "P1"))
+@example(('{"arity": 1, "probs": [1e400, 0.0]}', "P1"))
+@example(('{"arity": 1, "probs": [%s, 0]}' % HUGE, "P1"))
+@example(('{"arity": 1, "probs": [-%s, 1]}' % HUGE, "P1"))
+@example(('{"arity": 1, "probs": [1e308, 1e308]}', "P1"))
+@example(('{"arity": 1, "probs": [1.5, -0.5]}', "P1"))
+@example(('{"arity": 1, "probs": [0.25, 0.25]}', "P1"))
+@example(('{"arity": 2, "probs": [0.5, 0.5]}', "P1 & P2"))
+@example(('{"arity": 25, "probs": [1.0]}', "P1"))
+@example(('{"arity": true, "probs": [1.0]}', "P1"))
+@example(('{"arity": 1, "probs": [0.5, 0.5]}', "P1 & P2"))
+@example(('{"arity": 2, "probs": [NaN, -1, 3]}', "P1 & P2"))
+@example(('{"arity": 1, "probs": [NaN, -1]}', "P1"))
+@example(('{"arity": 2, "probs": [-1, 0.5, 0.25, 7]}', "P1 & P2"))
+def test_eval_is_pushforward_bit_for_bit(call):
+    """`eval` checks the table and sums its cells in plain Python; its
+    output equals pushforward(parse_joint(...)) bit for bit, and a faulty
+    document exits with the library path's code and error line."""
+    text, formula = call
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "joint.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out, err = main_outcome(["eval", "--formula", formula, "--input", path])
+    want_code, want_probs, want_err = library_outcome(text, formula)
+    assert (code, err) == (want_code, want_err)
+    if code == 0:
+        doc = json.loads(out)
+        assert doc["true"] == doc["distribution"]["true"]
+        got = [doc["distribution"]["false"], doc["distribution"]["true"]]
+        assert [float.hex(p) for p in got] == want_probs
