@@ -64,6 +64,7 @@ from .errors import (
     MultiOutput,
     SchemaError,
 )
+from .joints import independent_product, pushforward
 
 if TYPE_CHECKING:
     import numpy as np
@@ -188,8 +189,6 @@ def _check_cancel(cancel: Optional[Callable[[], bool]]) -> None:
 
 def _independent_point(spec: PartialJointSpec, f: BooleanFunction) -> float:
     """Confidence under full independence: the product table pushed through f."""
-    from .joints import independent_product, pushforward
-
     return clip01(pushforward(independent_product(spec.marginals), f).probs[1])
 
 
@@ -514,14 +513,12 @@ def _table_value(truth: int, cells: list) -> float:
 
 
 def _literal_bounds(marginals: tuple, pairs: list, node: list, coords: list):
-    """(lo, hi, exact) of `node` by the closed form when it is an and/or,
-    under at most one negation, of literals of distinct variables, one
-    per coordinate; exact when its pairs form no cycle.  Else None."""
+    """(lo, hi, exact) of `node`, an and/or under at most one negation, by
+    the closed form when its operands are literals of distinct variables,
+    one per coordinate; exact when its pairs form no cycle.  Else None."""
     flip = node[0] == _NEG
     if flip:
         node = node[2]
-    if node[0] == _LEAF:
-        return None
     negate = node[0] == _ALL  # an "and" is 1 - the "or" of the negations
     sign = {}  # coordinate: whether E_i is "x_i" rather than "not x_i"
     for kid in node[2]:

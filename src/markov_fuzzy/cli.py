@@ -18,23 +18,23 @@ the built-in N_MAX).
 Only `quantify sample` and the `bounds` and `quantify bounds` calls that
 solve an LP (with the package's own simplex) need numpy, loaded on first
 array use.  `eval` and `sweep` are plain Python, bit for bit equal to the
-library's array kernels, and `bounds` and `quantify bounds` stay numpy-free
-when every part takes a closed form: marginals, two variables, or
-literals over a tree of pairs.
+library's array kernels (`eval` checks its table with `joints._joint_cells`,
+`make_joint`'s checks on a list), and `bounds` and `quantify bounds` stay
+numpy-free when every part takes a closed form: marginals, two variables,
+or literals over a tree of pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import reduce
 from itertools import compress
 from operator import add
 
-from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, to_float
+from ._common import N_MAX, check_belief
 from .boolfuncs import _truth_bits, compile_formula, formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _clamped_q, _connectives, _pair_cells, _q_range, q_bounds
@@ -46,13 +46,12 @@ from .errors import (
     InvalidParameter,
     MarginalMismatch,
     MultiOutput,
-    NegativeMass,
-    NotNormalized,
     SchemaError,
     SolverError,
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
+from .joints import _joint_cells
 from .quantifiers import BeliefTable, SamplingStrategy, exists_bounds, sample_exists
 
 EXIT_OK = 0
@@ -145,39 +144,6 @@ def _compile(formula_text: str, expected_arity: int):
             f"arity {expected_arity}"
         )
     return compile_formula(ast, names)
-
-
-def _joint_cells(arity, probs: list) -> list:
-    """The entries of `make_joint(arity, probs)` as floats, each equal to
-    its own (a -0.0 may keep its sign), from make_joint's checks in their
-    order, in plain Python: `probs` holds the ints and floats of a JSON
-    document, and math.fsum is `_exact_sum` on finite values."""
-    arity = check_arity(arity)
-    if len(probs) != 1 << arity:
-        raise ArityMismatch(
-            f"need {1 << arity} probabilities for arity {arity}, "
-            f"got shape ({len(probs)},)"
-        )
-    try:
-        probs = list(map(float, probs))
-    except OverflowError:  # an int beyond the float range: to_float reads +-inf
-        probs = [to_float(p) for p in probs]
-    if not all(map(math.isfinite, probs)):
-        raise NegativeMass("probabilities must be finite")
-    lowest = min(probs)
-    if lowest < -EPS_SIMPLEX:
-        raise NegativeMass(f"probability entry {lowest} is negative")
-    if lowest < 0.0:
-        probs = [p if p >= 0.0 else 0.0 for p in probs]
-    try:
-        total = math.fsum(probs)
-    except OverflowError:  # where `_exact_sum` rounds to inf
-        total = math.inf
-    if abs(total - 1.0) > EPS_SIMPLEX:
-        raise NotNormalized(f"probabilities sum to {total}, not 1")
-    if total != 1.0:
-        probs = [p / total for p in probs]
-    return probs
 
 
 #: Selectors of the true and the false cells from the binary digits of a

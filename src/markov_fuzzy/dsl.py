@@ -22,16 +22,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
 from .boolfuncs import _child_fields, _fold, _walk
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, InvalidParameter, ParseError, SchemaError
+from .joints import JointBooleanDist, make_joint
 from .quantifiers import BeliefTable
-
-if TYPE_CHECKING:
-    from .joints import JointBooleanDist
 
 __all__ = [
     "SourceSpan",
@@ -413,6 +411,4 @@ def _joint_document(text: str) -> tuple:
 
 def parse_joint(text: str) -> JointBooleanDist:
     """Load {"arity": n, "probs": [... 2**n floats ...]} into a joint table."""
-    from .joints import make_joint
-
     return make_joint(*_joint_document(text))

@@ -19,19 +19,21 @@ reproducible bit for bit on a given build.
 
 The public constructors copy and check the caller's array.  The kernels
 here build each output table once and hand it over as it is: they have
-already checked it, and no caller holds a reference to it.
+already checked it, and no caller holds a reference to it.  `_joint_cells`
+is `make_joint`'s checks on a plain list, for callers that load no numpy.
+
+numpy is imported inside the functions that build tables, so importing
+this module (and the package) loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, check_int, to_float
-from .boolfuncs import BooleanFunction, index_assignment
+from .boolfuncs import BooleanFunction, assignment_index, index_assignment
 from .connectives import _feasible_q, _pair_cells
 from .errors import (
     ArityMismatch,
@@ -41,6 +43,9 @@ from .errors import (
     NegativeMass,
     NotNormalized,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "JointBooleanDist",
@@ -92,8 +97,6 @@ class JointBooleanDist:
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
-        from .boolfuncs import assignment_index
-
         if len(assignment) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} coordinates, got {len(assignment)}"
@@ -149,6 +152,8 @@ def _exact_sum(values: np.ndarray) -> float:
     rounded once, by int true division.  A sum beyond the float range is
     inf, where math.fsum raises OverflowError.
     """
+    import numpy as np
+
     hi_sums = np.zeros(_EXP_SLOTS)
     lo_sums = np.zeros(_EXP_SLOTS)
     # Buffers reused by every block; the mantissa buffer holds top, then lo.
@@ -180,17 +185,21 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _float_array(values) -> np.ndarray:
-    """A new float64 array of values; an integer too large for a float
-    reads as +-inf, as the literal 1e400 does, and a value that is not a
-    number raises InvalidParameter."""
+    """A new float64 array of values.  An array of int, uint or float dtype
+    is converted as it is; any other (text, bytes, bools, complex, or
+    objects such as an int too large for a float) is read entry by entry
+    by `to_float`, so a value that is not a number raises InvalidParameter
+    and a huge integer reads as +-inf, as the literal 1e400 does."""
+    import numpy as np
+
     try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        return np.frompyfunc(to_float, 1, 1)(
-            np.asarray(values, dtype=object)
-        ).astype(np.float64)
+        arr = np.array(values)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"probabilities must be numbers: {exc}") from None
+    if arr.dtype.kind in "iuf":
+        return arr.astype(np.float64, copy=False)
+    read = np.frompyfunc(lambda value: to_float(value, "probability"), 1, 1)
+    return np.array(read(arr), dtype=np.float64)
 
 
 def make_joint(arity: int, probs) -> JointBooleanDist:
@@ -200,6 +209,8 @@ def make_joint(arity: int, probs) -> JointBooleanDist:
     EPS_SIMPLEX are clamped) and sum to 1 within EPS_SIMPLEX, in which case
     the table is renormalized by dividing by its exactly rounded sum.
     """
+    import numpy as np
+
     arity = check_arity(arity)
     arr = _float_array(probs)
     if arr.shape != (1 << arity,):
@@ -222,12 +233,47 @@ def make_joint(arity: int, probs) -> JointBooleanDist:
     return JointBooleanDist._adopt(arity, arr)
 
 
+def _joint_cells(arity, probs: list) -> list:
+    """The entries of `make_joint(arity, probs)` as floats, each equal to
+    its own (a -0.0 may keep its sign), from make_joint's checks in their
+    order, in plain Python: `probs` holds the ints and floats of a JSON
+    document, and math.fsum is `_exact_sum` on finite values."""
+    arity = check_arity(arity)
+    if len(probs) != 1 << arity:
+        raise ArityMismatch(
+            f"need {1 << arity} probabilities for arity {arity}, "
+            f"got shape ({len(probs)},)"
+        )
+    try:
+        probs = list(map(float, probs))
+    except OverflowError:  # an int beyond the float range: to_float reads +-inf
+        probs = [to_float(p) for p in probs]
+    if not all(map(math.isfinite, probs)):
+        raise NegativeMass("probabilities must be finite")
+    lowest = min(probs)
+    if lowest < -EPS_SIMPLEX:
+        raise NegativeMass(f"probability entry {lowest} is negative")
+    if lowest < 0.0:
+        probs = [p if p >= 0.0 else 0.0 for p in probs]
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # where `_exact_sum` rounds to inf
+        total = math.inf
+    if abs(total - 1.0) > EPS_SIMPLEX:
+        raise NotNormalized(f"probabilities sum to {total}, not 1")
+    if total != 1.0:
+        probs = [p / total for p in probs]
+    return probs
+
+
 def independent_product(factors: Sequence[float]) -> JointBooleanDist:
     """Joint table of conditionally independent predicates.
 
     Entry (a1, ..., an) is the product of p_i when a_i is true and 1 - p_i
     when false; every single-coordinate marginal recovers p_i.
     """
+    import numpy as np
+
     ps = [check_belief(p, f"factor {i + 1}") for i, p in enumerate(factors)]
     if not ps:
         raise BadCoordinate("independent_product needs at least one factor")
@@ -264,6 +310,8 @@ def marginal(dist: JointBooleanDist, coords: Sequence[int]) -> JointBooleanDist:
     Each output entry is summed from 0.0 in ascending index order, as in
     `pushforward`.
     """
+    import numpy as np
+
     bits = _coords_to_bits(coords, dist.arity)
     n = dist.arity
     # In the (2,)*n view, axis n-1-b holds bit b.  Dropped axes go first in
@@ -286,6 +334,8 @@ def pair_from_pq(p1: float, p2: float, q: float) -> JointBooleanDist:
     the marginals of the result equal (p1, p2).  q outside the feasible
     interval (beyond EPS_FEAS) raises InfeasibleQ.
     """
+    import numpy as np
+
     table = np.maximum(_pair_cells(*_feasible_q(p1, p2, q)), 0.0)
     return JointBooleanDist._adopt(2, table)
 
@@ -296,6 +346,8 @@ def pushforward(dist: JointBooleanDist, f: BooleanFunction) -> JointBooleanDist:
     Output entry b collects the probability of every input assignment a
     with f(a) = b; each sum runs from 0.0 in ascending index order.
     """
+    import numpy as np
+
     if f.arity_in != dist.arity:
         raise ArityMismatch(
             f"function input arity {f.arity_in} != distribution arity {dist.arity}"
@@ -313,6 +365,8 @@ def pushforward_finite(dist: JointBooleanDist, value_table) -> FiniteDist:
     table-index order.  Output labels are ordered by first appearance in
     ascending index order.
     """
+    import numpy as np
+
     size = 1 << dist.arity
     if isinstance(value_table, Mapping):
         values = []

@@ -40,11 +40,10 @@ from .errors import (
     UnboundVariable,
     UnsupportedLiftPolicy,
 )
+from .joints import JointBooleanDist, marginal
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .joints import JointBooleanDist
 
 __all__ = [
     "BeliefTable",
@@ -152,8 +151,6 @@ def exists_truncated(
     1e-12, and any larger drop is reported as an inconsistency.
     """
     import numpy as np
-
-    from .joints import marginal
 
     prev_dist = None
     prev_value = None

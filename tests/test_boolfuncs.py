@@ -149,6 +149,10 @@ class TestMinterms:
         with pytest.raises(MultiOutput):
             mf.to_minterms(mf.identity_function(2))
 
+    def test_minterm_of_the_wrong_length_rejected(self):
+        with pytest.raises(ArityMismatch, match="does not have 2 coordinates"):
+            mf.from_minterms(2, {(True, False), (True,)})
+
     def test_round_trip_all_two_variable_functions(self):
         for bits in itertools.product((0, 1), repeat=4):
             f = mf.BooleanFunction(2, 1, list(bits))
@@ -243,6 +247,15 @@ class TestBooleanFunction:
     def test_formula_variables_order(self):
         ast = Or(And(Var("q"), Var("p")), Var("q"))
         assert mf.formula_variables(ast) == ["q", "p"]
+
+    def test_formula_variables_rejects_a_foreign_node(self):
+        with pytest.raises(TypeError, match="not a formula node: 'b'"):
+            mf.formula_variables(And(Var("a"), "b"))
+
+    def test_equal_only_to_functions(self):
+        f = mf.and_function()
+        assert f != object() and not f == object()
+        assert f == mf.BooleanFunction(2, 1, [0, 0, 0, 1])
 
 
 class TestFormulaEquality:

@@ -26,6 +26,7 @@ from markov_fuzzy.errors import (
     Cancelled,
     InfeasibleQ,
     InfeasibleSpec,
+    InvalidBelief,
     MarkovFuzzyError,
     MultiOutput,
     SchemaError,
@@ -87,6 +88,13 @@ class TestConfidenceInterval:
 
 
 class TestPartialJointSpec:
+    def test_belief_noise_clamped(self):
+        """A marginal within EPS_SIMPLEX of [0, 1] is clamped to its end."""
+        spec = mf.PartialJointSpec((-mf.EPS_SIMPLEX, -1e-10, 1.0 + mf.EPS_SIMPLEX))
+        assert spec.marginals == (0.0, 0.0, 1.0)
+        with pytest.raises(InvalidBelief):
+            mf.PartialJointSpec((-2 * mf.EPS_SIMPLEX, 0.5))
+
     def test_pairwise_normalized_symmetric(self):
         spec = mf.PartialJointSpec(marginals=(0.7, 0.6), pairwise={(2, 1): 0.12})
         assert spec.pairwise == {(1, 2): pytest.approx(0.12)}

@@ -1,6 +1,7 @@
 """Joint-table construction, marginalization, products and pushforward."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from markov_fuzzy.errors import (
     ArityTooLarge,
     BadCoordinate,
     InfeasibleQ,
+    InvalidParameter,
     NegativeMass,
     NotNormalized,
 )
@@ -72,11 +74,27 @@ class TestMakeJoint:
     def test_wrong_length(self):
         with pytest.raises(ArityMismatch):
             mf.make_joint(2, [0.5, 0.5])
+        with pytest.raises(ArityMismatch, match="expected 4 probabilities"):
+            mf.JointBooleanDist(2, [0.5, 0.5])
+
+    def test_prob_checks_its_coordinates(self):
+        dist = mf.make_joint(2, [0.1, 0.2, 0.3, 0.4])
+        assert dist.prob((False, True)) == 0.3
+        with pytest.raises(ArityMismatch, match="expected 2 coordinates, got 1"):
+            dist.prob((True,))
 
     def test_immutable(self):
         dist = mf.make_joint(1, [0.5, 0.5])
         with pytest.raises(ValueError):
             dist.probs[0] = 1.0
+
+    def test_repr(self):
+        assert repr(mf.make_joint(1, [0.25, 0.75])) == (
+            "JointBooleanDist(arity=1, probs=[0.25, 0.75])"
+        )
+        assert repr(mf.FiniteDist(("a", "b"), [0.25, 0.75])) == (
+            "FiniteDist({'a': 0.25, 'b': 0.75})"
+        )
 
 
 NAN, INF = math.nan, math.inf
@@ -113,6 +131,50 @@ class TestConstructorsRejectNonFinite:
     def test_valid_tables_still_accepted(self):
         for construct in self.CONSTRUCTORS.values():
             assert construct([0.25, 0.75]).probs.tolist() == [0.25, 0.75]
+
+
+class TestConstructorsRejectNonNumbers:
+    """Text, bytes and bools are not probabilities, in a list or in an
+    array, although float() reads "0.5" and True as numbers; a bool is
+    refused beside an integer too large for a float too."""
+
+    CONSTRUCTORS = {
+        "make_joint": lambda entries: mf.make_joint(1, entries),
+        **TestConstructorsRejectNonFinite.CONSTRUCTORS,
+    }
+
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ["0.5", "0.5"],
+            [b"0.5", b"0.5"],
+            [True, False],
+            [True, 10**400],
+            np.array([True, False]),
+            np.array(["0.5", "0.5"]),
+        ],
+        ids=["text", "bytes", "bools", "bool and huge int", "bool array", "str array"],
+    )
+    def test_rejected(self, construct, entries):
+        with pytest.raises(InvalidParameter, match="must be a number"):
+            self.CONSTRUCTORS[construct](entries)
+
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1, 0],
+            np.array([1, 0], dtype=np.uint8),
+            np.array([0.25, 0.75], dtype=np.float32),
+            [Fraction(1, 4), Fraction(3, 4)],
+        ],
+        ids=["ints", "uint8 array", "float32 array", "fractions"],
+    )
+    def test_numbers_accepted(self, construct, entries):
+        probs = self.CONSTRUCTORS[construct](entries).probs
+        assert probs.dtype == np.float64
+        assert probs.tolist() == [float(x) for x in entries]
 
 
 class TestIndependentProduct:
@@ -343,6 +405,14 @@ class TestPushforwardFinite:
         dist = mf.make_joint(1, [0.5, 0.5])
         with pytest.raises(ArityMismatch):
             mf.pushforward_finite(dist, {(False,): 1})
+
+    def test_table_of_the_wrong_size_rejected(self):
+        dist = mf.make_joint(1, [0.5, 0.5])
+        extra = {(False,): 1, (True,): 2, (True, True): 3}
+        with pytest.raises(ArityMismatch, match="has 3 entries, expected 2"):
+            mf.pushforward_finite(dist, extra)
+        with pytest.raises(ArityMismatch, match="has 3 entries, expected 2"):
+            mf.pushforward_finite(dist, ["a", "b", "c"])
 
 
 class TestSimplexClosure:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import markov_fuzzy as mf
 from markov_fuzzy import And, Implies, Not, Or, Var
 from markov_fuzzy.errors import NotNormalized
-from markov_fuzzy.joints import _SUM_BLOCK, _exact_sum
+from markov_fuzzy.joints import _SUM_BLOCK, _exact_sum, _float_array
 
 ARITIES = range(1, 15)
 
@@ -392,7 +392,9 @@ def test_independent_product_builds_one_table():
 )
 def test_compile_formula_builds_one_table(ast):
     """The first read of `table` evaluates the normal form as one int
-    bitset and unpacks it into the table a block at a time."""
+    bitset and unpacks it into the table a block at a time: the peak is
+    the table and two copies of the bits (the int and its bytes), each
+    1/64 of a table."""
     assert traced_peak(lambda: mf.compile_formula(ast, GUARD_NAMES).table) < 1.1
 
 
@@ -403,3 +405,15 @@ def test_make_joint_holds_little_beyond_its_table():
     probs = random_table(np.random.default_rng(16), n).probs
     peak = traced_peak(lambda: mf.make_joint(n, probs))
     assert peak * TABLE_BYTES / probs.nbytes <= 2.5
+
+
+@pytest.mark.parametrize("form", ["array", "list"])
+def test_a_float_table_is_copied_once(form):
+    """A float64 array or a list of floats is read into one new table,
+    which shares no memory with the caller's array."""
+    probs = np.linspace(0.0, 1.0, 1 << GUARD_ARITY)
+    values = probs if form == "array" else probs.tolist()
+    read = []
+    assert traced_peak(lambda: read.append(_float_array(values))) < 1.1
+    assert not np.shares_memory(read[0], probs)
+    assert np.array_equal(read[0], probs)

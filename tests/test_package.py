@@ -15,21 +15,12 @@ from markov_fuzzy import joints
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-#: The names that come from `joints`, bound on first read.
-JOINTS_NAMES = joints.__all__
-
-
-def test_lazy_names_are_those_of_joints():
-    """The package's literal list of the lazy names is `joints.__all__`, and
-    no public name is listed twice."""
-    assert set(mf._JOINTS) == set(joints.__all__)
-    assert len(set(mf.__all__)) == len(mf.__all__)
-
-
 def test_every_public_name_resolves():
-    """Each name of `__all__`, the lazy ones included, resolves by getattr
-    and is listed by dir(), and a star import binds every one."""
-    assert set(JOINTS_NAMES) <= set(mf.__all__)
+    """No public name is listed twice; each name of `__all__`, those of
+    `joints` included, resolves by getattr and is listed by dir(), and a
+    star import binds every one."""
+    assert len(set(mf.__all__)) == len(mf.__all__)
+    assert set(joints.__all__) <= set(mf.__all__)
     listed = dir(mf)
     for name in mf.__all__:
         getattr(mf, name)
@@ -37,7 +28,7 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from markov_fuzzy import *", namespace)
     assert set(mf.__all__) <= set(namespace)
-    for name in JOINTS_NAMES:
+    for name in joints.__all__:
         assert namespace[name] is getattr(joints, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         mf.no_such_name
