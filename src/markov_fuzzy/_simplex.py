@@ -29,7 +29,8 @@ per pivot:
   move the point comes back to a basis it has met, pricing switches to
   the lowest-index improving column and the lowest-index tied leaving
   variable (Bland's rule, which cannot cycle) until a pivot moves the
-  point again;
+  point again.  Dantzig's rule alone cycles on Chvatal's (1983) LP, the
+  tested case;
 * more than `MAX_PIVOTS` pivots in one phase raise SolverError;
 * a phase ends only when pricing on a fresh inverse finds no improving
   column: pricing on an updated inverse that finds none recomputes the
@@ -56,9 +57,11 @@ from .errors import SolverError
 TOL = 1e-9
 
 #: Pivots allowed in one phase before the solve fails with SolverError.
-#: Bland's rule already rules out cycling; this bounds the time a stalled
-#: solve can take (about 0.15 ms a pivot at 79 rows and 4096 columns on a
-#: 2-core x86 machine, solve overhead included, so about 8 s).
+#: Bland's rule already rules out cycling: Dantzig's rule with this ratio
+#: test cycles on Chvatal's (1983) LP, the tested case, and would run to
+#: this cap without the switch.  The cap bounds the time a stalled solve
+#: can take (about 0.15 ms a pivot at 79 rows and 4096 columns on a 2-core
+#: x86 machine, solve overhead included, so about 8 s).
 MAX_PIVOTS = 50_000
 
 #: Pivots between recomputations of the basis inverse.

@@ -75,7 +75,7 @@ class SchemaError(MarkovFuzzyError, ValueError):
 class InvalidParameter(MarkovFuzzyError, ValueError):
     """An argument is out of range or inconsistent: a count, a length, a
     confidence level, a grid step, an interval's ends, a span, a choice
-    among named options or a set of labels that must be distinct."""
+    among named options or labels, which must be hashable and distinct."""
 
 
 class UnexpandedQuantifier(MarkovFuzzyError, ValueError):

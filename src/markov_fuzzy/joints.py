@@ -13,14 +13,14 @@ with the first letter naming predicate 1.
 Distributions are immutable after construction; every operation is pure
 and returns a new value, so instances are safe to share between threads.
 Pushforward and marginal sums are accumulated from 0.0 in ascending index
-order (pushforward by an in-order `np.add.at`), and `make_joint`
-normalises by the exactly rounded sum of its entries, which makes results
+order (pushforward by an in-order `np.add.at`), which makes results
 reproducible bit for bit on a given build.
 
-The public constructors copy and check the caller's array.  The kernels
-here build each output table once and hand it over as it is: they have
-already checked it, and no caller holds a reference to it.  `_joint_cells`
-is `make_joint`'s checks on a plain list, for callers that load no numpy.
+A caller's table meets one rule, `make_joint`'s, in `JointBooleanDist`
+and `FiniteDist` alike: they copy and check it.  The kernels here build
+each output table once and hand it over as it is (`_adopt`): no caller
+holds a reference to it, and it is never renormalised.  `_joint_cells`
+is the same rule on a plain list, for callers that load no numpy.
 
 numpy is imported inside the functions that build tables, so importing
 this module (and the package) loads none.
@@ -59,41 +59,31 @@ __all__ = [
 ]
 
 
-def _freeze(values, size: int) -> np.ndarray:
-    """Read-only copy of a probability vector, checked for shape, sign and
-    sum.  Structural sanity only; make_joint performs full input validation."""
-    arr = _float_array(values)
-    if arr.shape != (size,):
-        raise ArityMismatch(f"expected {size} probabilities, got shape {arr.shape}")
-    # Written as "not (ok)" so that NaN and +-inf fail the checks too.
-    if arr.size and not arr.min() >= -4 * EPS_SIMPLEX:
-        raise NegativeMass(f"negative probability {arr.min()}")
-    if not abs(float(arr.sum()) - 1.0) <= 4 * EPS_SIMPLEX:
-        raise NotNormalized(f"probabilities sum to {float(arr.sum())}")
-    arr.flags.writeable = False
-    return arr
+class _Table:
+    """A frozen pair of a key (an arity or an alphabet) and `probs`."""
+
+    @classmethod
+    def _adopt(cls, key, probs: np.ndarray):
+        """Wrap a table that a kernel has just built: made read-only in
+        place, neither copied nor checked."""
+        probs.flags.writeable = False
+        table = object.__new__(cls)
+        table.__dict__.update(zip(cls.__dataclass_fields__, (key, probs)))
+        return table
 
 
 @dataclass(frozen=True, eq=False)
-class JointBooleanDist:
-    """Probability table over B^arity, indexed by packed assignments."""
+class JointBooleanDist(_Table):
+    """Probability table over B^arity, indexed by packed assignments;
+    `probs` is copied and checked by `make_joint`'s rule."""
 
     arity: int
     probs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "arity", check_arity(self.arity))
-        object.__setattr__(self, "probs", _freeze(self.probs, 1 << self.arity))
-
-    @classmethod
-    def _adopt(cls, arity: int, probs: np.ndarray) -> "JointBooleanDist":
-        """Wrap a table that a kernel has just built and checked: made
-        read-only in place, neither copied nor checked again."""
-        probs.flags.writeable = False
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "arity", arity)
-        object.__setattr__(dist, "probs", probs)
-        return dist
+        size, what = 1 << self.arity, f"arity {self.arity}"
+        object.__setattr__(self, "probs", _probabilities(self.probs, size, what))
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
@@ -112,21 +102,29 @@ class JointBooleanDist:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteDist:
-    """Probability distribution over a small ordered alphabet of labels."""
+class FiniteDist(_Table):
+    """Probability distribution over a small ordered alphabet of distinct,
+    hashable labels; `probs` is copied and checked by `make_joint`'s rule."""
 
     alphabet: tuple
     probs: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.alphabet)
-        if len(set(labels)) != len(labels):
-            raise InvalidParameter("alphabet labels must be distinct")
+        try:
+            if len(set(labels)) != len(labels):
+                raise InvalidParameter("alphabet labels must be distinct")
+        except TypeError as exc:
+            raise InvalidParameter(f"alphabet labels must be hashable: {exc}") from None
         object.__setattr__(self, "alphabet", labels)
-        object.__setattr__(self, "probs", _freeze(self.probs, len(labels)))
+        probs = _probabilities(self.probs, len(labels), f"{len(labels)} labels")
+        object.__setattr__(self, "probs", probs)
 
     def prob(self, label) -> float:
-        return float(self.probs[self.alphabet.index(label)])
+        try:
+            return float(self.probs[self.alphabet.index(label)])
+        except ValueError:
+            raise InvalidParameter(f"label {label!r} is not in the alphabet") from None
 
     def __repr__(self):
         return f"FiniteDist({dict(zip(self.alphabet, self.probs.tolist()))})"
@@ -202,24 +200,18 @@ def _float_array(values) -> np.ndarray:
     return np.array(read(arr), dtype=np.float64)
 
 
-def make_joint(arity: int, probs) -> JointBooleanDist:
-    """Validate and construct a joint table.
-
-    Entries must be finite and nonnegative (excursions below zero within
-    EPS_SIMPLEX are clamped) and sum to 1 within EPS_SIMPLEX, in which case
-    the table is renormalized by dividing by its exactly rounded sum.
-    """
+def _probabilities(values, size: int, what: str) -> np.ndarray:
+    """`values` as a new read-only table of `size` entries, by `make_joint`'s
+    rule; `what` names the size in the length error."""
     import numpy as np
 
-    arity = check_arity(arity)
-    arr = _float_array(probs)
-    if arr.shape != (1 << arity,):
+    arr = _float_array(values)
+    if arr.shape != (size,):
         raise ArityMismatch(
-            f"need {1 << arity} probabilities for arity {arity}, "
-            f"got shape {arr.shape}"
+            f"need {size} probabilities for {what}, got shape {arr.shape}"
         )
-    # min and max are NaN if any entry is.
-    lowest, highest = float(arr.min()), float(arr.max())
+    # min and max are NaN if any entry is; 0.0 stands in for an empty table.
+    lowest, highest = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
     if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise NegativeMass("probabilities must be finite")
     if lowest < -EPS_SIMPLEX:
@@ -230,7 +222,16 @@ def make_joint(arity: int, probs) -> JointBooleanDist:
         raise NotNormalized(f"probabilities sum to {total}, not 1")
     if total != 1.0:
         arr /= total
-    return JointBooleanDist._adopt(arity, arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def make_joint(arity: int, probs) -> JointBooleanDist:
+    """The joint table `JointBooleanDist(arity, probs)`, by the one rule for
+    a probability table: finite entries, none below -EPS_SIMPLEX (those
+    below zero, and -0.0, are set to +0.0), that sum to 1 within
+    EPS_SIMPLEX; the table is then divided by its exactly rounded sum."""
+    return JointBooleanDist(arity, probs)
 
 
 def _joint_cells(arity, probs: list) -> list:
@@ -369,31 +370,25 @@ def pushforward_finite(dist: JointBooleanDist, value_table) -> FiniteDist:
 
     size = 1 << dist.arity
     if isinstance(value_table, Mapping):
-        values = []
-        for idx in range(size):
-            key = index_assignment(idx, dist.arity)
-            if key not in value_table:
-                raise ArityMismatch(
-                    f"value table is missing assignment {key!r}; it must be "
-                    f"total on B^{dist.arity}"
-                )
-            values.append(value_table[key])
-        if len(value_table) != size:
+        keys = [index_assignment(idx, dist.arity) for idx in range(size)]
+        missing = [key for key in keys if key not in value_table]
+        if missing:
             raise ArityMismatch(
-                f"value table has {len(value_table)} entries, expected {size}"
+                f"value table is missing assignment {missing[0]!r}; it must be "
+                f"total on B^{dist.arity}"
             )
+        values = [value_table[key] for key in keys]
+        count = len(value_table)
     else:
         values = list(value_table)
-        if len(values) != size:
-            raise ArityMismatch(
-                f"value table has {len(values)} entries, expected {size}"
-            )
+        count = len(values)
+    if count != size:
+        raise ArityMismatch(f"value table has {count} entries, expected {size}")
     label_codes: dict = {}
-    codes = np.empty(size, dtype=np.int64)
-    for idx, label in enumerate(values):
-        if label not in label_codes:
-            label_codes[label] = len(label_codes)
-        codes[idx] = label_codes[label]
+    try:
+        codes = [label_codes.setdefault(label, len(label_codes)) for label in values]
+    except TypeError as exc:
+        raise InvalidParameter(f"value table labels must be hashable: {exc}") from None
     summed = np.zeros(len(label_codes))
-    np.add.at(summed, codes, dist.probs)
-    return FiniteDist(tuple(label_codes), summed)
+    np.add.at(summed, np.array(codes, dtype=np.int64), dist.probs)
+    return FiniteDist._adopt(tuple(label_codes), summed)

@@ -188,10 +188,13 @@ class SamplingStrategy:
     """How to draw universe-point tuples.
 
     Either i.i.d. draws over the finite universe (`weights`; None means
-    uniform) or an explicit caller-supplied stream of tuples.  Draws are
-    produced by a counter-based generator (Philox) keyed by `seed`, an
-    integer in [0, 2**128) (None draws a fresh key), so the tuple at sample
-    index k is a pure function of (seed, k) and runs are reproducible.
+    uniform) or an explicit caller-supplied stream of tuples.  The weights
+    keep a stricter rule than `make_joint`'s: no entry below zero and no
+    division by their sum, which would move the draws of every seed.
+    Draws are produced by a counter-based generator (Philox) keyed by
+    `seed`, an integer in [0, 2**128) (None draws a fresh key), so the
+    tuple at sample index k is a pure function of (seed, k) and runs are
+    reproducible.
     Uniforms map to labels by an indexed inverse-CDF search that returns
     exactly the indices of np.searchsorted(cdf, u, side="right"), and
     `sample_exists` draws them in blocks, keeping 8 bytes per sample.

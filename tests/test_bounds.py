@@ -620,6 +620,37 @@ class TestSolverEquivalence:
             assert ci.lo == pytest.approx(want[0], abs=1e-9)
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
+    def test_blands_rule_ends_chvatals_cycle(self, monkeypatch):
+        """Chvatal's (1983) LP: max 10x1 - 57x2 - 9x3 - 24x4 subject to
+        0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0, 0.5x1 - 1.5x2 - 0.5x3 + x4 <= 0
+        and x1 <= 1, from the slack basis.  Dantzig's rule with this ratio
+        test revisits a basis there; the switch to Bland's rule reaches
+        the maximum 1 in 13 pivots, and without it the solve cycles to
+        the pivot cap, here lowered so that it fails at once."""
+        entering = _simplex.Simplex._entering
+        bland_pricings = []
+
+        def counting_entering(reduced, bland):
+            bland_pricings.append(bland)
+            return entering(reduced, bland)
+
+        monkeypatch.setattr(
+            _simplex.Simplex, "_entering", staticmethod(counting_entering)
+        )
+        monkeypatch.setattr(_simplex, "MAX_PIVOTS", 100)
+        a = np.array(
+            [
+                [0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        lp = _simplex.Simplex(a, np.array([0.0, 0.0, 1.0]), np.array([4, 5, 6]))
+        assert lp.feasible
+        cost = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+        assert lp.minimize(cost) == pytest.approx(-1.0, abs=1e-12)
+        assert any(bland_pricings)
+
     def test_ratio_test_with_one_candidate_row(self, monkeypatch):
         """A pivot whose entering column is positive in one row alone takes
         that row.  Over the probability simplex (one row of ones), min c.x

@@ -89,6 +89,18 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.FiniteDist(("a", "a"), [0.5, 0.5]),
     ),
+    "alphabet label unhashable": (
+        InvalidParameter,
+        lambda: mf.FiniteDist(("a", ["b"]), [0.5, 0.5]),
+    ),
+    "label outside the alphabet": (
+        InvalidParameter,
+        lambda: mf.FiniteDist(("a", "b"), [0.5, 0.5]).prob("z"),
+    ),
+    "pushforward label unhashable": (
+        InvalidParameter,
+        lambda: mf.pushforward_finite(mf.make_joint(1, [0.5, 0.5]), ["a", {}]),
+    ),
     "pairwise key of three coordinates": (
         BadCoordinate,
         lambda: mf.PartialJointSpec((0.5, 0.5), {(1, 2, 3): 0.1}),

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy.errors import (
@@ -13,9 +15,11 @@ from markov_fuzzy.errors import (
     BadCoordinate,
     InfeasibleQ,
     InvalidParameter,
+    MarkovFuzzyError,
     NegativeMass,
     NotNormalized,
 )
+from markov_fuzzy.joints import _joint_cells
 
 
 def entry_by_loops(ps, index):
@@ -74,8 +78,10 @@ class TestMakeJoint:
     def test_wrong_length(self):
         with pytest.raises(ArityMismatch):
             mf.make_joint(2, [0.5, 0.5])
-        with pytest.raises(ArityMismatch, match="expected 4 probabilities"):
+        with pytest.raises(ArityMismatch, match="need 4 probabilities for arity 2"):
             mf.JointBooleanDist(2, [0.5, 0.5])
+        with pytest.raises(ArityMismatch, match="need 3 probabilities for 3 labels"):
+            mf.FiniteDist("abc", [0.5, 0.5])
 
     def test_prob_checks_its_coordinates(self):
         dist = mf.make_joint(2, [0.1, 0.2, 0.3, 0.4])
@@ -101,9 +107,9 @@ NAN, INF = math.nan, math.inf
 
 
 class TestConstructorsRejectNonFinite:
-    """The constructors' sign and sum checks fail on NaN and +-inf, not
-    only on finite violations; an integer too large for a float reads as
-    the infinity it rounds to, as in make_joint."""
+    """The constructors refuse NaN and +-inf entries as not finite, as
+    make_joint does; an integer too large for a float reads as the
+    infinity it rounds to."""
 
     CONSTRUCTORS = {
         "joint": lambda entries: mf.JointBooleanDist(1, entries),
@@ -118,9 +124,9 @@ class TestConstructorsRejectNonFinite:
             ([NAN, 1.0], NegativeMass),
             ([1.0, NAN], NegativeMass),
             ([INF, -INF], NegativeMass),
-            ([INF, 0.0], NotNormalized),
-            ([0.0, INF], NotNormalized),
-            ([10**400, 0], NotNormalized),
+            ([INF, 0.0], NegativeMass),
+            ([0.0, INF], NegativeMass),
+            ([10**400, 0], NegativeMass),
             ([-(10**400), 1], NegativeMass),
         ],
     )
@@ -133,15 +139,94 @@ class TestConstructorsRejectNonFinite:
             assert construct([0.25, 0.75]).probs.tolist() == [0.25, 0.75]
 
 
-class TestConstructorsRejectNonNumbers:
-    """Text, bytes and bools are not probabilities, in a list or in an
-    array, although float() reads "0.5" and True as numbers; a bool is
-    refused beside an integer too large for a float too."""
+EPS = mf.EPS_SIMPLEX
+#: Entries that are not finite; the huge ints read as +-inf.
+NON_FINITE = [NAN, INF, -INF, 10**400, -(10**400)]
+
+
+@st.composite
+def raw_tables(draw):
+    """(arity, entries as a list, entries as given): a table scaled by up to
+    1 +- 2 EPS_SIMPLEX, with up to two entries set to -0.0, to a value in
+    [-2 EPS_SIMPLEX, 0] or to one that is not finite, given as the list or
+    as an array."""
+    n = draw(st.integers(0, 4))
+    size = 1 << n
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    total = math.fsum(weights)
+    scale = 1.0 + draw(st.floats(-2 * EPS, 2 * EPS))
+    probs = [w / total * scale for w in weights] if total else [scale / size] * size
+    noise = st.one_of(
+        st.just(-0.0), st.floats(-2 * EPS, 0.0), st.sampled_from(NON_FINITE)
+    )
+    for index in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        probs[index] = draw(noise)
+    return n, probs, draw(st.sampled_from([probs, np.array(probs)]))
+
+
+def outcome(build):
+    """The bytes of the table `build()` makes, or the type of its error."""
+    try:
+        return build().probs.tobytes()
+    except MarkovFuzzyError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(raw_tables())
+def test_every_constructor_applies_one_rule(table):
+    """JointBooleanDist, make_joint and FiniteDist give the same bits or
+    the same error on any input, and _joint_cells the same floats."""
+    n, as_list, entries = table
+    got = {
+        outcome(lambda: mf.JointBooleanDist(n, entries)),
+        outcome(lambda: mf.make_joint(n, entries)),
+        outcome(lambda: mf.FiniteDist(range(1 << n), entries)),
+    }
+    assert len(got) == 1
+    (want,) = got
+    try:
+        cells = _joint_cells(n, as_list)
+    except MarkovFuzzyError as exc:
+        assert type(exc) is want
+    else:
+        assert cells == np.frombuffer(want).tolist()
+
+
+class TestOneRule:
+    """The constructors refuse what make_joint refuses, and clamp and
+    divide as it does."""
 
     CONSTRUCTORS = {
         "make_joint": lambda entries: mf.make_joint(1, entries),
         **TestConstructorsRejectNonFinite.CONSTRUCTORS,
     }
+
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
+    def test_negative_mass_beyond_the_tolerance_refused(self, construct):
+        with pytest.raises(NegativeMass, match="entry -3e-09 is negative"):
+            self.CONSTRUCTORS[construct]([-3e-9, 1 + 3e-9])
+
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
+    def test_small_negatives_clamped_and_the_sum_divided_out(self, construct):
+        for entries in ([-0.0, 1.0], [-5e-10, 1.0 + 5e-10]):
+            probs = self.CONSTRUCTORS[construct](entries).probs.tolist()
+            assert probs == [0.0, 1.0] and math.copysign(1.0, probs[0]) == 1.0
+        entries = [0.25, 0.75 + 5e-10]
+        want = [p / math.fsum(entries) for p in entries]
+        assert self.CONSTRUCTORS[construct](entries).probs.tolist() == want
+
+    def test_an_empty_alphabet_is_not_normalized(self):
+        with pytest.raises(NotNormalized, match="sum to 0.0"):
+            mf.FiniteDist((), [])
+
+
+class TestConstructorsRejectNonNumbers:
+    """Text, bytes and bools are not probabilities, in a list or in an
+    array, although float() reads "0.5" and True as numbers; a bool is
+    refused beside an integer too large for a float too."""
+
+    CONSTRUCTORS = TestOneRule.CONSTRUCTORS
 
     @pytest.mark.parametrize("construct", sorted(CONSTRUCTORS))
     @pytest.mark.parametrize(

@@ -40,7 +40,8 @@ def random_table(rng, n):
     probs /= probs.sum()
     zeros = probs == 0.0
     probs[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
-    return mf.JointBooleanDist(n, probs)
+    # The constructor would set -0.0 to +0.0; the kernels must take both.
+    return mf.JointBooleanDist._adopt(n, probs)
 
 
 def same_bits(a, b):
@@ -233,7 +234,7 @@ def tables(draw, max_arity=6):
     weights = draw(st.lists(entries, min_size=1 << n, max_size=1 << n))
     total = math.fsum(weights)
     probs = np.array(weights) / total if total > 0 else np.full(1 << n, 0.5**n)
-    return mf.JointBooleanDist(n, probs)
+    return mf.JointBooleanDist._adopt(n, probs)  # signed zeros kept
 
 
 def sequential_sums(codes, probs, size):

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 9 tier-1 runs, about
+it survives, or that it is open.  A full run takes 10 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -68,17 +68,18 @@ MUTANTS = [
         "_simplex.py",
         "bland = key in seen",
         "bland = False",
-        "the Bland switch never set.  Open: no bounds LP is known on which "
-        "Dantzig's rule with this ratio test revisits a basis (0 Bland "
-        "pricings in 231 739 random degenerate specs); without the switch "
-        "MAX_PIVOTS still ends a cycle with SolverError",
+        "the Bland switch never set.  Killed by "
+        "test_blands_rule_ends_chvatals_cycle: on Chvatal's (1983) LP "
+        "Dantzig's rule with this ratio test revisits a basis and, without "
+        "the switch, cycles to MAX_PIVOTS",
     ),
     (
         "_simplex.py",
         "return int(ties[self._basis[ties].argmin()])",
         "return int(ties[u[ties].argmax()])",
-        "Bland's leaving row replaced by the largest pivot.  Open, with the "
-        "entry above: no test reaches Bland's rule",
+        "Bland's leaving row replaced by the largest pivot.  Open: Chvatal's "
+        "LP, which reaches Bland's rule, still ends at -1.0 under it, in the "
+        "same 13 pivots: no test tells the two leaving rows apart",
     ),
     (
         "_simplex.py",
@@ -115,6 +116,18 @@ MUTANTS = [
         '    if arr.dtype.kind in "biufSU":\n',
         "the probability dtype check widened to bools, bytes and text, which "
         "numpy converts to floats as float() does",
+    ),
+    (
+        "joints.py",
+        "    if lowest < -EPS_SIMPLEX:\n"
+        '        raise NegativeMass(f"probability entry {lowest} is negative")\n'
+        "    np.maximum(",
+        "    if lowest < -4 * EPS_SIMPLEX:\n"
+        '        raise NegativeMass(f"probability entry {lowest} is negative")\n'
+        "    np.maximum(",
+        "the table rule's clamp bound widened from -EPS_SIMPLEX to "
+        "-4 * EPS_SIMPLEX, what the constructors allowed before they took "
+        "make_joint's rule",
     ),
 ]
 
