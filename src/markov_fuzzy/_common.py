@@ -38,6 +38,14 @@ def to_float(value, name: str = "value", error: type = InvalidParameter) -> floa
         raise error(f"{name} must be a number, got {value!r}") from None
 
 
+def to_tuple(value, name: str) -> tuple:
+    """tuple(value), or InvalidParameter naming `name` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be iterable, got {value!r}") from None
+
+
 def check_belief(value, name: str = "belief") -> float:
     """Validate a confidence value in [0, 1].
 

@@ -28,6 +28,7 @@ from .errors import (
     ArityMismatch,
     ArityTooLarge,
     DuplicateVariable,
+    InvalidParameter,
     MultiOutput,
     UnboundVariable,
     UnexpandedQuantifier,
@@ -143,11 +144,13 @@ class BooleanFunction:
 
 
 def assignment_index(assignment: Sequence[bool]) -> int:
-    """Pack an assignment (a1, ..., an) into its table index."""
+    """Pack an assignment (a1, ..., an) of bools, 0s and 1s into its table index."""
     idx = 0
     for i, bit in enumerate(assignment):
-        if bit:
+        if bit == 1:
             idx |= 1 << i
+        elif bit != 0:
+            raise InvalidParameter(f"assignment coordinate {bit!r} is not a bool, 0 or 1")
     return idx
 
 

@@ -14,6 +14,14 @@ Precedence: ! binds tightest, then &, then |, then ->; -> associates to
 the right.  Inside quantifier bodies the application form P(x) names the
 belief family P at the quantified point x.
 
+Two scope rules hold, checked as the tokens are read: a quantifier may
+not rebind a variable that an enclosing quantifier binds
+(DuplicateVariable), and each quantified variable is applied to one
+belief family (ParseError, with the span of the application that names
+a second family).  The first fault in text order raises.  The parser
+keeps a frame per open quantifier on its stack and does constant work
+per token, so parse time is linear in the text at any nesting depth.
+
 Model files are JSON objects; see `parse_model` / `parse_joint`.
 """
 
@@ -22,10 +30,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
-from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
-from .boolfuncs import _child_fields, _fold, _walk
+from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var, _fold
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, InvalidParameter, ParseError, SchemaError
 from .joints import JointBooleanDist, make_joint
@@ -52,17 +59,6 @@ class SourceSpan:
             raise InvalidParameter(f"bad span ({self.start}, {self.end})")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
 _KEYWORDS = ("exists", "forall", "in")
 #: One pass over the text: whitespace (the characters `str.isspace` names),
 #: an identifier, a symbol, or any other character, which is an error.
@@ -71,7 +67,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of `text` as (kind, text, start, end) tuples, the last
+    of kind "eof"."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         group = match.lastgroup
@@ -85,40 +83,46 @@ def _tokenize(text: str) -> list[_Token]:
                 expected=("identifier", "'!'", "'&'", "'|'", "'->'", "'('", "')'", "':'"),
             )
         kind = "ident" if group == "ident" and word not in _KEYWORDS else word
-        tokens.append(_Token(kind, word, start, match.end()))
-    tokens.append(_Token("eof", "", len(text), len(text)))
+        tokens.append((kind, word, start, match.end()))
+    tokens.append(("eof", "", len(text), len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.current = self.tokens[0]
-        #: Set once a quantifier is read; only then can the tree hold one.
-        self.quantified = False
+        self.tokens = iter(_tokenize(text))
+        self.current = next(self.tokens)
+        #: The latest scope of each quantified variable: [the place of its
+        #: quantifier's frame on the stack, that frame, the family applied
+        #: to it or None].  It is open while `stack[place] is frame`.
+        self.scopes: dict = {}
 
-    def advance(self) -> _Token:
-        token = self.current
-        self.pos += 1
-        self.current = self.tokens[self.pos]
+    # No rule reads past the eof token, so `next` never runs out.
+    def advance(self) -> tuple:
+        token, self.current = self.current, next(self.tokens)
         return token
 
     def fail(self, expected) -> ParseError:
-        token = self.current
-        shown = token.text or "end of input"
+        _, text, start, end = self.current
+        shown = text or "end of input"
         return ParseError(
-            f"unexpected {shown!r} at offset {token.start}; "
+            f"unexpected {shown!r} at offset {start}; "
             f"expected one of: {', '.join(sorted(expected))}",
-            span=token.span,
+            span=SourceSpan(start, end),
             expected=expected,
         )
 
-    def expect(self, kind: str, label: str) -> _Token:
-        if self.current.kind != kind:
+    def expect(self, kind: str, label: str) -> tuple:
+        if self.current[0] != kind:
             raise self.fail((label,))
         return self.advance()
+
+    def scope_of(self, stack: list, var: str):
+        """The scope of `var` if a quantifier on `stack` binds it, else None."""
+        scope = self.scopes.get(var)
+        if scope and scope[0] < len(stack) and stack[scope[0]] is scope[1]:
+            return scope
+        return None
 
     def formula(self) -> Formula:
         """One formula, read up to the first token that cannot extend it.
@@ -130,14 +134,14 @@ class _Parser:
         stack: list = []
         while True:
             node = self.operand(stack)
-            kind = self.current.kind
+            kind = self.current[0]
             while kind not in _BINARY:
                 node = _close(stack, node, _CLOSES_ALL)
                 if not stack:
                     return node
                 self.expect(")", "')'")
                 stack.pop()
-                kind = self.current.kind
+                kind = self.current[0]
             cls, closes = _BINARY[kind]
             node = _close(stack, node, closes)
             self.advance()
@@ -149,32 +153,46 @@ class _Parser:
         formula (at the start, after '(' or ':') but not an operand."""
         opens_formula = not stack or stack[-1][0] in _OPENERS
         while True:
-            token = self.current
-            if opens_formula and token.kind in ("exists", "forall"):
+            kind, name, start, _ = self.current
+            if opens_formula and kind in ("exists", "forall"):
                 self.advance()
-                var = self.expect("ident", "variable name").text
+                var = self.expect("ident", "variable name")[1]
+                if self.scope_of(stack, var):
+                    raise DuplicateVariable(
+                        f"quantified variable {var!r} shadows an enclosing binding"
+                    )
                 self.expect("in", "'in'")
-                universe = self.expect("ident", "universe name").text
+                universe = self.expect("ident", "universe name")[1]
                 self.expect(":", "':'")
-                node = Exists if token.kind == "exists" else Forall
-                stack.append((node, (var, universe)))
-                self.quantified = True
-            elif token.kind == "!":
+                frame = (Exists if kind == "exists" else Forall, (var, universe))
+                self.scopes[var] = [len(stack), frame, None]
+                stack.append(frame)
+            elif kind == "!":
                 self.advance()
                 stack.append((Not, ()))
                 opens_formula = False
-            elif token.kind == "(":
+            elif kind == "(":
                 self.advance()
                 stack.append((None, ()))
                 opens_formula = True
-            elif token.kind == "ident":
+            elif kind == "ident":
                 self.advance()
-                if self.current.kind == "(":
-                    self.advance()
-                    arg = self.expect("ident", "variable name").text
-                    self.expect(")", "')'")
-                    return Var(f"{token.text}({arg})")
-                return Var(token.text)
+                if self.current[0] != "(":
+                    return Var(name)
+                self.advance()
+                arg = self.expect("ident", "variable name")[1]
+                end = self.expect(")", "')'")[3]
+                scope = self.scope_of(stack, arg)
+                if scope:
+                    family = scope[2] = scope[2] or name
+                    if family != name:
+                        raise ParseError(
+                            f"variable {arg!r} is applied to multiple belief "
+                            f"families {sorted((family, name))}; one family per "
+                            f"quantified variable is supported",
+                            span=SourceSpan(start, end),
+                        )
+                return Var(f"{name}({arg})")
             else:
                 raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
 
@@ -216,44 +234,12 @@ def _close(stack: list, node: Formula, kinds: frozenset) -> Formula:
     return node
 
 
-_APPLICATION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
-
-
-def _check_quantified(node: Formula) -> None:
-    """Reject duplicate nested quantifier variables and more than one
-    belief family applied to the same quantified variable."""
-    stack = [(node, ())]
-    while stack:
-        node, bound = stack.pop()
-        if isinstance(node, (Exists, Forall)):
-            if node.var in bound:
-                raise DuplicateVariable(
-                    f"quantified variable {node.var!r} shadows an enclosing binding"
-                )
-            families = set()
-            for inner in _walk(node.body):
-                match = isinstance(inner, Var) and _APPLICATION_RE.match(inner.name)
-                if match and match.group(2) == node.var:
-                    families.add(match.group(1))
-            if len(families) > 1:
-                raise ParseError(
-                    f"variable {node.var!r} is applied to multiple belief "
-                    f"families {sorted(families)}; one family per quantified "
-                    f"variable is supported"
-                )
-            bound = bound + (node.var,)
-        for name in reversed(_child_fields(node)):
-            stack.append((getattr(node, name), bound))
-
-
 def parse_formula(text: str) -> Formula:
-    """Parse formula text into an AST, or raise ParseError with a span."""
+    """Parse formula text into an AST, or raise ParseError or DuplicateVariable."""
     parser = _Parser(text)
     node = parser.formula()
-    if parser.current.kind != "eof":
+    if parser.current[0] != "eof":
         raise parser.fail(("end of input", "'&'", "'|'", "'->'"))
-    if parser.quantified:
-        _check_quantified(node)
     return node
 
 

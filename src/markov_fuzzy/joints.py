@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, check_int, to_float
+from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, check_int
+from ._common import to_float, to_tuple
 from .boolfuncs import BooleanFunction, assignment_index, index_assignment
 from .connectives import _feasible_q, _pair_cells
 from .errors import (
@@ -87,6 +88,7 @@ class JointBooleanDist(_Table):
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
+        assignment = to_tuple(assignment, "assignment")
         if len(assignment) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} coordinates, got {len(assignment)}"
@@ -110,7 +112,7 @@ class FiniteDist(_Table):
     probs: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.alphabet)
+        labels = to_tuple(self.alphabet, "alphabet")
         try:
             if len(set(labels)) != len(labels):
                 raise InvalidParameter("alphabet labels must be distinct")
@@ -380,7 +382,7 @@ def pushforward_finite(dist: JointBooleanDist, value_table) -> FiniteDist:
         values = [value_table[key] for key in keys]
         count = len(value_table)
     else:
-        values = list(value_table)
+        values = to_tuple(value_table, "value_table")
         count = len(values)
     if count != size:
         raise ArityMismatch(f"value table has {count} entries, expected {size}")

@@ -84,6 +84,51 @@ class TestParseFormula:
         assert mf.parse_formula("P1&P2") == mf.parse_formula("  P1  &  P2  ")
 
 
+class TestScopeRules:
+    """Both scope rules are checked as the parser reads the tokens, so the
+    first fault in text order raises (a character the tokenizer refuses
+    still raises before any of them)."""
+
+    def test_family_error_spans_the_second_family(self):
+        text = "exists x in U : P(x) & (A | Q(x)) & R(x)"
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(text)
+        assert str(info.value) == (
+            "variable 'x' is applied to multiple belief families ['P', 'Q']; "
+            "one family per quantified variable is supported"
+        )
+        span = info.value.span
+        assert text[span.start:span.end] == "Q(x)"
+
+    def test_family_of_an_outer_variable_inside_an_inner_quantifier(self):
+        text = "forall x in U : Q(x) & (exists y in V : P(y) & P(x))"
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(text)
+        assert text[info.value.span.start:info.value.span.end] == "P(x)"
+
+    def test_scope_fault_before_a_later_syntax_error(self):
+        with pytest.raises(DuplicateVariable):
+            mf.parse_formula("exists x in U : (exists x in V : P(x)) & & ")
+        with pytest.raises(ParseError, match="multiple belief families"):
+            mf.parse_formula("exists x in U : P(x) & Q(x) & & ")
+
+    def test_inner_shadowing_before_a_later_second_family(self):
+        with pytest.raises(DuplicateVariable, match="'x' shadows"):
+            mf.parse_formula("exists x in U : (exists x in U : R(x)) & P(x) & Q(x)")
+
+    def test_closed_scopes_bind_nothing(self):
+        for text in (
+            "(exists x in U : P(x)) & (exists x in U : Q(x))",
+            "(exists x in U : P(x)) & Q(x)",
+            "(exists x in U : P(x)) -> (forall x in V : Q(x))",
+            "exists y in U : (exists x in U : P(x)) & (exists x in U : Q(x))",
+        ):
+            assert mf.format_formula(mf.parse_formula(text)) == text
+
+    def test_unbound_applications_name_any_family(self):
+        assert mf.parse_formula("P(x) & Q(x)") == And(Var("P(x)"), Var("Q(x)"))
+
+
 class TestParseErrors:
     def test_span_points_at_offending_token(self):
         text = "P1 & & P2"
@@ -186,6 +231,18 @@ class TestDeepNesting:
     def test_nested_quantifiers(self):
         text = "".join(f"exists x{i} in U : " for i in range(self.DEPTH)) + "P(x0)"
         assert mf.format_formula(mf.parse_formula(text)) == text
+
+    def test_nested_quantifiers_each_applied(self):
+        """Every variable of a deep chain is applied in the innermost body;
+        a second family of the outermost variable at its end is found."""
+        heads = "".join(f"exists x{i} in U : " for i in range(self.DEPTH))
+        body = " & ".join(f"P(x{i})" for i in range(self.DEPTH))
+        assert mf.format_formula(mf.parse_formula(heads + body)) == heads + body
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(f"{heads}{body} & Q(x0)")
+        assert info.value.span.start == len(heads + body) + 3
+        with pytest.raises(DuplicateVariable):
+            mf.parse_formula(f"{heads}exists x0 in U : P(x0)")
 
 
 class TestRoundTrip:

@@ -97,6 +97,30 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.FiniteDist(("a", "b"), [0.5, 0.5]).prob("z"),
     ),
+    "alphabet not iterable": (
+        InvalidParameter,
+        lambda: mf.FiniteDist(3, [1.0]),
+    ),
+    "pushforward value table not iterable": (
+        InvalidParameter,
+        lambda: mf.pushforward_finite(mf.make_joint(1, [0.5, 0.5]), 5),
+    ),
+    "assignment not iterable": (
+        InvalidParameter,
+        lambda: mf.make_joint(1, [0.5, 0.5]).prob(5),
+    ),
+    "assignment coordinate a string": (
+        InvalidParameter,
+        lambda: mf.make_joint(1, [0.5, 0.5]).prob(["x"]),
+    ),
+    "function input coordinate 2": (
+        InvalidParameter,
+        lambda: mf.not_function()([2]),
+    ),
+    "minterm coordinate 0.5": (
+        InvalidParameter,
+        lambda: mf.from_minterms(1, [(0.5,)]),
+    ),
     "pushforward label unhashable": (
         InvalidParameter,
         lambda: mf.pushforward_finite(mf.make_joint(1, [0.5, 0.5]), ["a", {}]),

@@ -89,6 +89,26 @@ class TestMakeJoint:
         with pytest.raises(ArityMismatch, match="expected 2 coordinates, got 1"):
             dist.prob((True,))
 
+    @pytest.mark.parametrize(
+        "true, false",
+        [(True, False), (1, 0), (np.True_, np.False_), (1.0, 0.0)],
+        ids=["bools", "ints", "numpy bools", "floats"],
+    )
+    def test_prob_reads_bools_and_0_1(self, true, false):
+        dist = mf.make_joint(2, [0.1, 0.2, 0.3, 0.4])
+        assert dist.prob([false, true]) == 0.3
+        assert dist.prob(np.array([true, false])) == 0.2
+
+    @pytest.mark.parametrize("coordinate", ["x", 2, 0.5, -1, None])
+    def test_prob_refuses_other_coordinates(self, coordinate):
+        """Each coordinate was read by its truthiness: "x" and 2 as true."""
+        with pytest.raises(InvalidParameter, match="not a bool, 0 or 1"):
+            mf.make_joint(1, [0.5, 0.5]).prob([coordinate])
+
+    def test_ragged_rows_are_not_numbers(self):
+        with pytest.raises(InvalidParameter, match="probabilities must be numbers"):
+            mf.make_joint(1, [[0.5], [0.5, 0.0]])
+
     def test_immutable(self):
         dist = mf.make_joint(1, [0.5, 0.5])
         with pytest.raises(ValueError):

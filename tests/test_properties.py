@@ -1,4 +1,5 @@
-"""Property-based checks: formula round trips, the one q-feasibility rule,
+"""Property-based checks: formula round trips, the parser's scope rules
+against a walk over the tree, the one q-feasibility rule,
 functoriality of pushforward, marginal consistency of products and of
 pair tables, de Morgan duality of the q connectives and monotone
 tightening of exact bounds, seeded `quantify sample` output, and `eval`
@@ -9,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var, cli
-from markov_fuzzy.boolfuncs import _truth_bits
+from markov_fuzzy.boolfuncs import _child_fields, _truth_bits, _walk
 from markov_fuzzy.bounds import FEASIBILITY_TOL
-from markov_fuzzy.errors import InfeasibleQ
+from markov_fuzzy.errors import DuplicateVariable, InfeasibleQ, ParseError
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -78,6 +80,128 @@ def test_format_parse_round_trip(ast):
 @given(formulas())
 def test_formula_variables_first_appearance_order(ast):
     assert mf.formula_variables(ast) == reference_variables(ast, [])
+
+
+@st.composite
+def scoped_formulas(draw, depth=5, bound=()):
+    """Trees whose quantifiers may rebind an enclosing variable and whose
+    applications name any of three families at a bound variable or at the
+    free w: formulas that break either scope rule, once or more.  A
+    quantifier's body is binary, so that it can apply two families."""
+    kinds = ["name", "application"]
+    if depth > 0:
+        kinds += ["not", *BINARY, "exists", "forall"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "name":
+        return Var(draw(st.sampled_from(["A", "B"])))
+    if kind == "application":
+        var = draw(st.sampled_from([*bound, "w"]))
+        return Var(f"{draw(st.sampled_from('PQR'))}({var})")
+    if kind == "not":
+        return Not(draw(scoped_formulas(depth - 1, bound)))
+    if kind in BINARY:
+        left = draw(scoped_formulas(depth - 1, bound))
+        return BINARY[kind](left, draw(scoped_formulas(depth - 1, bound)))
+    var = draw(st.sampled_from("xyz"))
+    inner = scoped_formulas(depth - 1, bound + (var,))
+    body = draw(st.sampled_from(list(BINARY.values())))(draw(inner), draw(inner))
+    return (Exists if kind == "exists" else Forall)(var, "U", body)
+
+
+APPLICATION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
+
+
+def reference_check_quantified(node):
+    """The scope rules as a walk over the parsed tree, the reference for
+    the parser's own checks: each quantifier in pre-order, its whole body
+    scanned for the families applied to its variable."""
+    stack = [(node, ())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Exists, Forall)):
+            if node.var in bound:
+                raise DuplicateVariable(
+                    f"quantified variable {node.var!r} shadows an enclosing binding"
+                )
+            families = set()
+            for inner in _walk(node.body):
+                match = isinstance(inner, Var) and APPLICATION_RE.match(inner.name)
+                if match and match.group(2) == node.var:
+                    families.add(match.group(1))
+            if len(families) > 1:
+                raise ParseError(
+                    f"variable {node.var!r} is applied to multiple belief "
+                    f"families {sorted(families)}; one family per quantified "
+                    f"variable is supported"
+                )
+            bound = bound + (node.var,)
+        for name in reversed(_child_fields(node)):
+            stack.append((getattr(node, name), bound))
+
+
+def scope_faults(ast):
+    """Each quantifier that breaks a scope rule, in pre-order: (var, None)
+    for one that rebinds an enclosing variable, (var, families) for one
+    whose variable is applied to more than one family, in text order."""
+    faults = []
+    stack = [(ast, ())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (Exists, Forall)):
+            if node.var in bound:
+                faults.append((node.var, None))
+            families = []
+            for inner in _walk(node.body):
+                match = isinstance(inner, Var) and APPLICATION_RE.match(inner.name)
+                if match and match.group(2) == node.var and match.group(1) not in families:
+                    families.append(match.group(1))
+            if len(families) > 1:
+                faults.append((node.var, families))
+            bound = bound + (node.var,)
+        for name in reversed(_child_fields(node)):
+            stack.append((getattr(node, name), bound))
+    return faults
+
+
+def scope_error(call):
+    """The scope error `call` raises, or None."""
+    try:
+        call()
+    except (DuplicateVariable, ParseError) as exc:
+        return exc
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(scoped_formulas())
+@example(Exists("x", "U", And(Var("P(x)"), And(Var("Q(x)"), Var("R(x)")))))
+@example(Exists("x", "U", And(Exists("x", "U", Var("R(x)")), And(Var("P(x)"), Var("Q(x)")))))
+@example(Exists("x", "U", Exists("y", "U", And(Var("P(x)"), Var("Q(y)")))))
+def test_parser_scope_checks_agree_with_the_tree_walk(ast):
+    """parse_formula raises a scope error exactly when the reference walk
+    does.  With one fault, the error is the walk's, but for a family
+    error naming only the first two families in text order, and carrying
+    the span of the application that names the second."""
+    text = mf.format_formula(ast)
+    expected = scope_error(lambda: reference_check_quantified(ast))
+    error = scope_error(lambda: mf.parse_formula(text))
+    assert (error is None) == (expected is None) == (not scope_faults(ast))
+    if error is None:
+        assert mf.parse_formula(text) == ast
+        return
+    faults = scope_faults(ast)
+    if len(faults) > 1:
+        return
+    ((var, families),) = faults
+    assert type(error) is type(expected)
+    if families is None:
+        assert str(error) == str(expected)
+        return
+    first, second = families[:2]
+    assert str(error) == str(expected).replace(
+        str(sorted(families)), str(sorted((first, second)))
+    )
+    assert text[error.span.start:error.span.end] == f"{second}({var})"
 
 
 def reference_value(node, value):

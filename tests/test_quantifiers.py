@@ -456,6 +456,16 @@ class TestExistsTruncated:
         with pytest.raises(MarginalMismatch):
             list(mf.exists_truncated(joints))
 
+    def test_drop_beyond_tolerance_detected(self):
+        """The second level marginalizes onto the first within
+        TRUNCATION_TOL, yet its existential confidence is 5e-10 lower."""
+        joints = [
+            mf.make_joint(1, [0.5, 0.5]),
+            mf.make_joint(2, [0.5 + 5e-10, 0.5 - 5e-10, 0.0, 0.0]),
+        ]
+        with pytest.raises(MarginalMismatch, match="existential confidence dropped"):
+            list(mf.exists_truncated(joints))
+
     def test_non_growing_arity_rejected(self):
         joints = [mf.independent_product([0.5, 0.5]), mf.independent_product([0.5])]
         with pytest.raises(MarginalMismatch):
