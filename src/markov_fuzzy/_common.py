@@ -1,4 +1,5 @@
-"""Shared numeric conventions: tolerances, the dense-table cap, scalar checks."""
+"""Shared numeric conventions: tolerances, the dense-table cap, scalar
+checks, and the base of the immutable value classes."""
 
 from __future__ import annotations
 
@@ -92,3 +93,38 @@ def clip01(x) -> float:
     if x > 1.0:
         return 1.0
     return float(x)
+
+
+class Frozen:
+    """Base of the package's immutable value classes.  A subclass names its
+    fields in `_fields` and its `__init__` writes them into the instance
+    `__dict__`; after that, assigning or deleting an attribute raises
+    AttributeError.  The repr lists the fields: `Var(name='A')`."""
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenValue(Frozen):
+    """A Frozen class whose instances are equal, and hash alike, when they
+    are of one class and their fields are equal."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())

@@ -5,7 +5,7 @@ a holds the m output bits of f at the input assignment encoded by a.  The
 input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
-Formulas are immutable dataclass trees.  `compile_formula` checks a
+Formulas are immutable trees of `Frozen` nodes.  `compile_formula` checks a
 quantifier-free tree against its ordering in the same fold that builds its
 normal form (n-ary and/or over variables and negations), and the result
 keeps that normal form.  One fold (`_truth_bits`) evaluates any node of
@@ -19,11 +19,10 @@ each part of it, unpacked when the part reaches a linear program.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence, Union
 
-from ._common import N_MAX, check_arity
+from ._common import N_MAX, Frozen, check_arity, to_tuple
 from .errors import (
     ArityMismatch,
     ArityTooLarge,
@@ -64,13 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class BooleanFunction:
+class BooleanFunction(Frozen):
     """Truth table of a map B^arity_in -> B^arity_out."""
 
-    arity_in: int
-    arity_out: int
-    table: np.ndarray
+    _fields = ("arity_in", "arity_out", "table")
 
     #: The formula's normal form (see `compile_formula`) when `compile_formula`
     #: made the function, else None; `exact_bounds` decomposes along it,
@@ -78,20 +74,20 @@ class BooleanFunction:
     #: field: equality, hashing and repr ignore it.
     _formula = None
 
-    def __post_init__(self):
+    def __init__(self, arity_in: int, arity_out: int, table: np.ndarray):
         import numpy as np
 
-        object.__setattr__(self, "arity_in", check_arity(self.arity_in, "arity_in"))
-        object.__setattr__(self, "arity_out", check_arity(self.arity_out, "arity_out"))
-        table = np.array(self.table, dtype=np.int64)
-        if table.shape != (1 << self.arity_in,):
+        arity_in = check_arity(arity_in, "arity_in")
+        arity_out = check_arity(arity_out, "arity_out")
+        table = np.array(table, dtype=np.int64)
+        if table.shape != (1 << arity_in,):
             raise ArityMismatch(
-                f"table length {table.size} does not match arity_in={self.arity_in}"
+                f"table length {table.size} does not match arity_in={arity_in}"
             )
-        if table.size and (table.min() < 0 or table.max() >= (1 << self.arity_out)):
-            raise ArityMismatch(f"table entries must be {self.arity_out}-bit values")
+        if table.size and (table.min() < 0 or table.max() >= (1 << arity_out)):
+            raise ArityMismatch(f"table entries must be {arity_out}-bit values")
         table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        self.__dict__.update(arity_in=arity_in, arity_out=arity_out, table=table)
 
     @classmethod
     def _adopt(
@@ -101,11 +97,10 @@ class BooleanFunction:
         construction: made read-only in place, neither copied nor checked
         again.  With None, `compile_formula` sets `_formula` instead."""
         f = object.__new__(cls)
-        object.__setattr__(f, "arity_in", arity_in)
-        object.__setattr__(f, "arity_out", arity_out)
+        f.__dict__.update(arity_in=arity_in, arity_out=arity_out)
         if table is not None:
             table.flags.writeable = False
-            object.__setattr__(f, "table", table)
+            f.__dict__["table"] = table
         return f
 
     def __getattr__(self, name):
@@ -114,7 +109,7 @@ class BooleanFunction:
         if name != "table" or self._formula is None:
             raise AttributeError(name)
         table = _truth_table(self._formula, range(self.arity_in))
-        object.__setattr__(self, "table", table)
+        self.__dict__["table"] = table
         return table
 
     def __eq__(self, other):
@@ -129,6 +124,7 @@ class BooleanFunction:
 
     def __call__(self, assignment: Sequence[bool]) -> tuple[bool, ...]:
         """Apply to one assignment given as a sequence of booleans."""
+        assignment = to_tuple(assignment, "assignment")
         if len(assignment) != self.arity_in:
             raise ArityMismatch(
                 f"expected {self.arity_in} inputs, got {len(assignment)}"
@@ -250,6 +246,7 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
     arity = check_arity(arity)
     table = np.zeros(1 << arity, dtype=np.int64)
     for assignment in minterms:
+        assignment = to_tuple(assignment, "minterm")
         if len(assignment) != arity:
             raise ArityMismatch(
                 f"minterm {assignment!r} does not have {arity} coordinates"
@@ -263,11 +260,10 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(Frozen):
     """Equality and hashing of formula trees, by explicit stacks instead of
-    the dataclass methods, which recurse once per tree level.  Both mean
-    what the dataclass ones do: the same node type with equal fields, and
-    the hash of the tuple of fields."""
+    recursion once per tree level: the same node type with equal fields,
+    and the hash of the tuple of fields."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -283,7 +279,7 @@ class _Node:
                 if a != b:
                     return False
                 continue
-            for name in _FIELDS[a.__class__]:
+            for name in a._fields:
                 stack.append((getattr(a, name), getattr(b, name)))
         return True
 
@@ -291,46 +287,52 @@ class _Node:
         return _fold(self, _hash_node)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Node):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True, eq=False)
 class Not(_Node):
-    child: "Formula"
+    _fields = ("child",)
+
+    def __init__(self, child: "Formula"):
+        self.__dict__["child"] = child
 
 
-@dataclass(frozen=True, eq=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    _fields = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        self.__dict__.update(left=left, right=right)
 
 
-@dataclass(frozen=True, eq=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False)
-class Exists(_Node):
-    var: str
-    universe: str
-    body: "Formula"
+class Implies(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False)
-class Forall(_Node):
-    var: str
-    universe: str
-    body: "Formula"
+class _Quantifier(_Node):
+    _fields = ("var", "universe", "body")
+
+    def __init__(self, var: str, universe: str, body: "Formula"):
+        self.__dict__.update(var=var, universe=universe, body=body)
+
+
+class Exists(_Quantifier):
+    pass
+
+
+class Forall(_Quantifier):
+    pass
 
 
 Formula = Union[Var, Not, And, Or, Implies, Exists, Forall]
@@ -345,9 +347,6 @@ _CHILD_FIELDS = {
     Exists: ("body",),
     Forall: ("body",),
 }
-
-#: Every field of each node type, in declaration order.
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _CHILD_FIELDS}
 
 
 class _Hash:
@@ -367,7 +366,7 @@ def _hash_node(node, child_hashes) -> int:
     return hash(
         tuple(
             _Hash(children[name]) if name in children else getattr(node, name)
-            for name in _FIELDS[node.__class__]
+            for name in node._fields
         )
     )
 
@@ -385,8 +384,11 @@ def _child_fields(node) -> tuple:
 
 def _with_children(node, children):
     """The node with its subformulas replaced, in `_child_fields` order."""
-    fields = _child_fields(node)
-    return replace(node, **dict(zip(fields, children))) if fields else node
+    changed = dict(zip(_child_fields(node), children))
+    if not changed:
+        return node
+    values = (changed.get(name, getattr(node, name)) for name in node._fields)
+    return node.__class__(*values)
 
 
 def _walk(node):
@@ -496,7 +498,7 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     if unbound:
         raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
     f = BooleanFunction._adopt(n, 1, None)
-    object.__setattr__(f, "_formula", tree)
+    f.__dict__["_formula"] = tree
     return f
 
 

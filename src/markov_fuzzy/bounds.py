@@ -45,12 +45,12 @@ connective gives them bit for bit, since both come from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from ._common import EPS_FEAS, N_MAX, check_belief, check_int, clip01, to_float
+from ._common import EPS_FEAS, N_MAX, Frozen, FrozenValue, check_belief, check_int
+from ._common import clip01, to_float
 from .boolfuncs import _ALL, _LEAF, _NEG, BooleanFunction, _truth_bits, _truth_table
 from .connectives import _add_pair_q, _frechet_and, _frechet_or, _pair_cells, _q_range
 from .connectives import classic
@@ -96,8 +96,7 @@ ORACLE_MAX_ARITY = 4
 _CHUNK = 1 << 10
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(FrozenValue):
     """Lower/upper bounds on a truth confidence.
 
     Exact from `exact_bounds`, which raises ArityTooLarge for a linear
@@ -107,18 +106,16 @@ class ConfidenceInterval:
     outer bound.  A spec with no joint raises InfeasibleSpec.
     """
 
-    lo: float
-    hi: float
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = check_belief(self.lo, "lo")
-        hi = check_belief(self.hi, "hi")
+    def __init__(self, lo: float, hi: float):
+        lo = check_belief(lo, "lo")
+        hi = check_belief(hi, "hi")
         if lo > hi:
             if lo - hi > FEASIBILITY_TOL:
                 raise InvalidParameter(f"interval bounds out of order: [{lo}, {hi}]")
             lo = hi
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.__dict__.update(lo=lo, hi=hi)
 
     @property
     def width(self) -> float:
@@ -128,8 +125,7 @@ class ConfidenceInterval:
         return self.lo - tol <= value <= self.hi + tol
 
 
-@dataclass(frozen=True, eq=False)
-class PartialJointSpec:
+class PartialJointSpec(Frozen):
     """Marginals, optional pairwise both-false confidences, or independence.
 
     `pairwise` maps 1-based coordinate pairs to q_ij, the confidence that
@@ -138,24 +134,26 @@ class PartialJointSpec:
     conditional independence and excludes pairwise entries.
     """
 
-    marginals: tuple
-    pairwise: Optional[Mapping] = None
-    independent: bool = False
+    _fields = ("marginals", "pairwise", "independent")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        marginals: tuple,
+        pairwise: Optional[Mapping] = None,
+        independent: bool = False,
+    ):
         ps = tuple(
-            check_belief(p, f"marginal {i + 1}") for i, p in enumerate(self.marginals)
+            check_belief(p, f"marginal {i + 1}") for i, p in enumerate(marginals)
         )
         if not ps:
             raise BadCoordinate("spec needs at least one marginal")
         if len(ps) > N_MAX:
             raise ArityTooLarge(f"{len(ps)} marginals exceed N_MAX={N_MAX}")
-        object.__setattr__(self, "marginals", ps)
 
-        if self.independent and self.pairwise:
+        if independent and pairwise:
             raise SchemaError("an independent spec cannot carry pairwise entries")
         normalized: dict = {}
-        for key, value in dict(self.pairwise or {}).items():
+        for key, value in dict(pairwise or {}).items():
             try:
                 i, j = key
             except (TypeError, ValueError):
@@ -166,7 +164,7 @@ class PartialJointSpec:
                 raise BadCoordinate(f"bad pairwise coordinates {key!r}")
             pair = (min(i, j), max(i, j))
             _add_pair_q(normalized, pair, ps[pair[0] - 1], ps[pair[1] - 1], value)
-        object.__setattr__(self, "pairwise", normalized)
+        self.__dict__.update(marginals=ps, pairwise=normalized, independent=independent)
 
     @property
     def arity(self) -> int:

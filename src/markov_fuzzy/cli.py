@@ -21,7 +21,8 @@ array use.  `eval` and `sweep` are plain Python, bit for bit equal to the
 library's array kernels (`eval` checks its table with `joints._joint_cells`,
 `make_joint`'s checks on a list), and `bounds` and `quantify bounds` stay
 numpy-free when every part takes a closed form: marginals, two variables,
-or literals over a tree of pairs.
+or literals over a tree of pairs.  Nor does the package load
+`dataclasses`: `import markov_fuzzy` takes about 10 ms of such a call.
 """
 
 from __future__ import annotations

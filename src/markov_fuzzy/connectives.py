@@ -19,10 +19,9 @@ q each; `sweep` evaluates its q grid row by row with their expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from ._common import EPS_FEAS, check_belief, clip01, to_float
+from ._common import EPS_FEAS, FrozenValue, check_belief, clip01, to_float
 from .errors import InfeasibleQ, InvalidParameter
 
 __all__ = [
@@ -41,13 +40,13 @@ KINDS = ("and", "or", "implies")
 FLAVORS = ("min", "indep", "max")
 
 
-@dataclass(frozen=True)
-class QBounds:
+class QBounds(FrozenValue):
     """Feasible range and independence point for the both-false confidence."""
 
-    q_min: float
-    q_indep: float
-    q_max: float
+    _fields = ("q_min", "q_indep", "q_max")
+
+    def __init__(self, q_min: float, q_indep: float, q_max: float):
+        self.__dict__.update(q_min=q_min, q_indep=q_indep, q_max=q_max)
 
     def __iter__(self):
         return iter((self.q_min, self.q_indep, self.q_max))

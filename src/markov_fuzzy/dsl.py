@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Union
 
+from ._common import FrozenValue
 from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var, _fold
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, InvalidParameter, ParseError, SchemaError
@@ -47,16 +47,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(FrozenValue):
     """Byte offsets (start, end) of a token in the input text."""
 
-    start: int
-    end: int
+    _fields = ("start", "end")
 
-    def __post_init__(self):
-        if not 0 <= self.start <= self.end:
-            raise InvalidParameter(f"bad span ({self.start}, {self.end})")
+    def __init__(self, start: int, end: int):
+        if not 0 <= start <= end:
+            raise InvalidParameter(f"bad span ({start}, {end})")
+        self.__dict__.update(start=start, end=end)
 
 
 _KEYWORDS = ("exists", "forall", "in")
@@ -397,4 +396,9 @@ def _joint_document(text: str) -> tuple:
 
 def parse_joint(text: str) -> JointBooleanDist:
     """Load {"arity": n, "probs": [... 2**n floats ...]} into a joint table."""
-    return make_joint(*_joint_document(text))
+    import numpy as np
+
+    arity, probs = _joint_document(text)
+    # _joint_document has checked the types; as an array, make_joint does
+    # not scan them again.
+    return make_joint(arity, np.array(probs))

@@ -29,10 +29,9 @@ this module (and the package) loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._common import EPS_SIMPLEX, N_MAX, check_arity, check_belief, check_int
+from ._common import EPS_SIMPLEX, N_MAX, Frozen, check_arity, check_belief, check_int
 from ._common import to_float, to_tuple
 from .boolfuncs import BooleanFunction, assignment_index, index_assignment
 from .connectives import _feasible_q, _pair_cells
@@ -60,7 +59,7 @@ __all__ = [
 ]
 
 
-class _Table:
+class _Table(Frozen):
     """A frozen pair of a key (an arity or an alphabet) and `probs`."""
 
     @classmethod
@@ -69,22 +68,20 @@ class _Table:
         place, neither copied nor checked."""
         probs.flags.writeable = False
         table = object.__new__(cls)
-        table.__dict__.update(zip(cls.__dataclass_fields__, (key, probs)))
+        table.__dict__.update(zip(cls._fields, (key, probs)))
         return table
 
 
-@dataclass(frozen=True, eq=False)
 class JointBooleanDist(_Table):
     """Probability table over B^arity, indexed by packed assignments;
     `probs` is copied and checked by `make_joint`'s rule."""
 
-    arity: int
-    probs: np.ndarray
+    _fields = ("arity", "probs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arity", check_arity(self.arity))
-        size, what = 1 << self.arity, f"arity {self.arity}"
-        object.__setattr__(self, "probs", _probabilities(self.probs, size, what))
+    def __init__(self, arity: int, probs: np.ndarray):
+        arity = check_arity(arity)
+        probs = _probabilities(probs, 1 << arity, f"arity {arity}")
+        self.__dict__.update(arity=arity, probs=probs)
 
     def prob(self, assignment: Sequence[bool]) -> float:
         """Probability of one full assignment (a1, ..., an)."""
@@ -103,24 +100,21 @@ class JointBooleanDist(_Table):
         return f"JointBooleanDist(arity={self.arity}, probs={self.probs.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteDist(_Table):
     """Probability distribution over a small ordered alphabet of distinct,
     hashable labels; `probs` is copied and checked by `make_joint`'s rule."""
 
-    alphabet: tuple
-    probs: np.ndarray
+    _fields = ("alphabet", "probs")
 
-    def __post_init__(self):
-        labels = to_tuple(self.alphabet, "alphabet")
+    def __init__(self, alphabet: tuple, probs: np.ndarray):
+        labels = to_tuple(alphabet, "alphabet")
         try:
             if len(set(labels)) != len(labels):
                 raise InvalidParameter("alphabet labels must be distinct")
         except TypeError as exc:
             raise InvalidParameter(f"alphabet labels must be hashable: {exc}") from None
-        object.__setattr__(self, "alphabet", labels)
-        probs = _probabilities(self.probs, len(labels), f"{len(labels)} labels")
-        object.__setattr__(self, "probs", probs)
+        probs = _probabilities(probs, len(labels), f"{len(labels)} labels")
+        self.__dict__.update(alphabet=labels, probs=probs)
 
     def prob(self, label) -> float:
         try:
@@ -189,9 +183,14 @@ def _float_array(values) -> np.ndarray:
     is converted as it is; any other (text, bytes, bools, complex, or
     objects such as an int too large for a float) is read entry by entry
     by `to_float`, so a value that is not a number raises InvalidParameter
-    and a huge integer reads as +-inf, as the literal 1e400 does."""
+    and a huge integer reads as +-inf, as the literal 1e400 does.  numpy
+    reads a bool beside numbers in a list or tuple as a number, so those
+    are refused before."""
     import numpy as np
 
+    if isinstance(values, (list, tuple)) and bool in set(map(type, values)):
+        for value in values:
+            to_float(value, "probability")  # raises at the first bool at the latest
     try:
         arr = np.array(values)
     except (TypeError, ValueError) as exc:

@@ -17,14 +17,14 @@ holding 8 bytes per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 from typing import Sequence, Union
 
 from . import bounds
-from ._common import EPS_SIMPLEX, check_belief, check_int, clip01, to_float
+from ._common import EPS_SIMPLEX, Frozen, FrozenValue, check_belief, check_int, clip01
+from ._common import to_float
 from .boolfuncs import _ALL, _ANY, _LEAF, And, Exists, Forall, Formula, Or, Var, _fold
 from .boolfuncs import _with_children
 from .bounds import ConfidenceInterval
@@ -61,8 +61,7 @@ __all__ = [
 TRUNCATION_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefTable:
+class BeliefTable(Frozen):
     """Per-point beliefs over a finite universe, optionally with pairwise q.
 
     `q_pair` maps unordered pairs of distinct labels to the confidence that
@@ -70,15 +69,13 @@ class BeliefTable:
     Pairs with no common joint table make `exists_bounds` raise InfeasibleSpec.
     """
 
-    universe: tuple
-    p: Mapping
-    q_pair: Optional[Mapping] = None
+    _fields = ("universe", "p", "q_pair")
 
-    def __post_init__(self):
-        labels = tuple(self.universe)
+    def __init__(self, universe: tuple, p: Mapping, q_pair: Optional[Mapping] = None):
+        labels = tuple(universe)
         if len(set(labels)) != len(labels):
             raise SchemaError("universe labels must be distinct")
-        beliefs = dict(self.p)
+        beliefs = dict(p)
         if set(beliefs) != set(labels):
             raise SchemaError(
                 "belief map must cover exactly the universe labels"
@@ -87,7 +84,7 @@ class BeliefTable:
         position = {x: i for i, x in enumerate(labels)}
 
         normalized: dict = {}
-        for key, value in dict(self.q_pair or {}).items():
+        for key, value in dict(q_pair or {}).items():
             try:
                 a, b = key
                 known = a in position and b in position and a != b
@@ -98,9 +95,7 @@ class BeliefTable:
                 raise SchemaError(f"bad q_pair key {key!r}")
             pair = (a, b) if position[a] < position[b] else (b, a)
             _add_pair_q(normalized, pair, beliefs[pair[0]], beliefs[pair[1]], value)
-        object.__setattr__(self, "universe", labels)
-        object.__setattr__(self, "p", beliefs)
-        object.__setattr__(self, "q_pair", normalized)
+        self.__dict__.update(universe=labels, p=beliefs, q_pair=normalized)
 
     def q(self, a, b) -> Optional[float]:
         """Pairwise both-false confidence, if supplied (symmetric lookup)."""
@@ -183,8 +178,7 @@ def exists_truncated(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingStrategy:
+class SamplingStrategy(Frozen):
     """How to draw universe-point tuples.
 
     Either i.i.d. draws over the finite universe (`weights`; None means
@@ -200,44 +194,47 @@ class SamplingStrategy:
     `sample_exists` draws them in blocks, keeping 8 bytes per sample.
     """
 
-    tuple_length: int
-    seed: Optional[int] = 0
-    weights: Optional[Mapping] = None
-    tuples: Optional[Iterable] = None
+    _fields = ("tuple_length", "seed", "weights", "tuples")
 
-    def __post_init__(self):
-        length = check_int(self.tuple_length, "tuple_length must be an integer")
+    def __init__(
+        self,
+        tuple_length: int,
+        seed: Optional[int] = 0,
+        weights: Optional[Mapping] = None,
+        tuples: Optional[Iterable] = None,
+    ):
+        length = check_int(tuple_length, "tuple_length must be an integer")
         if length < 1:
             raise InvalidParameter("tuple_length must be >= 1")
-        object.__setattr__(self, "tuple_length", length)
-        seed = self.seed
         if seed is not None:
             what = "seed must be None or an integer in [0, 2**128)"
             seed = check_int(seed, what)
             if not 0 <= seed < 1 << 128:
                 raise InvalidParameter(f"{what}, got {seed!r}")
-            object.__setattr__(self, "seed", seed)
-        if self.weights is not None:
-            if self.tuples is not None:
+        if weights is not None:
+            if tuples is not None:
                 raise InvalidParameter(
                     "supply either weights or a tuple stream, not both"
                 )
-            w = {k: to_float(v, f"weight {k!r}") for k, v in dict(self.weights).items()}
+            w = {k: to_float(v, f"weight {k!r}") for k, v in dict(weights).items()}
             # Written as "not (ok)" so that NaN fails the check too.
             if not all(0.0 <= v < math.inf for v in w.values()):
                 raise NegativeMass("weights must be finite and nonnegative")
             if abs(math.fsum(w.values()) - 1.0) > EPS_SIMPLEX:
                 raise NotNormalized("weights must sum to 1")
-            object.__setattr__(self, "weights", w)
+            weights = w
+        self.__dict__.update(
+            tuple_length=length, seed=seed, weights=weights, tuples=tuples
+        )
 
 
-@dataclass(frozen=True)
-class SampleEstimate:
+class SampleEstimate(FrozenValue):
     """Mean witness confidence over sampled tuples."""
 
-    mean: float
-    n_samples: int
-    seed: Optional[int]
+    _fields = ("mean", "n_samples", "seed")
+
+    def __init__(self, mean: float, n_samples: int, seed: Optional[int]):
+        self.__dict__.update(mean=mean, n_samples=n_samples, seed=seed)
 
     def hoeffding_radius(self, delta: float) -> float:
         """Distribution-free confidence half-width sqrt(ln(2/d) / (2N))."""

@@ -1525,7 +1525,7 @@ class TestDecomposition:
             pairwise={(1, 2): 0.2, (2, 3): 0.2, (4, 6): 0.1, (5, 6): 0.1},
         )
         calls = []
-        adopt, post_init = mf.BooleanFunction._adopt, mf.BooleanFunction.__post_init__
+        adopt, init = mf.BooleanFunction._adopt, mf.BooleanFunction.__init__
 
         def counting(name, real):
             def call(*args, **kwargs):
@@ -1535,9 +1535,7 @@ class TestDecomposition:
             return call
 
         monkeypatch.setattr(mf.BooleanFunction, "_adopt", counting("_adopt", adopt))
-        monkeypatch.setattr(
-            mf.BooleanFunction, "__post_init__", counting("__post_init__", post_init)
-        )
+        monkeypatch.setattr(mf.BooleanFunction, "__init__", counting("__init__", init))
         for name, module in list(sys.modules.items()):
             if name.startswith("markov_fuzzy") and hasattr(module, "compile_formula"):
                 real = module.compile_formula

@@ -109,6 +109,14 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.make_joint(1, [0.5, 0.5]).prob(5),
     ),
+    "function input not iterable": (
+        InvalidParameter,
+        lambda: mf.not_function()(5),
+    ),
+    "minterm not iterable": (
+        InvalidParameter,
+        lambda: mf.from_minterms(1, [5]),
+    ),
     "assignment coordinate a string": (
         InvalidParameter,
         lambda: mf.make_joint(1, [0.5, 0.5]).prob(["x"]),
@@ -298,6 +306,19 @@ RAISE_SITES = {
     "joint probability a string": (
         InvalidParameter,
         lambda: mf.make_joint(1, ["x", 0.5]),
+    ),
+    # numpy reads a bool beside numbers as a number.
+    "joint probability a bool beside an int": (
+        InvalidParameter,
+        lambda: mf.make_joint(1, [True, 0]),
+    ),
+    "joint probability a bool beside a float": (
+        InvalidParameter,
+        lambda: mf.make_joint(1, [False, 1.0]),
+    ),
+    "finite probability a bool beside a float": (
+        InvalidParameter,
+        lambda: mf.FiniteDist(("a", "b"), (True, 0.0)),
     ),
     "sampling weight None": (
         InvalidParameter,

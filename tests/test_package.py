@@ -1,9 +1,11 @@
 """The package surface: public names, lazy numpy, and the README quick tour."""
 
 import ast
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,158 @@ def test_lazy_numpy_gives_the_same_values():
     table = mf.BeliefTable(("a", "b", "c"), {"a": 0.2, "b": 0.5, "c": 0.9})
     est = mf.sample_exists(table, mf.SamplingStrategy(tuple_length=2, seed=3), 5000)
     assert lazy == {"bounds": [ci.lo, ci.hi], "mean": est.mean}
+
+
+#: One instance of each public value class, built by keyword where a
+#: caller may: its repr, the names of its fields, and whether a second
+#: instance built the same way equals it (by value, or tree equality) or
+#: only the instance itself does (identity).
+VALUES = {
+    "BooleanFunction": (
+        lambda: mf.BooleanFunction(arity_in=1, arity_out=1, table=[1, 0]),
+        "BooleanFunction(1->1, table=[1, 0])",
+        ("arity_in", "arity_out", "table"),
+        True,
+    ),
+    "Var": (lambda: mf.Var(name="A"), "Var(name='A')", ("name",), True),
+    "Not": (
+        lambda: mf.Not(child=mf.Var("A")),
+        "Not(child=Var(name='A'))",
+        ("child",),
+        True,
+    ),
+    "And": (
+        lambda: mf.And(left=mf.Var("A"), right=mf.Var("B")),
+        "And(left=Var(name='A'), right=Var(name='B'))",
+        ("left", "right"),
+        True,
+    ),
+    "Or": (
+        lambda: mf.Or(mf.Var("A"), mf.Var("B")),
+        "Or(left=Var(name='A'), right=Var(name='B'))",
+        ("left", "right"),
+        True,
+    ),
+    "Implies": (
+        lambda: mf.Implies(mf.Var("A"), mf.Var("B")),
+        "Implies(left=Var(name='A'), right=Var(name='B'))",
+        ("left", "right"),
+        True,
+    ),
+    "Exists": (
+        lambda: mf.Exists(var="x", universe="U", body=mf.Var("P(x)")),
+        "Exists(var='x', universe='U', body=Var(name='P(x)'))",
+        ("var", "universe", "body"),
+        True,
+    ),
+    "Forall": (
+        lambda: mf.Forall("x", "U", mf.Var("P(x)")),
+        "Forall(var='x', universe='U', body=Var(name='P(x)'))",
+        ("var", "universe", "body"),
+        True,
+    ),
+    "ConfidenceInterval": (
+        lambda: mf.ConfidenceInterval(0.1, 0.2),
+        "ConfidenceInterval(lo=0.1, hi=0.2)",
+        ("lo", "hi"),
+        True,
+    ),
+    "PartialJointSpec": (
+        lambda: mf.PartialJointSpec(marginals=(0.7, 0.6), pairwise={(1, 2): 0.2}),
+        "PartialJointSpec(marginals=(0.7, 0.6), pairwise={(1, 2): 0.2}, independent=False)",
+        ("marginals", "pairwise", "independent"),
+        False,
+    ),
+    "QBounds": (
+        lambda: mf.QBounds(q_min=0.0, q_indep=0.12, q_max=0.3),
+        "QBounds(q_min=0.0, q_indep=0.12, q_max=0.3)",
+        ("q_min", "q_indep", "q_max"),
+        True,
+    ),
+    "SourceSpan": (
+        lambda: mf.SourceSpan(start=0, end=3),
+        "SourceSpan(start=0, end=3)",
+        ("start", "end"),
+        True,
+    ),
+    "JointBooleanDist": (
+        lambda: mf.JointBooleanDist(arity=1, probs=[0.25, 0.75]),
+        "JointBooleanDist(arity=1, probs=[0.25, 0.75])",
+        ("arity", "probs"),
+        False,
+    ),
+    "FiniteDist": (
+        lambda: mf.FiniteDist(alphabet=("a", "b"), probs=[0.5, 0.5]),
+        "FiniteDist({'a': 0.5, 'b': 0.5})",
+        ("alphabet", "probs"),
+        False,
+    ),
+    "BeliefTable": (
+        lambda: mf.BeliefTable(
+            universe=("a", "b"), p={"a": 0.5, "b": 0.6}, q_pair={("a", "b"): 0.3}
+        ),
+        "BeliefTable(universe=('a', 'b'), p={'a': 0.5, 'b': 0.6}, q_pair={('a', 'b'): 0.3})",
+        ("universe", "p", "q_pair"),
+        False,
+    ),
+    "SamplingStrategy": (
+        lambda: mf.SamplingStrategy(tuple_length=2, seed=3, weights={"a": 0.5, "b": 0.5}),
+        "SamplingStrategy(tuple_length=2, seed=3, weights={'a': 0.5, 'b': 0.5}, tuples=None)",
+        ("tuple_length", "seed", "weights", "tuples"),
+        False,
+    ),
+    "SampleEstimate": (
+        lambda: mf.SampleEstimate(mean=0.5, n_samples=10, seed=3),
+        "SampleEstimate(mean=0.5, n_samples=10, seed=3)",
+        ("mean", "n_samples", "seed"),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_are_frozen_and_copy_whole(name):
+    """The README's "Purity": no field of a value can be assigned or
+    deleted; a pickle or deep copy has the same repr and is as equal to
+    the original as a second instance built the same way, which hashes
+    alike where the class hashes by value."""
+    build, text, fields, by_value = VALUES[name]
+    value = build()
+    assert repr(value) == text
+    for field in fields:
+        with pytest.raises(AttributeError, match=field):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=field):
+            delattr(value, field)
+    assert repr(value) == text
+    twin = build()
+    assert (twin == value) is by_value
+    if by_value and type(value).__hash__ is not None:
+        assert hash(twin) == hash(value)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert repr(copied) == text
+        assert (copied == value) is by_value
+        with pytest.raises(AttributeError):
+            setattr(copied, fields[0], None)
+
+
+def test_import_loads_no_dataclasses():
+    """`import markov_fuzzy` in a fresh interpreter adds neither
+    `dataclasses` nor `inspect` to sys.modules."""
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys; before = set(sys.modules); import markov_fuzzy; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "markov_fuzzy.bounds" in added
+    assert not {"dataclasses", "inspect"} & set(added)
 
 
 def quick_tour() -> str:
