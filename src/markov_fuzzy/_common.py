@@ -25,11 +25,12 @@ _NOT_NUMBERS = (str, bytes, bytearray, bool)
 def to_float(value, name: str = "value", error: type = InvalidParameter) -> float:
     """float(value), except that an integer too large for a float reads as
     +-inf, as the JSON literal 1e400 does, instead of raising OverflowError,
-    and that text, a bool or a value float() rejects raises `error` naming
-    `name` (float() would read "0.5" and True as numbers)."""
+    and that text, a bool (numpy's too: any value of a boolean dtype) or a
+    value float() rejects raises `error` naming `name` (float() would read
+    "0.5" and True as numbers)."""
     if type(value) is float:  # the common case, returned before the type checks
         return value
-    if isinstance(value, _NOT_NUMBERS):
+    if isinstance(value, _NOT_NUMBERS) or _dtype_kind(value) == "b":
         raise error(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -37,6 +38,12 @@ def to_float(value, name: str = "value", error: type = InvalidParameter) -> floa
         return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
+
+
+def _dtype_kind(value):
+    """The kind code of a numpy value's dtype ("b" for a bool), read
+    without importing numpy; None for any other value."""
+    return getattr(getattr(value, "dtype", None), "kind", None)
 
 
 def to_tuple(value, name: str) -> tuple:

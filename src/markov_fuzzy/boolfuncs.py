@@ -6,14 +6,18 @@ input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
 Formulas are immutable trees of `Frozen` nodes.  `compile_formula` checks a
-quantifier-free tree against its ordering in the same fold that builds its
+quantifier-free tree against its ordering in the same walk that builds its
 normal form (n-ary and/or over variables and negations), and the result
-keeps that normal form.  One fold (`_truth_bits`) evaluates any node of
-it on every assignment at once, as a Python int with one bit per
-assignment, which by uniqueness of the minterm normal form is the same
-function as the or-of-minterms expansion.  The first read of `table`
-unpacks the bits of the whole formula; `exact_bounds` takes the bits of
-each part of it, unpacked when the part reaches a linear program.
+keeps that normal form.  That walk is one explicit stack that branches
+on each node's type; `formula_variables` walks a stack too, reading each
+node's subformulas from `_CHILD_FIELDS`; hashing, printing and
+quantifier expansion take the generic `_fold`.  One fold (`_truth_bits`)
+evaluates any node of the normal form on every assignment at once, as a
+Python int with one bit per assignment, which by uniqueness of the
+minterm normal form is the same function as the or-of-minterms
+expansion.  The first read of `table` unpacks the bits of the whole
+formula; `exact_bounds` takes the bits of each part of it, unpacked when
+the part reaches a linear program.
 """
 
 from __future__ import annotations
@@ -245,7 +249,7 @@ def from_minterms(arity: int, minterms) -> BooleanFunction:
 
     arity = check_arity(arity)
     table = np.zeros(1 << arity, dtype=np.int64)
-    for assignment in minterms:
+    for assignment in to_tuple(minterms, "minterms"):
         assignment = to_tuple(assignment, "minterm")
         if len(assignment) != arity:
             raise ArityMismatch(
@@ -371,9 +375,6 @@ def _hash_node(node, child_hashes) -> int:
     )
 
 
-_QUANTIFIERS = (Exists, Forall)
-
-
 def _child_fields(node) -> tuple:
     """Names of the node's subformula fields, left to right."""
     try:
@@ -389,16 +390,6 @@ def _with_children(node, children):
         return node
     values = (changed.get(name, getattr(node, name)) for name in node._fields)
     return node.__class__(*values)
-
-
-def _walk(node):
-    """Every node of the tree in pre-order, left to right."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        for name in reversed(_child_fields(node)):
-            stack.append(getattr(node, name))
 
 
 def _subformulas(node) -> list:
@@ -429,8 +420,23 @@ def _fold(node, combine, children=_subformulas):
 
 
 def formula_variables(ast: Formula) -> list[str]:
-    """Variable names in first-appearance order (quantifier-free trees)."""
-    return list(dict.fromkeys(n.name for n in _walk(ast) if isinstance(n, Var)))
+    """Variable names in first-appearance order, quantifier bodies
+    included.  One explicit stack over the tree, which reads each node's
+    subformulas from `_CHILD_FIELDS`."""
+    names: dict = {}
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        try:
+            fields = _CHILD_FIELDS[node.__class__]
+        except KeyError:
+            raise TypeError(f"not a formula node: {node!r}") from None
+        if fields:
+            for name in reversed(fields):
+                stack.append(getattr(node, name))
+        else:
+            names[node.name] = None
+    return list(names)
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +456,34 @@ def formula_variables(ast: Formula) -> list[str]:
 _LEAF, _NEG, _ALL, _ANY = range(4)
 
 
+class _Close:
+    """A post-order marker on `compile_formula`'s stack: the operands of a
+    node of type `kind` are done.  A marker is no formula node, so a
+    foreign object in the tree is never read as one."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: type):
+        self.kind = kind
+
+
+_CLOSE = {kind: _Close(kind) for kind in (Not, And, Or, Implies, Exists, Forall)}
+
+
 def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     """Compile a quantifier-free formula into its truth table.
 
     `ordering` assigns variable i+1 (bit i) to ordering[i]; it may contain
     variables the formula never mentions.  Every variable in the formula
-    must appear in the ordering.  One fold over the formula checks it and
-    builds its normal form, which the function keeps: `exact_bounds`
-    splits the normal form into independent parts and evaluates the table
-    of each part from it, and the first read of `table` evaluates all of
-    it.
+    must appear in the ordering.  One walk over the formula, an explicit
+    stack that branches on each node's type, checks it and builds its
+    normal form bottom-up and left to right, which the function keeps:
+    `exact_bounds` splits the normal form into independent parts and
+    evaluates the table of each part from it, and the first read of
+    `table` evaluates all of it.  A foreign object raises TypeError when
+    the walk reaches it and a quantifier raises UnexpandedQuantifier once
+    its body is done; an unbound variable raises UnboundVariable, naming
+    the leftmost, only after the whole walk.
     """
     names = list(ordering)
     if len(set(names)) != len(names):
@@ -468,37 +492,50 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     n = check_arity(len(names), "ordering length")
     index = {name: i for i, name in enumerate(names)}
     unbound = []
-
-    def node(formula, kids):
-        kind = type(formula)
+    stack = [ast]
+    done: list = []  # the normal forms of the finished subtrees, in order
+    while stack:
+        node = stack.pop()
+        kind = node.__class__
         if kind is Var:
-            i = index.get(formula.name)
+            i = index.get(node.name)
             if i is None:
-                unbound.append(formula.name)
-                return [_LEAF, 0, 0]
-            return [_LEAF, 1 << i, i]
-        if kind is Not:
-            return _negated(kids[0])
-        if kind in _QUANTIFIERS:
-            raise UnexpandedQuantifier(
-                "quantifiers must be expanded over their universes before compilation"
-            )
-        left, right = kids
-        if kind is Implies:
-            left = _negated(left)
-        op = _ALL if kind is And else _ANY
-        a = left[2] if left[0] == op else [left]
-        b = right[2] if right[0] == op else [right]
-        if len(a) < len(b):
-            a, b = b, a
-        a.extend(b)
-        return [op, left[1] | right[1], a]
-
-    tree = _fold(ast, node)
+                unbound.append(node.name)
+                done.append([_LEAF, 0, 0])
+            else:
+                done.append([_LEAF, 1 << i, i])
+        elif kind is _Close:
+            kind = node.kind
+            if kind is Not:
+                done.append(_negated(done.pop()))
+                continue
+            if kind is Exists or kind is Forall:
+                raise UnexpandedQuantifier(
+                    "quantifiers must be expanded over their universes before compilation"
+                )
+            right = done.pop()
+            left = done.pop()
+            if kind is Implies:
+                left = _negated(left)
+            op = _ALL if kind is And else _ANY
+            a = left[2] if left[0] == op else [left]
+            b = right[2] if right[0] == op else [right]
+            if len(a) < len(b):
+                a, b = b, a
+            a.extend(b)
+            done.append([op, left[1] | right[1], a])
+        elif kind is And or kind is Or or kind is Implies:
+            stack += (_CLOSE[kind], node.right, node.left)
+        elif kind is Not:
+            stack += (_CLOSE[Not], node.child)
+        elif kind is Exists or kind is Forall:
+            stack += (_CLOSE[kind], node.body)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
     if unbound:
         raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
     f = BooleanFunction._adopt(n, 1, None)
-    f.__dict__["_formula"] = tree
+    f.__dict__["_formula"] = done[0]
     return f
 
 

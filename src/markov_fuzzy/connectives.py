@@ -120,8 +120,8 @@ def _pair_cells(p1: float, p2: float, q) -> list:
 
 
 def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
-    """Record the both-false confidence of `pair` (marginals p1, p2) in
-    `pairs`, clamped as by `_feasible_q`.
+    """Record the both-false confidence of `pair`, whose marginals p1 and
+    p2 the caller has checked, in `pairs`, clamped by `_clamped_q`.
 
     A pair given twice must repeat its value within EPS_FEAS.
     """
@@ -131,7 +131,7 @@ def _add_pair_q(pairs: dict, pair, p1: float, p2: float, q) -> None:
             f"conflicting q values for pair {pair}: {pairs[pair]} vs {q}"
         )
     try:
-        pairs[pair] = _feasible_q(p1, p2, q)[2]
+        pairs[pair] = _clamped_q(p1, p2, _q_range(p1, p2), q)
     except InfeasibleQ as exc:
         raise InfeasibleQ(f"pair {pair}: {exc}") from None
 

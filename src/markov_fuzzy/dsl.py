@@ -305,8 +305,11 @@ def _check_keys(obj: dict, allowed: tuple, label: str) -> None:
         raise SchemaError(f"unknown {label} keys: {sorted(extra)}")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _all_numbers(values) -> bool:
+    """Whether every value is a JSON number.  json.loads gives exact int
+    and float objects, never subclasses, so one pass over the types
+    rejects strings, booleans, nulls, lists and objects."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _number_map(obj: dict, key: str) -> dict:
@@ -314,7 +317,7 @@ def _number_map(obj: dict, key: str) -> dict:
     value = obj.get(key)
     if value is None:
         return {}
-    if not isinstance(value, dict) or not all(map(_is_number, value.values())):
+    if not isinstance(value, dict) or not _all_numbers(value.values()):
         raise SchemaError(f"{key!r} must be an object mapping keys to numbers")
     return value
 
@@ -339,7 +342,7 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
     if "marginals" in obj:
         _check_keys(obj, ("marginals", "pairwise", "independent"), "spec")
         marginals = obj["marginals"]
-        if not isinstance(marginals, list) or not all(map(_is_number, marginals)):
+        if not isinstance(marginals, list) or not _all_numbers(marginals):
             raise SchemaError("'marginals' must be a list of numbers")
         pairwise = {}
         for key, value in _number_map(obj, "pairwise").items():
@@ -365,7 +368,7 @@ def parse_model(text: str) -> Union[PartialJointSpec, BeliefTable]:
         if any("," in x for x in universe):
             raise SchemaError("universe labels must not contain ','")
         p = obj.get("p")
-        if not isinstance(p, dict) or not all(map(_is_number, p.values())):
+        if not isinstance(p, dict) or not _all_numbers(p.values()):
             raise SchemaError("'p' must map labels to beliefs")
         q_pair = {}
         for key, value in _number_map(obj, "q_pair").items():
@@ -387,9 +390,7 @@ def _joint_document(text: str) -> tuple:
     if not isinstance(arity, int) or isinstance(arity, bool):
         raise SchemaError("'arity' must be an integer")
     probs = obj["probs"]
-    # json.loads gives exact int and float objects, never subclasses, so
-    # one pass over the types rejects strings, booleans and nulls.
-    if not isinstance(probs, list) or not set(map(type, probs)) <= {int, float}:
+    if not isinstance(probs, list) or not _all_numbers(probs):
         raise SchemaError("'probs' must be a list of numbers")
     return arity, probs
 

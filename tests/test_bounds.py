@@ -123,6 +123,13 @@ class TestPartialJointSpec:
         assert spec.pairwise == {(1, 2): pytest.approx(0.12)}
         assert all(type(c) is int for c in next(iter(spec.pairwise)))
 
+    def test_numpy_bool_marginal_is_refused(self):
+        """A numpy bool is a bool, not the number 1.0 or 0.0, as Python's
+        is (see `tests/test_errors.py`)."""
+        for flag in (np.True_, np.False_):
+            with pytest.raises(InvalidBelief, match="marginal 1 must be a number"):
+                mf.PartialJointSpec((flag, 0.5))
+
     def test_independent_excludes_pairwise(self):
         with pytest.raises(SchemaError):
             mf.PartialJointSpec(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import markov_fuzzy as mf
-from markov_fuzzy.errors import InfeasibleQ
+from markov_fuzzy.errors import InfeasibleQ, InvalidBelief, InvalidParameter
 
 GRID = np.linspace(0.0, 1.0, 21)
 
@@ -74,6 +74,13 @@ class TestQConnectives:
         for fn in (mf.and_q, mf.or_q, mf.implies_q):
             with pytest.raises(InfeasibleQ):
                 fn(0.5, 0.5, 0.9)
+
+    def test_numpy_bool_is_refused(self):
+        """A numpy bool reads as neither a belief nor a q."""
+        with pytest.raises(InvalidBelief, match="p1 must be a number"):
+            mf.and_q(np.True_, 0.5, 0.0)
+        with pytest.raises(InvalidParameter, match="q must be a number"):
+            mf.and_q(0.5, 0.5, np.False_)
 
     def test_matches_pushforward_kernels(self):
         gates = {

@@ -1,5 +1,6 @@
 """Property-based checks: formula round trips, the parser's scope rules
-against a walk over the tree, the one q-feasibility rule,
+against a walk over the tree, compile_formula's normal form against a
+fold over the tree, the one q-feasibility rule,
 functoriality of pushforward, marginal consistency of products and of
 pair tables, de Morgan duality of the q connectives and monotone
 tightening of exact bounds, seeded `quantify sample` output, and `eval`
@@ -21,9 +22,15 @@ from hypothesis import strategies as st
 
 import markov_fuzzy as mf
 from markov_fuzzy import And, Exists, Forall, Implies, Not, Or, Var, cli
-from markov_fuzzy.boolfuncs import _child_fields, _truth_bits, _walk
+from markov_fuzzy.boolfuncs import _ALL, _ANY, _LEAF, _NEG, _child_fields, _fold, _truth_bits
 from markov_fuzzy.bounds import FEASIBILITY_TOL
-from markov_fuzzy.errors import DuplicateVariable, InfeasibleQ, ParseError
+from markov_fuzzy.errors import (
+    DuplicateVariable,
+    InfeasibleQ,
+    ParseError,
+    UnboundVariable,
+    UnexpandedQuantifier,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -82,6 +89,71 @@ def test_formula_variables_first_appearance_order(ast):
     assert mf.formula_variables(ast) == reference_variables(ast, [])
 
 
+def reference_normal_form(ast, ordering):
+    """compile_formula's normal form as a fold builds it: each node from
+    the forms of its children, bottom-up and left to right.  A quantifier
+    raises once its body is done, an unbound variable after the whole
+    fold, naming the leftmost."""
+    index = {name: i for i, name in enumerate(ordering)}
+    unbound = []
+
+    def negated(form):
+        return form[2] if form[0] == _NEG else [_NEG, form[1], form]
+
+    def node(formula, kids):
+        if isinstance(formula, Var):
+            i = index.get(formula.name)
+            if i is None:
+                unbound.append(formula.name)
+                return [_LEAF, 0, 0]
+            return [_LEAF, 1 << i, i]
+        if isinstance(formula, Not):
+            return negated(kids[0])
+        if isinstance(formula, (Exists, Forall)):
+            raise UnexpandedQuantifier(
+                "quantifiers must be expanded over their universes before compilation"
+            )
+        left, right = kids
+        if isinstance(formula, Implies):
+            left = negated(left)
+        op = _ALL if isinstance(formula, And) else _ANY
+        # A chain of one connective merges into the longer operand list.
+        a = left[2] if left[0] == op else [left]
+        b = right[2] if right[0] == op else [right]
+        if len(a) < len(b):
+            a, b = b, a
+        a.extend(b)
+        return [op, left[1] | right[1], a]
+
+    tree = _fold(ast, node)
+    if unbound:
+        raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
+    return tree
+
+
+def outcome(call):
+    """What `call` returns, or the type and message of the compile error
+    it raises."""
+    try:
+        return call()
+    except (UnboundVariable, UnexpandedQuantifier) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(formulas(), st.data())
+def test_compile_formula_builds_the_reference_normal_form(ast, data):
+    """Against an ordering of the formula's variables and an unused name,
+    in any order and with one variable left out at times: the same normal
+    form as the fold, or the same error with the same message."""
+    names = mf.formula_variables(ast)
+    ordering = data.draw(st.permutations(names + ["unused"]))
+    if data.draw(st.booleans()):
+        ordering.remove(data.draw(st.sampled_from(names)))
+    expected = outcome(lambda: reference_normal_form(ast, ordering))
+    assert outcome(lambda: mf.compile_formula(ast, ordering)._formula) == expected
+
+
 @st.composite
 def scoped_formulas(draw, depth=5, bound=()):
     """Trees whose quantifiers may rebind an enclosing variable and whose
@@ -111,6 +183,16 @@ def scoped_formulas(draw, depth=5, bound=()):
 APPLICATION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
 
 
+def walk(node):
+    """Every node of the tree in pre-order, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in reversed(_child_fields(node)):
+            stack.append(getattr(node, name))
+
+
 def reference_check_quantified(node):
     """The scope rules as a walk over the parsed tree, the reference for
     the parser's own checks: each quantifier in pre-order, its whole body
@@ -124,7 +206,7 @@ def reference_check_quantified(node):
                     f"quantified variable {node.var!r} shadows an enclosing binding"
                 )
             families = set()
-            for inner in _walk(node.body):
+            for inner in walk(node.body):
                 match = isinstance(inner, Var) and APPLICATION_RE.match(inner.name)
                 if match and match.group(2) == node.var:
                     families.add(match.group(1))
@@ -151,7 +233,7 @@ def scope_faults(ast):
             if node.var in bound:
                 faults.append((node.var, None))
             families = []
-            for inner in _walk(node.body):
+            for inner in walk(node.body):
                 match = isinstance(inner, Var) and APPLICATION_RE.match(inner.name)
                 if match and match.group(2) == node.var and match.group(1) not in families:
                     families.append(match.group(1))
