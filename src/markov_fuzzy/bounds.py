@@ -379,11 +379,28 @@ def _union_find(n: int, edges) -> tuple:
     return parent, joined
 
 
-def _groups(kids: list, component: list) -> list:
-    """The operands of an and/or, grouped by union-find so that operands
-    reading a common component share a group: [the components they read,
-    repeats included, operands] per group, in order of first operand.  A
-    leaf's coordinate is read from the leaf, never its mask."""
+def _groups(node: list, component, pair_free: bool) -> list:
+    """The operands of the and/or `node`, grouped by union-find so that
+    operands reading a common component share a group: [the components
+    they read, repeats included, operands] per group, in order of first
+    operand.  A leaf's coordinate is read from the leaf, never its mask: a
+    quantifier's root has none, and its leaves read each coordinate once.
+
+    Without pairs each coordinate is a component of its own, so the
+    leaves of a quantifier's root share none, nor do operands whose masks
+    are disjoint.  Then the result is None, each operand alone, and the
+    components they read are not worked out."""
+    kids = node[2]
+    if pair_free:
+        if node[1] is None:
+            return None
+        seen = 0
+        for kid in kids:
+            if seen & kid[1]:
+                break
+            seen |= kid[1]
+        else:
+            return None
     first: dict = {}
     reads, edges = [], []
     for k, kid in enumerate(kids):
@@ -408,12 +425,63 @@ def _groups(kids: list, component: list) -> list:
     return list(groups.values())
 
 
+def _walk(node: list, marginals, component, pair_free: bool, bound) -> tuple:
+    """(lo, hi) of the normal-form `node`: an and/or whose operands form
+    one group is one part, with any negation above it, which `bound(node,
+    the components it reads)` bounds; other groups combine by the Frechet
+    rules.  `component` and `pair_free` as in `_groups`.
+
+    A node and the one negation that may lie above it (double negations
+    cancel in the normal form) take one frame.  The walk descends only into
+    an operand alone in its group while the and/or has another group, so
+    each and/or on the way down reads strictly fewer components than the
+    one above it, and one that reads a single component is one part.  A
+    formula from `compile_formula` has at most N_MAX components, so the
+    walk is at most N_MAX frames deep however deep the formula is; a
+    quantifier's root has leaves only."""
+    negated = node[0] == _NEG
+    inner = node[2] if negated else node
+    kind = inner[0]
+    if kind == _LEAF:
+        lo = hi = marginals[inner[2]]
+    else:
+        groups = _groups(inner, component, pair_free)
+        if groups is None:
+            # Each operand alone: a variable is its own marginal.
+            ends = [
+                (marginals[kid[2]],) * 2
+                if kid[0] == _LEAF
+                else _walk(kid, marginals, component, pair_free, bound)
+                for kid in inner[2]
+            ]
+        elif len(groups) == 1:
+            return bound(node, groups[0][0])
+        else:
+            # In operand order, so that the first group to fail raises.
+            ends = [
+                _walk(kids[0], marginals, component, pair_free, bound)
+                if len(kids) == 1
+                else bound([kind, inner[1], kids], comps)
+                for comps, kids in groups
+            ]
+        lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(*zip(*ends))
+    return (1.0 - hi, 1.0 - lo) if negated else (lo, hi)
+
+
 def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
     """(lo, hi) of the normal-form `root` given `marginals` and the sorted
-    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  An and/or whose
-    operands form one group is one part, with any negation above it.  Then
-    each component with a cycle that no part read is checked for
-    feasibility (a tree of pairs always is feasible)."""
+    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  The root is split
+    by `_walk`.  Then each component with a cycle that no part read is
+    checked for feasibility (a tree of pairs always is feasible)."""
+    _check_cancel(cancel)
+    if not pairs:
+        # Each coordinate is a component of its own, and none has a cycle.
+        def alone(node: list, comps) -> tuple:
+            coords = sorted(set(comps))
+            ps = tuple(marginals[i] for i in coords)
+            return _part_bounds(ps, [], node, coords, cancel, outer)
+
+        return _walk(root, marginals, range(len(marginals)), True, alone)
     component = _union_find(len(marginals), [(i - 1, j - 1) for (i, j), _ in pairs])[0]
     by_component: dict = {}
     for pair in pairs:
@@ -438,35 +506,7 @@ def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
         coords, ps, part = local(comps)
         return _part_bounds(ps, part, node, coords, cancel, outer)
 
-    def walk(node: list) -> tuple:
-        # A node and the one negation that may lie above it (double
-        # negations cancel in the normal form) take one frame.  The walk
-        # descends only into an operand alone in its group while the
-        # and/or has another group, so each and/or on the way down reads
-        # strictly fewer components than the one above it, and one that
-        # reads a single component is one part.  A formula from
-        # `compile_formula` has at most N_MAX components, so the walk is
-        # at most N_MAX frames deep however deep the formula is; a
-        # quantifier's root has leaves only.
-        negated = node[0] == _NEG
-        inner = node[2] if negated else node
-        kind = inner[0]
-        if kind == _LEAF:
-            lo = hi = marginals[inner[2]]
-        else:
-            groups = _groups(inner[2], component)
-            if len(groups) == 1:
-                return bound(node, groups[0][0])
-            # In operand order, so that the first group to fail raises.
-            ends = [
-                walk(kids[0]) if len(kids) == 1 else bound([kind, inner[1], kids], c)
-                for c, kids in groups
-            ]
-            lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(*zip(*ends))
-        return (1.0 - hi, 1.0 - lo) if negated else (lo, hi)
-
-    _check_cancel(cancel)
-    result = walk(root)
+    result = _walk(root, marginals, component, False, bound)
     for c in by_component:
         if c not in covered:
             coords, ps, part = local([c])

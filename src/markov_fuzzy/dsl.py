@@ -18,9 +18,15 @@ Two scope rules hold, checked as the tokens are read: a quantifier may
 not rebind a variable that an enclosing quantifier binds
 (DuplicateVariable), and each quantified variable is applied to one
 belief family (ParseError, with the span of the application that names
-a second family).  The first fault in text order raises.  The parser
-keeps a frame per open quantifier on its stack and does constant work
-per token, so parse time is linear in the text at any nesting depth.
+a second family).  The first fault in text order raises.
+
+The tokenizer makes one `findall` pass over the text and keeps only the
+text of each token.  The parser reads them by index: per token it does a
+few comparisons and set lookups, and builds the tree's nodes on an
+explicit stack that holds a frame per open quantifier, so parse time is
+linear in the text at any nesting depth.  No offsets are kept.  Only
+when an error is raised is its span computed, by scanning the text again
+with the same pattern up to the offending token.
 
 Model files are JSON objects; see `parse_model` / `parse_joint`.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import islice
 from typing import Union
 
 from ._common import FrozenValue
@@ -66,134 +73,158 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The tokens of `text` as (kind, text, start, end) tuples, the last
-    of kind "eof"."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastgroup
-        if group is None:
-            continue
-        word, start = match.group(), match.start()
-        if group == "bad":
-            raise ParseError(
-                f"unexpected character {word!r} at offset {start}",
-                span=SourceSpan(start, start + 1),
-                expected=("identifier", "'!'", "'&'", "'|'", "'->'", "'('", "')'", "':'"),
-            )
-        kind = "ident" if group == "ident" and word not in _KEYWORDS else word
-        tokens.append((kind, word, start, match.end()))
-    tokens.append(("eof", "", len(text), len(text)))
-    return tokens
+#: The words that are not identifiers: the keywords, the symbols, and ""
+#: for the end of input.
+_RESERVED = frozenset((*_KEYWORDS, "->", "&", "|", "!", "(", ")", ":", ""))
+#: What may start an operand, as an error lists it.
+_OPERAND = ("identifier", "'!'", "'('", "'exists'", "'forall'")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = iter(_tokenize(text))
-        self.current = next(self.tokens)
-        #: The latest scope of each quantified variable: [the place of its
-        #: quantifier's frame on the stack, that frame, the family applied
-        #: to it or None].  It is open while `stack[place] is frame`.
-        self.scopes: dict = {}
+def _tokenize(text: str) -> list:
+    """The text of each token of `text`, then "" for the end of input.
 
-    # No rule reads past the eof token, so `next` never runs out.
-    def advance(self) -> tuple:
-        token, self.current = self.current, next(self.tokens)
-        return token
-
-    def fail(self, expected) -> ParseError:
-        _, text, start, end = self.current
-        shown = text or "end of input"
-        return ParseError(
-            f"unexpected {shown!r} at offset {start}; "
-            f"expected one of: {', '.join(sorted(expected))}",
-            span=SourceSpan(start, end),
-            expected=expected,
+    One `findall` gives (ident, sym, bad) per match, all three empty for
+    whitespace.  A token's text is never empty, so an empty word marks an
+    unexpected character, which raises."""
+    matches = _TOKEN_RE.findall(text)
+    words = [ident + sym for ident, sym, bad in matches if ident or sym or bad]
+    if "" in words:
+        match = next(m for m in _TOKEN_RE.finditer(text) if m.lastgroup == "bad")
+        start = match.start()
+        raise ParseError(
+            f"unexpected character {match.group()!r} at offset {start}",
+            span=SourceSpan(start, start + 1),
+            expected=("identifier", "'!'", "'&'", "'|'", "'->'", "'('", "')'", "':'"),
         )
+    words.append("")
+    return words
 
-    def expect(self, kind: str, label: str) -> tuple:
-        if self.current[0] != kind:
-            raise self.fail((label,))
-        return self.advance()
 
-    def scope_of(self, stack: list, var: str):
-        """The scope of `var` if a quantifier on `stack` binds it, else None."""
-        scope = self.scopes.get(var)
-        if scope and scope[0] < len(stack) and stack[scope[0]] is scope[1]:
-            return scope
-        return None
+def _span(text: str, index: int) -> SourceSpan:
+    """The span of token `index` of `text`, or of the end of input past the
+    last token.  The parser keeps only the tokens' text, so an error finds
+    its offsets by scanning the text again with the same pattern."""
+    tokens = (match for match in _TOKEN_RE.finditer(text) if match.lastgroup)
+    match = next(islice(tokens, index, None), None)
+    return SourceSpan(*match.span()) if match else SourceSpan(len(text), len(text))
 
-    def formula(self) -> Formula:
-        """One formula, read up to the first token that cannot extend it.
 
-        An explicit stack of pending prefix operators, open parentheses and
-        binary operators with their left operands stands in for recursive
-        descent, so nesting depth is not bounded by the recursion limit.
-        """
-        stack: list = []
-        while True:
-            node = self.operand(stack)
-            kind = self.current[0]
-            while kind not in _BINARY:
-                node = _close(stack, node, _CLOSES_ALL)
-                if not stack:
-                    return node
-                self.expect(")", "')'")
-                stack.pop()
-                kind = self.current[0]
-            cls, closes = _BINARY[kind]
-            node = _close(stack, node, closes)
-            self.advance()
-            stack.append((cls, (node,)))
+def _unexpected(text: str, words: list, index: int, expected) -> ParseError:
+    span = _span(text, index)
+    return ParseError(
+        f"unexpected {words[index] or 'end of input'!r} at offset {span.start}; "
+        f"expected one of: {', '.join(sorted(expected))}",
+        span=span,
+        expected=expected,
+    )
 
-    def operand(self, stack: list) -> Formula:
-        """Push the prefix operators and open parentheses before the next
-        atom, then read and return the atom.  Quantifiers may open a
-        formula (at the start, after '(' or ':') but not an operand."""
-        opens_formula = not stack or stack[-1][0] in _OPENERS
-        while True:
-            kind, name, start, _ = self.current
-            if opens_formula and kind in ("exists", "forall"):
-                self.advance()
-                var = self.expect("ident", "variable name")[1]
-                if self.scope_of(stack, var):
-                    raise DuplicateVariable(
-                        f"quantified variable {var!r} shadows an enclosing binding"
-                    )
-                self.expect("in", "'in'")
-                universe = self.expect("ident", "universe name")[1]
-                self.expect(":", "':'")
-                frame = (Exists if kind == "exists" else Forall, (var, universe))
-                self.scopes[var] = [len(stack), frame, None]
-                stack.append(frame)
-            elif kind == "!":
-                self.advance()
-                stack.append((Not, ()))
-                opens_formula = False
-            elif kind == "(":
-                self.advance()
-                stack.append((None, ()))
-                opens_formula = True
-            elif kind == "ident":
-                self.advance()
-                if self.current[0] != "(":
-                    return Var(name)
-                self.advance()
-                arg = self.expect("ident", "variable name")[1]
-                end = self.expect(")", "')'")[3]
-                scope = self.scope_of(stack, arg)
+
+def _open_scope(scopes: dict, stack: list, var: str):
+    """The scope of `var` in `scopes` if a quantifier on `stack` binds it,
+    else None."""
+    scope = scopes.get(var)
+    if scope and scope[0] < len(stack) and stack[scope[0]] is scope[1]:
+        return scope
+    return None
+
+
+def _parse(text: str, words: list) -> tuple:
+    """(the formula at the start of the tokens `words` of `text`, the index
+    of the first token that cannot extend it).
+
+    An explicit stack of pending quantifiers, prefix operators, open
+    parentheses and binary operators with their left operands stands in
+    for recursive descent, so nesting depth is not bounded by the
+    recursion limit.  Each frame is (node type, fields before the last).
+    """
+    stack: list = [_BOTTOM]
+    # The latest scope of each quantified variable: [the place of its
+    # quantifier's frame on the stack, that frame, the family applied to it
+    # or None].  It is open while `stack[place] is frame`.
+    scopes: dict = {}
+    index = 0
+    opens = True  # a quantifier may start here: first, or after '(' or ':'
+    while True:
+        # An operand: the prefix operators and open parentheses before an
+        # atom, then the atom.
+        word = words[index]
+        if word not in _RESERVED:
+            index += 1
+            if words[index] != "(":
+                node = Var(word)
+            else:
+                arg = words[index + 1]
+                if arg in _RESERVED:
+                    raise _unexpected(text, words, index + 1, ("variable name",))
+                if words[index + 2] != ")":
+                    raise _unexpected(text, words, index + 2, ("')'",))
+                scope = _open_scope(scopes, stack, arg)
                 if scope:
-                    family = scope[2] = scope[2] or name
-                    if family != name:
+                    family = scope[2] = scope[2] or word
+                    if family != word:
                         raise ParseError(
                             f"variable {arg!r} is applied to multiple belief "
-                            f"families {sorted((family, name))}; one family per "
+                            f"families {sorted((family, word))}; one family per "
                             f"quantified variable is supported",
-                            span=SourceSpan(start, end),
+                            span=SourceSpan(
+                                _span(text, index - 1).start, _span(text, index + 2).end
+                            ),
                         )
-                return Var(f"{name}({arg})")
-            else:
-                raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
+                node = Var(f"{word}({arg})")
+                index += 3
+        elif word == "(":
+            stack.append(_PAREN)
+            index += 1
+            opens = True
+            continue
+        elif word == "!":
+            stack.append(_NEGATION)
+            index += 1
+            opens = False
+            continue
+        elif opens and (word == "exists" or word == "forall"):
+            var = words[index + 1]
+            if var in _RESERVED:
+                raise _unexpected(text, words, index + 1, ("variable name",))
+            if _open_scope(scopes, stack, var):
+                raise DuplicateVariable(
+                    f"quantified variable {var!r} shadows an enclosing binding"
+                )
+            if words[index + 2] != "in":
+                raise _unexpected(text, words, index + 2, ("'in'",))
+            universe = words[index + 3]
+            if universe in _RESERVED:
+                raise _unexpected(text, words, index + 3, ("universe name",))
+            if words[index + 4] != ":":
+                raise _unexpected(text, words, index + 4, ("':'",))
+            frame = (Exists if word == "exists" else Forall, (var, universe))
+            scopes[var] = [len(stack), frame, None]
+            stack.append(frame)
+            index += 5
+            continue
+        else:
+            raise _unexpected(text, words, index, _OPERAND)
+        # Then the closing parentheses and the binary operator after the
+        # atom.  A binary operator closes the frames `_closed_first` names;
+        # any other token closes all but an open parenthesis, and ends the
+        # formula at the bottom of the stack unless it is ')'.
+        while True:
+            word = words[index]
+            cls, closes = _BINARY.get(word, _END)
+            while stack[-1][0] in closes:
+                kind, fields = stack.pop()
+                node = kind(*fields, node)
+            if cls is not None:
+                break
+            if stack[-1] is _BOTTOM:
+                return node, index
+            if word != ")":
+                raise _unexpected(text, words, index, ("')'",))
+            stack.pop()
+            index += 1
+        stack.append((cls, (node,)))
+        index += 1
+        opens = False
 
 
 #: Precedence of each node type, from the loosest binding to the tightest.
@@ -218,27 +249,22 @@ def _closed_first(cls) -> frozenset:
 
 #: Binary connective of each operator token, and `_closed_first` of it.
 _BINARY = {symbol: (cls, _closed_first(cls)) for cls, symbol in _SYMBOL.items()}
-#: Everything but an open parenthesis (None) closes at the end of a formula.
-_CLOSES_ALL = frozenset(_PRECEDENCE)
-#: Stack tops after which a full formula, quantifier included, may start.
-_OPENERS = frozenset((None, Exists, Forall))
-
-
-def _close(stack: list, node: Formula, kinds: frozenset) -> Formula:
-    """Apply the pending operators of the given kinds on top of the stack,
-    innermost first; each frame is (node type, fields before the last)."""
-    while stack and stack[-1][0] in kinds:
-        cls, fields = stack.pop()
-        node = cls(*fields, node)
-    return node
+#: At a token that is no binary operator: no connective, and every frame
+#: closes but an open parenthesis (None) and the bottom.
+_END = (None, frozenset(_PRECEDENCE))
+#: The frames of an open parenthesis, of a negation, and at the bottom of
+#: the stack, which nothing closes.
+_PAREN = (None, ())
+_NEGATION = (Not, ())
+_BOTTOM = (False, ())
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text into an AST, or raise ParseError or DuplicateVariable."""
-    parser = _Parser(text)
-    node = parser.formula()
-    if parser.current[0] != "eof":
-        raise parser.fail(("end of input", "'&'", "'|'", "'->'"))
+    words = _tokenize(text)
+    node, index = _parse(text, words)
+    if words[index]:
+        raise _unexpected(text, words, index, ("end of input", "'&'", "'|'", "'->'"))
     return node
 
 

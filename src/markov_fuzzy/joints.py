@@ -316,6 +316,17 @@ def marginal(dist: JointBooleanDist, coords: Sequence[int]) -> JointBooleanDist:
 
     bits = _coords_to_bits(coords, dist.arity)
     n = dist.arity
+    if bits == [n - 1]:
+        # Onto the highest coordinate alone, each half of the table is one
+        # entry.  A cumsum adds a contiguous half in index order, as the
+        # reduction below would add the rows of a (2**(n-1), 2) array, but
+        # without its inner loop of length 2.  Its last partial sum plus
+        # 0.0 is the sum from 0.0 (the addition turns -0.0 into 0.0).
+        half = 1 << (n - 1)
+        partial = np.empty(half)
+        sides = (dist.probs[:half], dist.probs[half:])
+        ends = [np.cumsum(side, out=partial)[-1] for side in sides]
+        return JointBooleanDist._adopt(1, np.array(ends) + 0.0)
     # In the (2,)*n view, axis n-1-b holds bit b.  Dropped axes go first in
     # their own order, kept axes last with output bit 0 innermost; the
     # contiguous copy makes each column's reduction run down the rows in

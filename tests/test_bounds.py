@@ -1650,6 +1650,22 @@ class TestDecomposition:
         with pytest.raises(ArityTooLarge):
             mf.exact_bounds(spec, f)
 
+    @pytest.mark.parametrize(
+        "text, lo",
+        [("(P1 & P3) | P2", 0.6), ("P2 | (P1 & P3)", 0.6), ("(P2 & P3) | P1", 0.7)],
+    )
+    def test_a_compound_operand_shares_a_pairs_component(self, text, lo):
+        """The and reads a coordinate that the pair (1,2) joins to the
+        other operand's component, so the or is one part: its upper end is
+        0.8 over the whole table, where the and bounded apart would give
+        1.0."""
+        spec = mf.PartialJointSpec((0.7, 0.6, 0.5), {(1, 2): 0.2})
+        f = compiled(text, ["P1", "P2", "P3"])
+        ci = mf.exact_bounds(spec, f)
+        raw = mf.exact_bounds(spec, mf.BooleanFunction(3, 1, f.table))
+        assert (ci.lo, ci.hi) == pytest.approx((raw.lo, raw.hi), abs=1e-12)
+        assert (ci.lo, ci.hi) == pytest.approx((lo, 0.8), abs=1e-12)
+
     def test_compiled_function_equals_the_raw_table(self):
         f = compiled("(a & b) | !c")
         raw = mf.BooleanFunction(3, 1, f.table)

@@ -118,6 +118,27 @@ def test_marginal_matches_bincount(n):
         assert same_bits(got, marginal_reference(dist, coords)), coords
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 16])
+def test_marginal_sums_in_index_order_from_zero(n):
+    """Onto the highest coordinate, the lowest, and a mixed selection, each
+    entry is the sum from 0.0 in ascending index order that an unbuffered
+    `np.add.at` makes; a half of the table that holds only -0.0 sums to
+    +0.0."""
+    rng = np.random.default_rng(3000 + n)
+    dist = random_table(rng, n)
+    zeroed = dist.probs.copy()
+    zeroed[: 1 << (n - 1)] = -0.0
+    mixed = sorted({1, n, (n + 1) // 2}, reverse=True)
+    for table in (dist, mf.JointBooleanDist._adopt(n, zeroed)):
+        for coords in ([n], [1], mixed):
+            bits = [c - 1 for c in coords]
+            idx = np.arange(1 << n)
+            packed = sum(((idx >> b) & 1) << k for k, b in enumerate(bits))
+            want = np.zeros(1 << len(bits))
+            np.add.at(want, packed, table.probs)
+            assert same_bits(mf.marginal(table, coords).probs, want), (n, coords)
+
+
 @pytest.mark.parametrize("n", ARITIES)
 def test_independent_product_matches_concatenate(n):
     rng = np.random.default_rng(2000 + n)

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 12 tier-1 runs, about
+it survives, or that it is open.  A full run takes 14 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -131,10 +131,10 @@ MUTANTS = [
     ),
     (
         "dsl.py",
-        "                if self.scope_of(stack, var):\n"
-        "                    raise DuplicateVariable(\n"
-        '                        f"quantified variable {var!r} shadows an enclosing binding"\n'
-        "                    )\n",
+        "            if _open_scope(scopes, stack, var):\n"
+        "                raise DuplicateVariable(\n"
+        '                    f"quantified variable {var!r} shadows an enclosing binding"\n'
+        "                )\n",
         "",
         "the parser's shadow check removed: a quantifier rebinds a variable "
         "an open quantifier binds.  Killed by "
@@ -142,10 +142,28 @@ MUTANTS = [
     ),
     (
         "dsl.py",
-        "                    if family != name:\n",
+        "                    if family != word:\n",
         "                    if False:\n",
         "the parser's second-family check removed: a quantified variable is "
         "applied to two families.  Killed by test_one_family_per_variable",
+    ),
+    (
+        "dsl.py",
+        "    match = next(islice(tokens, index, None), None)\n",
+        "    match = next(islice(tokens, index + 1, None), None)\n",
+        "an error's span, found on demand by scanning the text again, lands "
+        "one token past the offending one.  Killed by "
+        "test_parse_formula_agrees_with_the_oracle",
+    ),
+    (
+        "bounds.py",
+        "            comps = tuple({component[i] for i in _coordinates(kid[1])})\n",
+        "            comps = tuple(_coordinates(kid[1]))\n",
+        "an operand that is not a single variable read as its coordinates, "
+        "not their components: in (P1 & P3) | P2 with the pair (1,2), the "
+        "pair's component is named 1, P2's index, which the and's indices 0 "
+        "and 2 miss, so the and is split from P2.  "
+        "Killed by test_a_compound_operand_shares_a_pairs_component",
     ),
 ]
 
