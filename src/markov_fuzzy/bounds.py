@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ._common import EPS_FEAS, N_MAX, Frozen, FrozenValue, check_belief, check_int
@@ -324,8 +324,14 @@ def _snapped(x: float, lo: float, hi: float) -> float:
 # whatever the others do, and every coupling of the operands (as events) is
 # reachable: the confidence of the and/or ranges over the Frechet interval
 # of the operands' intervals, the classic connectives of the paper.  A
-# negation maps [lo, hi] to [1 - hi, 1 - lo].  Operands that share a
-# component form one part over the components they read, bounded by
+# negation maps [lo, hi] to [1 - hi, 1 - lo].
+#
+# One rule groups the operands.  Each component of the pair graph is a bit
+# mask (none without pairs); an operand reads its own mask widened by every
+# component mask it meets, and operands whose read masks meet share a
+# group, transitively.  When no two read masks meet, every operand stands
+# alone.  A group of two or more operands is one part over the
+# coordinates of its mask and the pairs inside them, bounded by
 # `_part_bounds`.  A negation directly above a part belongs to the part,
 # at any depth: the part is bounded whole, so `!(a -> b)` and `a & !b`
 # over one pair take the same table and give the same bits.
@@ -350,11 +356,7 @@ def _snapped(x: float, lo: float, hi: float) -> float:
 # P(E_u or E_v) <= 1.  The upper end is Hunter's (1976) bound.  With a
 # cycle both ends still hold, the upper one over the heaviest spanning
 # forest (Kruskal), but are only an outer bound; the quantifiers take it
-# for a part over `LP_MAX_ARITY`.
-
-
-def _coordinates(mask: int) -> list:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+# for a component over `LP_MAX_ARITY` points.
 
 
 def _union_find(n: int, edges) -> tuple:
@@ -379,79 +381,69 @@ def _union_find(n: int, edges) -> tuple:
     return parent, joined
 
 
-def _groups(node: list, component, pair_free: bool) -> list:
-    """The operands of the and/or `node`, grouped by union-find so that
-    operands reading a common component share a group: [the components
-    they read, repeats included, operands] per group, in order of first
-    operand.  A leaf's coordinate is read from the leaf, never its mask: a
-    quantifier's root has none, and its leaves read each coordinate once.
+def _merged(masks) -> list:
+    """`masks` with those that meet merged, transitively, in any order."""
+    merged: list = []
+    for mask in masks:
+        for m in merged[:]:
+            if m & mask:
+                merged.remove(m)
+                mask |= m
+        merged.append(mask)
+    return merged
 
-    Without pairs each coordinate is a component of its own, so the
-    leaves of a quantifier's root share none, nor do operands whose masks
-    are disjoint.  Then the result is None, each operand alone, and the
-    components they read are not worked out."""
-    kids = node[2]
-    if pair_free:
-        if node[1] is None:
-            return None
-        seen = 0
-        for kid in kids:
-            if seen & kid[1]:
+
+def _groups(kids: list, components: list) -> Optional[list]:
+    """The operands `kids` of an and/or in groups: an operand reads its own
+    mask, widened by every component mask it meets, and operands whose read
+    masks meet share a group, so a group's mask is a merge of operand and
+    component masks.  [the group's mask, its operands] per group, in order
+    of first operand; None when no two read masks meet, each operand alone,
+    as when the operands' masks are disjoint and meet no component."""
+    seen = 0
+    for kid in kids:
+        if seen & kid[1]:
+            break
+        seen |= kid[1]
+    else:
+        for c in components:
+            if c & seen:
                 break
-            seen |= kid[1]
         else:
             return None
-    first: dict = {}
-    reads, edges = [], []
-    for k, kid in enumerate(kids):
-        leaf = kid[2] if kid[0] == _NEG else kid
-        if leaf[0] == _LEAF:
-            comps = (component[leaf[2]],)
-        else:
-            comps = tuple({component[i] for i in _coordinates(kid[1])})
-        for c in comps:
-            j = first.setdefault(c, k)
-            if j != k:
-                edges.append((j, k))
-        reads.append(comps)
+    masks = _merged([kid[1] for kid in kids] + components)
     groups: dict = {}
-    roots = _union_find(len(kids), edges)[0] if edges else range(len(kids))
-    for kid, comps, root in zip(kids, reads, roots):
-        if root in groups:
-            groups[root][0] += comps
-            groups[root][1].append(kid)
-        else:
-            groups[root] = [comps, [kid]]
-    return list(groups.values())
+    for kid in kids:
+        groups.setdefault(next(m for m in masks if m & kid[1]), []).append(kid)
+    return list(groups.items()) if len(groups) < len(kids) else None
 
 
-def _walk(node: list, marginals, component, pair_free: bool, bound) -> tuple:
+def _walk(node: list, marginals, components: list, bound) -> tuple:
     """(lo, hi) of the normal-form `node`: an and/or whose operands form
-    one group is one part, with any negation above it, which `bound(node,
-    the components it reads)` bounds; other groups combine by the Frechet
-    rules.  `component` and `pair_free` as in `_groups`.
+    one group (`_groups`) is one part, with any negation above it, which
+    `bound(node, the group's mask)` bounds; other groups combine by the
+    Frechet rules.
 
     A node and the one negation that may lie above it (double negations
     cancel in the normal form) take one frame.  The walk descends only into
     an operand alone in its group while the and/or has another group, so
-    each and/or on the way down reads strictly fewer components than the
-    one above it, and one that reads a single component is one part.  A
-    formula from `compile_formula` has at most N_MAX components, so the
-    walk is at most N_MAX frames deep however deep the formula is; a
-    quantifier's root has leaves only."""
+    each and/or on the way down reads strictly fewer coordinates than the
+    one above it.  A formula from `compile_formula` reads at most N_MAX
+    coordinates, so the walk is at most N_MAX frames deep however deep the
+    formula is."""
     negated = node[0] == _NEG
     inner = node[2] if negated else node
     kind = inner[0]
     if kind == _LEAF:
         lo = hi = marginals[inner[2]]
     else:
-        groups = _groups(inner, component, pair_free)
+        groups = _groups(inner[2], components)
         if groups is None:
             # Each operand alone: a variable is its own marginal.
             ends = [
                 (marginals[kid[2]],) * 2
                 if kid[0] == _LEAF
-                else _walk(kid, marginals, component, pair_free, bound)
+                else _walk(kid, marginals, components, bound)
                 for kid in inner[2]
             ]
         elif len(groups) == 1:
@@ -459,71 +451,59 @@ def _walk(node: list, marginals, component, pair_free: bool, bound) -> tuple:
         else:
             # In operand order, so that the first group to fail raises.
             ends = [
-                _walk(kids[0], marginals, component, pair_free, bound)
+                _walk(kids[0], marginals, components, bound)
                 if len(kids) == 1
-                else bound([kind, inner[1], kids], comps)
-                for comps, kids in groups
+                else bound([kind, inner[1], kids], mask)
+                for mask, kids in groups
             ]
         lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(*zip(*ends))
     return (1.0 - hi, 1.0 - lo) if negated else (lo, hi)
 
 
-def _decomposed_bounds(marginals, pairs, root, cancel, outer=False):
-    """(lo, hi) of the normal-form `root` given `marginals` and the sorted
-    ((i, j), q) `pairs`; `outer` as in `_part_bounds`.  The root is split
-    by `_walk`.  Then each component with a cycle that no part read is
-    checked for feasibility (a tree of pairs always is feasible)."""
+def _local(marginals, pairs, mask: int) -> tuple:
+    """The coordinates of `mask`, their marginals and the pairs inside them,
+    numbered 1 ... k."""
+    coords = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    number = {i + 1: k + 1 for k, i in enumerate(coords)}
+    part = [((number[i], number[j]), q) for (i, j), q in pairs if mask >> i - 1 & 1]
+    return coords, tuple(marginals[i] for i in coords), part
+
+
+def _decomposed_bounds(marginals, pairs, root, cancel):
+    """(lo, hi) of the normal-form `root` of a compiled formula given
+    `marginals` and the sorted ((i, j), q) `pairs`, split by `_walk`.  Then
+    each component with a cycle that no part read is checked for
+    feasibility (a tree of pairs always is feasible), in order of first pair."""
     _check_cancel(cancel)
-    if not pairs:
-        # Each coordinate is a component of its own, and none has a cycle.
-        def alone(node: list, comps) -> tuple:
-            coords = sorted(set(comps))
-            ps = tuple(marginals[i] for i in coords)
-            return _part_bounds(ps, [], node, coords, cancel, outer)
+    # The components of the pair graph as bit masks; none without pairs.
+    components = pairs and _merged([1 << i - 1 | 1 << j - 1 for (i, j), _ in pairs])
+    read = 0  # the coordinates of the parts bounded
 
-        return _walk(root, marginals, range(len(marginals)), True, alone)
-    component = _union_find(len(marginals), [(i - 1, j - 1) for (i, j), _ in pairs])[0]
-    by_component: dict = {}
-    for pair in pairs:
-        by_component.setdefault(component[pair[0][0] - 1], []).append(pair)
-    members: dict = {}  # the coordinates of each component, on first use
-    covered: set = set()
+    def bound(node: list, mask: int) -> tuple:
+        nonlocal read
+        read |= mask
+        coords, ps, part = _local(marginals, pairs, mask)
+        return _part_bounds(ps, part, node, coords, cancel)
 
-    def local(comps) -> tuple:
-        """The coordinates of `comps`, ascending, their marginals and pairs."""
-        if not members:
-            for i, c in enumerate(component):
-                members.setdefault(c, []).append(i)
-        comps = set(comps)
-        coords = sorted(chain.from_iterable(members[c] for c in comps))
-        number = {i + 1: k + 1 for k, i in enumerate(coords)}
-        part = sorted(chain.from_iterable(by_component.get(c, ()) for c in comps))
-        part = [((number[i], number[j]), q) for (i, j), q in part]
-        return coords, tuple(marginals[i] for i in coords), part
-
-    def bound(node: list, comps) -> tuple:
-        covered.update(comps)
-        coords, ps, part = local(comps)
-        return _part_bounds(ps, part, node, coords, cancel, outer)
-
-    result = _walk(root, marginals, component, False, bound)
-    for c in by_component:
-        if c not in covered:
-            coords, ps, part = local([c])
+    result = _walk(root, marginals, components, bound)
+    for (i, _), _ in pairs:  # each component unread, in order of first pair
+        if not read >> i - 1 & 1:
+            mask = next(c for c in components if c >> i - 1 & 1)
+            read |= mask
+            coords, ps, part = _local(marginals, pairs, mask)
             if len(part) >= len(coords):
                 _lp_bounds(ps, part, None, cancel)
     return result
 
 
-def _part_bounds(marginals, pairs, node, coords, cancel, outer=False):
+def _part_bounds(marginals, pairs, node, coords, cancel):
     """(lo, hi) of the normal-form `node` over `coords`, the ascending
     coordinates of whole components, which `marginals` and the sorted
     pairs number 1 ... k.  One or two variables take the cells of the pair
     table (`_pair_cells`) at the pair's q, or at both ends of its range;
     an and/or of literals whose pairs form no cycle takes its closed form;
     anything else one LP on its table, evaluated from `node`, up to
-    `LP_MAX_ARITY`.  Above the cap an and/or of literals takes the outer
-    bound if `outer` is set, and anything else raises ArityTooLarge."""
+    `LP_MAX_ARITY`, and above it raises ArityTooLarge."""
     k = len(coords)
     if k <= 2:
         truth = _truth_bits(node, coords)
@@ -535,7 +515,7 @@ def _part_bounds(marginals, pairs, node, coords, cancel, outer=False):
         values = [_table_value(truth, c) for c in cells]
         return min(values), max(values)
     literal = _literal_bounds(marginals, pairs, node, coords)
-    if literal is not None and (literal[2] or outer and k > LP_MAX_ARITY):
+    if literal is not None and literal[2]:
         return literal[:2]
     _check_lp_arity(k)
     return _lp_bounds(marginals, pairs, _truth_table(node, coords), cancel)

@@ -36,7 +36,8 @@ from itertools import compress
 from operator import add
 
 from ._common import N_MAX, check_belief
-from .boolfuncs import _truth_bits, compile_formula, formula_variables
+from .boolfuncs import Exists, Forall, _fold, _truth_bits, compile_formula
+from .boolfuncs import formula_variables
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _clamped_q, _connectives, _pair_cells, _q_range, q_bounds
 from .dsl import _joint_document, parse_formula, parse_model
@@ -139,12 +140,18 @@ def _emit(args, default, header, rows, obj=None) -> None:
 def _compile(formula_text: str, expected_arity: int):
     ast = parse_formula(formula_text)
     names = formula_variables(ast)
-    if len(names) != expected_arity:
+    # A quantified formula goes on to `compile_formula`, which refuses it
+    # with UnexpandedQuantifier whatever the model's arity.
+    if len(names) != expected_arity and _fold(ast, _quantifier_free):
         raise ArityMismatch(
             f"formula mentions {len(names)} variables but the model has "
             f"arity {expected_arity}"
         )
     return compile_formula(ast, names)
+
+
+def _quantifier_free(node, kids: list) -> bool:
+    return not isinstance(node, (Exists, Forall)) and all(kids)
 
 
 #: Selectors of the true and the false cells from the binary digits of a

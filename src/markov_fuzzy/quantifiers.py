@@ -28,7 +28,7 @@ from ._common import to_float
 from .boolfuncs import _ALL, _ANY, _LEAF, And, Exists, Forall, Formula, Or, Var, _fold
 from .boolfuncs import _with_children
 from .bounds import ConfidenceInterval
-from .connectives import _add_pair_q
+from .connectives import _add_pair_q, _frechet_and, _frechet_or
 from .errors import (
     BadCoordinate,
     EmptyUniverse,
@@ -112,7 +112,7 @@ def exists_exact(joint: JointBooleanDist) -> float:
 def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
     """Bounds on the existential confidence: the "or" over the universe.
     Exact unless a component of the q_pair graph that has a cycle has over
-    `LP_MAX_ARITY` points, which takes the outer bound of `_part_bounds`.
+    `LP_MAX_ARITY` points, which takes the outer bound of `_literal_bounds`.
     Pairs that admit no joint table raise InfeasibleSpec."""
     return _quantified(table, _ANY)
 
@@ -124,15 +124,36 @@ def forall_bounds(table: BeliefTable) -> ConfidenceInterval:
 
 
 def _quantified(table: BeliefTable, kind: int) -> ConfidenceInterval:
+    """The n-ary Frechet rule over the points: a point no pair names is its
+    own marginal, and each component of the q_pair graph is one part."""
     if not table.universe:
         raise EmptyUniverse("cannot quantify over an empty universe")
-    position = {x: i + 1 for i, x in enumerate(table.universe)}
+    position = {x: i for i, x in enumerate(table.universe)}
     pairs = sorted(((position[a], position[b]), q) for (a, b), q in table.q_pair.items())
-    # The walk reads a leaf's coordinate, never its mask, nor the root's:
-    # masks of 1 << i would take memory quadratic in the universe's size.
-    root = [kind, None, [[_LEAF, None, i] for i in range(len(position))]]
-    marginals = tuple(table.p[x] for x in table.universe)
-    lo, hi = bounds._decomposed_bounds(marginals, pairs, root, None, outer=True)
+    root = bounds._union_find(len(position), [pair for pair, _ in pairs])[0]
+    components: dict = {}  # the pairs of each component, in order of first pair
+    for pair in pairs:
+        components.setdefault(root[pair[0][0]], []).append(pair)
+    los = [table.p[x] for x in table.universe]
+    his = los.copy()
+    for inside in components.values():
+        coords = sorted({i for pair, _ in inside for i in pair})
+        number = {i: k + 1 for k, i in enumerate(coords)}
+        part = [((number[i], number[j]), q) for (i, j), q in inside]
+        ps, local = tuple(los[i] for i in coords), range(len(coords))
+        # No masks: the part rules read none, and masks 1 << t would take
+        # memory quadratic in the size of a component.
+        node = [kind, None, [[_LEAF, None, t] for t in local]]
+        if len(coords) > bounds.LP_MAX_ARITY:
+            ends = bounds._literal_bounds(ps, part, node, local)[:2]
+        else:
+            ends = bounds._part_bounds(ps, part, node, local, None)
+        for i in coords[1:]:
+            los[i] = his[i] = None
+        los[coords[0]], his[coords[0]] = ends
+    lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(
+        [lo for lo in los if lo is not None], [hi for hi in his if hi is not None]
+    )
     return ConfidenceInterval(lo, hi)
 
 

@@ -1666,6 +1666,32 @@ class TestDecomposition:
         assert (ci.lo, ci.hi) == pytest.approx((raw.lo, raw.hi), abs=1e-12)
         assert (ci.lo, ci.hi) == pytest.approx((lo, 0.8), abs=1e-12)
 
+    def test_an_operand_that_bridges_two_groups_joins_them(self):
+        """P2 & P3 meets the group of P1 & P2 and the one of P3: all three
+        are one part over P1-P3, and P4 stands alone."""
+        spec = mf.PartialJointSpec((0.7, 0.6, 0.5, 0.2))
+        f = compiled("(P1 & P2) | P3 | (P2 & P3) | P4", ["P1", "P2", "P3", "P4"])
+        ci = mf.exact_bounds(spec, f)
+        raw = mf.exact_bounds(spec, mf.BooleanFunction(4, 1, f.table))
+        assert (ci.lo, ci.hi) == pytest.approx((raw.lo, raw.hi), abs=1e-12)
+        assert (ci.lo, ci.hi) == pytest.approx((0.5, 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "q12, q34, lo, hi", [(0.5, 0.5, 0.25, 0.875), (0.375, 0.25, 0.375, 1.0)]
+    )
+    def test_an_operand_that_bridges_two_components_joins_them(self, q12, q34, lo, hi):
+        """P2 & P4 meets the component of the pair (1,2) and that of (3,4),
+        so P1, P3 and it are one part over P1-P4; bounded apart, the or
+        would be [0.25, 1.0]."""
+        spec = mf.PartialJointSpec(
+            (0.25, 0.5, 0.25, 0.5, 0.125), {(1, 2): q12, (3, 4): q34}
+        )
+        f = compiled("P1 | P3 | (P2 & P4) | P5", ["P1", "P2", "P3", "P4", "P5"])
+        ci = mf.exact_bounds(spec, f)
+        raw = mf.exact_bounds(spec, mf.BooleanFunction(5, 1, f.table))
+        assert (ci.lo, ci.hi) == pytest.approx((raw.lo, raw.hi), abs=1e-12)
+        assert (ci.lo, ci.hi) == pytest.approx((lo, hi), abs=1e-12)
+
     def test_compiled_function_equals_the_raw_table(self):
         f = compiled("(a & b) | !c")
         raw = mf.BooleanFunction(3, 1, f.table)

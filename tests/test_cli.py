@@ -105,6 +105,27 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: UnexpandedQuantifier: ")
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [("eval", DYADIC_JOINT), ("bounds", DYADIC_SPEC)],
+    )
+    def test_quantified_formula_exit_2_whatever_the_arity(
+        self, tmp_path, capsys, command, document
+    ):
+        """A quantified formula over one variable, on a model of arity 2: the
+        quantifier is refused before the arity is compared."""
+        path = write(tmp_path, "model.json", document)
+        code, out, err = run(
+            capsys, [command, "--formula", "exists x in U : P(x)", "--input", path]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: UnexpandedQuantifier: quantifiers must be expanded over "
+            "their universes before compilation\n"
+        )
+        code, _, err = run(capsys, [command, "--formula", "P1", "--input", path])
+        assert code == 3 and err.startswith("error: ArityMismatch: ")
+
     def test_bad_joint_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "joint.json", '{"arity": 1, "probs": [0.5, 0.4]}')
         code, _, err = run(capsys, ["eval", "--formula", "P1", "--input", path])

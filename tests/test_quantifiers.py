@@ -271,6 +271,23 @@ class TestExistsBoundsExact:
             assert ci.lo == pytest.approx(exact.lo, abs=1e-9)
             assert ci.hi == pytest.approx(exact.hi, abs=1e-9)
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        kept=st.lists(st.integers(0, 44), max_size=14),
+    )
+    def test_equals_the_formula_walk_bit_for_bit(self, seed, n, kept):
+        """The quantifiers bound each component of the q_pair graph on their
+        own; the walk of the compiled P1 | ... | Pn and P1 & ... & Pn groups
+        the same points into the same parts.  Any set of pairs: none, trees,
+        cycles, one component or several."""
+        table, spec = random_partial_table(seed, n, sum(1 << k for k in set(kept)))
+        names = [f"P{i}" for i in range(1, n + 1)]
+        for quantify, op in ((mf.exists_bounds, " | "), (mf.forall_bounds, " & ")):
+            f = mf.compile_formula(mf.parse_formula(op.join(names)), names)
+            assert quantify(table) == mf.exact_bounds(spec, f)
+
     def test_marginals_only_is_the_frechet_pair_bit_for_bit(self):
         rng = np.random.default_rng(71)
         for n in range(1, 30):

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 14 tier-1 runs, about
+it survives, or that it is open.  A full run takes 15 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -157,13 +157,21 @@ MUTANTS = [
     ),
     (
         "bounds.py",
-        "            comps = tuple({component[i] for i in _coordinates(kid[1])})\n",
-        "            comps = tuple(_coordinates(kid[1]))\n",
-        "an operand that is not a single variable read as its coordinates, "
-        "not their components: in (P1 & P3) | P2 with the pair (1,2), the "
-        "pair's component is named 1, P2's index, which the and's indices 0 "
-        "and 2 miss, so the and is split from P2.  "
+        "    masks = _merged([kid[1] for kid in kids] + components)\n",
+        "    masks = _merged([kid[1] for kid in kids])\n",
+        "an operand read by its own mask, not widened by the components it "
+        "meets: in (P1 & P3) | P2 with the pair (1,2), the and's mask and "
+        "P2's are disjoint, so the and is split from P2.  "
         "Killed by test_a_compound_operand_shares_a_pairs_component",
+    ),
+    (
+        "bounds.py",
+        "                mask |= m\n",
+        "                mask |= m\n                break\n",
+        "a merge that joins only the first of the groups an operand meets: in "
+        "(P1 & P2) | P3 | (P2 & P3) | P4, P2 & P3 joins the group of P1 & P2 "
+        "but not that of P3, and the part over P3 reads P2, which it was not "
+        "given.  Killed by test_an_operand_that_bridges_two_groups_joins_them",
     ),
 ]
 
