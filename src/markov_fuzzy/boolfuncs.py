@@ -5,19 +5,23 @@ a holds the m output bits of f at the input assignment encoded by a.  The
 input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
-Formulas are immutable trees of `Frozen` nodes.  `compile_formula` checks a
-quantifier-free tree against its ordering in the same walk that builds its
-normal form (n-ary and/or over variables and negations), and the result
-keeps that normal form.  That walk is one explicit stack that branches
-on each node's type; `formula_variables` walks a stack too, reading each
-node's subformulas from `_CHILD_FIELDS`; hashing, printing and
-quantifier expansion take the generic `_fold`.  One fold (`_truth_bits`)
-evaluates any node of the normal form on every assignment at once, as a
-Python int with one bit per assignment, which by uniqueness of the
-minterm normal form is the same function as the or-of-minterms
-expansion.  The first read of `table` unpacks the bits of the whole
-formula; `exact_bounds` takes the bits of each part of it, unpacked when
-the part reaches a linear program.
+Formulas are immutable trees of `Frozen` nodes.  A compiled formula keeps
+its normal form (n-ary and/or over variables and negations).  The parser
+builds that form beside the tree and records it with the tree's variable
+names on the root (`_Node._parsed`), so `formula_variables` and
+`compile_formula` against those names read the record and walk nothing.
+Any other tree or ordering takes the walks: `compile_formula` checks the
+tree against its ordering in the same walk that builds its normal form,
+one explicit stack that branches on each node's type, and
+`formula_variables` walks a stack too, reading each node's subformulas
+from `_CHILD_FIELDS`; hashing, printing and quantifier expansion take the
+generic `_fold`.  `_truth_bits` evaluates any node of the normal form on
+every assignment at once, on an explicit stack of its own, as a Python
+int with one bit per assignment, which by uniqueness of the minterm
+normal form is the same function as the or-of-minterms expansion.  The
+first read of `table` unpacks the bits of the whole formula;
+`exact_bounds` takes the bits of each part of it, unpacked when the part
+reaches a linear program.
 """
 
 from __future__ import annotations
@@ -269,6 +273,13 @@ class _Node(Frozen):
     recursion once per tree level: the same node type with equal fields,
     and the hash of the tuple of fields."""
 
+    #: On the root of a tree from `parse_formula`, the parser's record:
+    #: (a tuple of the variable names in first-appearance order, the
+    #: tree's normal form over them, or None when the tree holds a
+    #: quantifier); else None.  Not a field: equality, hashing and repr
+    #: ignore it.
+    _parsed = None
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -421,8 +432,13 @@ def _fold(node, combine, children=_subformulas):
 
 def formula_variables(ast: Formula) -> list[str]:
     """Variable names in first-appearance order, quantifier bodies
-    included.  One explicit stack over the tree, which reads each node's
-    subformulas from `_CHILD_FIELDS`."""
+    included.  A tree from `parse_formula` gives a fresh copy of the names
+    its parser recorded; any other tree is read by one explicit stack over
+    it, which reads each node's subformulas from `_CHILD_FIELDS` and raises
+    TypeError at a foreign object."""
+    parsed = getattr(ast, "_parsed", None)
+    if parsed is not None:
+        return list(parsed[0])
     names: dict = {}
     stack = [ast]
     while stack:
@@ -449,11 +465,20 @@ def formula_variables(ast: Formula) -> list[str]:
 # list of an and/or.  a -> b becomes (not a) or b, double negations cancel
 # and nested chains of one connective become one node.  Operand order
 # carries no meaning: a chain is merged into the longer operand list, so a
-# chain of either association costs time linear in its length.
+# chain of either association costs time linear in its length.  Both
+# builders, the parser and `compile_formula`'s walk, make each node by
+# `_negated` and `_combined`, and no reader changes a normal form once it
+# is built, so a parsed tree and its compiled functions may share one.
 
 #: Node kinds of the normal form: a variable, a negation, an n-ary and, an
 #: n-ary or.
 _LEAF, _NEG, _ALL, _ANY = range(4)
+
+#: The leaf of each coordinate below N_MAX, which every normal form shares.
+_LEAVES = [[_LEAF, 1 << i, i] for i in range(N_MAX)]
+
+#: The message of UnexpandedQuantifier for a quantified tree.
+_UNEXPANDED = "quantifiers must be expanded over their universes before compilation"
 
 
 class _Close:
@@ -475,17 +500,36 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
 
     `ordering` assigns variable i+1 (bit i) to ordering[i]; it may contain
     variables the formula never mentions.  Every variable in the formula
-    must appear in the ordering.  One walk over the formula, an explicit
-    stack that branches on each node's type, checks it and builds its
-    normal form bottom-up and left to right, which the function keeps:
-    `exact_bounds` splits the normal form into independent parts and
-    evaluates the table of each part from it, and the first read of
-    `table` evaluates all of it.  A foreign object raises TypeError when
-    the walk reaches it and a quantifier raises UnexpandedQuantifier once
-    its body is done; an unbound variable raises UnboundVariable, naming
-    the leftmost, only after the whole walk.
+    must appear in the ordering.  The function keeps the formula's normal
+    form: `exact_bounds` splits it into independent parts and evaluates
+    the table of each part from it, and the first read of `table`
+    evaluates all of it.
+
+    A quantifier-free tree from `parse_formula` compiled against its own
+    `formula_variables` (as the CLI binds them) takes the normal form the
+    parser recorded, after the ordering's length is checked.  Any other
+    tree or ordering takes one walk over the formula, an explicit stack
+    that branches on each node's type, which checks it and builds its
+    normal form bottom-up and left to right.  A foreign object raises
+    TypeError when the walk reaches it and a quantifier raises
+    UnexpandedQuantifier once its body is done; an unbound variable raises
+    UnboundVariable, naming the leftmost, only after the whole walk.
     """
-    names = list(ordering)
+    names = tuple(ordering)
+    parsed = getattr(ast, "_parsed", None)
+    if parsed is not None and parsed[1] is not None and names == parsed[0]:
+        n = check_arity(len(names), "ordering length")
+        form = parsed[1]
+    else:
+        n, form = _walked(ast, names)
+    f = BooleanFunction._adopt(n, 1, None)
+    f.__dict__["_formula"] = form
+    return f
+
+
+def _walked(ast: Formula, names: tuple) -> tuple:
+    """(the arity, the normal form) of `ast` over the ordering `names`, by
+    `compile_formula`'s walk, with its checks in its order."""
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
@@ -503,27 +547,16 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
                 unbound.append(node.name)
                 done.append([_LEAF, 0, 0])
             else:
-                done.append([_LEAF, 1 << i, i])
+                done.append(_LEAVES[i])
         elif kind is _Close:
             kind = node.kind
             if kind is Not:
                 done.append(_negated(done.pop()))
-                continue
-            if kind is Exists or kind is Forall:
-                raise UnexpandedQuantifier(
-                    "quantifiers must be expanded over their universes before compilation"
-                )
-            right = done.pop()
-            left = done.pop()
-            if kind is Implies:
-                left = _negated(left)
-            op = _ALL if kind is And else _ANY
-            a = left[2] if left[0] == op else [left]
-            b = right[2] if right[0] == op else [right]
-            if len(a) < len(b):
-                a, b = b, a
-            a.extend(b)
-            done.append([op, left[1] | right[1], a])
+            elif kind is Exists or kind is Forall:
+                raise UnexpandedQuantifier(_UNEXPANDED)
+            else:
+                right = done.pop()
+                done.append(_combined(kind, done.pop(), right))
         elif kind is And or kind is Or or kind is Implies:
             stack += (_CLOSE[kind], node.right, node.left)
         elif kind is Not:
@@ -534,21 +567,32 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
             raise TypeError(f"not a formula node: {node!r}")
     if unbound:
         raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
-    f = BooleanFunction._adopt(n, 1, None)
-    f.__dict__["_formula"] = done[0]
-    return f
+    return n, done[0]
 
 
 def _negated(node: list) -> list:
     return node[2] if node[0] == _NEG else [_NEG, node[1], node]
 
 
-def _operands(node: list) -> list:
-    """The children of a normal-form node, for `_fold`."""
-    kind = node[0]
-    if kind == _LEAF:
-        return []
-    return [node[2]] if kind == _NEG else node[2]
+def _combined(kind: type, left: list, right: list) -> list:
+    """The normal form of `kind(left, right)`, an And, Or or Implies node,
+    from the normal forms of its operands.  A chain of one connective
+    merges into the longer operand list, which it extends in place."""
+    if kind is Implies:
+        left = _negated(left)
+    op = _ALL if kind is And else _ANY
+    a = left[2] if left[0] == op else [left]
+    b = right[2] if right[0] == op else [right]
+    if len(a) < len(b):
+        a, b = b, a
+    a.extend(b)
+    return [op, left[1] | right[1], a]
+
+
+#: The markers on `_truth_bits`' stack, past the node kinds: the operands
+#: of an and, of an or (each with the number of values before them), or of
+#: a negation are done.
+_ALL_DONE, _ANY_DONE, _NEG_DONE = 4, 5, (6,)
 
 
 def _truth_bits(tree: list, coords: Sequence[int]) -> int:
@@ -564,16 +608,29 @@ def _truth_bits(tree: list, coords: Sequence[int]) -> int:
     for k in reversed(range(len(coords))):
         columns[coords[k]] = column
         column ^= column >> (1 << k >> 1)
-
-    def table(node, args):
+    # One explicit stack: an and/or lies under a marker and its operands,
+    # in any order, since and and or commute.
+    values: list = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         kind = node[0]
         if kind == _LEAF:
-            return columns[node[2]]
-        if kind == _NEG:
-            return full ^ args[0]
-        return reduce(operator.and_ if kind == _ALL else operator.or_, args)
-
-    return _fold(tree, table, _operands)
+            values.append(columns[node[2]])
+        elif kind == _NEG:
+            stack += (_NEG_DONE, node[2])
+        elif kind == _ALL or kind == _ANY:
+            stack.append((_ALL_DONE if kind == _ALL else _ANY_DONE, len(values)))
+            stack += node[2]
+        elif node is _NEG_DONE:
+            values[-1] ^= full
+        else:
+            start = node[1]
+            combine = operator.and_ if kind == _ALL_DONE else operator.or_
+            value = reduce(combine, values[start:])
+            del values[start:]
+            values.append(value)
+    return values[0]
 
 
 def _truth_table(tree: list, coords: Sequence[int]) -> np.ndarray:

@@ -36,8 +36,7 @@ from itertools import compress
 from operator import add
 
 from ._common import N_MAX, check_belief
-from .boolfuncs import Exists, Forall, _fold, _truth_bits, compile_formula
-from .boolfuncs import formula_variables
+from .boolfuncs import _UNEXPANDED, _truth_bits, compile_formula
 from .bounds import PartialJointSpec, exact_bounds
 from .connectives import _clamped_q, _connectives, _pair_cells, _q_range, q_bounds
 from .dsl import _joint_document, parse_formula, parse_model
@@ -51,6 +50,7 @@ from .errors import (
     SchemaError,
     SolverError,
     UnboundVariable,
+    UnexpandedQuantifier,
     UnsupportedLiftPolicy,
 )
 from .joints import _joint_cells
@@ -138,20 +138,19 @@ def _emit(args, default, header, rows, obj=None) -> None:
 
 
 def _compile(formula_text: str, expected_arity: int):
+    """The formula compiled over its variables in first-appearance order.
+    The parser's record marks a quantified formula, which is refused
+    whatever the model's arity and however many variables it names."""
     ast = parse_formula(formula_text)
-    names = formula_variables(ast)
-    # A quantified formula goes on to `compile_formula`, which refuses it
-    # with UnexpandedQuantifier whatever the model's arity.
-    if len(names) != expected_arity and _fold(ast, _quantifier_free):
+    names, form = ast._parsed
+    if form is None:
+        raise UnexpandedQuantifier(_UNEXPANDED)
+    if len(names) != expected_arity:
         raise ArityMismatch(
             f"formula mentions {len(names)} variables but the model has "
             f"arity {expected_arity}"
         )
     return compile_formula(ast, names)
-
-
-def _quantifier_free(node, kids: list) -> bool:
-    return not isinstance(node, (Exists, Forall)) and all(kids)
 
 
 #: Selectors of the true and the false cells from the binary digits of a

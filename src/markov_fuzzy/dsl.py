@@ -28,6 +28,15 @@ linear in the text at any nesting depth.  No offsets are kept.  Only
 when an error is raised is its span computed, by scanning the text again
 with the same pattern up to the offending token.
 
+Beside each node it builds, the parser builds that node's normal form
+(see `compile_formula`), numbering the variables in first-appearance
+order, and it keeps on the root the record (the names, the normal form,
+or None if the tree holds a quantifier).  `formula_variables` then
+returns a copy of the names, and `compile_formula` against those names
+adopts the normal form, so the bounds front end reads each formula's
+text once instead of walking its tree twice more.  The record is no
+field of the tree: parsed trees compare, hash and print as before.
+
 Model files are JSON objects; see `parse_model` / `parse_joint`.
 """
 
@@ -38,8 +47,9 @@ import re
 from itertools import islice
 from typing import Union
 
-from ._common import FrozenValue
-from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var, _fold
+from ._common import N_MAX, FrozenValue
+from .boolfuncs import And, Exists, Forall, Formula, Implies, Not, Or, Var
+from .boolfuncs import _LEAF, _LEAVES, _combined, _fold, _negated
 from .bounds import PartialJointSpec
 from .errors import DuplicateVariable, InvalidParameter, ParseError, SchemaError
 from .joints import JointBooleanDist, make_joint
@@ -130,14 +140,22 @@ def _open_scope(scopes: dict, stack: list, var: str):
 
 def _parse(text: str, words: list) -> tuple:
     """(the formula at the start of the tokens `words` of `text`, the index
-    of the first token that cannot extend it).
+    of the first token that cannot extend it).  The formula's root holds
+    the parser's record (`_parsed`): its variable names in first-appearance
+    order and its normal form over them (`_PAST_CAP` past N_MAX names), or
+    None if it holds a quantifier.
 
     An explicit stack of pending quantifiers, prefix operators, open
     parentheses and binary operators with their left operands stands in
     for recursive descent, so nesting depth is not bounded by the
-    recursion limit.  Each frame is (node type, fields before the last).
+    recursion limit.  Each frame is (node type, fields before the last,
+    the normal form of a binary operator's left operand or None).  Beside
+    each node it makes, the parser makes that node's normal form from
+    those of its operands, as `compile_formula`'s walk does.
     """
     stack: list = [_BOTTOM]
+    names: dict = {}  # each variable's coordinate, by first appearance
+    quantified = False
     # The latest scope of each quantified variable: [the place of its
     # quantifier's frame on the stack, that frame, the family applied to it
     # or None].  It is open while `stack[place] is frame`.
@@ -151,7 +169,7 @@ def _parse(text: str, words: list) -> tuple:
         if word not in _RESERVED:
             index += 1
             if words[index] != "(":
-                node = Var(word)
+                name = word
             else:
                 arg = words[index + 1]
                 if arg in _RESERVED:
@@ -170,8 +188,11 @@ def _parse(text: str, words: list) -> tuple:
                                 _span(text, index - 1).start, _span(text, index + 2).end
                             ),
                         )
-                node = Var(f"{word}({arg})")
+                name = f"{word}({arg})"
                 index += 3
+            node = Var(name)
+            i = names.setdefault(name, len(names))
+            form = _LEAVES[i] if i < N_MAX else _PAST_CAP
         elif word == "(":
             stack.append(_PAREN)
             index += 1
@@ -197,7 +218,7 @@ def _parse(text: str, words: list) -> tuple:
                 raise _unexpected(text, words, index + 3, ("universe name",))
             if words[index + 4] != ":":
                 raise _unexpected(text, words, index + 4, ("':'",))
-            frame = (Exists if word == "exists" else Forall, (var, universe))
+            frame = (Exists if word == "exists" else Forall, (var, universe), None)
             scopes[var] = [len(stack), frame, None]
             stack.append(frame)
             index += 5
@@ -212,17 +233,28 @@ def _parse(text: str, words: list) -> tuple:
             word = words[index]
             cls, closes = _BINARY.get(word, _END)
             while stack[-1][0] in closes:
-                kind, fields = stack.pop()
+                kind, fields, left = stack.pop()
                 node = kind(*fields, node)
+                if left is not None:
+                    if left is not _PAST_CAP and form is not _PAST_CAP:
+                        form = _combined(kind, left, form)
+                    else:
+                        form = _PAST_CAP
+                elif kind is Not:
+                    if form is not _PAST_CAP:
+                        form = _negated(form)
+                else:
+                    quantified = True
             if cls is not None:
                 break
             if stack[-1] is _BOTTOM:
+                node.__dict__["_parsed"] = (tuple(names), None if quantified else form)
                 return node, index
             if word != ")":
                 raise _unexpected(text, words, index, ("')'",))
             stack.pop()
             index += 1
-        stack.append((cls, (node,)))
+        stack.append((cls, (node,), form))
         index += 1
         opens = False
 
@@ -252,15 +284,22 @@ _BINARY = {symbol: (cls, _closed_first(cls)) for cls, symbol in _SYMBOL.items()}
 #: At a token that is no binary operator: no connective, and every frame
 #: closes but an open parenthesis (None) and the bottom.
 _END = (None, frozenset(_PRECEDENCE))
+#: The normal form of every variable past the N_MAX-th and of every
+#: subformula that reads one.  A tree that names more than N_MAX variables
+#: compiles against no ordering of them, so its normal form is never read,
+#: and the parser stops building it there.
+_PAST_CAP = [_LEAF, 0, N_MAX]
 #: The frames of an open parenthesis, of a negation, and at the bottom of
 #: the stack, which nothing closes.
-_PAREN = (None, ())
-_NEGATION = (Not, ())
-_BOTTOM = (False, ())
+_PAREN = (None, (), None)
+_NEGATION = (Not, (), None)
+_BOTTOM = (False, (), None)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse formula text into an AST, or raise ParseError or DuplicateVariable."""
+    """Parse formula text into an AST, or raise ParseError or DuplicateVariable.
+    The root keeps the parser's record of the formula's variable names and
+    normal form (see the module docstring)."""
     words = _tokenize(text)
     node, index = _parse(text, words)
     if words[index]:

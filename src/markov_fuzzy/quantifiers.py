@@ -128,13 +128,16 @@ def _quantified(table: BeliefTable, kind: int) -> ConfidenceInterval:
     own marginal, and each component of the q_pair graph is one part."""
     if not table.universe:
         raise EmptyUniverse("cannot quantify over an empty universe")
+    los = [table.p[x] for x in table.universe]
+    frechet = _frechet_and if kind == _ALL else _frechet_or
+    if not table.q_pair:
+        return ConfidenceInterval(*frechet(los, los))
     position = {x: i for i, x in enumerate(table.universe)}
     pairs = sorted(((position[a], position[b]), q) for (a, b), q in table.q_pair.items())
     root = bounds._union_find(len(position), [pair for pair, _ in pairs])[0]
     components: dict = {}  # the pairs of each component, in order of first pair
     for pair in pairs:
         components.setdefault(root[pair[0][0]], []).append(pair)
-    los = [table.p[x] for x in table.universe]
     his = los.copy()
     for inside in components.values():
         coords = sorted({i for pair, _ in inside for i in pair})
@@ -151,7 +154,7 @@ def _quantified(table: BeliefTable, kind: int) -> ConfidenceInterval:
         for i in coords[1:]:
             los[i] = his[i] = None
         los[coords[0]], his[coords[0]] = ends
-    lo, hi = (_frechet_and if kind == _ALL else _frechet_or)(
+    lo, hi = frechet(
         [lo for lo in los if lo is not None], [hi for hi in his if hi is not None]
     )
     return ConfidenceInterval(lo, hi)

@@ -126,6 +126,29 @@ class TestEval:
         code, _, err = run(capsys, [command, "--formula", "P1", "--input", path])
         assert code == 3 and err.startswith("error: ArityMismatch: ")
 
+    @pytest.mark.parametrize(
+        "command, document",
+        [("eval", DYADIC_JOINT), ("bounds", DYADIC_SPEC)],
+    )
+    def test_quantified_formula_over_the_cap_exit_2(
+        self, tmp_path, capsys, command, document
+    ):
+        """A quantified formula that names 26 variables, more than N_MAX, is
+        refused as quantified, not as an ordering over the cap; the same
+        names without the quantifier are an arity mismatch."""
+        path = write(tmp_path, "model.json", document)
+        names = " & ".join(f"Q{i}" for i in range(1, 26))
+        formula = f"exists x in U : P(x) & {names}"
+        code, out, err = run(capsys, [command, "--formula", formula, "--input", path])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: UnexpandedQuantifier: quantifiers must be expanded over "
+            "their universes before compilation\n"
+        )
+        formula = f"P & {names}"
+        code, _, err = run(capsys, [command, "--formula", formula, "--input", path])
+        assert code == 3 and err.startswith("error: ArityMismatch: ")
+
     def test_bad_joint_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "joint.json", '{"arity": 1, "probs": [0.5, 0.4]}')
         code, _, err = run(capsys, ["eval", "--formula", "P1", "--input", path])

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 15 tier-1 runs, about
+it survives, or that it is open.  A full run takes 18 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -172,6 +172,30 @@ MUTANTS = [
         "(P1 & P2) | P3 | (P2 & P3) | P4, P2 & P3 joins the group of P1 & P2 "
         "but not that of P3, and the part over P3 reads P2, which it was not "
         "given.  Killed by test_an_operand_that_bridges_two_groups_joins_them",
+    ),
+    (
+        "boolfuncs.py",
+        " and names == parsed[0]:\n",
+        ":\n",
+        "compile_formula adopts the parser's record whatever the ordering: a "
+        "permuted ordering keeps the parser's coordinates, and one that "
+        "misses a name compiles.  Killed by "
+        "test_another_ordering_takes_the_walk",
+    ),
+    (
+        "dsl.py",
+        "                        form = _negated(form)\n",
+        "                        pass\n",
+        "the parser's record drops a negation: the recorded normal form of "
+        "!A is that of A.  Killed by test_the_record_equals_the_walks",
+    ),
+    (
+        "cli.py",
+        "    if form is None:\n        raise UnexpandedQuantifier(_UNEXPANDED)\n",
+        "",
+        "the CLI ignores the record's quantified mark: a quantified formula "
+        "that names more variables than the model has is an arity mismatch "
+        "(exit 3).  Killed by test_quantified_formula_over_the_cap_exit_2",
     ),
 ]
 
