@@ -5,23 +5,23 @@ a holds the m output bits of f at the input assignment encoded by a.  The
 input/output bit convention matches the joint-table convention: variable i
 (1-based) contributes 2**(i-1) to the index when true.
 
-Formulas are immutable trees of `Frozen` nodes.  A compiled formula keeps
-its normal form (n-ary and/or over variables and negations).  The parser
-builds that form beside the tree and records it with the tree's variable
-names on the root (`_Node._parsed`), so `formula_variables` and
-`compile_formula` against those names read the record and walk nothing.
-Any other tree or ordering takes the walks: `compile_formula` checks the
-tree against its ordering in the same walk that builds its normal form,
-one explicit stack that branches on each node's type, and
-`formula_variables` walks a stack too, reading each node's subformulas
-from `_CHILD_FIELDS`; hashing, printing and quantifier expansion take the
-generic `_fold`.  `_truth_bits` evaluates any node of the normal form on
-every assignment at once, on an explicit stack of its own, as a Python
-int with one bit per assignment, which by uniqueness of the minterm
-normal form is the same function as the or-of-minterms expansion.  The
-first read of `table` unpacks the bits of the whole formula;
-`exact_bounds` takes the bits of each part of it, unpacked when the part
-reaches a linear program.
+Formulas are immutable trees of `Frozen` nodes.  Every walk over a tree,
+save equality's pairwise walk and the parser, is the one fold `_fold`:
+hashing, printing, quantifier expansion, `formula_variables` and
+`compile_formula`.  A compiled formula keeps its normal form (n-ary
+and/or over variables and negations).  The parser builds that form
+beside the tree and records it with the tree's variable names on the
+root (`_Node._parsed`), so `formula_variables` and `compile_formula`
+against those names read the record and walk nothing.  Any other tree
+or ordering is folded: `compile_formula` checks the tree against its
+ordering in the fold that builds its normal form, and
+`formula_variables` collects the names in one.  `_truth_bits` evaluates
+any node of the normal form on every assignment at once, on an explicit
+stack of its own, as a Python int with one bit per assignment, which by
+uniqueness of the minterm normal form is the same function as the
+or-of-minterms expansion.  The first read of `table` unpacks the bits of
+the whole formula; `exact_bounds` takes the bits of each part of it,
+unpacked when the part reaches a linear program.
 """
 
 from __future__ import annotations
@@ -377,13 +377,11 @@ class _Hash:
 
 
 def _hash_node(node, child_hashes) -> int:
-    children = dict(zip(_CHILD_FIELDS[node.__class__], child_hashes))
-    return hash(
-        tuple(
-            _Hash(children[name]) if name in children else getattr(node, name)
-            for name in node._fields
-        )
-    )
+    """hash(tuple of the node's fields), each subformula read by its hash.
+    A node type's subformula fields are its last fields."""
+    fields = node._fields
+    own = (getattr(node, name) for name in fields[: len(fields) - len(child_hashes)])
+    return hash((*own, *map(_Hash, child_hashes)))
 
 
 def _child_fields(node) -> tuple:
@@ -403,55 +401,52 @@ def _with_children(node, children):
     return node.__class__(*values)
 
 
-def _subformulas(node) -> list:
-    return [getattr(node, name) for name in _child_fields(node)]
+#: Below this on `_fold`'s stack lies a node whose subformulas are done.
+_POST = object()
 
 
-def _fold(node, combine, children=_subformulas):
-    """combine(node, [folded children]) over the tree, bottom-up and left
-    to right; `children(node)` lists a node's children (by default its
-    subformulas).  An explicit stack stands in for recursion, so tree depth
-    (a quantifier over a large universe expands to a chain as long as the
-    universe) is not bounded by the interpreter's recursion limit."""
-    stack = [(node, None)]
+def _fold(node, combine):
+    """combine(node, [folded subformulas]) over the tree, bottom-up and left
+    to right; a foreign object raises TypeError when the walk reaches it.
+    One explicit stack stands in for recursion, so tree depth (a
+    quantifier over a large universe expands to a chain as long as the
+    universe) is not bounded by the interpreter's recursion limit: a node
+    with subformulas waits on the stack under `_POST` until they are done."""
+    stack = [node]
     done: list = []
     while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            kids = children(node)
-            stack.append((node, kids))
-            for kid in reversed(kids):
-                stack.append((kid, None))
-        else:
-            start = len(done) - len(kids)
+        node = stack.pop()
+        if node is _POST:
+            node = stack.pop()
+            start = len(done) - len(_CHILD_FIELDS[node.__class__])
             value = combine(node, done[start:])
             del done[start:]
             done.append(value)
+        else:
+            fields = _child_fields(node)
+            if fields:
+                stack += (node, _POST)
+                stack += (getattr(node, name) for name in reversed(fields))
+            else:
+                done.append(combine(node, []))
     return done[0]
 
 
 def formula_variables(ast: Formula) -> list[str]:
     """Variable names in first-appearance order, quantifier bodies
     included.  A tree from `parse_formula` gives a fresh copy of the names
-    its parser recorded; any other tree is read by one explicit stack over
-    it, which reads each node's subformulas from `_CHILD_FIELDS` and raises
-    TypeError at a foreign object."""
+    its parser recorded; any other tree is folded, and a foreign object in
+    it raises TypeError."""
     parsed = getattr(ast, "_parsed", None)
     if parsed is not None:
         return list(parsed[0])
     names: dict = {}
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        try:
-            fields = _CHILD_FIELDS[node.__class__]
-        except KeyError:
-            raise TypeError(f"not a formula node: {node!r}") from None
-        if fields:
-            for name in reversed(fields):
-                stack.append(getattr(node, name))
-        else:
+
+    def collect(node, kids):
+        if node.__class__ is Var:
             names[node.name] = None
+
+    _fold(ast, collect)
     return list(names)
 
 
@@ -466,7 +461,7 @@ def formula_variables(ast: Formula) -> list[str]:
 # and nested chains of one connective become one node.  Operand order
 # carries no meaning: a chain is merged into the longer operand list, so a
 # chain of either association costs time linear in its length.  Both
-# builders, the parser and `compile_formula`'s walk, make each node by
+# builders, the parser and `compile_formula`'s fold, make each node by
 # `_negated` and `_combined`, and no reader changes a normal form once it
 # is built, so a parsed tree and its compiled functions may share one.
 
@@ -479,20 +474,6 @@ _LEAVES = [[_LEAF, 1 << i, i] for i in range(N_MAX)]
 
 #: The message of UnexpandedQuantifier for a quantified tree.
 _UNEXPANDED = "quantifiers must be expanded over their universes before compilation"
-
-
-class _Close:
-    """A post-order marker on `compile_formula`'s stack: the operands of a
-    node of type `kind` are done.  A marker is no formula node, so a
-    foreign object in the tree is never read as one."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: type):
-        self.kind = kind
-
-
-_CLOSE = {kind: _Close(kind) for kind in (Not, And, Or, Implies, Exists, Forall)}
 
 
 def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
@@ -508,14 +489,15 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
     A quantifier-free tree from `parse_formula` compiled against its own
     `formula_variables` (as the CLI binds them) takes the normal form the
     parser recorded, after the ordering's length is checked.  Any other
-    tree or ordering takes one walk over the formula, an explicit stack
-    that branches on each node's type, which checks it and builds its
+    tree or ordering is folded, which checks the tree and builds its
     normal form bottom-up and left to right.  A foreign object raises
-    TypeError when the walk reaches it and a quantifier raises
+    TypeError when the fold reaches it and a quantifier raises
     UnexpandedQuantifier once its body is done; an unbound variable raises
-    UnboundVariable, naming the leftmost, only after the whole walk.
+    UnboundVariable, naming the leftmost, only after the whole fold.  An
+    ordering that is not iterable or holds an unhashable name raises
+    InvalidParameter.
     """
-    names = tuple(ordering)
+    names = to_tuple(ordering, "ordering")
     parsed = getattr(ast, "_parsed", None)
     if parsed is not None and parsed[1] is not None and names == parsed[0]:
         n = check_arity(len(names), "ordering length")
@@ -529,45 +511,35 @@ def compile_formula(ast: Formula, ordering: Sequence[str]) -> BooleanFunction:
 
 def _walked(ast: Formula, names: tuple) -> tuple:
     """(the arity, the normal form) of `ast` over the ordering `names`, by
-    `compile_formula`'s walk, with its checks in its order."""
-    if len(set(names)) != len(names):
+    `compile_formula`'s fold, with its checks in its order."""
+    try:
+        index = {name: i for i, name in enumerate(names)}
+    except TypeError as exc:
+        raise InvalidParameter(f"ordering names must be hashable: {exc}") from None
+    if len(index) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
-    index = {name: i for i, name in enumerate(names)}
     unbound = []
-    stack = [ast]
-    done: list = []  # the normal forms of the finished subtrees, in order
-    while stack:
-        node = stack.pop()
+
+    def combine(node, kids):
         kind = node.__class__
         if kind is Var:
             i = index.get(node.name)
             if i is None:
                 unbound.append(node.name)
-                done.append([_LEAF, 0, 0])
-            else:
-                done.append(_LEAVES[i])
-        elif kind is _Close:
-            kind = node.kind
-            if kind is Not:
-                done.append(_negated(done.pop()))
-            elif kind is Exists or kind is Forall:
-                raise UnexpandedQuantifier(_UNEXPANDED)
-            else:
-                right = done.pop()
-                done.append(_combined(kind, done.pop(), right))
-        elif kind is And or kind is Or or kind is Implies:
-            stack += (_CLOSE[kind], node.right, node.left)
-        elif kind is Not:
-            stack += (_CLOSE[Not], node.child)
-        elif kind is Exists or kind is Forall:
-            stack += (_CLOSE[kind], node.body)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
+                return [_LEAF, 0, 0]
+            return _LEAVES[i]
+        if kind is Not:
+            return _negated(kids[0])
+        if kind is Exists or kind is Forall:
+            raise UnexpandedQuantifier(_UNEXPANDED)
+        return _combined(kind, *kids)
+
+    form = _fold(ast, combine)
     if unbound:
         raise UnboundVariable(f"variable {unbound[0]!r} not bound by the ordering")
-    return n, done[0]
+    return n, form
 
 
 def _negated(node: list) -> list:

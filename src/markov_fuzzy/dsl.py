@@ -31,11 +31,10 @@ with the same pattern up to the offending token.
 Beside each node it builds, the parser builds that node's normal form
 (see `compile_formula`), numbering the variables in first-appearance
 order, and it keeps on the root the record (the names, the normal form,
-or None if the tree holds a quantifier).  `formula_variables` then
-returns a copy of the names, and `compile_formula` against those names
-adopts the normal form, so the bounds front end reads each formula's
-text once instead of walking its tree twice more.  The record is no
-field of the tree: parsed trees compare, hash and print as before.
+or None if the tree holds a quantifier).  `formula_variables` returns a
+copy of the names, and `compile_formula` against those names adopts the
+normal form; neither folds the tree.  The record is no field of the
+tree: parsed trees compare, hash and print as trees built by hand.
 
 Model files are JSON objects; see `parse_model` / `parse_joint`.
 """
@@ -344,7 +343,9 @@ def _format_node(node: Formula, children: list) -> tuple:
 
 
 def format_formula(ast: Formula) -> str:
-    """Minimal-parentheses text form; parse_formula(format_formula(a)) == a."""
+    """Minimal-parentheses text form.  parse_formula(format_formula(a)) == a
+    for every tree `parse_formula` can return; a hand-built tree that it
+    would refuse prints text that raises ParseError or DuplicateVariable."""
     return _fold(ast, _format_node)[0]
 
 

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import markov_fuzzy as mf
-from markov_fuzzy import Exists, Var, cli, errors
+from markov_fuzzy import And, Exists, Var, cli, errors
 from markov_fuzzy.dsl import SourceSpan
 from markov_fuzzy.errors import (
     ArityMismatch,
     BadCoordinate,
     Cancelled,
+    DuplicateVariable,
     InvalidBelief,
     InvalidParameter,
     MarkovFuzzyError,
     NegativeMass,
+    ParseError,
     SchemaError,
     UnexpandedQuantifier,
 )
@@ -40,6 +42,18 @@ RAISE_SITES = {
     "quantifier left in a compiled formula": (
         UnexpandedQuantifier,
         lambda: mf.compile_formula(Exists("x", "U", Var("P(x)")), ["P(x)"]),
+    ),
+    "compile ordering not iterable": (
+        InvalidParameter,
+        lambda: mf.compile_formula(Var("a"), 5),
+    ),
+    "compile ordering None": (
+        InvalidParameter,
+        lambda: mf.compile_formula(Var("a"), None),
+    ),
+    "compile ordering an unhashable name": (
+        InvalidParameter,
+        lambda: mf.compile_formula(mf.parse_formula("a"), [["a"]]),
     ),
     "model JSON nested beyond the recursion limit": (
         SchemaError,
@@ -417,3 +431,22 @@ def test_cli_exit_code_of_each_error(monkeypatch, capsys, error):
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_CODES[error.__name__], "")
     assert err == f"error: {error.__name__}: {error.__name__} from the handler\n"
+
+
+@pytest.mark.parametrize(
+    "ast, error",
+    [
+        (Var("a b"), ParseError),
+        (Var("exists"), ParseError),
+        (Var("1x"), ParseError),
+        (Exists("x", "U", And(Var("P(x)"), Var("Q(x)"))), ParseError),
+        (Exists("x", "U", Exists("x", "U", Var("P(x)"))), DuplicateVariable),
+    ],
+)
+def test_format_formula_of_a_tree_the_parser_refuses(ast, error):
+    """format_formula prints any tree, but only the text of a tree that
+    parse_formula can return parses back: a name that is no identifier or
+    is a keyword, a variable applied to two families and a rebound
+    variable do not."""
+    with pytest.raises(error):
+        mf.parse_formula(mf.format_formula(ast))

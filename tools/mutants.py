@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 18 tier-1 runs, about
+it survives, or that it is open.  A full run takes 20 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -196,6 +196,22 @@ MUTANTS = [
         "the CLI ignores the record's quantified mark: a quantified formula "
         "that names more variables than the model has is an arity mismatch "
         "(exit 3).  Killed by test_quantified_formula_over_the_cap_exit_2",
+    ),
+    (
+        "boolfuncs.py",
+        "                stack += (getattr(node, name) for name in reversed(fields))\n",
+        "                stack += (getattr(node, name) for name in fields)\n",
+        "_fold visits subformulas right to left, so each combine reads them "
+        "in reverse and the rightmost unbound name is the one named.  Killed by "
+        "test_leftmost_unbound_variable_is_named",
+    ),
+    (
+        "boolfuncs.py",
+        "                unbound.append(node.name)\n",
+        "                raise UnboundVariable(node.name)\n",
+        "compile_formula's fold raises UnboundVariable at the leaf, before "
+        "a quantifier to its right is done.  Killed by "
+        "test_unbound_variable_with_a_quantifier",
     ),
 ]
 
