@@ -306,6 +306,10 @@ class Var(_Node):
     _fields = ("name",)
 
     def __init__(self, name: str):
+        try:
+            hash(name)
+        except TypeError as exc:
+            raise InvalidParameter(f"variable names must be hashable: {exc}") from None
         self.__dict__["name"] = name
 
 
@@ -517,7 +521,7 @@ def _walked(ast: Formula, names: tuple) -> tuple:
     except TypeError as exc:
         raise InvalidParameter(f"ordering names must be hashable: {exc}") from None
     if len(index) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = [n for n in index if names.count(n) > 1]  # by first appearance
         raise DuplicateVariable(f"duplicate variables in ordering: {dupes}")
     n = check_arity(len(names), "ordering length")
     unbound = []

@@ -473,7 +473,7 @@ def _decomposed_bounds(marginals, pairs, root, cancel):
     """(lo, hi) of the normal-form `root` of a compiled formula given
     `marginals` and the sorted ((i, j), q) `pairs`, split by `_walk`.  Then
     each component with a cycle that no part read is checked for
-    feasibility (a tree of pairs always is feasible), in order of first pair."""
+    feasibility (a tree of pairs always is feasible)."""
     _check_cancel(cancel)
     # The components of the pair graph as bit masks; none without pairs.
     components = pairs and _merged([1 << i - 1 | 1 << j - 1 for (i, j), _ in pairs])
@@ -486,10 +486,9 @@ def _decomposed_bounds(marginals, pairs, root, cancel):
         return _part_bounds(ps, part, node, coords, cancel)
 
     result = _walk(root, marginals, components, bound)
-    for (i, _), _ in pairs:  # each component unread, in order of first pair
-        if not read >> i - 1 & 1:
-            mask = next(c for c in components if c >> i - 1 & 1)
-            read |= mask
+    # A part's mask merges whole components, so `read` holds each or none of it.
+    for mask in components:
+        if not read & mask:
             coords, ps, part = _local(marginals, pairs, mask)
             if len(part) >= len(coords):
                 _lp_bounds(ps, part, None, cancel)

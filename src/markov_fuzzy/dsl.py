@@ -128,20 +128,11 @@ def _unexpected(text: str, words: list, index: int, expected) -> ParseError:
     )
 
 
-def _open_scope(scopes: dict, stack: list, var: str):
-    """The scope of `var` in `scopes` if a quantifier on `stack` binds it,
-    else None."""
-    scope = scopes.get(var)
-    if scope and scope[0] < len(stack) and stack[scope[0]] is scope[1]:
-        return scope
-    return None
-
-
 def _parse(text: str, words: list) -> tuple:
     """(the formula at the start of the tokens `words` of `text`, the index
     of the first token that cannot extend it).  The formula's root holds
     the parser's record (`_parsed`): its variable names in first-appearance
-    order and its normal form over them (`_PAST_CAP` past N_MAX names), or
+    order and its normal form over them (never read past N_MAX names), or
     None if it holds a quantifier.
 
     An explicit stack of pending quantifiers, prefix operators, open
@@ -149,18 +140,16 @@ def _parse(text: str, words: list) -> tuple:
     for recursive descent, so nesting depth is not bounded by the
     recursion limit.  Each frame is (node type, fields before the last,
     the normal form of a binary operator's left operand or None).  Beside
-    each node it makes, the parser makes that node's normal form from
-    those of its operands, as `compile_formula`'s walk does.
+    the stack the parser keeps only the names, the open quantifiers'
+    variables and whether it has closed a quantifier.  While there are at
+    most N_MAX names, it makes beside each node that node's normal form
+    from those of its operands, as `compile_formula`'s walk does.
     """
     stack: list = [_BOTTOM]
     names: dict = {}  # each variable's coordinate, by first appearance
+    scopes: dict = {}  # each open quantifier's variable: its family or None
     quantified = False
-    # The latest scope of each quantified variable: [the place of its
-    # quantifier's frame on the stack, that frame, the family applied to it
-    # or None].  It is open while `stack[place] is frame`.
-    scopes: dict = {}
     index = 0
-    opens = True  # a quantifier may start here: first, or after '(' or ':'
     while True:
         # An operand: the prefix operators and open parentheses before an
         # atom, then the atom.
@@ -175,9 +164,8 @@ def _parse(text: str, words: list) -> tuple:
                     raise _unexpected(text, words, index + 1, ("variable name",))
                 if words[index + 2] != ")":
                     raise _unexpected(text, words, index + 2, ("')'",))
-                scope = _open_scope(scopes, stack, arg)
-                if scope:
-                    family = scope[2] = scope[2] or word
+                if arg in scopes:
+                    family = scopes[arg] = scopes[arg] or word
                     if family != word:
                         raise ParseError(
                             f"variable {arg!r} is applied to multiple belief "
@@ -195,18 +183,16 @@ def _parse(text: str, words: list) -> tuple:
         elif word == "(":
             stack.append(_PAREN)
             index += 1
-            opens = True
             continue
         elif word == "!":
             stack.append(_NEGATION)
             index += 1
-            opens = False
             continue
-        elif opens and (word == "exists" or word == "forall"):
+        elif (word == "exists" or word == "forall") and stack[-1][0] in _OPENERS:
             var = words[index + 1]
             if var in _RESERVED:
                 raise _unexpected(text, words, index + 1, ("variable name",))
-            if _open_scope(scopes, stack, var):
+            if var in scopes:
                 raise DuplicateVariable(
                     f"quantified variable {var!r} shadows an enclosing binding"
                 )
@@ -217,9 +203,8 @@ def _parse(text: str, words: list) -> tuple:
                 raise _unexpected(text, words, index + 3, ("universe name",))
             if words[index + 4] != ":":
                 raise _unexpected(text, words, index + 4, ("':'",))
-            frame = (Exists if word == "exists" else Forall, (var, universe), None)
-            scopes[var] = [len(stack), frame, None]
-            stack.append(frame)
+            scopes[var] = None
+            stack.append((Exists if word == "exists" else Forall, (var, universe), None))
             index += 5
             continue
         else:
@@ -234,16 +219,11 @@ def _parse(text: str, words: list) -> tuple:
             while stack[-1][0] in closes:
                 kind, fields, left = stack.pop()
                 node = kind(*fields, node)
-                if left is not None:
-                    if left is not _PAST_CAP and form is not _PAST_CAP:
-                        form = _combined(kind, left, form)
-                    else:
-                        form = _PAST_CAP
-                elif kind is Not:
-                    if form is not _PAST_CAP:
-                        form = _negated(form)
-                else:
+                if left is None and kind is not Not:
                     quantified = True
+                    del scopes[fields[0]]
+                elif len(names) <= N_MAX:
+                    form = _negated(form) if left is None else _combined(kind, left, form)
             if cls is not None:
                 break
             if stack[-1] is _BOTTOM:
@@ -255,7 +235,6 @@ def _parse(text: str, words: list) -> tuple:
             index += 1
         stack.append((cls, (node,), form))
         index += 1
-        opens = False
 
 
 #: Precedence of each node type, from the loosest binding to the tightest.
@@ -283,16 +262,20 @@ _BINARY = {symbol: (cls, _closed_first(cls)) for cls, symbol in _SYMBOL.items()}
 #: At a token that is no binary operator: no connective, and every frame
 #: closes but an open parenthesis (None) and the bottom.
 _END = (None, frozenset(_PRECEDENCE))
-#: The normal form of every variable past the N_MAX-th and of every
-#: subformula that reads one.  A tree that names more than N_MAX variables
-#: compiles against no ordering of them, so its normal form is never read,
-#: and the parser stops building it there.
+#: The normal form of a variable past the N_MAX-th.  Once a formula names
+#: more than N_MAX variables the parser builds no more normal forms: such
+#: a formula compiles against no ordering of its names, so its recorded
+#: normal form is never read.  This leaf keeps that record a list, never the None that
+#: marks a quantified formula.
 _PAST_CAP = [_LEAF, 0, N_MAX]
 #: The frames of an open parenthesis, of a negation, and at the bottom of
 #: the stack, which nothing closes.
 _PAREN = (None, (), None)
 _NEGATION = (Not, (), None)
 _BOTTOM = (False, (), None)
+#: The kinds of top frame a quantifier may follow: the bottom, an open
+#: parenthesis and a quantifier's ':'.
+_OPENERS = frozenset((False, None, Exists, Forall))
 
 
 def parse_formula(text: str) -> Formula:

@@ -82,6 +82,10 @@ class TestCompile:
         with pytest.raises(DuplicateVariable):
             mf.compile_formula(Var("p1"), ["p1", "p1"])
 
+    def test_duplicates_named_in_first_appearance_order(self):
+        with pytest.raises(DuplicateVariable, match=r"ordering: \[2, 'b', 1\]$"):
+            mf.compile_formula(Var("a"), [2, "b", "a", 1, "b", 2, 1])
+
     def test_quantifier_rejected(self):
         ast = mf.Exists("x", "U", Var("P(x)"))
         with pytest.raises(ValueError):

@@ -55,6 +55,14 @@ RAISE_SITES = {
         InvalidParameter,
         lambda: mf.compile_formula(mf.parse_formula("a"), [["a"]]),
     ),
+    "compile ordering duplicates of mixed types": (
+        DuplicateVariable,
+        lambda: mf.compile_formula(Var("a"), [1, 1, "a", "a"]),
+    ),
+    "variable an unhashable name": (
+        InvalidParameter,
+        lambda: Var(["x"]),
+    ),
     "model JSON nested beyond the recursion limit": (
         SchemaError,
         lambda: mf.parse_model('{"marginals": %s}' % DEEP_JSON),
@@ -371,10 +379,12 @@ def test_raise_site(site):
 
 
 def test_cli_maps_them_to_input_errors():
-    """The CLI exits 2 on each, as on the bare ValueError before; the one
-    ArityMismatch, BooleanFunction's entry check, no CLI input reaches."""
+    """The CLI exits 2 on each, as on the bare ValueError before.  No CLI
+    input reaches the one ArityMismatch, BooleanFunction's entry check, nor
+    the one DuplicateVariable, an ordering with duplicates: the CLI
+    compiles against a formula's own names."""
     for error, _ in RAISE_SITES.values():
-        if error is not ArityMismatch:
+        if error not in (ArityMismatch, DuplicateVariable):
             assert not issubclass(error, cli._SEMANTIC_ERRORS)
 
 

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 20 tier-1 runs, about
+it survives, or that it is open.  A full run takes 23 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -131,7 +131,7 @@ MUTANTS = [
     ),
     (
         "dsl.py",
-        "            if _open_scope(scopes, stack, var):\n"
+        "            if var in scopes:\n"
         "                raise DuplicateVariable(\n"
         '                    f"quantified variable {var!r} shadows an enclosing binding"\n'
         "                )\n",
@@ -184,10 +184,33 @@ MUTANTS = [
     ),
     (
         "dsl.py",
-        "                        form = _negated(form)\n",
-        "                        pass\n",
+        "form = _negated(form) if left is None",
+        "form = form if left is None",
         "the parser's record drops a negation: the recorded normal form of "
         "!A is that of A.  Killed by test_the_record_equals_the_walks",
+    ),
+    (
+        "dsl.py",
+        "                    del scopes[fields[0]]\n",
+        "",
+        "a quantifier's scope stays open after its frame closes, so a sibling "
+        "quantifier may not reuse its variable.  Killed by "
+        "test_closed_scopes_bind_nothing",
+    ),
+    (
+        "dsl.py",
+        "_OPENERS = frozenset((False, None, Exists, Forall))",
+        "_OPENERS = frozenset((False, Exists, Forall))",
+        "a quantifier may not follow an open parenthesis.  Killed by "
+        "test_nested_quantifiers_distinct_names",
+    ),
+    (
+        "dsl.py",
+        "elif len(names) <= N_MAX:",
+        "elif len(names) < N_MAX:",
+        "the parser stops building the normal form one name early, so the "
+        "record of a tree with exactly N_MAX names is stale.  Killed by "
+        "test_trees_at_and_over_the_cap",
     ),
     (
         "cli.py",
