@@ -1,14 +1,15 @@
 """Dense revised simplex for the small equality-form LPs of `exact_bounds`.
 
-Solves  min c.x  subject to  A x = b, x >= 0,  for a dense A (m rows, N >= 1
-columns).  The bounds LPs have m = 1 + n + |pairs| <= 79 rows and
-N <= 2**n <= 4096 columns, so the whole method fits in a few numpy calls
-per pivot:
+Solves  min c.x  subject to  A x = b, x >= 0,  for a dense A of m rows: its
+N >= 1 structural columns, then the m artificials, the identity, so that
+column N + r is e_r, the artificial of row r.  The bounds LPs have
+m = 1 + n + |pairs| <= 79 rows and N <= 2**n <= 4096 structural columns,
+so the whole method fits in a few numpy calls per pivot:
 
-* phase I starts from the caller's basis: m column indices, where index
-  N + r names the artificial column e_r of row r.  `Simplex` inverts it
-  and takes the levels B^-1 b.  The row of each artificial below zero is
-  negated in place, in A and b, and the basis inverted again, so that
+* phase I starts from the caller's basis: m column indices of A.
+  `Simplex` inverts it and takes the levels B^-1 b.  The row of each
+  artificial below zero is negated in place, in the structural block and
+  b (never in the identity block), and the basis inverted again, so that
   the artificial starts at the opposite level; a structural level below
   -TOL raises SolverError.  A start basis without an artificial is
   feasible as it stands, and phase I makes no pass over it.  Otherwise
@@ -24,8 +25,8 @@ per pivot:
   ends of `exact_bounds` start there;
 * the m x m basis inverse is kept explicitly, updated by a rank-one
   correction per pivot and recomputed every `REFACTOR_EVERY` pivots;
-* pricing takes every reduced cost in one `y @ A` pass and enters the
-  most negative one (Dantzig's rule).  When a run of pivots that do not
+* pricing takes the reduced cost of every structural column in one
+  `y @ A[:, :N]` pass and enters the most negative one (Dantzig's rule).  When a run of pivots that do not
   move the point comes back to a basis it has met, pricing switches to
   the lowest-index improving column and the lowest-index tied leaving
   variable (Bland's rule, which cannot cycle) until a pivot moves the
@@ -35,17 +36,16 @@ per pivot:
 * a phase ends only when pricing on a fresh inverse finds no improving
   column: pricing on an updated inverse that finds none recomputes the
   inverse and prices again, and pivots on if a column now improves.
-  Phase I then decides feasibility, and each optimum of phase II is
-  checked on its final basis: x_B = B^-1 b with one refinement step
-  against a residual summed by `math.fsum`, and y = c_B B^-1.  x_B >=
-  -TOL and every reduced cost c - y A >= -TOL are required, else
-  SolverError, and the value is `math.fsum(c_B * x_B)`.
+  Every phase then ends in one check on its final basis: x_B = B^-1 b
+  with one refinement step against a residual summed by `math.fsum`, and
+  y = c_B B^-1.  x_B >= -TOL and every reduced cost c - y A >= -TOL are
+  required, else SolverError, and the value is `math.fsum(c_B * x_B)`:
+  phase I's sum of the artificials, or an optimum of phase II.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -75,17 +75,17 @@ _HARRIS_SLACK = 1e-12
 class Simplex:
     """Phase I on construction; `minimize(cost)` then runs phase II.
 
-    `basis` is the start basis (see the module docstring); `a` and `b` are
-    kept, not copied, and may have rows negated.  `feasible` is False when
-    no x >= 0 satisfies A x = b within `TOL`.
+    `a` is A with its m artificial columns last and `basis` the start
+    basis (see the module docstring).  `a` and `b` are kept, not copied;
+    rows of `b` and of `a`'s structural block may be negated.  `feasible`
+    is False when no x >= 0 satisfies A x = b within `TOL`.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray):
-        m, n = a.shape
+        m, n = len(b), a.shape[1] - len(b)
         self._a = a
         self._b = b
         self._n = n
-        # Artificial column n + r is the unit vector e_r.
         self._basis = np.array(basis)
         self._refactor()
         # An artificial below zero: its row, negated in place, starts it at
@@ -93,7 +93,7 @@ class Simplex:
         rows = self._basis[self._x < 0.0] - n
         rows = rows[rows >= 0]
         if rows.size:
-            a[rows] *= -1.0
+            a[rows, :n] *= -1.0
             b[rows] *= -1.0
             self._refactor()
         if self._x.min() < -TOL:
@@ -105,31 +105,26 @@ class Simplex:
         self.feasible = True
         if self._basis.max() >= n:
             artificial = np.concatenate((np.zeros(n), np.ones(m)))
-            self.feasible = self._iterate(artificial, self._infeasibility) <= TOL
+            self.feasible = self._iterate(artificial) <= TOL
             if self.feasible:
                 self._drive_out_artificials()
-        self._start = (self._basis, self._matrix, self._binv, self._x)
+        self._start = (self._basis, self._binv, self._x)
 
     def minimize(self, cost: np.ndarray) -> float:
         """min cost.x over the feasible set, from the basis phase I ended
         on, checked on the final basis."""
         # Phase I ends on a fresh inverse, which each end starts from.
-        basis, self._matrix, binv, x = self._start
+        basis, binv, x = self._start
         self._basis, self._binv, self._x = basis.copy(), binv.copy(), x.copy()
         self._since_refactor = 0
-        cost = np.concatenate((cost, np.zeros(len(basis))))
-        return self._iterate(cost, lambda reduced: self._checked_value(cost, reduced))
-
-    def _infeasibility(self, reduced: np.ndarray) -> float:
-        """The sum of the artificial levels."""
-        return math.fsum(self._x[self._basis >= self._n])
+        return self._iterate(np.concatenate((cost, np.zeros(len(basis)))))
 
     def _checked_value(self, cost: np.ndarray, reduced: np.ndarray) -> float:
         """The value of the current basis, checked once pricing on a fresh
         inverse finds no improving column: x_B = B^-1 b with one refinement
         step, x_B >= -TOL, and every reduced cost c - y A in `reduced`
         >= -TOL.  A failure is a SolverError."""
-        matrix, x = self._matrix, self._x
+        matrix, x = self._a[:, self._basis], self._x
         # One step of refinement against a residual summed exactly.
         terms = np.concatenate((self._b[:, None], -matrix * x), axis=1).tolist()
         x = x + self._binv @ [math.fsum(row) for row in terms]
@@ -141,13 +136,12 @@ class Simplex:
             return math.fsum(cost[self._basis] * x)
         raise SolverError(f"LP solve failed: {failure}")
 
-    def _iterate(
-        self, cost: np.ndarray, accept: Callable[[np.ndarray], float]
-    ) -> float:
+    def _iterate(self, cost: np.ndarray) -> float:
         """Pivot until pricing on a fresh inverse finds no improving column,
-        then return `accept(reduced)`.  Pricing on an updated inverse that
-        finds none refactors and prices again.  `cost` covers every column
-        that can be basic (the artificials too, in phase I)."""
+        then return the checked value (`_checked_value`).  Pricing on an
+        updated inverse that finds none refactors and prices again.  `cost`
+        covers every column, the artificials too; only the structural ones
+        are priced."""
         a, n = self._a, self._n
         pivots = 0
         seen: set = set()  # bases met since the point last moved
@@ -155,11 +149,11 @@ class Simplex:
         while True:
             if self._since_refactor >= REFACTOR_EVERY:
                 self._refactor()
-            reduced = cost[:n] - (cost[self._basis] @ self._binv) @ a
+            reduced = cost[:n] - (cost[self._basis] @ self._binv) @ a[:, :n]
             j = self._entering(reduced, bland)
             if j < 0:
                 if not self._since_refactor:
-                    return accept(reduced)
+                    return self._checked_value(cost, reduced)
                 self._refactor()
                 continue
             if pivots == MAX_PIVOTS:
@@ -211,24 +205,11 @@ class Simplex:
         self._since_refactor += 1
         return step
 
-    def _basis_matrix(self) -> np.ndarray:
-        basis, n = self._basis, self._n
-        structural = basis < n
-        if structural.all():
-            return self._a[:, basis]
-        m = len(basis)
-        matrix = np.zeros((m, m))
-        matrix[:, structural] = self._a[:, basis[structural]]
-        artificial = (~structural).nonzero()[0]
-        matrix[basis[artificial] - n, artificial] = 1.0
-        return matrix
-
     def _refactor(self) -> None:
-        """Recompute the inverse of the basis matrix, kept as `_matrix` for
-        the check, and the basic levels from it."""
-        self._matrix = self._basis_matrix()
+        """Recompute the inverse of the basis matrix A[:, basis], and the
+        basic levels from it."""
         try:
-            self._binv = np.linalg.inv(self._matrix)
+            self._binv = np.linalg.inv(self._a[:, self._basis])
         except np.linalg.LinAlgError:
             raise SolverError("LP solve failed: singular basis") from None
         self._x = self._binv @ self._b
@@ -238,10 +219,10 @@ class Simplex:
         """Pivot each zero-level artificial out of the basis, entering the
         nonbasic column with the largest entry in its row.  A row with no
         such entry depends on the others; its artificial stays basic, and
-        since no column has an entry in its row it never moves."""
+        since no structural column has an entry in its row it never moves."""
         a, n = self._a, self._n
         for r in (self._basis >= n).nonzero()[0]:
-            row = self._binv[r] @ a
+            row = self._binv[r] @ a[:, :n]
             row[self._basis[self._basis < n]] = 0.0
             j = int(np.abs(row).argmax())
             if abs(row[j]) > TOL:

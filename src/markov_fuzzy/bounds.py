@@ -220,7 +220,7 @@ def exact_bounds(
         lo, hi = _lp_bounds(spec.marginals, pairs, f.table, cancel)
     else:
         lo, hi = _decomposed_bounds(spec.marginals, pairs, f._formula, cancel)
-    return ConfidenceInterval(min(lo, hi), hi)
+    return ConfidenceInterval(lo, hi)
 
 
 def _check_lp_arity(n: int) -> None:
@@ -278,13 +278,18 @@ def _lp_bounds(
         bits = bits[:, keep]
         if cost is not None:
             cost = cost[keep]
-    a_eq = np.empty((1 + n + len(pairs), bits.shape[1]))
-    a_eq[0] = 1.0
-    a_eq[1 : n + 1] = bits
+    # Rows: the row of ones, the marginals, the pairs' both-false cells.
+    # Columns: the kept cells, then one artificial per row, the identity, so
+    # that column size + r is e_r, as `_glued_basis` numbers it.
+    m, size = 1 + n + len(pairs), bits.shape[1]
+    a_eq = np.empty((m, size + m))
+    a_eq[0, :size] = 1.0
+    a_eq[1 : n + 1, :size] = bits
     if pairs:
         first = [i - 1 for (i, _), _ in pairs]
         second = [j - 1 for (_, j), _ in pairs]
-        a_eq[n + 1 :] = ~(bits[first] | bits[second])
+        a_eq[n + 1 :, :size] = ~(bits[first] | bits[second])
+    a_eq[:, size:] = np.eye(m)
     b_eq = np.array([1.0, *marginals, *(q for _, q in pairs)])
 
     _check_cancel(cancel)

@@ -652,7 +652,9 @@ class TestSolverEquivalence:
                 [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
             ]
         )
-        lp = _simplex.Simplex(a, np.array([0.0, 0.0, 1.0]), np.array([4, 5, 6]))
+        lp = _simplex.Simplex(
+            np.hstack((a, np.eye(3))), np.array([0.0, 0.0, 1.0]), np.array([4, 5, 6])
+        )
         assert lp.feasible
         cost = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
         assert lp.minimize(cost) == pytest.approx(-1.0, abs=1e-12)
@@ -671,7 +673,8 @@ class TestSolverEquivalence:
 
         monkeypatch.setattr(_simplex.Simplex, "_leaving_row", counting_leaving)
         cost = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
-        lp = _simplex.Simplex(np.ones((1, cost.size)), np.array([1.0]), np.array([0]))
+        a = np.hstack((np.ones((1, cost.size)), np.eye(1)))
+        lp = _simplex.Simplex(a, np.array([1.0]), np.array([0]))
         assert lp.feasible
         assert lp.minimize(cost) == cost.min()
         assert -lp.minimize(-cost) == cost.max()
@@ -690,7 +693,7 @@ class TestSolverEquivalence:
         color = (coloring >> np.arange(n)) & 1
         rhs = [1.0] + [0.5] * n + [0.5 * (color[i] == color[j]) for i, j in pairs]
         lp = _simplex.Simplex(
-            np.array(rows, dtype=np.float64),
+            np.hstack((np.array(rows, dtype=np.float64), np.eye(len(rows)))),
             np.array(rhs),
             np.arange(1 << n, (1 << n) + len(rows)),  # one artificial per row
         )
@@ -709,14 +712,16 @@ class TestSolverEquivalence:
     def test_artificial_below_zero_starts_on_its_negated_row(self):
         """From the chain table of p = (0.6, 0.5), FF holds 0.4, so the
         artificial of the pair row at q = 0.2 starts at -0.2: its row is
-        negated in place and phase I starts it at 0.2.  The one table
-        left has TT = and_q(0.6, 0.5, 0.2)."""
-        a = np.array(self.PAIR_ROWS, dtype=np.float64)
+        negated in place, in b and the structural block but not in the
+        identity block, and phase I starts it at 0.2.  The one table left
+        has TT = and_q(0.6, 0.5, 0.2)."""
+        a = np.hstack((np.array(self.PAIR_ROWS, dtype=np.float64), np.eye(4)))
         b = np.array([1.0, 0.6, 0.5, 0.2])
         lp = _simplex.Simplex(a, b, np.array([0, 1, 3, 4 + 3]))
         assert b.tolist() == [1.0, 0.6, 0.5, -0.2]
-        assert a[3].tolist() == [-1.0, 0.0, 0.0, 0.0]
-        assert a[:3].tolist() == self.PAIR_ROWS[:3]
+        assert a[3, :4].tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert a[:3, :4].tolist() == self.PAIR_ROWS[:3]
+        assert (a[:, 4:] == np.eye(4)).all()
         assert lp.feasible
         cost = np.array([0.0, 0.0, 0.0, 1.0])
         want = mf.and_q(0.6, 0.5, 0.2)
@@ -725,9 +730,25 @@ class TestSolverEquivalence:
 
     def test_structural_below_tol_is_an_infeasible_start(self):
         """FF, TF and FT basic for p = (0.6, 0.5) put FF at 1 - 1.1."""
-        a = np.array(self.PAIR_ROWS[:3], dtype=np.float64)
+        a = np.hstack((np.array(self.PAIR_ROWS[:3], dtype=np.float64), np.eye(3)))
         with pytest.raises(SolverError, match=r"start basis infeasible by 0\.1"):
             _simplex.Simplex(a, np.array([1.0, 0.6, 0.5]), np.array([0, 1, 2]))
+
+    def test_start_basis_with_two_equal_columns_is_singular(self):
+        a = np.hstack((np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0]]), np.eye(2)))
+        with pytest.raises(SolverError, match=r"^LP solve failed: singular basis$"):
+            _simplex.Simplex(a, np.array([1.0, 1.0]), np.array([0, 1]))
+
+    def test_unbounded_direction_is_an_error(self):
+        """min -x0 subject to x0 - x1 = 0: x0 = x1 = t is feasible for every
+        t >= 0, and x1 entering has no row to leave."""
+        a = np.hstack((np.array([[1.0, -1.0]]), np.eye(1)))
+        lp = _simplex.Simplex(a, np.array([0.0]), np.array([0]))
+        assert lp.feasible
+        with pytest.raises(
+            SolverError, match=r"^LP solve failed: unbounded direction$"
+        ):
+            lp.minimize(np.array([-1.0, 0.0]))
 
 def count_pivots(monkeypatch):
     """Counts the pivots of `Simplex`: "all" of them, and "phase_one", the
@@ -748,6 +769,21 @@ def count_pivots(monkeypatch):
     monkeypatch.setattr(_simplex.Simplex, "_pivot", counting_pivot)
     monkeypatch.setattr(_simplex.Simplex, "minimize", first_minimize)
     return counts
+
+
+def count_phase_one(monkeypatch):
+    """Records each phase I run of `Simplex`: an `_iterate` whose cost
+    charges the artificial columns, which phase II's costs never do."""
+    runs = []
+    iterate = _simplex.Simplex._iterate
+
+    def recording_iterate(self, cost):
+        if cost[self._n :].any():
+            runs.append(None)
+        return iterate(self, cost)
+
+    monkeypatch.setattr(_simplex.Simplex, "_iterate", recording_iterate)
+    return runs
 
 
 def sparse_table_spec(rng, n):
@@ -835,9 +871,8 @@ class TestChainStart:
         max of an and chain and the min of an or chain are already there.
         A marginals-only spec without a 0/1 marginal has no artificial in
         its start basis, so phase I does not even price."""
-        per_end, phase_one = [], []
+        per_end = []
         pivot, minimize = _simplex.Simplex._pivot, _simplex.Simplex.minimize
-        infeasibility = _simplex.Simplex._infeasibility
 
         def counting_pivot(self, *args):
             per_end[-1] += 1
@@ -849,11 +884,7 @@ class TestChainStart:
 
         monkeypatch.setattr(_simplex.Simplex, "_pivot", counting_pivot)
         monkeypatch.setattr(_simplex.Simplex, "minimize", counting_minimize)
-        def counting_infeasibility(self, reduced):
-            phase_one.append(None)
-            return infeasibility(self, reduced)
-
-        monkeypatch.setattr(_simplex.Simplex, "_infeasibility", counting_infeasibility)
+        phase_one = count_phase_one(monkeypatch)
         rng = np.random.default_rng(400 + n)
         for _ in range(3):
             ps = rng.uniform(0.05, 0.95, n)
@@ -971,7 +1002,8 @@ class TestGluedStart:
             has_empty_cell(spec, pair) for k, pair in enumerate(pairs) if k not in forest
         )
         for a, b, basis in starts:  # one LP: f is a raw table
-            m, size = a.shape
+            m = len(b)
+            size = a.shape[1] - m  # the artificials are the last m columns
             matrix = np.hstack((a, np.eye(m)))[:, basis]
             assert np.linalg.matrix_rank(matrix) == m
             levels = np.linalg.solve(matrix, b)
@@ -994,14 +1026,7 @@ class TestGluedStart:
         the glued table meets every row, so the start basis holds no
         artificial and phase I neither prices nor pivots."""
         counts = count_pivots(monkeypatch)
-        infeasibility = _simplex.Simplex._infeasibility
-        phase_one = []
-
-        def counting_infeasibility(self, reduced):
-            phase_one.append(None)
-            return infeasibility(self, reduced)
-
-        monkeypatch.setattr(_simplex.Simplex, "_infeasibility", counting_infeasibility)
+        phase_one = count_phase_one(monkeypatch)
         rng = np.random.default_rng(500 + n)
         for _ in range(3):
             spec = pair_graph_spec(rng, n, cyclic=False)
