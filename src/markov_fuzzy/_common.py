@@ -1,10 +1,12 @@
 """Shared numeric conventions: tolerances, the dense-table cap, scalar
-checks, and the base of the immutable value classes."""
+checks, and the base of the immutable value classes.
+
+Importing it loads only `math` and the package's errors: `check_int`
+imports `numbers` on the first integer that is not an exact int."""
 
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 from .errors import ArityTooLarge, InvalidBelief, InvalidParameter
 
@@ -77,8 +79,14 @@ def check_belief(value, name: str = "belief") -> float:
 def check_int(value, what: str, error: type = InvalidParameter) -> int:
     """`value` as an int when it is an int or a numbers.Integral other than
     a bool (int() would read True as 1 and truncate 2.7); otherwise
-    `error` saying "<what>, got <value>"."""
-    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
+    `error` saying "<what>, got <value>".  An exact int returns at once;
+    only another value imports `numbers` (numpy, whose integers are the
+    usual case, has loaded it already)."""
+    if type(value) is int:
+        return value
+    from numbers import Integral
+
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{what}, got {value!r}")
     return int(value)
 

@@ -26,7 +26,8 @@ few comparisons and set lookups, and builds the tree's nodes on an
 explicit stack that holds a frame per open quantifier, so parse time is
 linear in the text at any nesting depth.  No offsets are kept.  Only
 when an error is raised is its span computed, by scanning the text again
-with the same pattern up to the offending token.
+with the same pattern up to the offending token.  The pattern is compiled
+on the first parse, not at import.
 
 Beside each node it builds, the parser builds that node's normal form
 (see `compile_formula`), numbering the variables in first-appearance
@@ -36,13 +37,14 @@ copy of the names, and `compile_formula` against those names adopts the
 normal form; neither folds the tree.  The record is no field of the
 tree: parsed trees compare, hash and print as trees built by hand.
 
-Model files are JSON objects; see `parse_model` / `parse_joint`.
+Model files are JSON objects; see `parse_model` / `parse_joint`.  The
+`json` module is imported when the first one is read, not with the package.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from functools import lru_cache
 from itertools import islice
 from typing import Union
 
@@ -75,18 +77,25 @@ class SourceSpan(FrozenValue):
 
 
 _KEYWORDS = ("exists", "forall", "in")
-#: One pass over the text: whitespace (the characters `str.isspace` names),
-#: an identifier, a symbol, or any other character, which is an error.
-_TOKEN_RE = re.compile(
-    r"\s+|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>->|[&|!():])|(?P<bad>.)", re.S
-)
+
+
+@lru_cache(maxsize=None)
+def _token_re() -> re.Pattern:
+    """The token pattern, compiled on first use.  One pass over the text:
+    whitespace (the characters `str.isspace` names), an identifier, a
+    symbol, or any other character, which is an error."""
+    return re.compile(
+        r"\s+|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>->|[&|!():])|(?P<bad>.)", re.S
+    )
 
 
 #: The words that are not identifiers: the keywords, the symbols, and ""
 #: for the end of input.
 _RESERVED = frozenset((*_KEYWORDS, "->", "&", "|", "!", "(", ")", ":", ""))
-#: What may start an operand, as an error lists it.
-_OPERAND = ("identifier", "'!'", "'('", "'exists'", "'forall'")
+#: What may start an operand, as an error lists it, and what may start a
+#: formula: also a quantifier, where the top frame is in `_OPENERS`.
+_OPERAND = ("identifier", "'!'", "'('")
+_FORMULA = (*_OPERAND, "'exists'", "'forall'")
 
 
 def _tokenize(text: str) -> list:
@@ -95,10 +104,10 @@ def _tokenize(text: str) -> list:
     One `findall` gives (ident, sym, bad) per match, all three empty for
     whitespace.  A token's text is never empty, so an empty word marks an
     unexpected character, which raises."""
-    matches = _TOKEN_RE.findall(text)
+    matches = _token_re().findall(text)
     words = [ident + sym for ident, sym, bad in matches if ident or sym or bad]
     if "" in words:
-        match = next(m for m in _TOKEN_RE.finditer(text) if m.lastgroup == "bad")
+        match = next(m for m in _token_re().finditer(text) if m.lastgroup == "bad")
         start = match.start()
         raise ParseError(
             f"unexpected character {match.group()!r} at offset {start}",
@@ -113,7 +122,7 @@ def _span(text: str, index: int) -> SourceSpan:
     """The span of token `index` of `text`, or of the end of input past the
     last token.  The parser keeps only the tokens' text, so an error finds
     its offsets by scanning the text again with the same pattern."""
-    tokens = (match for match in _TOKEN_RE.finditer(text) if match.lastgroup)
+    tokens = (match for match in _token_re().finditer(text) if match.lastgroup)
     match = next(islice(tokens, index, None), None)
     return SourceSpan(*match.span()) if match else SourceSpan(len(text), len(text))
 
@@ -208,7 +217,8 @@ def _parse(text: str, words: list) -> tuple:
             index += 5
             continue
         else:
-            raise _unexpected(text, words, index, _OPERAND)
+            expected = _FORMULA if stack[-1][0] in _OPENERS else _OPERAND
+            raise _unexpected(text, words, index, expected)
         # Then the closing parentheses and the binary operator after the
         # atom.  A binary operator closes the frames `_closed_first` names;
         # any other token closes all but an open parenthesis, and ends the
@@ -338,6 +348,8 @@ def format_formula(ast: Formula) -> str:
 
 
 def _load_object(text: str) -> dict:
+    import json
+
     try:
         obj = json.loads(text)
     # A nesting deeper than the recursion limit ends the decoder this way.

@@ -786,6 +786,37 @@ def count_phase_one(monkeypatch):
     return runs
 
 
+def recorded_starts(spec, f):
+    """exact_bounds(spec, f), or None for an infeasible spec, and each LP's
+    start as `Simplex` solves it: A and b once the rows of the artificials
+    below zero are negated in place, the start basis, and those rows."""
+    starts = []
+
+    class Recording(_simplex.Simplex):
+        def __init__(self, a, b, basis):
+            given_a = a.copy()
+            super().__init__(a, b, basis)
+            negated = np.flatnonzero((a != given_a).any(axis=1))
+            starts.append((a.copy(), b.copy(), np.array(basis), negated))
+
+    with mock.patch.object(_simplex, "Simplex", Recording):
+        try:
+            ci = mf.exact_bounds(spec, f)
+        except InfeasibleSpec:
+            ci = None
+    return ci, starts
+
+
+def start_levels(a, b, basis):
+    """The levels of `basis` in a x = b, checked: the basis is nonsingular,
+    and in the system `Simplex` oriented every level is >= -TOL."""
+    matrix = a[:, basis]
+    assert np.linalg.matrix_rank(matrix) == len(b)
+    levels = np.linalg.solve(matrix, b)
+    assert levels.min() >= -_simplex.TOL
+    return levels
+
+
 def sparse_table_spec(rng, n):
     """Marginals and about 80% of the pairwise q read off a table with 5-24
     nonzero entries: zeros that only several constraints together imply."""
@@ -832,38 +863,32 @@ class TestChainStart:
             assert ci.lo == pytest.approx(want[0], abs=1e-9)
             assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_chain_basis_on_edge_specs(self, n, seed):
+    def test_chain_basis_on_edge_specs(self):
         """On edge specs, infeasible ones included, the start basis is
-        nonsingular with every level >= -TOL, and the bounds still agree
-        with HiGHS."""
-        rng = np.random.default_rng(seed)
-        spec = edge_spec(rng, n)
-        f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
-        starts = []
+        nonsingular with every level >= -TOL once `Simplex` has negated
+        the rows of its artificials below zero, which some starts do, and
+        the bounds still agree with HiGHS."""
+        negated = []
 
-        class Recording(_simplex.Simplex):
-            def __init__(self, a, b, basis=None):
-                starts.append((a, b.copy(), np.array(basis)))
-                super().__init__(a, b, basis)
+        @settings(derandomize=True, deadline=None, max_examples=100)
+        @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+        def check(n, seed):
+            rng = np.random.default_rng(seed)
+            spec = edge_spec(rng, n)
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            ci, starts = recorded_starts(spec, f)
+            for a, b, basis, rows in starts:
+                start_levels(a, b, basis)
+                negated.extend(rows)
+            want = reference_bounds(spec, f)
+            if want is None:
+                assert ci is None
+            else:
+                assert ci.lo == pytest.approx(want[0], abs=1e-9)
+                assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
-        with mock.patch.object(_simplex, "Simplex", Recording):
-            try:
-                ci = mf.exact_bounds(spec, f)
-            except InfeasibleSpec:
-                ci = None
-        for a, b, basis in starts:
-            m = len(b)
-            matrix = np.hstack((a, np.eye(m)))[:, basis]
-            assert np.linalg.matrix_rank(matrix) == m
-            assert np.linalg.solve(matrix, b).min() >= -_simplex.TOL
-        want = reference_bounds(spec, f)
-        if want is None:
-            assert ci is None
-        else:
-            assert ci.lo == pytest.approx(want[0], abs=1e-9)
-            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+        check()
+        assert negated
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_comonotone_end_makes_no_pivot(self, n, monkeypatch):
@@ -967,58 +992,53 @@ class TestGluedStart:
     """Each LP starts at a table glued from the pair tables along a
     spanning forest of the pair graph."""
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(
-        st.integers(1, 8),
-        st.sampled_from(("forest", "cyclic", "edge")),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_start_basis(self, n, kind, seed):
-        """The start basis is nonsingular with every level >= -TOL, and the
-        start table meets every forest pair's row, unless a pair that
-        closes a cycle has an empty cell (then the start may be the chain
-        table); the bounds agree with HiGHS."""
-        rng = np.random.default_rng(seed)
-        if kind == "edge":
-            spec = edge_spec(rng, n)
-        else:
-            spec = pair_graph_spec(rng, n, kind == "cyclic")
-        f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
-        starts = []
+    def test_start_basis(self):
+        """The start basis is nonsingular with every level >= -TOL once
+        `Simplex` has negated the rows of its artificials below zero, which
+        some starts do, and the start table meets every forest pair's row,
+        unless a pair that closes a cycle has an empty cell (then the start
+        may be the chain table); the bounds agree with HiGHS."""
+        negated = []
 
-        class Recording(_simplex.Simplex):
-            def __init__(self, a, b, basis):
-                starts.append((a, b.copy(), np.array(basis)))
-                super().__init__(a, b, basis)
-
-        with mock.patch.object(_simplex, "Simplex", Recording):
-            try:
-                ci = mf.exact_bounds(spec, f)
-            except InfeasibleSpec:
-                ci = None
-        pairs = sorted(spec.pairwise.items())
-        forest = spanning_forest(n, pairs)
-        glued = not any(
-            has_empty_cell(spec, pair) for k, pair in enumerate(pairs) if k not in forest
+        @settings(derandomize=True, deadline=None, max_examples=150)
+        @given(
+            st.integers(1, 8),
+            st.sampled_from(("forest", "cyclic", "edge")),
+            st.integers(0, 2**32 - 1),
         )
-        for a, b, basis in starts:  # one LP: f is a raw table
-            m = len(b)
-            size = a.shape[1] - m  # the artificials are the last m columns
-            matrix = np.hstack((a, np.eye(m)))[:, basis]
-            assert np.linalg.matrix_rank(matrix) == m
-            levels = np.linalg.solve(matrix, b)
-            assert levels.min() >= -_simplex.TOL
-            artificial = basis >= size
-            if glued:
-                row_level = dict(zip(basis[artificial] - size, levels[artificial]))
-                for k in forest:
-                    assert abs(row_level.get(n + 1 + k, 0.0)) <= _simplex.TOL
-        want = reference_bounds(spec, f)
-        if want is None:
-            assert ci is None
-        else:
-            assert ci.lo == pytest.approx(want[0], abs=1e-9)
-            assert ci.hi == pytest.approx(want[1], abs=1e-9)
+        def check(n, kind, seed):
+            rng = np.random.default_rng(seed)
+            if kind == "edge":
+                spec = edge_spec(rng, n)
+            else:
+                spec = pair_graph_spec(rng, n, kind == "cyclic")
+            f = mf.BooleanFunction(n, 1, rng.integers(0, 2, size=1 << n))
+            ci, starts = recorded_starts(spec, f)
+            pairs = sorted(spec.pairwise.items())
+            forest = spanning_forest(n, pairs)
+            glued = not any(
+                has_empty_cell(spec, pair)
+                for k, pair in enumerate(pairs)
+                if k not in forest
+            )
+            for a, b, basis, rows in starts:  # one LP: f is a raw table
+                size = a.shape[1] - len(b)  # the artificials are the last columns
+                levels = start_levels(a, b, basis)
+                negated.extend(rows)
+                artificial = basis >= size
+                if glued:
+                    row_level = dict(zip(basis[artificial] - size, levels[artificial]))
+                    for k in forest:
+                        assert abs(row_level.get(n + 1 + k, 0.0)) <= _simplex.TOL
+            want = reference_bounds(spec, f)
+            if want is None:
+                assert ci is None
+            else:
+                assert ci.lo == pytest.approx(want[0], abs=1e-9)
+                assert ci.hi == pytest.approx(want[1], abs=1e-9)
+
+        check()
+        assert negated
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_forest_specs_run_no_phase_one(self, n, monkeypatch):

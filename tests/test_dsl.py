@@ -139,6 +139,29 @@ class TestParseErrors:
         assert 0 <= span.start <= span.end <= len(text)
         assert info.value.expected
 
+    @pytest.mark.parametrize(
+        "text, quantifier_allowed",
+        [
+            ("", True),
+            ("(", True),
+            ("exists x in U : ", True),
+            ("!exists x in U : P(x)", False),
+            ("P1 & forall x in U : P(x)", False),
+            ("P1 -> ", False),
+        ],
+    )
+    def test_a_quantifier_is_expected_only_where_it_may_start(
+        self, text, quantifier_allowed
+    ):
+        """An operand may start with 'exists' or 'forall' only first, after
+        '(' or after a quantifier's ':', and only there does an error list
+        them, so an error never lists the token it refuses."""
+        with pytest.raises(ParseError) as info:
+            mf.parse_formula(text)
+        operand = {"identifier", "'!'", "'('"}
+        quantifiers = {"'exists'", "'forall'"} if quantifier_allowed else set()
+        assert set(info.value.expected) == operand | quantifiers
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as info:
             mf.parse_formula("P1 ^ P2")
@@ -164,7 +187,7 @@ class TestParseErrors:
         in."""
         text = "".join(map(chr, range(sys.maxunicode + 1)))
         skipped = set()
-        for match in dsl._TOKEN_RE.finditer(text):
+        for match in dsl._token_re().finditer(text):
             if match.lastgroup is None:
                 skipped.update(range(*match.span()))
         assert skipped == {i for i, c in enumerate(text) if c.isspace()}

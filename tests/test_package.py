@@ -210,23 +210,38 @@ def test_values_are_frozen_and_copy_whole(name):
             setattr(copied, fields[0], None)
 
 
+MODEL = '{"marginals": [0.7, 0.6], "pairwise": {"1,2": 0.1}}'
+FORMULA = "exists x in U : P(x) | !Q1 -> Q2"
+IMPORT_THEN_PARSE = f"""
+import sys
+before = set(sys.modules)
+import markov_fuzzy as mf
+print(repr(sorted(set(sys.modules) - before)))
+print(repr(mf.parse_model({MODEL!r})))
+print(repr(mf.parse_formula({FORMULA!r})))
+"""
+
+
 def test_import_loads_no_dataclasses():
-    """`import markov_fuzzy` in a fresh interpreter adds neither
-    `dataclasses` nor `inspect` to sys.modules."""
+    """`import markov_fuzzy` in a fresh interpreter adds none of `json`,
+    `numbers`, `numpy`, `scipy`, `dataclasses` and `inspect` to
+    sys.modules (the child reports with `repr`, so it imports nothing to
+    report), and the child then parses a model and a formula as this
+    process does."""
     src = os.path.dirname(os.path.dirname(mf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import json, sys; before = set(sys.modules); import markov_fuzzy; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", IMPORT_THEN_PARSE], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    added = json.loads(proc.stdout)
+    added, model, formula = proc.stdout.splitlines()
+    added = ast.literal_eval(added)
     assert "markov_fuzzy.bounds" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    deferred = {"json", "numbers", "numpy", "scipy", "dataclasses", "inspect"}
+    assert not deferred & {name.partition(".")[0] for name in added}
+    assert model == repr(mf.parse_model(MODEL))
+    assert formula == repr(mf.parse_formula(FORMULA))
 
 
 def quick_tour() -> str:

@@ -152,7 +152,8 @@ class _Parser:
                         )
                 return Var(f"{name}({arg})")
             else:
-                raise self.fail(("identifier", "'!'", "'('", "'exists'", "'forall'"))
+                quantifiers = ("'exists'", "'forall'") if opens_formula else ()
+                raise self.fail(("identifier", "'!'", "'('", *quantifiers))
 
 
 def oracle_parse(text: str):

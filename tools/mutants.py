@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 25 tier-1 runs, about
+it survives, or that it is open.  A full run takes 26 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -125,6 +125,15 @@ MUTANTS = [
         "_lp_bounds leaves the artificial columns zero, so any start basis "
         "that holds an artificial is singular.  Killed by "
         "test_criterion_1_sharpness_reproduction",
+    ),
+    (
+        "_common.py",
+        "    if isinstance(value, bool) or not isinstance(value, Integral):\n",
+        "    if not isinstance(value, Integral):\n",
+        "check_int's bool refusal dropped on the path past an exact int, "
+        "where numbers.Integral, which bool is, decides: True reads as 1.  "
+        "Killed by test_raise_site[joint arity a bool], "
+        "[pairwise key holding a bool] and [tuple_length a bool]",
     ),
     (
         "joints.py",
