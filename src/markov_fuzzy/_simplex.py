@@ -7,12 +7,13 @@ m = 1 + n + |pairs| <= 79 rows and N <= 2**n <= 4096 structural columns,
 so the whole method fits in a few numpy calls per pivot:
 
 * phase I starts from the caller's basis: m column indices of A.
-  `Simplex` inverts it and takes the levels B^-1 b.  The row of each
-  artificial below zero is negated in place, in the structural block and
-  b (never in the identity block), and the basis inverted again, so that
-  the artificial starts at the opposite level; a structural level below
-  -TOL raises SolverError.  A start basis without an artificial is
-  feasible as it stands, and phase I makes no pass over it.  Otherwise
+  `Simplex` inverts it once and takes the levels B^-1 b.  An artificial
+  below zero starts at the opposite level: its column is negated in A
+  (e_r becomes -e_r), and its row of B^-1 and its level with it, since
+  B D inverts to D B^-1 for a diagonal D of signs; b and the structural
+  block are never written.  A structural level below -TOL raises
+  SolverError.  A start basis without an artificial is feasible as it
+  stands, and phase I makes no pass over it.  Otherwise
   phase I minimizes the sum of the artificials; a sum above `TOL` proves
   infeasibility.  Any artificial left in the basis at level zero is then
   pivoted out, unless its row depends on the others.
@@ -23,8 +24,9 @@ so the whole method fits in a few numpy calls per pivot:
   with no empty cell, runs no phase I;
 * phase II minimizes each cost from the basis phase I ended on, so both
   ends of `exact_bounds` start there;
-* the m x m basis inverse is kept explicitly, updated by a rank-one
-  correction per pivot and recomputed every `REFACTOR_EVERY` pivots;
+* the m x m basis inverse is kept explicitly, beside the levels in one
+  m x (m + 1) array [B^-1 | x_B], so that one rank-one correction per
+  pivot updates both; it is recomputed every `REFACTOR_EVERY` pivots;
 * pricing takes the reduced cost of every structural column in one
   `y @ A[:, :N]` pass and enters the most negative one (Dantzig's rule).  When a run of pivots that do not
   move the point comes back to a basis it has met, pricing switches to
@@ -76,26 +78,25 @@ class Simplex:
     """Phase I on construction; `minimize(cost)` then runs phase II.
 
     `a` is A with its m artificial columns last and `basis` the start
-    basis (see the module docstring).  `a` and `b` are kept, not copied;
-    rows of `b` and of `a`'s structural block may be negated.  `feasible`
-    is False when no x >= 0 satisfies A x = b within `TOL`.
+    basis (see the module docstring).  `a` is kept, not copied, and the
+    one entry of each artificial oriented below zero is negated; its
+    structural block and `b` are only read.  `feasible` is False when no
+    x >= 0 satisfies A x = b within `TOL`.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray):
         m, n = len(b), a.shape[1] - len(b)
-        self._a = a
-        self._b = b
-        self._n = n
+        self._a, self._b, self._n = a, b, n
         self._basis = np.array(basis)
+        # [B^-1 | x_B]: one pivot updates both, through these views.
+        self._state = np.empty((m, m + 1))
+        self._binv, self._x = self._state[:, :m], self._state[:, m]
         self._refactor()
-        # An artificial below zero: its row, negated in place, starts it at
-        # the opposite level.
-        rows = self._basis[self._x < 0.0] - n
-        rows = rows[rows >= 0]
-        if rows.size:
-            a[rows, :n] *= -1.0
-            b[rows] *= -1.0
-            self._refactor()
+        # An artificial below zero: its column, negated, starts it at the
+        # opposite level.
+        flip = (self._x < 0.0) & (self._basis >= n)
+        a[self._basis[flip] - n, self._basis[flip]] = -1.0
+        self._state[flip] *= -1.0
         if self._x.min() < -TOL:
             raise SolverError(
                 f"LP solve failed: start basis infeasible by {-self._x.min():.3g}"
@@ -108,16 +109,15 @@ class Simplex:
             self.feasible = self._iterate(artificial) <= TOL
             if self.feasible:
                 self._drive_out_artificials()
-        self._start = (self._basis, self._binv, self._x)
+        self._start = self._basis.copy(), self._state.copy()
 
     def minimize(self, cost: np.ndarray) -> float:
         """min cost.x over the feasible set, from the basis phase I ended
         on, checked on the final basis."""
         # Phase I ends on a fresh inverse, which each end starts from.
-        basis, binv, x = self._start
-        self._basis, self._binv, self._x = basis.copy(), binv.copy(), x.copy()
+        self._basis[:], self._state[:] = self._start
         self._since_refactor = 0
-        return self._iterate(np.concatenate((cost, np.zeros(len(basis)))))
+        return self._iterate(np.concatenate((cost, np.zeros(len(self._b)))))
 
     def _checked_value(self, cost: np.ndarray, reduced: np.ndarray) -> float:
         """The value of the current basis, checked once pricing on a fresh
@@ -195,24 +195,21 @@ class Simplex:
 
     def _pivot(self, r: int, j: int, u: np.ndarray) -> float:
         """Column j enters in row r; returns the step length."""
-        step = self._x[r] / u[r]
-        self._x -= step * u
-        self._x[r] = step
-        row = self._binv[r] / u[r]
-        self._binv -= u[:, None] * row
-        self._binv[r] = row
+        row = self._state[r] / u[r]
+        self._state -= u[:, None] * row
+        self._state[r] = row
         self._basis[r] = j
         self._since_refactor += 1
-        return step
+        return row[-1]
 
     def _refactor(self) -> None:
         """Recompute the inverse of the basis matrix A[:, basis], and the
-        basic levels from it."""
+        basic levels from it, in place."""
         try:
-            self._binv = np.linalg.inv(self._a[:, self._basis])
+            self._binv[:] = np.linalg.inv(self._a[:, self._basis])
         except np.linalg.LinAlgError:
             raise SolverError("LP solve failed: singular basis") from None
-        self._x = self._binv @ self._b
+        self._x[:] = self._binv @ self._b
         self._since_refactor = 0
 
     def _drive_out_artificials(self) -> None:

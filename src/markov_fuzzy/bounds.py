@@ -103,7 +103,8 @@ class ConfidenceInterval(FrozenValue):
     program over more than `LP_MAX_ARITY` variables.  Exact from
     `exists_bounds` and `forall_bounds` too, except that a component of the
     q_pair graph with a cycle and more than `LP_MAX_ARITY` points gives an
-    outer bound.  A spec with no joint raises InfeasibleSpec.
+    outer bound.  A spec with no joint raises InfeasibleSpec, except in
+    such a component, whose outer bound checks no joint.
     """
 
     _fields = ("lo", "hi")
@@ -300,7 +301,6 @@ def _lp_bounds(
         raise InfeasibleSpec("no joint distribution satisfies the spec")
     if cost is None:
         return None
-    cost = cost.astype(np.float64)
     lo = lp.minimize(cost)
     _check_cancel(cancel)
     # 0.0 - x, not -x: a maximum of 0 is +0.0, never -0.0.
@@ -686,8 +686,8 @@ def _glued_basis(marginals: tuple, pairs: list, keep: np.ndarray) -> np.ndarray:
     satisfy the marginal rows and every forest pair's row, each basic in
     its own row.  A piece of length 0 in a kept cell stays basic at level
     0; a piece outside `keep` hands its row to its artificial, as does a
-    pair that closes a cycle (`Simplex` orients each such row so that its
-    artificial starts at a level >= 0).  With no such pair and no piece
+    pair that closes a cycle (`Simplex` negates the column of each such
+    artificial below zero, so that it starts at a level >= 0).  With no such pair and no piece
     outside `keep`, the basis holds no artificial and phase I does not run.
     Glue that puts mass on a cell left out (a cell a cycle's pair leaves
     empty, at a q at an end of its range) is not a start: then the chain

@@ -66,7 +66,8 @@ class BeliefTable(Frozen):
 
     `q_pair` maps unordered pairs of distinct labels to the confidence that
     the predicate fails at both points, each feasible for its two beliefs.
-    Pairs with no common joint table make `exists_bounds` raise InfeasibleSpec.
+    Pairs with no common joint table make `exists_bounds` raise InfeasibleSpec
+    where it is exact; its outer bound checks no joint.
     """
 
     _fields = ("universe", "p", "q_pair")
@@ -112,8 +113,8 @@ def exists_exact(joint: JointBooleanDist) -> float:
 def exists_bounds(table: BeliefTable) -> ConfidenceInterval:
     """Bounds on the existential confidence: the "or" over the universe.
     Exact unless a component of the q_pair graph that has a cycle has over
-    `LP_MAX_ARITY` points, which takes the outer bound of `_literal_bounds`.
-    Pairs that admit no joint table raise InfeasibleSpec."""
+    `LP_MAX_ARITY` points, which takes the outer bound of `_literal_bounds`
+    and checks no joint.  Elsewhere, pairs with none raise InfeasibleSpec."""
     return _quantified(table, _ANY)
 
 

@@ -709,19 +709,19 @@ class TestSolverEquivalence:
     # over the table entries FF, TF, FT, TT (bit 0 is P1).
     PAIR_ROWS = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0]]
 
-    def test_artificial_below_zero_starts_on_its_negated_row(self):
+    def test_artificial_below_zero_starts_on_its_negated_column(self):
         """From the chain table of p = (0.6, 0.5), FF holds 0.4, so the
-        artificial of the pair row at q = 0.2 starts at -0.2: its row is
-        negated in place, in b and the structural block but not in the
-        identity block, and phase I starts it at 0.2.  The one table left
-        has TT = and_q(0.6, 0.5, 0.2)."""
+        artificial of the pair row at q = 0.2 starts at -0.2: its column is
+        negated in place, e_3 becomes -e_3, and phase I starts it at 0.2.
+        b and the structural block are only read.  The one table left has
+        TT = and_q(0.6, 0.5, 0.2)."""
         a = np.hstack((np.array(self.PAIR_ROWS, dtype=np.float64), np.eye(4)))
         b = np.array([1.0, 0.6, 0.5, 0.2])
         lp = _simplex.Simplex(a, b, np.array([0, 1, 3, 4 + 3]))
-        assert b.tolist() == [1.0, 0.6, 0.5, -0.2]
-        assert a[3, :4].tolist() == [-1.0, 0.0, 0.0, 0.0]
-        assert a[:3, :4].tolist() == self.PAIR_ROWS[:3]
-        assert (a[:, 4:] == np.eye(4)).all()
+        assert b.tolist() == [1.0, 0.6, 0.5, 0.2]
+        assert a[:, :4].tolist() == self.PAIR_ROWS
+        assert a[3, 7] == -1.0
+        assert (a[:, 4:] == np.diag([1.0, 1.0, 1.0, -1.0])).all()
         assert lp.feasible
         cost = np.array([0.0, 0.0, 0.0, 1.0])
         want = mf.and_q(0.6, 0.5, 0.2)
@@ -788,16 +788,17 @@ def count_phase_one(monkeypatch):
 
 def recorded_starts(spec, f):
     """exact_bounds(spec, f), or None for an infeasible spec, and each LP's
-    start as `Simplex` solves it: A and b once the rows of the artificials
-    below zero are negated in place, the start basis, and those rows."""
+    start as `Simplex` solves it: A once the columns of the artificials
+    below zero are negated in place, b, the start basis, and the rows
+    whose artificial flipped."""
     starts = []
 
     class Recording(_simplex.Simplex):
         def __init__(self, a, b, basis):
             given_a = a.copy()
             super().__init__(a, b, basis)
-            negated = np.flatnonzero((a != given_a).any(axis=1))
-            starts.append((a.copy(), b.copy(), np.array(basis), negated))
+            flipped = np.flatnonzero((a != given_a).any(axis=1))
+            starts.append((a.copy(), b.copy(), np.array(basis), flipped))
 
     with mock.patch.object(_simplex, "Simplex", Recording):
         try:
@@ -865,10 +866,10 @@ class TestChainStart:
 
     def test_chain_basis_on_edge_specs(self):
         """On edge specs, infeasible ones included, the start basis is
-        nonsingular with every level >= -TOL once `Simplex` has negated
-        the rows of its artificials below zero, which some starts do, and
+        nonsingular with every level >= -TOL once `Simplex` has flipped
+        the columns of its artificials below zero, which some starts do, and
         the bounds still agree with HiGHS."""
-        negated = []
+        flipped = []
 
         @settings(derandomize=True, deadline=None, max_examples=100)
         @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -879,7 +880,7 @@ class TestChainStart:
             ci, starts = recorded_starts(spec, f)
             for a, b, basis, rows in starts:
                 start_levels(a, b, basis)
-                negated.extend(rows)
+                flipped.extend(rows)
             want = reference_bounds(spec, f)
             if want is None:
                 assert ci is None
@@ -888,7 +889,7 @@ class TestChainStart:
                 assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
         check()
-        assert negated
+        assert flipped
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_comonotone_end_makes_no_pivot(self, n, monkeypatch):
@@ -994,11 +995,11 @@ class TestGluedStart:
 
     def test_start_basis(self):
         """The start basis is nonsingular with every level >= -TOL once
-        `Simplex` has negated the rows of its artificials below zero, which
+        `Simplex` has flipped the columns of its artificials below zero, which
         some starts do, and the start table meets every forest pair's row,
         unless a pair that closes a cycle has an empty cell (then the start
         may be the chain table); the bounds agree with HiGHS."""
-        negated = []
+        flipped = []
 
         @settings(derandomize=True, deadline=None, max_examples=150)
         @given(
@@ -1024,7 +1025,7 @@ class TestGluedStart:
             for a, b, basis, rows in starts:  # one LP: f is a raw table
                 size = a.shape[1] - len(b)  # the artificials are the last columns
                 levels = start_levels(a, b, basis)
-                negated.extend(rows)
+                flipped.extend(rows)
                 artificial = basis >= size
                 if glued:
                     row_level = dict(zip(basis[artificial] - size, levels[artificial]))
@@ -1038,7 +1039,7 @@ class TestGluedStart:
                 assert ci.hi == pytest.approx(want[1], abs=1e-9)
 
         check()
-        assert negated
+        assert flipped
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_forest_specs_run_no_phase_one(self, n, monkeypatch):
@@ -1122,24 +1123,23 @@ class TestBitTable:
             with pytest.raises(ValueError):
                 bits[0, 0] = True
 
-    def test_negated_pair_rows_leave_the_next_solve_unchanged(self):
-        """The pairs form a 4-cycle; (3, 4), sorted last, closes it, and the
-        glued table puts more than its q on the pair's both-false cell, so
-        `Simplex` negates its row (and only its row: the glued table
-        meets the other three).  The next solve at the same arity matches a
-        fresh process bit for bit."""
-        pairwise = {(1, 2): 0.05, (2, 3): 0.1, (3, 4): 0.15, (1, 4): 0.2}
-        spec = mf.PartialJointSpec(marginals=(0.6, 0.5, 0.55, 0.45), pairwise=pairwise)
-        starts = []
+    # The pairs form a 4-cycle; (3, 4), sorted last, closes it, and the
+    # glued table puts more than its q on the pair's both-false cell, so
+    # `Simplex` orients the artificial of its row, 8 (and only that one:
+    # the glued table meets the other three pair rows, 5-7).
+    CYCLE = mf.PartialJointSpec(
+        marginals=(0.6, 0.5, 0.55, 0.45),
+        pairwise={(1, 2): 0.05, (2, 3): 0.1, (3, 4): 0.15, (1, 4): 0.2},
+    )
 
-        class Recording(_simplex.Simplex):
-            def __init__(self, a, b, basis=None):
-                super().__init__(a, b, basis)
-                starts.append(b.copy())
-
-        with mock.patch.object(_simplex, "Simplex", Recording):
-            mf.exact_bounds(spec, mf.or_function(4))
-        assert (starts[0][5:8] > 0).all() and starts[0][8] < 0
+    def test_oriented_pair_rows_leave_the_next_solve_unchanged(self):
+        """The 4-cycle's start flips the artificial of row 8 only.  The next
+        solve at the same arity matches a fresh process bit for bit."""
+        _, starts = recorded_starts(self.CYCLE, mf.or_function(4))
+        a, b, _, flipped = starts[0]
+        assert flipped.tolist() == [8]
+        artificials = np.diag(a[:, a.shape[1] - len(b) :])
+        assert (artificials[5:8] == 1.0).all() and artificials[8] == -1.0
 
         here = {}
         exec(NEXT_SOLVE, here)
@@ -1151,6 +1151,25 @@ class TestBitTable:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert here["result"] == fresh.stdout.strip()
+
+    def test_oriented_start_only_reads_b_and_the_structural_block(self):
+        """Orienting the 4-cycle's start writes one entry, the artificial of
+        row 8: b and the structural block are the bytes `_lp_bounds` built."""
+        given = []
+
+        class Recording(_simplex.Simplex):
+            def __init__(self, a, b, basis):
+                given.append((a.copy(), b.copy()))
+                super().__init__(a, b, basis)
+                given.append((a, b))
+
+        with mock.patch.object(_simplex, "Simplex", Recording):
+            mf.exact_bounds(self.CYCLE, mf.or_function(4))
+        (a0, b0), (a, b) = given
+        size = a.shape[1] - len(b)
+        assert b.tobytes() == b0.tobytes()
+        assert a[:, :size].tobytes() == a0[:, :size].tobytes()
+        assert np.argwhere(a != a0).tolist() == [[8, size + 8]]
 
 
 NEXT_SOLVE = """

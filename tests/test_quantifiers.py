@@ -1,6 +1,7 @@
 """Existential/universal bounds, truncation streams and the sampler."""
 
 import itertools
+import json
 import math
 
 import tracemalloc
@@ -359,6 +360,49 @@ class TestExistsBoundsExact:
         )
         assert cli.main(["quantify", "bounds", "--input", str(path)]) == 2
         assert "InfeasibleSpec" in capsys.readouterr().err
+
+    @staticmethod
+    def odd_ring(tmp_path, size):
+        """A ring of `size` points at p = 0.5 with q = 0 on each edge, which
+        forces neighbours to differ: an odd ring admits no joint table.  The
+        table, and its model file."""
+        labels = [f"x{i}" for i in range(size)]
+        edges = {(labels[i], labels[(i + 1) % size]): 0.0 for i in range(size)}
+        path = tmp_path / "ring.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "universe": labels,
+                    "p": dict.fromkeys(labels, 0.5),
+                    "q_pair": {f"{a},{b}": q for (a, b), q in edges.items()},
+                }
+            ),
+            encoding="utf-8",
+        )
+        return mf.BeliefTable(labels, dict.fromkeys(labels, 0.5), edges), str(path)
+
+    def test_infeasible_odd_ring_at_the_cap_raises(self, tmp_path, capsys):
+        """11 points, under `LP_MAX_ARITY` = 12: the ring's LP finds no
+        joint, so InfeasibleSpec, and exit 2 from the CLI."""
+        table, path = self.odd_ring(tmp_path, 11)
+        for quantify in (mf.exists_bounds, mf.forall_bounds):
+            with pytest.raises(InfeasibleSpec):
+                quantify(table)
+        assert cli.main(["quantify", "bounds", "--input", path]) == 2
+        assert "InfeasibleSpec" in capsys.readouterr().err
+
+    def test_infeasible_odd_ring_above_the_cap_takes_its_outer_bound(
+        self, tmp_path, capsys
+    ):
+        """13 points, over `LP_MAX_ARITY` = 12: the outer bound checks no
+        joint, so the infeasible ring gives an interval, as the docstrings
+        state: every pair has P(either) = 1, so "some" is [1, 1] and "all"
+        [0, 0] (ROADMAP item 7 makes this raise)."""
+        table, path = self.odd_ring(tmp_path, 13)
+        assert mf.exists_bounds(table) == mf.ConfidenceInterval(1.0, 1.0)
+        assert mf.forall_bounds(table) == mf.ConfidenceInterval(0.0, 0.0)
+        assert cli.main(["quantify", "bounds", "--input", path]) == 0
+        assert capsys.readouterr().out == '{"lo": 1.0, "hi": 1.0}\n'
 
     def test_two_point_component_is_or_q_bit_for_bit(self):
         """A joined pair takes 1 - q of the table's clamped q, which is

@@ -22,7 +22,7 @@ The CLI tests that start a subprocess put the repository's own `src/`
 first on its path, so they never see a mutant.
 
 Each entry's note says what the edit breaks; a survivor's note says why
-it survives, or that it is open.  A full run takes 26 tier-1 runs, about
+it survives, or that it is open.  A full run takes 27 tier-1 runs, about
 50 s each on a 2-core Xeon.  Mutation analysis as in DeMillo, Lipton
 and Sayward (1978), "Hints on test data selection".
 """
@@ -117,6 +117,16 @@ MUTANTS = [
         "phase I's verdict loosened from TOL to 1: a spec whose artificials "
         "cannot reach zero is taken as feasible, and phase II solves a "
         "relaxed LP.  Killed by test_matches_default_highs_settings",
+    ),
+    (
+        "_simplex.py",
+        "        self._state[flip] *= -1.0\n",
+        "",
+        "an artificial below zero gets its column negated but keeps its row "
+        "of B^-1 and its level: the start basis no longer matches its "
+        "inverse, and the artificial stays below zero.  Killed by "
+        "test_criterion_6_quantifier_bounds, and by "
+        "test_artificial_below_zero_starts_on_its_negated_column",
     ),
     (
         "bounds.py",
